@@ -1,7 +1,8 @@
 """Command-line front door: deterministic JSON reports over market files.
 
 Exit codes: 0 success / NoArbitrage, 1 Arbitrage verdict or domain error,
-2 load, validation or lookup error, 3 oracle mismatch under --verify.
+2 load, validation or lookup error, 3 oracle mismatch under --verify,
+4 internal error (a broken invariant of the program, never a verdict).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .arbitrage import (
     feasibility,
     lebesgue_decompose,
 )
-from .errors import DomainError, MarketFormatError
+from .errors import DomainError, InternalError, MarketFormatError
 from .market import (
     Market,
     SignificantClass,
@@ -32,7 +33,7 @@ from .market import (
 )
 from .measures import full_support_measure, supporting_measure
 from .oracle import oracle_arbitrage, oracle_support
-from .ratgeom import rat, rat_str
+from .ratgeom import rat
 from .splitter import backward_eliminate, universal_aggregator
 
 _ZERO = Fraction(0)
@@ -52,19 +53,19 @@ def _parse_atom_key(m: Market, key: str) -> frozenset[int]:
 
 
 def _vec_json(v) -> list[str]:
-    return [rat_str(x) for x in v]
+    return [str(x) for x in v]
 
 
 def _weights_json(m: Market, weights) -> dict[str, str]:
     return {
-        m.scenarios[i].id: rat_str(w)
+        m.scenarios[i].id: str(w)
         for i, w in sorted(weights.items())
         if w != 0
     }
 
 
 def _level_key_str(key) -> str:
-    return " ".join("(" + ",".join(rat_str(x) for x in row) + ")" for row in key)
+    return " ".join("(" + ",".join(str(x) for x in row) + ")" for row in key)
 
 
 def strategy_json(m: Market, h: Strategy) -> dict:
@@ -242,13 +243,13 @@ def cmd_extract(args) -> int:
     dec = lebesgue_decompose(m, pa, p)
     doc = {
         "probability": args.prob,
-        "singular_mass": rat_str(sum(dec.singular.values(), _ZERO)),
+        "singular_mass": str(sum(dec.singular.values(), _ZERO)),
         "strategy": None if h is None else strategy_json(m, h),
     }
     if h is not None:
         v = strategy_values(m, h)
         doc["certificate"] = {
-            "terminal_values": {m.scenarios[i].id: rat_str(v[m.T][i]) for i in range(m.n)},
+            "terminal_values": {m.scenarios[i].id: str(v[m.T][i]) for i in range(m.n)},
             "charged_gain_ids": m.ids(
                 [i for i in p.support if v[m.T][i] > 0]
             ),
@@ -356,6 +357,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -11,3 +11,7 @@ class DomainError(ValueError):
     def __init__(self, message, certificate=None):
         super().__init__(message)
         self.certificate = certificate
+
+
+class InternalError(RuntimeError):
+    """An invariant of the program itself failed: a bug, never a verdict."""

@@ -1,21 +1,27 @@
 """Exact rational linear programming and the convex-geometry predicates on top of it.
 
-Every number in this module is a ``fractions.Fraction``; there are no floats and
-no tolerances anywhere.  The solver is a two-phase dense-tableau simplex with
-Bland's anti-cycling pivot rule (lowest eligible column index enters, ratio
-ties broken by lowest basic-variable index), which makes every result both
-terminating and bit-reproducible.  Infeasible programs come back with a Farkas
-certificate over the expanded row system that callers can re-verify with
-:func:`verify_farkas_certificate`.
+Inputs and outputs are exact: every coefficient, bound, solution, objective
+value and certificate is an ``int`` or a ``fractions.Fraction``; there are no
+floats and no tolerances anywhere.  The solver is a two-phase dense-tableau
+simplex with Bland's anti-cycling pivot rule (lowest eligible column index
+enters, ratio ties broken by lowest basic-variable index), which makes every
+result both terminating and bit-reproducible.  The tableau is fraction-free:
+each row keeps integer numerators over one positive row denominator, reduced
+by their gcd, so it holds the same rationals as a ``Fraction`` tableau would,
+Bland's rule takes the same pivots, and ``Fraction``s appear only where inputs
+are scaled and results are read off.  Infeasible programs come back with a
+Farkas certificate over the expanded row system that callers can re-verify
+with :func:`verify_farkas_certificate`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 
 Rational = Fraction
 Vec = tuple[Fraction, ...]
@@ -48,11 +54,6 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
     raise ValueError(f"not a rational: {value!r} (use an integer or a string)")
-
-
-def rat_str(value: Fraction) -> str:
-    """Canonical lossless rendering ("3", "-7/2", ...)."""
-    return str(value)
 
 
 def vec(values) -> Vec:
@@ -100,15 +101,27 @@ class LpResult:
     certificate: Optional[Vec] = None
 
 
+def _check_exact(values, where: str) -> None:
+    for v in values:
+        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+            raise ValueError(f"{where} holds {v!r}; use an int or a Fraction")
+
+
 def _validate(lp: LinearProgram) -> int:
     n = len(lp.objective)
-    for k, (coeffs, rel, _rhs) in enumerate(lp.constraints):
+    _check_exact(lp.objective, "objective")
+    for k, (coeffs, rel, rhs) in enumerate(lp.constraints):
         if len(coeffs) != n:
             raise ValueError(f"constraint {k} has arity {len(coeffs)}, expected {n}")
         if rel not in RELATIONS:
             raise ValueError(f"constraint {k} has unknown relation {rel!r}")
-    if lp.bounds is not None and len(lp.bounds) != n:
-        raise ValueError(f"bounds cover {len(lp.bounds)} variables, expected {n}")
+        _check_exact(coeffs, f"constraint {k}")
+        _check_exact((rhs,), f"constraint {k} right-hand side")
+    if lp.bounds is not None:
+        if len(lp.bounds) != n:
+            raise ValueError(f"bounds cover {len(lp.bounds)} variables, expected {n}")
+        for j, pair in enumerate(lp.bounds):
+            _check_exact((b for b in pair if b is not None), f"bounds of variable {j}")
     return n
 
 
@@ -173,13 +186,19 @@ def verify_farkas_certificate(lp: LinearProgram, certificate: Sequence[Fraction]
 
 
 class _Tableau:
-    """Internal standard-form tableau.
+    """Internal standard-form tableau with integer rows.
 
     Columns: per variable either one column (native nonnegative) or a +/- pair
     (free), then one slack per inequality row, then artificials where the row
     has no natural unit column.  Rows are sign-normalized so every right-hand
     side is nonnegative; >=-rows with rhs <= 0 flip so their surplus becomes a
     basic slack and needs no artificial.
+
+    Each row (right-hand side last) is a list of int numerators over one
+    positive row denominator in ``den``, reduced so that gcd(den, *row) == 1.
+    That pair is the canonical form of the row's rationals, so the tableau
+    holds exactly the rationals of a ``Fraction`` tableau at every step.  The
+    objective row ``obj`` over ``obj_den`` is kept the same way.
     """
 
     def __init__(self, lp: LinearProgram, rows, live, nonneg):
@@ -229,119 +248,142 @@ class _Tableau:
                 art_col[k] = c
                 c += 1
         self.ncols = c
-        self.slack_col = slack_col
-        self.art_col = art_col
         self.art_set = frozenset(art_col.values())
 
         body = []
+        dens = []
         basis = []
         for k, idx in enumerate(live):
             coeffs, rel, rhs = rows[idx]
             s = sigma[k]
-            row = [_ZERO] * (self.ncols + 1)
-            for (j, sign), col in zip(self.var_cols, range(nv)):
-                a = coeffs[j]
-                if a:
-                    row[col] = s * sign * a
+            # the lcm of the row's denominators makes every entry an integer
+            qs = [a.denominator for a in coeffs]
+            den = lcm(rhs.denominator, *qs)
+            row = [0] * (self.ncols + 1)
+            for j, (a, q) in enumerate(zip(coeffs, qs)):
+                v = a.numerator
+                if v:
+                    v *= s * (den // q)
+                    plus, minus = col_of_var[j]
+                    row[plus] = v
+                    if minus is not None:
+                        row[minus] = -v
             if k in slack_col:
-                row[slack_col[k]] = Fraction(slack_kind[k])
+                row[slack_col[k]] = slack_kind[k] * den
             if k in art_col:
-                row[art_col[k]] = _ONE
+                row[art_col[k]] = den
                 basis.append(art_col[k])
             else:
                 basis.append(slack_col[k])
-            row[-1] = s * rhs
+            row[-1] = s * rhs.numerator * (den // rhs.denominator)
             body.append(row)
+            dens.append(den)
         self.body = body
+        self.den = dens
         self.basis = basis
+        self.obj: Optional[list[int]] = None
+        self.obj_den = 1
         # initial unit column of each row, for dual extraction
         self.start_unit = [art_col.get(k, slack_col.get(k)) for k in range(len(live))]
 
     # -- pivoting ---------------------------------------------------------
 
-    def _pivot(self, r: int, pc: int, objrow: list[Fraction]) -> None:
-        prow = self.body[r]
-        piv = prow[pc]
-        if piv != 1:
-            inv = _ONE / piv
-            self.body[r] = prow = [v * inv if v else v for v in prow]
+    def _pivot(self, r: int, pc: int) -> None:
+        """Make column ``pc`` basic in row ``r``; updates ``obj`` if it is set."""
+        body, dens = self.body, self.den
+        prow = body[r]
+        p = prow[pc]
+        # the pivot row becomes prow / p: p is in prow, so gcd(*prow) reduces
+        # it, and taking g with the sign of p keeps the denominator positive
+        g = gcd(*prow)
+        if p < 0:
+            g = -g
+        if g != 1:
+            prow = [v // g for v in prow]
+            body[r] = prow
+        pd = dens[r] = p // g
         nz = [j for j, v in enumerate(prow) if v]
-        for row in self.body:
-            if row is prow:
-                continue
-            f = row[pc]
-            if f:
-                for j in nz:
-                    row[j] -= f * prow[j]
-        f = objrow[pc]
-        if f:
-            for j in nz:
-                objrow[j] -= f * prow[j]
+        for i, row in enumerate(body):
+            if i != r and row[pc]:
+                body[i], dens[i] = _eliminate(row, dens[i], prow, pd, pc, nz)
+        obj = self.obj
+        if obj is not None and obj[pc]:
+            self.obj, self.obj_den = _eliminate(obj, self.obj_den, prow, pd, pc, nz)
         self.basis[r] = pc
 
-    def _simplex(self, objrow: list[Fraction], eligible) -> str:
+    def _simplex(self, ncand: int) -> str:
+        """Bland's rule; columns below ``ncand`` may enter the basis."""
         body = self.body
+        basis = self.basis
         while True:
+            obj = self.obj
             pc = -1
-            for j in range(self.ncols):
-                if objrow[j] > 0 and eligible(j):
+            for j in range(ncand):
+                if obj[j] > 0:
                     pc = j
                     break
             if pc < 0:
                 return OPTIMAL
+            # row denominators cancel in rhs/a, so ratios compare crosswise
             best_r = -1
-            best_ratio = None
+            best_a = best_b = 0
             for r, row in enumerate(body):
                 a = row[pc]
                 if a > 0:
-                    ratio = row[-1] / a
-                    if (
-                        best_ratio is None
-                        or ratio < best_ratio
-                        or (ratio == best_ratio and self.basis[r] < self.basis[best_r])
-                    ):
-                        best_ratio = ratio
-                        best_r = r
+                    b = row[-1]
+                    if best_r < 0:
+                        best_r, best_a, best_b = r, a, b
+                        continue
+                    lhs = b * best_a
+                    rhs = best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[r] < basis[best_r]):
+                        best_r, best_a, best_b = r, a, b
             if best_r < 0:
                 return UNBOUNDED
-            self._pivot(best_r, pc, objrow)
+            self._pivot(best_r, pc)
 
     # -- phases -----------------------------------------------------------
 
-    def _priced_objrow(self, cost: list[Fraction]) -> list[Fraction]:
-        objrow = list(cost) + [_ZERO]
-        for r, b in enumerate(self.basis):
-            cb = cost[b]
-            if cb:
-                row = self.body[r]
-                for j, v in enumerate(row):
-                    if v:
-                        objrow[j] -= cb * v
-        return objrow
+    def _price(self, cost: list[int]) -> None:
+        """Set ``obj`` to the integer ``cost`` row priced out against the basis."""
+        terms = [(cost[b], r) for r, b in enumerate(self.basis) if cost[b]]
+        den = lcm(*(self.den[r] for _cb, r in terms))
+        obj = [c * den for c in cost] + [0]
+        for cb, r in terms:
+            m = cb * (den // self.den[r])
+            for j, v in enumerate(self.body[r]):
+                if v:
+                    obj[j] -= m * v
+        if den != 1:
+            g = gcd(den, *obj)
+            if g != 1:
+                obj = [v // g for v in obj]
+                den //= g
+        self.obj, self.obj_den = obj, den
 
     def phase_one(self):
         """Returns (feasible, farkas certificate over all_rows or None)."""
-        if not self.art_col:
+        if not self.art_set:
             return True, None
-        cost = [_ZERO] * self.ncols
+        cost = [0] * self.ncols
         for c in self.art_set:
-            cost[c] = Fraction(-1)
-        objrow = self._priced_objrow(cost)
-        status = self._simplex(objrow, lambda j: True)
-        assert status == OPTIMAL  # phase 1 is bounded above by 0
-        value = -objrow[-1]
-        if value < 0:
+            cost[c] = -1
+        self._price(cost)
+        if self._simplex(self.ncols) != OPTIMAL:
+            raise InternalError("phase 1 is bounded above by 0 but came back unbounded")
+        obj, den = self.obj, self.obj_den
+        if obj[-1] > 0:  # the phase-1 optimum -obj[-1]/den is negative
             cert = [_ZERO] * len(self.all_rows)
             for k, idx in enumerate(self.live):
                 unit = self.start_unit[k]
-                c_unit = Fraction(-1) if unit in self.art_set else _ZERO
-                u_k = c_unit - objrow[unit]
-                cert[idx] = self.sigma[k] * u_k
+                c_unit = -1 if unit in self.art_set else 0
+                cert[idx] = self.sigma[k] * (c_unit - Fraction(obj[unit], den))
             return False, tuple(cert)
-        self._drive_out_artificials(objrow)
+        self.obj = None  # drive-out pivots need no objective row
+        self._drive_out_artificials()
         return True, None
 
-    def _drive_out_artificials(self, objrow: list[Fraction]) -> None:
+    def _drive_out_artificials(self) -> None:
         r = 0
         while r < len(self.body):
             if self.basis[r] in self.art_set:
@@ -353,25 +395,30 @@ class _Tableau:
                 if pc is None:
                     # redundant row: zero over every structural column
                     del self.body[r]
+                    del self.den[r]
                     del self.basis[r]
                     continue
-                self._pivot(r, pc, objrow)
+                self._pivot(r, pc)
             r += 1
 
     def phase_two(self) -> str:
-        cost = [_ZERO] * self.ncols
-        for (j, sign), col in zip(self.var_cols, range(len(self.var_cols))):
-            c = self.lp.objective[j]
+        # a positive scale of the costs steers the same pivots; the caller
+        # reads the objective value off the solution, not off this row
+        objective = self.lp.objective
+        scale = lcm(*(c.denominator for c in objective if c))
+        cost = [0] * self.ncols
+        for col, (j, sign) in enumerate(self.var_cols):
+            c = objective[j]
             if c:
-                cost[col] = sign * c
-        objrow = self._priced_objrow(cost)
-        art = self.art_set
-        return self._simplex(objrow, lambda j: j not in art)
+                cost[col] = sign * c.numerator * (scale // c.denominator)
+        self._price(cost)
+        # artificials are the last columns and never re-enter
+        return self._simplex(self.ncols - len(self.art_set))
 
     def solution(self) -> Vec:
         value_of = {}
-        for r, b in enumerate(self.basis):
-            value_of[b] = self.body[r][-1]
+        for b, row, den in zip(self.basis, self.body, self.den):
+            value_of[b] = Fraction(row[-1], den)
         out = []
         for plus, minus in self.col_of_var:
             x = value_of.get(plus, _ZERO)
@@ -379,6 +426,28 @@ class _Tableau:
                 x -= value_of.get(minus, _ZERO)
             out.append(x)
         return tuple(out)
+
+
+def _eliminate(row, den, prow, pd, pc, nz):
+    """Zero column ``pc`` of ``row``/``den`` with the pivot row ``prow``/``pd``.
+
+    The pivot entry of ``prow`` is ``pd`` itself (the value 1), so the result
+    is (pd*row - f*prow) / (den*pd) with f = row[pc]; only the pivot row's
+    nonzero columns ``nz`` take the subtraction.  When pd == 1, ``row`` is
+    updated in place.
+    """
+    f = row[pc]
+    if pd != 1:
+        row = [pd * v for v in row]
+        den *= pd
+    for j in nz:
+        row[j] -= f * prow[j]
+    if den != 1:
+        g = gcd(den, *row)
+        if g != 1:
+            row = [v // g for v in row]
+            den //= g
+    return row, den
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
@@ -407,7 +476,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     feasible, cert = tab.phase_one()
     if not feasible:
         if not verify_farkas_certificate(lp, cert):
-            raise RuntimeError("internal error: invalid Farkas certificate")
+            raise InternalError("invalid Farkas certificate")
         return LpResult(INFEASIBLE, None, None, cert)
     status = tab.phase_two()
     if status == UNBOUNDED:
@@ -463,7 +532,8 @@ def _separator_round(values: list[Vec], d: int, target: list[int]) -> tuple[Vec,
     bounds = [(Fraction(-1), _ONE)] * d + [(_ZERO, _ONE)] * len(target)
     objective = tuple(_ZERO for _ in range(d)) + tuple(_ONE for _ in target)
     res = lp_solve(LinearProgram(objective, tuple(constraints), tuple(bounds)))
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise InternalError(f"bounded separator LP came back {res.status}")
     return res.solution[:d], res.objective_value
 
 
@@ -499,7 +569,8 @@ def maximal_separator(points: Sequence[Vec]) -> Optional[tuple[Vec, frozenset[in
         if gain == 0:
             break
         new = {v for v in target if dot(h, values[v]) > 0}
-        assert new, "positive slack sum without a strict value"
+        if not new:
+            raise InternalError("positive slack sum without a strict value")
         strict_vals |= new
         acc = list(h) if acc is None else [a + b for a, b in zip(acc, h)]
         target = [v for v in range(len(values)) if v not in strict_vals]

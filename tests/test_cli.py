@@ -1,11 +1,14 @@
 """CLI behaviour: exit codes, determinism, round-trips."""
 
 import json
+from fractions import Fraction as F
 
 import pytest
 
 from arbscan import cli
+from arbscan.errors import InternalError
 from arbscan.market import load_market, strategy_values
+from arbscan.ratgeom import EQ, UNBOUNDED, LinearProgram, _Tableau, lp_solve
 
 from conftest import CONSTANT_DOC, EX3D_DOC, MULTI_DOC, SVU_DOC
 
@@ -84,6 +87,28 @@ def test_analyze_oracle_mismatch_exit_code(capsys, svu_file, monkeypatch):
     monkeypatch.setattr(cli, "oracle_support", lambda m: m.all_indices)
     code, _out, _err = _run(capsys, "analyze", svu_file, "--verify")
     assert code == 3
+
+
+def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):
+    simplex = _Tableau._simplex
+
+    def phase_one_unbounded(self, ncand):
+        if self.art_set and ncand == self.ncols:  # phase 1 prices every column
+            return UNBOUNDED
+        return simplex(self, ncand)
+
+    monkeypatch.setattr(_Tableau, "_simplex", phase_one_unbounded)
+    lp = LinearProgram((F(1),), (((F(1),), EQ, F(1)),), ((F(0), None),))
+    with pytest.raises(InternalError, match="phase 1"):
+        lp_solve(lp)
+    # a broken invariant must not read as exit 1, the Arbitrage verdict;
+    # EX3D's measure LPs have equality rows, so phase 1 runs
+    path = tmp_path / "ex3d.json"
+    path.write_text(json.dumps(EX3D_DOC), "utf-8")
+    code, out, err = _run(capsys, "analyze", str(path))
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err
 
 
 def test_check_exit_codes(capsys, svu_file, constant_file):

@@ -1,0 +1,69 @@
+"""Golden `analyze --verify` reports: the exact bytes of every report are pinned.
+
+The files under ``tests/golden/`` hold ``build_report(m, verify=True)``
+rendered as the CLI renders it.  They pin every rational the LP layer
+produces (separators, aggregator positions, measure weights), so a kernel
+change that keeps the same pivots must leave them byte-identical.  A change
+that alters the bytes on purpose regenerates them with
+``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from arbscan.cli import build_report
+from arbscan.market import load_market
+
+sys.path.insert(0, str(Path(__file__).parent))
+from conftest import COUNTNA_DOC, EX1000_DOC, EX3D_DOC, MULTI_DOC, SVU_DOC  # noqa: E402
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# two-period, two-asset tree with "p/q" prices: one node has a one-sided
+# direction (c3 is polar), so separators and measure weights are fractional
+FRACTREE_DOC = {
+    "d": 2,
+    "T": 2,
+    "scenarios": [
+        {"id": "a1", "prices": [["7/2", "5/3"], ["9/2", "4/3"], ["11/2", "3/2"]]},
+        {"id": "a2", "prices": [["7/2", "5/3"], ["9/2", "4/3"], ["7/2", "5/4"]]},
+        {"id": "a3", "prices": [["7/2", "5/3"], ["9/2", "4/3"], ["9/2", "2/3"]]},
+        {"id": "b1", "prices": [["7/2", "5/3"], ["5/2", "7/3"], ["3", "8/3"]]},
+        {"id": "b2", "prices": [["7/2", "5/3"], ["5/2", "7/3"], ["2", "7/3"]]},
+        {"id": "b3", "prices": [["7/2", "5/3"], ["5/2", "7/3"], ["5/2", "2"]]},
+        {"id": "c1", "prices": [["7/2", "5/3"], ["23/6", "2/3"], ["13/3", "11/12"]]},
+        {"id": "c2", "prices": [["7/2", "5/3"], ["23/6", "2/3"], ["10/3", "5/12"]]},
+        {"id": "c3", "prices": [["7/2", "5/3"], ["23/6", "2/3"], ["23/6", "1"]]},
+    ],
+    "classes": {"branch": [["a1", "a2"], ["c3"]]},
+}
+
+DOCS = {
+    "svu": SVU_DOC,
+    "multi": MULTI_DOC,
+    "ex3d": EX3D_DOC,
+    "ex1000": EX1000_DOC,
+    "countna": COUNTNA_DOC,
+    "fractree": FRACTREE_DOC,
+}
+
+
+def render(doc: dict) -> str:
+    report, _agrees = build_report(load_market(doc), verify=True)
+    return json.dumps(report, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_report_matches_golden(name):
+    expected = (GOLDEN / f"{name}.json").read_text("utf-8")
+    assert render(DOCS[name]) == expected
+
+
+if __name__ == "__main__":
+    for name, doc in sorted(DOCS.items()):
+        (GOLDEN / f"{name}.json").write_text(render(doc), "utf-8")

@@ -14,6 +14,7 @@ from arbscan.ratgeom import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _Tableau,
     cone_ri_contains_zero,
     conv_contains_zero,
     convex_combination_for_zero,
@@ -65,6 +66,86 @@ def test_arity_mismatch_is_structural():
         lp_solve(LinearProgram((F(1),), (((F(1),), "<", F(0)),)))
 
 
+@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("where", ["objective", "coefficient", "rhs", "lower", "upper"])
+def test_inexact_numbers_rejected(where, bad):
+    objective, coeffs, rhs, lower, upper = (F(1),), (F(1),), F(1), F(0), F(3)
+    if where == "objective":
+        objective = (bad,)
+    elif where == "coefficient":
+        coeffs = (bad,)
+    elif where == "rhs":
+        rhs = bad
+    elif where == "lower":
+        lower = bad
+    else:
+        upper = bad
+    lp = LinearProgram(objective, ((coeffs, LE, rhs),), ((lower, upper),))
+    with pytest.raises(ValueError):
+        lp_solve(lp)
+    with pytest.raises(ValueError):
+        verify_farkas_certificate(lp, (F(1), F(0)))
+
+
+def test_int_inputs_accepted():
+    lp = LinearProgram((1, 2), (((1, 1), LE, 3),), ((0, None), (0, 1)))
+    res = lp_solve(lp)
+    assert res.status == OPTIMAL
+    assert res.solution == (F(2), F(1))
+    assert res.objective_value == 4
+
+
+def _after_phase_one(lp):
+    """The tableau of ``lp`` right after phase 1, built as lp_solve builds it."""
+    rows = expanded_rows(lp)
+    nonneg = [lo is not None and lo == 0 for lo, _hi in lp.bounds]
+    tab = _Tableau(lp, rows, list(range(len(rows))), nonneg)
+    assert tab.phase_one() == (True, None)
+    return tab
+
+
+def test_duplicated_equality_row_is_dropped():
+    # x + y = 2 twice: phase 1 leaves the second artificial basic at level 0
+    # in a row that is zero over every structural column
+    row = ((F(1), F(1)), EQ, F(2))
+    lp = LinearProgram((F(1), F(0)), (row, row), ((F(0), None), (F(0), None)))
+    tab = _after_phase_one(lp)
+    assert len(tab.body) == 1
+    assert not set(tab.basis) & tab.art_set
+    res = lp_solve(lp)
+    assert res.status == OPTIMAL
+    assert res.solution == (F(2), F(0))
+
+
+def test_drive_out_pivots_on_negative_entry(monkeypatch):
+    # the artificial rows sum to -y, so phase 1 is optimal before any pivot
+    # and both artificials leave on a negative entry (-x, then -y)
+    signs = []
+    pivot = _Tableau._pivot
+
+    def spy(self, r, pc):
+        signs.append(self.body[r][pc] < 0)
+        pivot(self, r, pc)
+
+    monkeypatch.setattr(_Tableau, "_pivot", spy)
+    lp = LinearProgram(
+        (F(1), F(1)),
+        (
+            ((F(-1), F(1)), EQ, F(0)),
+            ((F(1), F(-2)), EQ, F(0)),
+            ((F(1), F(1)), LE, F(2)),
+        ),
+        ((F(0), None), (F(0), None)),
+    )
+    tab = _after_phase_one(lp)
+    assert signs == [True, True]
+    assert not set(tab.basis) & tab.art_set
+    res = lp_solve(lp)
+    assert res.status == OPTIMAL
+    assert res.solution == (F(0), F(0))
+    assert res.objective_value == 0
+
+
 def test_determinism_bit_identical():
     lp = LinearProgram(
         (F(2), F(-1), F(1)),
@@ -80,8 +161,42 @@ def test_determinism_bit_identical():
         assert lp_solve(lp) == first
 
 
+def test_bland_tie_breaks_pin_the_answer():
+    # both LPs have ratio ties whose Bland tie-break (lowest basic index)
+    # decides which optimal vertex or which certificate comes back
+    lp = LinearProgram(
+        (F(1), F(0), F(0)),
+        (
+            ((F(1), F(1), F(1)), EQ, F(1)),
+            ((F(0), F(-1), F(1)), EQ, F(0)),
+            ((F(1), F(1), F(1)), EQ, F(0)),
+        ),
+        ((F(0), None),) * 3,
+    )
+    res = lp_solve(lp)
+    assert res.status == INFEASIBLE
+    assert res.certificate == (F(-1), F(-1), F(2))
+    lp = LinearProgram(
+        (F(0), F(0), F(1), F(1), F(1)),
+        (
+            ((F(1), F(1), F(-1), F(0), F(0)), GE, F(0)),
+            ((F(0), F(1), F(0), F(-1), F(0)), GE, F(0)),
+            ((F(0), F(0), F(0), F(0), F(-1)), GE, F(0)),
+        ),
+        ((F(-1), F(1)),) * 2 + ((F(0), F(1)),) * 3,
+    )
+    res = lp_solve(lp)
+    assert res.status == OPTIMAL
+    assert res.solution == (F(1), F(1), F(1), F(1), F(0))
+
+
 def _rat_coeff():
-    return st.integers(min_value=-4, max_value=4).map(F)
+    # proper fractions make the row denominators and their gcd reduction work
+    return st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(1, 9))
+
+
+def _box_end(least: int):
+    return st.builds(F, st.integers(min_value=least, max_value=45), st.integers(1, 9))
 
 
 @st.composite
@@ -96,7 +211,8 @@ def _random_lp(draw):
         constraints.append((coeffs, rel, rhs))
     objective = tuple(draw(_rat_coeff()) for _ in range(n))
     # box bounds keep every instance bounded
-    bounds = tuple((F(-5), F(5)) for _ in range(n))
+    # (a zero lower bound takes the native nonnegative-column path)
+    bounds = tuple((-draw(_box_end(0)), draw(_box_end(1))) for _ in range(n))
     return LinearProgram(objective, tuple(constraints), bounds)
 
 
@@ -119,7 +235,6 @@ def test_random_lps_exact_and_certified(lp):
 @given(_random_lp())
 def test_random_lps_match_scipy(lp):
     scipy = pytest.importorskip("scipy.optimize")
-    n = len(lp.objective)
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, rel, rhs in lp.constraints:
         row = [float(c) for c in coeffs]
@@ -138,7 +253,7 @@ def test_random_lps_match_scipy(lp):
         b_ub=b_ub or None,
         A_eq=a_eq or None,
         b_eq=b_eq or None,
-        bounds=[(-5.0, 5.0)] * n,
+        bounds=[(float(lo), float(hi)) for lo, hi in lp.bounds],
         method="highs",
     )
     mine = lp_solve(lp)
