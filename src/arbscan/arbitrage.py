@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from .errors import DomainError
+from .errors import DomainError, InternalError
 from .market import (
     Atom,
     DiscreteMeasure,
@@ -88,7 +88,8 @@ def classify(
                 return Verdict(ARBITRAGE, witness=agg, witness_class=c,
                                detail="declared set inside the polar complement")
         q = class_measure(m, pa, cls)
-        assert q is not None, "no class measure despite NoArbitrage verdict"
+        if q is None:
+            raise InternalError("no class measure despite a NoArbitrage verdict")
         return Verdict(
             NO_ARBITRAGE,
             certificate_measure=q,
@@ -173,17 +174,19 @@ def lebesgue_decompose(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Deco
 def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Optional[Strategy]:
     """A strategy beating the model P, or None when P only charges survivors.
 
-    The analysis is re-run restricted to supp(P); the first period with an
-    eliminating event supplies, per level set, the first-sweep separator on
-    that level set (zero elsewhere).  The level set covers every P-charged
+    The analysis restricted to supp(P) (``pa`` itself when supp(P) is its
+    start set) is searched; the first period with an eliminating event
+    supplies, per level set, the first-sweep separator on that level set
+    (zero elsewhere).  The level set covers every P-charged
     scenario of its atom, so V_T >= 0 holds P-almost surely and the first
     block carries positive P-mass.
     """
     polar_mass = p.mass(m.all_indices - pa.omega_star)
     if polar_mass == 0:
         return None
-    sub = backward_eliminate(m, within=p.support)
-    assert sub.events, "positive polar mass but no restricted elimination"
+    sub = pa if p.support == pa.start_set else backward_eliminate(m, within=p.support)
+    if not sub.events:
+        raise InternalError("positive polar mass but no restricted elimination")
     tau = min(ev.splitting.t for ev in sub.events)
     seen_levels: set[tuple] = set()
     pieces: dict[Atom, Vec] = {}
@@ -203,9 +206,11 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     h = Strategy(positions)
 
     v = strategy_values(m, h)
-    assert all(v[m.T][i] >= 0 for i in p.support)
+    if any(v[m.T][i] < 0 for i in p.support):
+        raise InternalError("extracted strategy loses on a charged scenario")
     gained = sum((p[i] for i in range(m.n) if v[m.T][i] > 0), _ZERO)
-    assert gained > 0
+    if gained <= 0:
+        raise InternalError("extracted strategy gains no probability mass")
     return h
 
 
@@ -238,7 +243,9 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     facets = {
         "omega_star_is_everything": pa.omega_star == m.all_indices,
         "uniform_model_has_no_classical_arbitrage": extract_p_arbitrage(m, pa, uniform) is None,
-        "full_support_martingale_measure_exists": witness is not None and witness.full,
+        "full_support_martingale_measure_exists": (
+            witness is not None and witness.support == m.all_indices
+        ),
         "no_open_like_arbitrage_enlarged": not classify(m, pa, open_like, "enlarged").arbitrage,
     }
 
@@ -257,5 +264,5 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
         facets=facets,
         ladder=ladder,
         class_ladder=class_ladder,
-        full_support=None if witness is None else witness.measure,
+        full_support=witness,
     )

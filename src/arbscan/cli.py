@@ -31,7 +31,7 @@ from .market import (
     natural_filtration,
     strategy_values,
 )
-from .measures import full_support_measure, supporting_measure
+from .measures import supporting_measure
 from .oracle import oracle_arbitrage, oracle_support
 from .ratgeom import rat
 from .splitter import backward_eliminate, universal_aggregator
@@ -114,7 +114,6 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     """The analyze report; the bool is oracle agreement (True without --verify)."""
     pa = backward_eliminate(m)
     agg, enlarged = universal_aggregator(m, pa)
-    witness = full_support_measure(m, pa)
     feas = feasibility(m, pa)
 
     splittings = []
@@ -151,8 +150,10 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
             str(t): [m.ids(a) for a in enlarged[t].atoms] for t in range(m.T + 1)
         },
         "measures": {
-            "full_support": None if witness is None else _weights_json(m, witness.measure.weights),
-            "full": witness is not None and witness.full,
+            "full_support": (
+                None if feas.full_support is None else _weights_json(m, feas.full_support.weights)
+            ),
+            "full": feas.facets["full_support_martingale_measure_exists"],
         },
         "classes": {
             name: _verdict_json(m, classify(m, pa, cls, "enlarged"))

@@ -1,10 +1,17 @@
-"""Martingale measures: the polytope, point-supporting construction, mixing.
+"""Martingale measures: the polytope, the full-support measure, mixing.
 
 A measure is a martingale measure iff, for every period and every atom of the
 conditioning partition, the weighted increments sum to zero exactly.  The
-supporting construction walks the scenario tree restricted to the surviving
-set and chooses one-step conditional weights by the anchored convex
-combination, so exact martingality holds by construction.
+full-support measure comes from one top-down walk of the scenario tree
+restricted to ``omega_star``.  At each node one LP,
+:func:`convex_combination_for_zero`, gives the node's children strictly
+positive weights under which the mean increment is zero; a child's mass is
+its parent's mass times its weight.  Backward elimination leaves 0 in the
+relative interior of every surviving level set's increment cone, so those
+weights exist, and the product is an exact martingale measure for the natural
+and the enlarged filtration whose support is exactly ``omega_star``.  It
+charges every survivor, so it is also the measure returned for a single
+surviving scenario and for a class whose sets all meet ``omega_star``.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DomainError
-from .market import Atom, DiscreteMeasure, Market, Partition, natural_filtration
+from .errors import DomainError, InternalError
+from .market import DiscreteMeasure, Market, Partition, natural_filtration
 from .ratgeom import EQ, LinearProgram, Vec, convex_combination_for_zero
 from .splitter import PolarAnalysis
 
@@ -74,67 +81,63 @@ def check_martingale(m: Market, q: DiscreteMeasure, filtration: Sequence[Partiti
     return True
 
 
-class _ComboCache:
-    """Anchored one-step combinations, shared across supporting constructions."""
-
-    def __init__(self, m: Market, star: Atom):
-        self.m = m
-        self.star = star
-        self._memo: dict[tuple[int, Atom, int], tuple] = {}
-
-    def children(self, t: int, node: Atom) -> list[Atom]:
-        groups: dict[Vec, set[int]] = {}
-        for i in sorted(node):
-            groups.setdefault(self.m.scenarios[i].path[t], set()).add(i)
-        out = [frozenset(g) for g in groups.values()]
-        out.sort(key=min)
-        return out
-
-    def conditional(self, t: int, node: Atom, anchor: int) -> list[tuple[Atom, Fraction]]:
-        """Child sets of ``node`` at time t with weights; anchor's child weighted > 0."""
-        children = self.children(t, node)
-        anchor_pos = next(k for k, c in enumerate(children) if anchor in c)
-        key = (t, node, anchor_pos)
-        lam = self._memo.get(key)
-        if lam is None:
-            points = [self.m.increment(t, min(c)) for c in children]
-            lam = convex_combination_for_zero(points, anchor_pos)
-            self._memo[key] = lam
-        return [(c, w) for c, w in zip(children, lam) if w > 0]
+def _children(m: Market, t: int, members: list[int]) -> list[list[int]]:
+    """Sorted ``members`` grouped by their price at time t, each group sorted."""
+    groups: dict[Vec, list[int]] = {}
+    for i in members:
+        groups.setdefault(m.scenarios[i].path[t], []).append(i)
+    return list(groups.values())
 
 
-def _supporting(m: Market, pa: PolarAnalysis, target: int, cache: _ComboCache) -> DiscreteMeasure:
+def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasure]:
+    """A martingale measure whose support is exactly ``omega_star`` (None if empty).
+
+    Each time-0 atom of ``omega_star`` gets an equal share of the mass; each
+    surviving node passes its mass to its children in the proportions of
+    :func:`convex_combination_for_zero` on their increments; a final group of
+    identical paths splits its mass evenly.
+    """
     star = pa.omega_star
-    root = next(
-        a for _k, a in m.level_sets(star, 0) if target in a
-    )
-    frontier: list[tuple[Atom, Fraction]] = [(root, _ONE)]
+    if not star:
+        return None
+    roots = _children(m, 0, sorted(star))
+    share = Fraction(1, len(roots))
+    frontier = [(root, share) for root in roots]
     for t in range(1, m.T + 1):
-        nxt: list[tuple[Atom, Fraction]] = []
-        for node, weight in frontier:
-            anchor = target if target in node else min(node)
-            for child, lam in cache.conditional(t, node, anchor):
-                nxt.append((child, weight * lam))
+        nxt: list[tuple[list[int], Fraction]] = []
+        for node, mass in frontier:
+            children = _children(m, t, node)
+            points = [m.increment(t, c[0]) for c in children]
+            try:
+                lam = convex_combination_for_zero(points)
+            except DomainError as exc:
+                raise InternalError(
+                    f"surviving node of {m.scenarios[node[0]].id!r} at time {t - 1} "
+                    f"has no strictly positive martingale weights"
+                ) from exc
+            nxt.extend((child, mass * w) for child, w in zip(children, lam))
         frontier = nxt
     weights: dict[int, Fraction] = {}
-    for node, weight in frontier:
-        rep = target if target in node else min(node)
-        weights[rep] = weights.get(rep, _ZERO) + weight
-    return DiscreteMeasure(weights)
+    for leaf, mass in frontier:
+        each = mass / len(leaf)
+        for i in leaf:
+            weights[i] = each
+    q = DiscreteMeasure(weights)
+    if q.support != star:
+        raise InternalError("full-support measure does not charge exactly omega_star")
+    return q
 
 
 def supporting_measure(m: Market, pa: PolarAnalysis, target: int) -> DiscreteMeasure:
-    """Finite-support martingale measure giving ``target`` positive weight.
+    """A martingale measure giving ``target`` positive weight: the full-support one.
 
-    ``target`` must lie in ``omega_star``; every level set of the surviving
-    set has 0 interior to its increment cone, so the anchored combination
-    exists at every node of the walk.
+    ``target`` must lie in ``omega_star``; a polar target raises DomainError.
     """
     if target not in pa.omega_star:
         raise DomainError(
             f"scenario {m.scenarios[target].id!r} is polar: no martingale measure charges it"
         )
-    return _supporting(m, pa, target, _ComboCache(m, pa.omega_star))
+    return full_support_measure(m, pa)
 
 
 def mix(measures: Sequence[DiscreteMeasure], weights: Sequence[Fraction]) -> DiscreteMeasure:
@@ -152,47 +155,12 @@ def mix(measures: Sequence[DiscreteMeasure], weights: Sequence[Fraction]) -> Dis
     return DiscreteMeasure(out)
 
 
-def _geometric_weights(k: int) -> list[Fraction]:
-    # 2^-n for n = 1..k, renormalized to sum exactly 1
-    raw = [Fraction(1, 2**n) for n in range(1, k + 1)]
-    total = sum(raw, _ZERO)
-    return [w / total for w in raw]
-
-
-@dataclass(frozen=True)
-class SupportWitness:
-    measure: DiscreteMeasure
-    full: bool
-
-
-def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[SupportWitness]:
-    """A martingale measure whose support is exactly ``omega_star`` (None if empty).
-
-    Flagged full iff the support is the whole scenario set.
-    """
-    star = sorted(pa.omega_star)
-    if not star:
-        return None
-    cache = _ComboCache(m, pa.omega_star)
-    parts = [_supporting(m, pa, i, cache) for i in star]
-    q = mix(parts, _geometric_weights(len(parts)))
-    assert q.support == pa.omega_star
-    return SupportWitness(measure=q, full=pa.omega_star == m.all_indices)
-
-
 def class_measure(m: Market, pa: PolarAnalysis, cls) -> Optional[DiscreteMeasure]:
     """A martingale measure charging every set of the class, or None.
 
     None exactly when some declared set is contained in the polar complement;
-    otherwise mixes one supporting measure per set, anchored at the smallest
-    surviving index of that set.
+    otherwise the full-support measure, which charges every survivor.
     """
-    picks = []
-    for c in cls.sets:
-        alive = c & pa.omega_star
-        if not alive:
-            return None
-        picks.append(min(alive))
-    cache = _ComboCache(m, pa.omega_star)
-    parts = [_supporting(m, pa, i, cache) for i in picks]
-    return mix(parts, _geometric_weights(len(parts)))
+    if any(c.isdisjoint(pa.omega_star) for c in cls.sets):
+        return None
+    return full_support_measure(m, pa)

@@ -160,10 +160,14 @@ def verify_farkas_certificate(lp: LinearProgram, certificate: Sequence[Fraction]
     feasible x would then give 0 <= g.x <= v.b < 0.
     """
     n = _validate(lp)
-    rows = expanded_rows(lp)
+    return _farkas_holds(expanded_rows(lp), _nonneg_mask(lp, n), certificate)
+
+
+def _farkas_holds(rows, nonneg: list[bool], certificate: Sequence[Fraction]) -> bool:
+    """The test of :func:`verify_farkas_certificate` on validated, expanded rows."""
     if len(certificate) != len(rows):
         return False
-    nonneg = _nonneg_mask(lp, n)
+    n = len(nonneg)
     g = [_ZERO] * n
     vb = _ZERO
     for v_i, (coeffs, rel, rhs) in zip(certificate, rows):
@@ -475,7 +479,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     tab = _Tableau(lp, rows, live, nonneg)
     feasible, cert = tab.phase_one()
     if not feasible:
-        if not verify_farkas_certificate(lp, cert):
+        if not _farkas_holds(rows, nonneg, cert):
             raise InternalError("invalid Farkas certificate")
         return LpResult(INFEASIBLE, None, None, cert)
     status = tab.phase_two()
@@ -588,22 +592,30 @@ def cone_ri_contains_zero(points: Sequence[Vec]) -> bool:
     return maximal_separator(points) is None
 
 
-def convex_combination_for_zero(points: Sequence[Vec], anchor: int) -> tuple[Fraction, ...]:
-    """Convex weights summing to 1 with sum(w_i x_i) = 0 and w_anchor maximal (> 0).
+def convex_combination_for_zero(points: Sequence[Vec]) -> tuple[Fraction, ...]:
+    """Strictly positive weights summing to 1 with sum(w_i x_i) = 0, min weight maximal.
 
-    Requires 0 in the relative interior of the point cone; violations raise a
-    DomainError carrying a separating direction as certificate.
+    One LP over the weights w and a floor s: maximize s subject to
+    sum(w) = 1, sum(w_i x_i) = 0 and w_i - s >= 0, with w, s >= 0.  A
+    strictly positive combination of the points is 0 exactly when 0 lies in
+    the relative interior of their cone, so the optimum s is positive exactly
+    then; this is the single-LP relative-interior test of Freund, Roundy and
+    Todd (1985).  When it is not, a DomainError carries a separating
+    direction as certificate.
     """
     d = _check_dims(points)
     n = len(points)
-    if not 0 <= anchor < n:
-        raise ValueError(f"anchor {anchor} out of range for {n} points")
-    constraints = [(tuple(_ONE for _ in range(n)), EQ, _ONE)]
+    constraints = [(tuple(_ONE for _ in range(n)) + (_ZERO,), EQ, _ONE)]
     for k in range(d):
-        constraints.append((tuple(p[k] for p in points), EQ, _ZERO))
-    objective = tuple(_ONE if i == anchor else _ZERO for i in range(n))
+        constraints.append((tuple(p[k] for p in points) + (_ZERO,), EQ, _ZERO))
+    for i in range(n):
+        row = [_ZERO] * (n + 1)
+        row[i] = _ONE
+        row[n] = Fraction(-1)
+        constraints.append((tuple(row), GE, _ZERO))
+    objective = tuple(_ZERO for _ in range(n)) + (_ONE,)
     res = lp_solve(
-        LinearProgram(objective, tuple(constraints), tuple((_ZERO, None) for _ in range(n)))
+        LinearProgram(objective, tuple(constraints), tuple((_ZERO, None) for _ in range(n + 1)))
     )
     if res.status != OPTIMAL or res.objective_value == 0:
         sep = maximal_separator(points)
@@ -611,4 +623,4 @@ def convex_combination_for_zero(points: Sequence[Vec], anchor: int) -> tuple[Fra
             "zero is not interior to the cone of the given points",
             certificate=None if sep is None else sep[0],
         )
-    return res.solution
+    return res.solution[:n]

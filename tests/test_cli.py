@@ -5,10 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from arbscan import cli
-from arbscan.errors import InternalError
+from arbscan import cli, measures
+from arbscan.errors import DomainError, InternalError
 from arbscan.market import load_market, strategy_values
 from arbscan.ratgeom import EQ, UNBOUNDED, LinearProgram, _Tableau, lp_solve
+from arbscan.splitter import backward_eliminate
 
 from conftest import CONSTANT_DOC, EX3D_DOC, MULTI_DOC, SVU_DOC
 
@@ -106,6 +107,22 @@ def test_internal_error_exits_4(capsys, tmp_path, monkeypatch):
     path = tmp_path / "ex3d.json"
     path.write_text(json.dumps(EX3D_DOC), "utf-8")
     code, out, err = _run(capsys, "analyze", str(path))
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err
+
+
+def test_broken_measure_node_exits_4(capsys, constant_file, monkeypatch):
+    def no_interior(points):
+        raise DomainError("zero is not interior to the cone of the given points")
+
+    # every surviving node has strictly positive weights; if one had none,
+    # that is a broken invariant, not a domain error of the input
+    monkeypatch.setattr(measures, "convex_combination_for_zero", no_interior)
+    m = load_market(CONSTANT_DOC)
+    with pytest.raises(InternalError, match="surviving node"):
+        measures.full_support_measure(m, backward_eliminate(m))
+    code, out, err = _run(capsys, "analyze", constant_file)
     assert code == 4
     assert out == ""
     assert "internal error" in err

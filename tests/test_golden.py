@@ -43,6 +43,26 @@ FRACTREE_DOC = {
     "classes": {"branch": [["a1", "a2"], ["c3"]]},
 }
 
+# one-asset trinomial tree whose middle node at t=1 is an arbitrage node:
+# its two rising children are polar and its flat child survives, so the
+# full-support measure is a product of two levels of max-min weights
+TRINOMIAL_DOC = {
+    "d": 1,
+    "T": 2,
+    "scenarios": [
+        {"id": "a1", "prices": [[10], [13], [15]]},
+        {"id": "a2", "prices": [[10], [13], [12]]},
+        {"id": "a3", "prices": [[10], [13], [10]]},
+        {"id": "b1", "prices": [[10], [11], [11]]},
+        {"id": "b2", "prices": [[10], [11], [12]]},
+        {"id": "b3", "prices": [[10], [11], [13]]},
+        {"id": "c1", "prices": [[10], [8], [7]]},
+        {"id": "c2", "prices": [[10], [8], [6]]},
+        {"id": "c3", "prices": [[10], [8], [9]]},
+    ],
+    "classes": {"mixed": [["a1", "b2"], ["c3"]], "rising": [["b2", "b3"]]},
+}
+
 DOCS = {
     "svu": SVU_DOC,
     "multi": MULTI_DOC,
@@ -50,6 +70,7 @@ DOCS = {
     "ex1000": EX1000_DOC,
     "countna": COUNTNA_DOC,
     "fractree": FRACTREE_DOC,
+    "trinomial": TRINOMIAL_DOC,
 }
 
 

@@ -197,8 +197,7 @@ def test_value_process_linear(a, b, data):
 
 def test_martingale_kills_expected_terminal_value(countna):
     pa = backward_eliminate(countna)
-    witness = full_support_measure(countna, pa)
-    q = witness.measure
+    q = full_support_measure(countna, pa)
     f = natural_filtration(countna)
     assert check_martingale(countna, q, f)
     h = Strategy(({frozenset(range(4)): (F(3),)},))

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arbscan.arbitrage import feasibility
 from arbscan.errors import DomainError
 from arbscan.market import DiscreteMeasure, SignificantClass, load_market, natural_filtration
 from arbscan.measures import (
@@ -15,6 +17,7 @@ from arbscan.measures import (
     mix,
     supporting_measure,
 )
+from arbscan.oracle import oracle_support
 from arbscan.ratgeom import INFEASIBLE, OPTIMAL, lp_solve
 from arbscan.splitter import backward_eliminate, universal_aggregator
 
@@ -48,8 +51,11 @@ def test_polytope_row_order(svu):
 
 def test_supporting_measure_countna(countna):
     pa = backward_eliminate(countna)
-    q = supporting_measure(countna, pa, countna.index_of("q1"))
-    assert q.weights == {countna.index_of("q1"): F(1)}
+    target = countna.index_of("q1")
+    q = supporting_measure(countna, pa, target)
+    assert q[target] > 0
+    assert q.support == pa.omega_star
+    assert check_martingale(countna, q, natural_filtration(countna))
 
 
 def test_supporting_measure_two_point():
@@ -95,17 +101,34 @@ def test_mix_preserves_martingality(countna):
 
 def test_full_support_trivial(constant):
     pa = backward_eliminate(constant)
-    witness = full_support_measure(constant, pa)
-    assert witness.full
-    assert witness.measure.support == constant.all_indices
-    assert witness.measure.weights[0] == F(2, 3)  # 2^-1 / (2^-1 + 2^-2)
+    q = full_support_measure(constant, pa)
+    assert q.support == pa.omega_star == constant.all_indices
+    assert check_martingale(constant, q, natural_filtration(constant))
+    assert feasibility(constant, pa).facets["full_support_martingale_measure_exists"]
 
 
 def test_full_support_countna(countna):
     pa = backward_eliminate(countna)
-    witness = full_support_measure(countna, pa)
-    assert not witness.full
-    assert witness.measure.support == pa.omega_star
+    q = full_support_measure(countna, pa)
+    assert q.support == pa.omega_star != countna.all_indices
+    assert not feasibility(countna, pa).facets["full_support_martingale_measure_exists"]
+
+
+def test_full_support_time0_atoms_share_equally():
+    doc = {
+        "d": 1,
+        "T": 1,
+        "scenarios": [
+            {"id": "a", "prices": [[1], [2]]},
+            {"id": "b", "prices": [[1], [0]]},
+            {"id": "c", "prices": [[5], [5]]},
+        ],
+    }
+    with pytest.warns(UserWarning, match="initial prices differ"):
+        m = load_market(doc)
+    q = full_support_measure(m, backward_eliminate(m))
+    assert q.weights == {0: F(1, 4), 1: F(1, 4), 2: F(1, 2)}
+    assert check_martingale(m, q, natural_filtration(m))
 
 
 def test_full_support_svu(svu):
@@ -153,7 +176,7 @@ def test_emitted_measures_exact_on_corpus(mini_corpus):
             continue
         f = natural_filtration(m)
         _agg, enlarged = universal_aggregator(m, pa)
-        emitted = [full_support_measure(m, pa).measure]
+        emitted = [full_support_measure(m, pa)]
         emitted.append(supporting_measure(m, pa, min(pa.omega_star)))
         cls = SignificantClass("c", (frozenset({rng.choice(sorted(pa.omega_star))}),))
         q = class_measure(m, pa, cls)
@@ -177,3 +200,52 @@ def test_supporting_measure_anchor_weight_positive(mini_corpus):
             q = supporting_measure(m, pa, i)
             assert q[i] > 0
             assert q.support <= pa.omega_star
+
+
+_MEAN_ZERO = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda xy: (*xy, -xy[0] - xy[1]))
+# (0, a, b): the flat child survives; (a, b, c): the whole node is polar
+_ARBITRAGE = st.one_of(
+    st.tuples(st.just(0), st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _trinomial_tree(draw):
+    """Trinomial Tree(3, 3, 1), n = 27, with arbitrage nodes at the last level.
+
+    Children may share a price, so level sets can merge branches and final
+    groups of identical paths occur.
+    """
+    paths = [[10]]
+    for t in range(3):
+        nxt = []
+        for path in paths:
+            last = t == 2 and draw(st.booleans())
+            incs = draw(_ARBITRAGE if last else _MEAN_ZERO)
+            nxt.extend(path + [path[-1] + x] for x in incs)
+        paths = nxt
+    return load_market(
+        {
+            "d": 1,
+            "T": 3,
+            "scenarios": [
+                {"id": f"w{i}", "prices": [[p] for p in path]} for i, path in enumerate(paths)
+            ],
+        }
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trinomial_tree())
+def test_full_support_on_trinomial_trees(m):
+    pa = backward_eliminate(m)
+    assert oracle_support(m) == pa.omega_star
+    q = full_support_measure(m, pa)
+    if not pa.omega_star:
+        assert q is None
+        return
+    _agg, enlarged = universal_aggregator(m, pa)
+    assert q.support == pa.omega_star
+    assert check_martingale(m, q, natural_filtration(m))
+    assert check_martingale(m, q, enlarged)

@@ -339,31 +339,50 @@ def test_separator_xor_and_maximality(points):
         assert all(-1 <= c <= 1 for c in h)
 
 
+def _is_zero_combination(lam, points):
+    d = len(points[0])
+    return (
+        len(lam) == len(points)
+        and all(w > 0 for w in lam)
+        and sum(lam) == 1
+        and all(sum(w * p[k] for w, p in zip(lam, points)) == 0 for k in range(d))
+    )
+
+
 def test_convex_combination_examples():
-    assert convex_combination_for_zero([(F(1),), (F(-1),)], 0) == (F(1, 2), F(1, 2))
-    assert convex_combination_for_zero([(F(0),)], 0) == (F(1),)
-    lam = convex_combination_for_zero([(F(2),), (F(-1),), (F(0),)], 0)
-    assert lam == (F(1, 3), F(2, 3), F(0))
+    cases = [
+        [(F(1),), (F(-1),)],
+        [(F(0),)],
+        [(F(2),), (F(-1),), (F(0),)],
+        [(F(1), F(0)), (F(-1), F(0)), (F(0), F(1)), (F(0), F(-1))],
+        [(F(3, 2), F(-1)), (F(-1, 2), F(1, 3)), (F(-1, 2), F(1, 3))],
+    ]
+    for points in cases:
+        assert _is_zero_combination(convex_combination_for_zero(points), points)
+    # the smallest weight is as large as possible: 2w1 = w2, w3 >= w1
+    assert convex_combination_for_zero(cases[2]) == (F(1, 4), F(1, 2), F(1, 4))
 
 
 def test_convex_combination_precondition_error():
     with pytest.raises(DomainError) as info:
-        convex_combination_for_zero([(F(1),), (F(2),)], 0)
+        convex_combination_for_zero([(F(1),), (F(2),)])
     sep = info.value.certificate
     assert sep is not None
     assert all(dot(sep, p) > 0 for p in [(F(1),), (F(2),)])
+    # 0 is in the hull but on its boundary: no strictly positive weights
+    points = [(F(1),), (F(0),)]
+    with pytest.raises(DomainError) as info:
+        convex_combination_for_zero(points)
+    sep = info.value.certificate
+    assert [dot(sep, p) for p in points] == [F(1), F(0)]
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.lists(_point, min_size=1, max_size=6), st.data())
-def test_convex_combination_exactness(points, data):
+@given(st.lists(_point, min_size=1, max_size=6))
+def test_convex_combination_exactness(points):
     points = [tuple(p) for p in points]
     if not cone_ri_contains_zero(points):
+        with pytest.raises(DomainError):
+            convex_combination_for_zero(points)
         return
-    anchor = data.draw(st.integers(0, len(points) - 1))
-    lam = convex_combination_for_zero(points, anchor)
-    assert sum(lam) == 1
-    assert all(w >= 0 for w in lam)
-    assert lam[anchor] > 0
-    for k in range(2):
-        assert sum(w * p[k] for w, p in zip(lam, points)) == 0
+    assert _is_zero_combination(convex_combination_for_zero(points), points)

@@ -174,8 +174,8 @@ def test_measures_invariant_under_enlargement(mini_corpus):
         if witness is None:
             continue
         _agg, enlarged = universal_aggregator(m, pa)
-        assert check_martingale(m, witness.measure, natural_filtration(m))
-        assert check_martingale(m, witness.measure, enlarged)
+        assert check_martingale(m, witness, natural_filtration(m))
+        assert check_martingale(m, witness, enlarged)
         checked += 1
     assert checked > 10
 
