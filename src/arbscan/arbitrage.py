@@ -19,13 +19,12 @@ from .market import (
     Market,
     SignificantClass,
     Strategy,
-    natural_filtration,
     strategy_values,
 )
-from .measures import class_measure, full_support_measure
+from .measures import class_measure
 from .oracle import oracle_arbitrage
 from .ratgeom import Vec
-from .splitter import PolarAnalysis, backward_eliminate, universal_aggregator
+from .splitter import PolarAnalysis, backward_eliminate
 
 _ZERO = Fraction(0)
 
@@ -78,13 +77,13 @@ def classify(
 
     if filtration == "enlarged":
         if not pa.omega_star:
-            agg, _ = universal_aggregator(m, pa)
+            agg, _ = pa.aggregator
             cited = cls.sets[0]
             return Verdict(ARBITRAGE, witness=agg, witness_class=cited,
                            detail="every scenario is polar")
         for c in cls.sets:
             if c <= polar:
-                agg, _ = universal_aggregator(m, pa)
+                agg, _ = pa.aggregator
                 return Verdict(ARBITRAGE, witness=agg, witness_class=c,
                                detail="declared set inside the polar complement")
         q = class_measure(m, pa, cls)
@@ -96,9 +95,8 @@ def classify(
             detail="martingale measures exist and no declared set is polar",
         )
 
-    f = natural_filtration(m)
     for c in cls.sets:
-        h = oracle_arbitrage(m, f, c)
+        h = oracle_arbitrage(m, pa.natural, c)
         if h is not None:
             return Verdict(ARBITRAGE, witness=h, witness_class=c,
                            detail="strategy found by LP search over the natural filtration")
@@ -233,7 +231,7 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     no-model-independent for every declared class.
     """
     n = m.n
-    witness = full_support_measure(m, pa)
+    witness = pa.full_support
 
     uniform = DiscreteMeasure({i: Fraction(1, n) for i in range(n)})
     singletons = tuple(frozenset({i}) for i in range(n))

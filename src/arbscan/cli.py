@@ -28,13 +28,12 @@ from .market import (
     SignificantClass,
     Strategy,
     load_market,
-    natural_filtration,
+    load_strategy,
     strategy_values,
 )
 from .measures import supporting_measure
 from .oracle import oracle_arbitrage, oracle_support
-from .ratgeom import rat
-from .splitter import backward_eliminate, universal_aggregator
+from .splitter import backward_eliminate
 
 _ZERO = Fraction(0)
 
@@ -46,10 +45,6 @@ _ZERO = Fraction(0)
 
 def _atom_key(m: Market, atom) -> str:
     return ",".join(sorted(m.scenarios[i].id for i in atom))
-
-
-def _parse_atom_key(m: Market, key: str) -> frozenset[int]:
-    return frozenset(m.index_of(sid) for sid in key.split(","))
 
 
 def _vec_json(v) -> list[str]:
@@ -78,26 +73,6 @@ def strategy_json(m: Market, h: Strategy) -> dict:
     return {"positions": positions}
 
 
-def load_strategy(m: Market, source) -> Strategy:
-    if isinstance(source, (str, Path)) and not str(source).lstrip().startswith("{"):
-        doc = json.loads(Path(source).read_text("utf-8"))
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        doc = json.loads(source)
-    positions = []
-    table = doc.get("positions", {})
-    for t in range(1, m.T + 1):
-        row = table.get(str(t), {})
-        positions.append(
-            {
-                _parse_atom_key(m, key): tuple(rat(x) for x in vec_)
-                for key, vec_ in row.items()
-            }
-        )
-    return Strategy(tuple(positions))
-
-
 def _verdict_json(m: Market, verdict: Verdict) -> dict:
     cert: dict = {"note": verdict.detail}
     if verdict.certificate_measure is not None:
@@ -113,7 +88,7 @@ def _verdict_json(m: Market, verdict: Verdict) -> dict:
 def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     """The analyze report; the bool is oracle agreement (True without --verify)."""
     pa = backward_eliminate(m)
-    agg, enlarged = universal_aggregator(m, pa)
+    agg, enlarged = pa.aggregator
     feas = feasibility(m, pa)
 
     splittings = []
@@ -290,13 +265,12 @@ def cmd_defrag(args) -> int:
 def cmd_oracle(args) -> int:
     m = load_market(Path(args.market))
     support = oracle_support(m)
-    f = natural_filtration(m)
     pa = backward_eliminate(m)
-    _, enlarged = universal_aggregator(m, pa)
+    _, enlarged = pa.aggregator
     classes = {}
     for name, cls in m.classes.items():
         classes[name] = {
-            "natural": any(oracle_arbitrage(m, f, c) is not None for c in cls.sets),
+            "natural": any(oracle_arbitrage(m, pa.natural, c) is not None for c in cls.sets),
             "enlarged": any(oracle_arbitrage(m, enlarged, c) is not None for c in cls.sets),
         }
     _emit({"support": m.ids(support), "classes": classes}, args.out)
@@ -352,7 +326,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except MarketFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:

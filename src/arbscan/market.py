@@ -10,6 +10,7 @@ import json
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -48,12 +49,6 @@ class Partition:
         object.__setattr__(self, "ground", frozenset(seen))
 
     ground: Atom = field(init=False)
-
-    def atom_of(self, i: int) -> Atom:
-        for a in self.atoms:
-            if i in a:
-                return a
-        raise KeyError(i)
 
     def refines(self, other: "Partition") -> bool:
         return all(any(a <= b for b in other.atoms) for a in self.atoms)
@@ -119,29 +114,33 @@ class Strategy:
     """Predictable positions: ``positions[t-1]`` maps time-(t-1) atoms to vectors.
 
     Atoms within one period must be disjoint; indices not covered by any atom
-    hold the zero position.
+    hold the zero position.  ``held[t-1]`` maps each covered scenario index to
+    its period-t position.
     """
 
     positions: tuple[Mapping[Atom, Vec], ...]
+    held: tuple[Mapping[int, Vec], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         norm = []
+        held = []
         for t, pos in enumerate(self.positions):
             pos = {frozenset(a): tuple(v) for a, v in pos.items()}
-            seen: set[int] = set()
-            for a in pos:
-                if seen & a:
-                    raise ValueError(f"strategy atoms overlap at period {t + 1}")
-                seen |= a
+            index: dict[int, Vec] = {}
+            for a, v in pos.items():
+                for i in a:
+                    if i in index:
+                        raise ValueError(f"strategy atoms overlap at period {t + 1}")
+                    index[i] = v
             norm.append(pos)
+            held.append(index)
         object.__setattr__(self, "positions", tuple(norm))
+        object.__setattr__(self, "held", tuple(held))
 
     def vector(self, t: int, i: int, d: int) -> Vec:
         """Position held over (t-1, t] in scenario i."""
-        for a, v in self.positions[t - 1].items():
-            if i in a:
-                return v
-        return tuple(_ZERO for _ in range(d))
+        v = self.held[t - 1].get(i)
+        return tuple(_ZERO for _ in range(d)) if v is None else v
 
 
 @dataclass(frozen=True)
@@ -185,11 +184,12 @@ class Market:
     def all_indices(self) -> Atom:
         return frozenset(range(self.n))
 
+    @cached_property
+    def _index_by_id(self) -> dict[str, int]:
+        return {s.id: i for i, s in enumerate(self.scenarios)}
+
     def index_of(self, scenario_id: str) -> int:
-        for i, s in enumerate(self.scenarios):
-            if s.id == scenario_id:
-                return i
-        raise KeyError(scenario_id)
+        return self._index_by_id[scenario_id]
 
     def ids(self, indices) -> list[str]:
         return [self.scenarios[i].id for i in sorted(indices)]
@@ -242,12 +242,11 @@ def strategy_values(m: Market, h: Strategy) -> list[list[Fraction]]:
     """V[t][i] without any filtration cross-check (atoms taken at face value)."""
     v = [[_ZERO] * m.n]
     for t in range(1, m.T + 1):
-        prev = v[-1]
-        row = []
-        for i in range(m.n):
-            pos = h.vector(t, i, m.d)
-            inc = m.increment(t, i)
-            row.append(prev[i] + sum((a * b for a, b in zip(pos, inc)), _ZERO))
+        row = list(v[-1])
+        for i, pos in h.held[t - 1].items():
+            if any(pos):
+                inc = m.increment(t, i)
+                row[i] += sum((a * b for a, b in zip(pos, inc)), _ZERO)
         v.append(row)
     return v
 
@@ -264,23 +263,42 @@ def _parse_rat(value, where: str) -> Fraction:
         raise MarketFormatError(f"{where}: {exc}") from exc
 
 
-def load_market(source: Union[str, Path, dict]) -> Market:
-    """Parse and validate a market document (path, JSON text, or dict)."""
+_JSON_KINDS = {list: "a JSON array", dict: "a JSON object", str: "a string"}
+
+
+def _expect(value, kind: type, where: str):
+    """``value`` itself if it is a ``kind`` (list, dict or str); else MarketFormatError."""
+    if not isinstance(value, kind):
+        raise MarketFormatError(f"{where} must be {_JSON_KINDS[kind]}, not {type(value).__name__}")
+    return value
+
+
+def _read_document(source: Union[str, Path, dict], what: str) -> dict:
+    """The JSON object in ``source``: a dict, JSON text starting with "{", or a file path.
+
+    A file that cannot be opened raises ``OSError``; content that is not a
+    JSON object raises MarketFormatError naming ``what``.
+    """
     if isinstance(source, dict):
         doc = source
     else:
-        if isinstance(source, Path):
-            text = source.read_text("utf-8")
-        elif isinstance(source, str) and source.lstrip().startswith("{"):
+        if isinstance(source, str) and source.lstrip().startswith("{"):
             text = source
         else:
-            text = Path(source).read_text("utf-8")
+            try:
+                text = Path(source).read_text("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MarketFormatError(f"{what} is not UTF-8 text: {exc}") from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MarketFormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MarketFormatError("market document must be a JSON object")
+        except (ValueError, RecursionError) as exc:
+            raise MarketFormatError(f"{what} is not valid JSON: {exc}") from exc
+    return _expect(doc, dict, what)
+
+
+def load_market(source: Union[str, Path, dict]) -> Market:
+    """Parse and validate a market document (path, JSON text, or dict)."""
+    doc = _read_document(source, "market document")
 
     for key in ("d", "T", "scenarios"):
         if key not in doc:
@@ -292,15 +310,18 @@ def load_market(source: Union[str, Path, dict]) -> Market:
         raise MarketFormatError("T must be an integer")
 
     scenarios = []
-    for entry in doc["scenarios"]:
+    for k, entry in enumerate(_expect(doc["scenarios"], list, "scenarios")):
+        entry = _expect(entry, dict, f"scenario entry {k}")
         sid = entry.get("id")
         if not isinstance(sid, str):
             raise MarketFormatError("every scenario needs a string id")
         rows = entry.get("prices")
         if not isinstance(rows, list):
             raise MarketFormatError(f"scenario {sid!r} has no price rows")
+        where = f"scenario {sid!r}"
         path = tuple(
-            tuple(_parse_rat(x, f"scenario {sid!r}") for x in row) for row in rows
+            tuple(_parse_rat(x, where) for x in _expect(row, list, f"{where} price row"))
+            for row in rows
         )
         scenarios.append(Scenario(sid, path))
 
@@ -309,22 +330,23 @@ def load_market(source: Union[str, Path, dict]) -> Market:
 
     def to_indices(ids, where: str) -> Atom:
         out = set()
-        for sid in ids:
-            if sid not in idx:
+        for sid in _expect(ids, list, f"{where} set"):
+            if not isinstance(sid, str) or sid not in idx:
                 raise MarketFormatError(f"{where} references unknown scenario {sid!r}")
             out.add(idx[sid])
         return frozenset(out)
 
     classes = {}
-    for name, sets in (doc.get("classes") or {}).items():
+    for name, sets in _expect(doc.get("classes") or {}, dict, "classes").items():
+        where = f"class {name!r}"
         classes[name] = SignificantClass(
-            name, tuple(to_indices(s, f"class {name!r}") for s in sets)
+            name, tuple(to_indices(s, where) for s in _expect(sets, list, where))
         )
 
     probabilities = {}
-    for name, weights in (doc.get("probabilities") or {}).items():
+    for name, weights in _expect(doc.get("probabilities") or {}, dict, "probabilities").items():
         mapped = {}
-        for sid, w in weights.items():
+        for sid, w in _expect(weights, dict, f"probability {name!r}").items():
             if sid not in idx:
                 raise MarketFormatError(
                     f"probability {name!r} references unknown scenario {sid!r}"
@@ -342,3 +364,37 @@ def load_market(source: Union[str, Path, dict]) -> Market:
     return Market(
         d=d, T=T, scenarios=market.scenarios, classes=classes, probabilities=probabilities
     )
+
+
+def load_strategy(m: Market, source: Union[str, Path, dict]) -> Strategy:
+    """Parse a strategy document against ``m`` (path, JSON text, or dict).
+
+    ``positions`` maps each period "1".."T" to a table from comma-joined
+    scenario ids to a d-vector of rationals; periods left out hold zero.
+    """
+    doc = _read_document(source, "strategy document")
+    table = _expect(doc.get("positions", {}), dict, "strategy positions")
+    positions = []
+    for t in range(1, m.T + 1):
+        where = f"strategy period {t}"
+        pos = {}
+        for key, vec_ in _expect(table.get(str(t), {}), dict, where).items():
+            atom = set()
+            for sid in _expect(key, str, f"{where} atom").split(","):
+                try:
+                    atom.add(m.index_of(sid))
+                except KeyError:
+                    raise MarketFormatError(
+                        f"{where} references unknown scenario {sid!r}"
+                    ) from None
+            vec_ = _expect(vec_, list, f"{where} position of {key!r}")
+            if len(vec_) != m.d:
+                raise MarketFormatError(
+                    f"{where} position of {key!r} has length {len(vec_)}, expected d={m.d}"
+                )
+            pos[frozenset(atom)] = tuple(_parse_rat(x, where) for x in vec_)
+        positions.append(pos)
+    try:
+        return Strategy(tuple(positions))
+    except ValueError as exc:
+        raise MarketFormatError(str(exc)) from None

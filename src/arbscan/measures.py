@@ -12,6 +12,7 @@ weights exist, and the product is an exact martingale measure for the natural
 and the enlarged filtration whose support is exactly ``omega_star``.  It
 charges every survivor, so it is also the measure returned for a single
 surviving scenario and for a class whose sets all meet ``omega_star``.
+Callers read it as ``pa.full_support``, which builds it once per analysis.
 """
 
 from __future__ import annotations
@@ -55,11 +56,12 @@ def build_polytope(m: Market) -> MartingalePolytope:
     rows = [(tuple(_ONE for _ in range(m.n)), EQ, _ONE)]
     filtration = natural_filtration(m)
     for t in range(1, m.T + 1):
+        incs = [m.increment(t, i) for i in range(m.n)]
         for atom in filtration[t - 1].atoms:
             for j in range(m.d):
                 coeffs = [_ZERO] * m.n
                 for i in atom:
-                    coeffs[i] = m.increment(t, i)[j]
+                    coeffs[i] = incs[i][j]
                 rows.append((tuple(coeffs), EQ, _ZERO))
     return MartingalePolytope(n=m.n, rows=tuple(rows))
 
@@ -137,7 +139,7 @@ def supporting_measure(m: Market, pa: PolarAnalysis, target: int) -> DiscreteMea
         raise DomainError(
             f"scenario {m.scenarios[target].id!r} is polar: no martingale measure charges it"
         )
-    return full_support_measure(m, pa)
+    return pa.full_support
 
 
 def mix(measures: Sequence[DiscreteMeasure], weights: Sequence[Fraction]) -> DiscreteMeasure:
@@ -163,4 +165,4 @@ def class_measure(m: Market, pa: PolarAnalysis, cls) -> Optional[DiscreteMeasure
     """
     if any(c.isdisjoint(pa.omega_star) for c in cls.sets):
         return None
-    return full_support_measure(m, pa)
+    return pa.full_support

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .errors import InternalError
 from .market import Atom, Market, Partition, Strategy, value_process
 from .measures import build_polytope
 from .ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
@@ -36,7 +37,8 @@ def oracle_support(m: Market) -> Atom:
         res = lp_solve(poly.lp(objective))
         if res.status == INFEASIBLE:
             return frozenset()
-        assert res.status == OPTIMAL
+        if res.status != OPTIMAL:
+            raise InternalError(f"support LP for scenario {i} ended {res.status}")
         if res.objective_value > 0:
             support.update(j for j, w in enumerate(res.solution) if w > 0)
     return frozenset(support)
@@ -58,18 +60,25 @@ def oracle_arbitrage(
         raise ValueError("target set is empty")
     periods = [only_period] if only_period is not None else list(range(1, m.T + 1))
     layout: list[tuple[int, Atom, int]] = []
+    # per period, each scenario's first column: the block of its atom
+    first_col: list[dict[int, int]] = []
     for t in periods:
+        cols: dict[int, int] = {}
         for atom in filtration[t - 1].atoms:
+            for i in atom:
+                cols[i] = len(layout)
             for j in range(m.d):
                 layout.append((t, atom, j))
+        first_col.append(cols)
     nv = len(layout)
 
     constraints = []
     for i in range(m.n):
         coeffs = [_ZERO] * nv
-        for k, (t, atom, j) in enumerate(layout):
-            if i in atom:
-                coeffs[k] = m.increment(t, i)[j]
+        for t, cols in zip(periods, first_col):
+            k = cols.get(i)
+            if k is not None:
+                coeffs[k : k + m.d] = m.increment(t, i)
         rhs = _ONE if i in c else _ZERO
         constraints.append((tuple(coeffs), GE, rhs))
 
@@ -78,7 +87,8 @@ def oracle_arbitrage(
     )
     if res.status == INFEASIBLE:
         return None
-    assert res.status == OPTIMAL
+    if res.status != OPTIMAL:
+        raise InternalError(f"strategy search LP ended {res.status}")
 
     positions: list[dict[Atom, tuple]] = []
     for t in range(1, m.T + 1):
@@ -93,6 +103,8 @@ def oracle_arbitrage(
     )
 
     v = value_process(m, filtration, strategy)
-    assert all(x >= 0 for x in v[m.T])
-    assert all(v[m.T][i] >= 1 for i in c)
+    if any(x < 0 for x in v[m.T]):
+        raise InternalError("oracle strategy loses on some scenario")
+    if any(v[m.T][i] < 1 for i in c):
+        raise InternalError("oracle strategy gains less than 1 on the target set")
     return strategy

@@ -5,16 +5,25 @@ splits into strict-gain blocks plus an efficient residual.  Iterating block
 removal backwards over time until nothing changes yields the maximal set of
 scenarios supportable by martingale measures (``omega_star``); the aggregator
 strategy holds, in each scenario, the separator that eliminated it.
+
+The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
+per-market context of everything downstream.  It keeps the market it analysed
+and builds three artifacts lazily, each at most once and only on first use:
+the natural filtration, the aggregator with its enlarged filtration, and the
+full-support martingale measure.  They live exactly as long as the analysis;
+nothing is cached on the market, so a fresh ``backward_eliminate`` starts
+from nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from .errors import DomainError
-from .market import Atom, Market, Partition, Strategy, natural_filtration, refine
+from .errors import DomainError, InternalError
+from .market import Atom, DiscreteMeasure, Market, Partition, Strategy, natural_filtration, refine
 from .ratgeom import Vec, maximal_separator
 
 _ZERO = Fraction(0)
@@ -64,6 +73,15 @@ class PolarAnalysis:
     equals ``omega_star``.  ``splittings`` holds the first-sweep decomposition
     of every level set (the reported, construction-faithful one); ``events``
     records every eliminating splitting across all sweeps.
+
+    ``market`` is the analysed market; it takes no part in ``==`` or ``repr``.
+    The cached properties ``natural``, ``aggregator`` and ``full_support``
+    call :func:`~arbscan.market.natural_filtration`,
+    :func:`universal_aggregator` and
+    :func:`~arbscan.measures.full_support_measure` once, on first read, and
+    return that same object on every later read.  They are deterministic
+    functions of (market, analysis), so reading them changes no answer; a new
+    analysis of the same market shares none of them.
     """
 
     omega_star: Atom
@@ -73,14 +91,25 @@ class PolarAnalysis:
     eliminated_levels: Mapping[int, tuple[Splitting, ...]]
     rounds: int
     start_set: Atom
+    market: Market = field(compare=False, repr=False)
 
-    def elimination_time(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for ev in self.events:
-            for block in ev.splitting.blocks:
-                for i in block:
-                    out[i] = ev.splitting.t
-        return out
+    @cached_property
+    def natural(self) -> tuple[Partition, ...]:
+        """The natural filtration F_0..F_T of ``market``."""
+        return tuple(natural_filtration(self.market))
+
+    @cached_property
+    def aggregator(self) -> tuple[Strategy, tuple[Partition, ...]]:
+        """The universal aggregator and its enlarged filtration."""
+        agg, enlarged = universal_aggregator(self.market, self)
+        return agg, tuple(enlarged)
+
+    @cached_property
+    def full_support(self) -> Optional[DiscreteMeasure]:
+        """The martingale measure with support exactly ``omega_star`` (None if empty)."""
+        from . import measures  # measures imports this module
+
+        return measures.full_support_measure(self.market, self)
 
     def blocks_at(self, t: int) -> Atom:
         dead: set[int] = set()
@@ -131,7 +160,8 @@ def split_level_set(m: Market, t: int, gamma: Atom) -> Splitting:
         separators=tuple(separators),
         residual=residual,
     )
-    assert sp.beta <= m.d
+    if sp.beta > m.d:
+        raise InternalError(f"level set split into {sp.beta} blocks, more than d={m.d}")
     return sp
 
 
@@ -185,7 +215,8 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     survivors = tuple(
         frozenset(i for i in start if elim_time.get(i, 0) <= t) for t in range(m.T + 1)
     )
-    assert survivors[0] == omega_star and survivors[m.T] == start
+    if survivors[0] != omega_star or survivors[m.T] != start:
+        raise InternalError("survivor sets do not run from omega_star to the start set")
 
     return PolarAnalysis(
         omega_star=omega_star,
@@ -195,6 +226,7 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
         eliminated_levels={t: tuple(v) for t, v in eliminated.items()},
         rounds=sweep,
         start_set=start,
+        market=m,
     )
 
 
@@ -215,8 +247,8 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
     The strategy holds, at each scenario's elimination period, the separator
     of the block that removed it (zero otherwise); its strict-gain set is
     exactly the complement of ``omega_star``.  The filtration joins the
-    natural one with the value partitions of the aggregator one step ahead
-    (no look-ahead term at T).
+    natural one (``pa.natural``) with the value partitions of the aggregator
+    one step ahead (no look-ahead term at T).
     """
     zero = tuple(_ZERO for _ in range(m.d))
     pieces = aggregator_pieces(m, pa)
@@ -228,7 +260,7 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
         return Partition(tuple(frozenset(g) for g in groups.values()))
 
     value_parts = [None] + [value_partition(t) for t in range(1, m.T + 1)]
-    f = natural_filtration(m)
+    f = pa.natural
     enlarged = []
     for t in range(m.T + 1):
         part = f[t]
@@ -241,7 +273,8 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
         pos: dict[Atom, Vec] = {}
         for atom in enlarged[t - 1].atoms:
             vals = {pieces[t].get(i, zero) for i in atom}
-            assert len(vals) == 1, "aggregator not constant on an enlarged atom"
+            if len(vals) != 1:
+                raise InternalError("aggregator not constant on an enlarged atom")
             pos[atom] = next(iter(vals))
         positions.append(pos)
     return Strategy(tuple(positions)), enlarged

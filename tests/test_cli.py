@@ -1,14 +1,18 @@
 """CLI behaviour: exit codes, determinism, round-trips."""
 
+import ast
+import copy
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from arbscan import cli, measures
+import arbscan
+from arbscan import cli, measures, oracle, splitter
 from arbscan.errors import DomainError, InternalError
 from arbscan.market import load_market, strategy_values
-from arbscan.ratgeom import EQ, UNBOUNDED, LinearProgram, _Tableau, lp_solve
+from arbscan.ratgeom import EQ, UNBOUNDED, LinearProgram, LpResult, _Tableau, lp_solve
 from arbscan.splitter import backward_eliminate
 
 from conftest import CONSTANT_DOC, EX3D_DOC, MULTI_DOC, SVU_DOC
@@ -225,3 +229,78 @@ def test_summary_goes_to_stderr(capsys, svu_file):
     _code, out, err = _run(capsys, "analyze", svu_file, "--summary")
     assert "omega_star" in err
     json.loads(out)
+
+
+def _svu_with(**changes) -> dict:
+    doc = copy.deepcopy(SVU_DOC)
+    doc.update(changes)
+    return doc
+
+
+def _scenario_not_object() -> dict:
+    doc = copy.deepcopy(SVU_DOC)
+    doc["scenarios"][1] = "w2"
+    return doc
+
+
+# (market document or "dir", strategy document text or None, expected message)
+_MALFORMED = {
+    "strategy-unknown-scenario": (SVU_DOC, '{"positions": {"1": {"w1,zz": ["1"]}}}', "unknown scenario 'zz'"),
+    "strategy-float-position": (SVU_DOC, '{"positions": {"1": {"w1": [0.5]}}}', "not a rational"),
+    "strategy-invalid-json": (SVU_DOC, '{"positions": ', "not valid JSON"),
+    "market-path-is-directory": ("dir", None, "error"),
+    "probabilities-as-list": (_svu_with(probabilities=["w1"]), None, "probabilities must be a JSON object"),
+    "scenario-entry-not-object": (_scenario_not_object(), None, "scenario entry 1 must be a JSON object"),
+    "class-set-as-string": (_svu_with(classes={"c": "a"}), None, "class 'c' must be a JSON array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_exits_2(capsys, tmp_path, case):
+    doc, strategy, message = _MALFORMED[case]
+    if doc == "dir":
+        market = str(tmp_path)
+    else:
+        market = str(tmp_path / "market.json")
+        Path(market).write_text(json.dumps(doc), "utf-8")
+    if strategy is None:
+        argv = ["analyze", market]
+    else:
+        spath = tmp_path / "h.json"
+        spath.write_text(strategy, "utf-8")
+        argv = ["defrag", market, "--strategy", str(spath)]
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_no_bare_asserts_in_the_package():
+    # invariants must survive python -O and exit 4, so none may be an assert
+    found = []
+    for path in sorted(Path(arbscan.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_broken_splitter_invariant_exits_4(capsys, svu_file, monkeypatch):
+    def whole_first_point(points):
+        # a separator that claims only the first point every round, so a
+        # level set of more than d scenarios splits into more than d blocks
+        return tuple(F(0) for _ in points[0]), [0]
+
+    monkeypatch.setattr(splitter, "maximal_separator", whole_first_point)
+    code, out, err = _run(capsys, "analyze", svu_file)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and "more than d=1" in err
+
+
+def test_broken_oracle_lp_exits_4(capsys, svu_file, monkeypatch):
+    monkeypatch.setattr(oracle, "lp_solve", lambda lp: LpResult(UNBOUNDED, None, None))
+    code, out, err = _run(capsys, "oracle", svu_file)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and "unbounded" in err

@@ -1,5 +1,8 @@
 """Market loading, filtrations, strategies, value processes."""
 
+import copy
+import json
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +14,7 @@ from arbscan.market import (
     Partition,
     Strategy,
     load_market,
+    load_strategy,
     natural_filtration,
     refine,
     value_process,
@@ -217,3 +221,55 @@ def test_measure_validation():
         DiscreteMeasure({0: F(3, 2), 1: F(-1, 2)})
     q = DiscreteMeasure({0: F(1, 2), 1: F(1, 2), 2: F(0)})
     assert q.support == frozenset({0, 1})
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+_STRATEGY_DOC = {"positions": {"1": {"w1,w2,w3,w4": ["1"]}, "2": {"w1,w2": ["-1"], "w3,w4": ["1/2"]}}}
+
+
+def _malformed(data, base: dict):
+    """``base`` with a few nodes replaced or deleted, as a dict or as (cut) JSON text."""
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 3))):
+        parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and data.draw(st.booleans()):
+            parent = parent[key]
+            key = data.draw(st.sampled_from(sorted(parent) if isinstance(parent, dict) else range(len(parent))))
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[key]
+            if not doc:
+                doc["d"] = 1
+        else:
+            parent[key] = data.draw(_JSON)
+    if data.draw(st.booleans()):
+        return doc
+    text = json.dumps(doc)
+    return text[: data.draw(st.integers(1, len(text)))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_market_rejects_malformed_documents_cleanly(data):
+    source = _malformed(data, SVU_DOC)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            load_market(source)
+        except MarketFormatError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_load_strategy_rejects_malformed_documents_cleanly(svu, data):
+    source = _malformed(data, _STRATEGY_DOC)
+    try:
+        h = load_strategy(svu, source)
+    except MarketFormatError:
+        return
+    assert len(h.positions) == svu.T

@@ -195,3 +195,77 @@ def test_single_drifting_scenario():
     agg, enlarged = universal_aggregator(m, pa)
     assert strategy_values(m, agg)[1][0] > 0
     assert check_predictable(agg, enlarged)
+
+
+def _count_calls(monkeypatch, module_name: str, name: str) -> list:
+    """Count calls to ``module.name`` through every arbscan module that holds it."""
+    import sys
+
+    original = getattr(sys.modules[f"arbscan.{module_name}"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("arbscan") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_build_report_builds_each_artifact_once(monkeypatch, mini_corpus, svu, multi, countna):
+    from arbscan.cli import build_report
+
+    counts = {
+        name: _count_calls(monkeypatch, module, name)
+        for module, name in (
+            ("splitter", "universal_aggregator"),
+            ("measures", "full_support_measure"),
+            ("market", "natural_filtration"),
+        )
+    }
+    for m in [svu, multi, countna] + mini_corpus[:20]:
+        for calls in counts.values():
+            calls.clear()
+        before = dict(vars(m))
+        build_report(m)
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "universal_aggregator": 1,
+            "full_support_measure": 1,
+            "natural_filtration": 1,
+        }
+        # nothing from the analysis is left behind on the market
+        assert vars(m) == before
+
+
+def test_natural_classify_reuses_the_filtration(monkeypatch, multi):
+    from arbscan.arbitrage import classify
+    from arbscan.market import SignificantClass
+
+    calls = _count_calls(monkeypatch, "market", "natural_filtration")
+    pa = backward_eliminate(multi)
+    for cls in (
+        SignificantClass("MI", (multi.all_indices,)),
+        SignificantClass("1p", tuple(frozenset({i}) for i in range(multi.n))),
+    ):
+        classify(multi, pa, cls, "natural")
+    assert len(calls) == 1
+
+
+def test_cached_artifacts_repeat_and_do_not_leak(countna):
+    pa = backward_eliminate(countna)
+    assert pa.natural is pa.natural
+    assert pa.aggregator is pa.aggregator
+    assert pa.full_support is pa.full_support
+    assert pa.natural == tuple(natural_filtration(countna))
+    agg, enlarged = universal_aggregator(countna, pa)
+    assert pa.aggregator == (agg, tuple(enlarged))
+    assert pa.full_support == full_support_measure(countna, pa)
+
+    other = backward_eliminate(countna)
+    assert other == pa and repr(other) == repr(pa)
+    assert "market" not in repr(pa)
+    assert other.natural is not pa.natural
+    assert other.aggregator is not pa.aggregator
+    assert other.full_support is not pa.full_support
