@@ -3,7 +3,8 @@
 Under the enlarged filtration the class verdict is pure set logic on the polar
 complement with the aggregator as universal witness.  Under the natural
 filtration that equivalence can fail, so the honest decision procedure is the
-oracle LP search.
+oracle LP search; it finds the whole natural gain set at once, so the natural
+verdict is set logic too, on that set instead of the polar complement.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .market import (
     strategy_values,
 )
 from .measures import class_measure
-from .oracle import oracle_arbitrage
 from .ratgeom import Vec
 from .splitter import PolarAnalysis, backward_eliminate
 
@@ -68,8 +68,10 @@ def classify(
 
     Enlarged mode: arbitrage iff the polar complement swallows some declared
     set (or everything is polar); the aggregator is the witness and a measure
-    charging every declared set certifies the negative.  Natural mode: one
-    oracle LP per declared set.
+    charging every declared set certifies the negative.  Natural mode:
+    arbitrage iff some declared set lies inside the natural-filtration gain
+    set, which the oracle finds in one LP per analysis
+    (``pa.natural_arbitrage``); its strategy witnesses every such set.
     """
     if filtration not in ("natural", "enlarged"):
         raise ValueError(f"unknown filtration mode {filtration!r}")
@@ -95,16 +97,16 @@ def classify(
             detail="martingale measures exist and no declared set is polar",
         )
 
+    gain, h = pa.natural_arbitrage
     for c in cls.sets:
-        h = oracle_arbitrage(m, pa.natural, c)
-        if h is not None:
+        if c <= gain:
             return Verdict(ARBITRAGE, witness=h, witness_class=c,
                            detail="strategy found by LP search over the natural filtration")
     q = class_measure(m, pa, cls)
     return Verdict(
         NO_ARBITRAGE,
         certificate_measure=q,
-        detail="all per-set LP searches infeasible under the natural filtration",
+        detail="no declared set inside the natural-filtration gain set",
     )
 
 

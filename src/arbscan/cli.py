@@ -265,14 +265,17 @@ def cmd_defrag(args) -> int:
 def cmd_oracle(args) -> int:
     m = load_market(Path(args.market))
     support = oracle_support(m)
-    pa = backward_eliminate(m)
-    _, enlarged = pa.aggregator
     classes = {}
-    for name, cls in m.classes.items():
-        classes[name] = {
-            "natural": any(oracle_arbitrage(m, pa.natural, c) is not None for c in cls.sets),
-            "enlarged": any(oracle_arbitrage(m, enlarged, c) is not None for c in cls.sets),
-        }
+    if m.classes:
+        pa = backward_eliminate(m)
+        _, enlarged = pa.aggregator
+        natural_gain, _ = oracle_arbitrage(m, pa.natural)
+        enlarged_gain, _ = oracle_arbitrage(m, enlarged)
+        for name, cls in m.classes.items():
+            classes[name] = {
+                "natural": any(c <= natural_gain for c in cls.sets),
+                "enlarged": any(c <= enlarged_gain for c in cls.sets),
+            }
     _emit({"support": m.ids(support), "classes": classes}, args.out)
     _summary([f"oracle support: {m.ids(support)}"], args.summary)
     return 0

@@ -39,20 +39,31 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+# the digit limit Python applies to int(str), so a decimal exponent can add
+# no more digits than a plain digit string may have
+_MAX_EXPONENT = 4300
+
+
 def rat(value) -> Fraction:
     """Convert an int, Fraction, "p/q" string or decimal string to a Fraction.
 
     Floats are rejected: binary floats have no canonical exact meaning here.
+    So are decimal exponents beyond +-4300, which would build huge integers.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
+        _mantissa, e, exponent = value.upper().partition("E")
         try:
-            return Fraction(value)
+            if not (e and abs(int(exponent)) > _MAX_EXPONENT):
+                return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not a rational: {value!r}") from exc
+        raise ValueError(
+            f"not a rational: {value!r} (decimal exponent beyond +-{_MAX_EXPONENT})"
+        )
     raise ValueError(f"not a rational: {value!r} (use an integer or a string)")
 
 

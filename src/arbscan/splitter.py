@@ -8,9 +8,10 @@ strategy holds, in each scenario, the separator that eliminated it.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
 per-market context of everything downstream.  It keeps the market it analysed
-and builds three artifacts lazily, each at most once and only on first use:
-the natural filtration, the aggregator with its enlarged filtration, and the
-full-support martingale measure.  They live exactly as long as the analysis;
+and builds four artifacts lazily, each at most once and only on first use:
+the natural filtration, the aggregator with its enlarged filtration, the
+full-support martingale measure, and the natural-filtration gain set with
+its oracle strategy.  They live exactly as long as the analysis;
 nothing is cached on the market, so a fresh ``backward_eliminate`` starts
 from nothing.
 """
@@ -75,10 +76,11 @@ class PolarAnalysis:
     records every eliminating splitting across all sweeps.
 
     ``market`` is the analysed market; it takes no part in ``==`` or ``repr``.
-    The cached properties ``natural``, ``aggregator`` and ``full_support``
-    call :func:`~arbscan.market.natural_filtration`,
-    :func:`universal_aggregator` and
-    :func:`~arbscan.measures.full_support_measure` once, on first read, and
+    The cached properties ``natural``, ``aggregator``, ``full_support`` and
+    ``natural_arbitrage`` call :func:`~arbscan.market.natural_filtration`,
+    :func:`universal_aggregator`,
+    :func:`~arbscan.measures.full_support_measure` and
+    :func:`~arbscan.oracle.oracle_arbitrage` once, on first read, and
     return that same object on every later read.  They are deterministic
     functions of (market, analysis), so reading them changes no answer; a new
     analysis of the same market shares none of them.
@@ -110,6 +112,13 @@ class PolarAnalysis:
         from . import measures  # measures imports this module
 
         return measures.full_support_measure(self.market, self)
+
+    @cached_property
+    def natural_arbitrage(self) -> tuple[Atom, Optional[Strategy]]:
+        """The natural-filtration gain set and a strategy gaining >= 1 on all of it."""
+        from . import oracle  # oracle imports measures, which imports this module
+
+        return oracle.oracle_arbitrage(self.market, self.natural)
 
     def blocks_at(self, t: int) -> Atom:
         dead: set[int] = set()

@@ -99,8 +99,9 @@ def test_criterion_2_multi(multi):
         verdict = classify(multi, pa, multi.classes["openish"], "natural")
         assert verdict.kind == "Arbitrage"
         target = frozenset({0, 1})
-        assert oracle_arbitrage(multi, f, target, only_period=1) is None
-        assert oracle_arbitrage(multi, f, target, only_period=2) is None
+        for only_period in (1, 2):
+            gain, _h = oracle_arbitrage(multi, f, only_period=only_period)
+            assert not target <= gain
         assert time.time() - start < 1.0
 
     _report(2, "MULTI: exact payoffs, defragmentation, two-period-only class arbitrage", body)
@@ -165,22 +166,28 @@ def test_criterion_6_class_ftap(corpus, analyses):
             pa = analyses[i]
             _agg, enlarged = universal_aggregator(m, pa)
             polar = m.all_indices - pa.omega_star
+            # the universal aggregator theorem through the oracle: the
+            # enlarged gain set is exactly the polar complement, and the
+            # coarser natural filtration gains on no more
+            gain, _h = oracle_arbitrage(m, enlarged)
+            assert gain == polar, f"market {i}"
+            assert oracle_arbitrage(m, pa.natural)[0] <= gain, f"market {i}"
             for k in range(5):
                 cls = random_class(rng, m.n, f"c{k}")
                 verdict = classify(m, pa, cls, "enlarged")
                 per_set = []
                 for c in cls.sets:
-                    found = oracle_arbitrage(m, enlarged, c)
-                    per_set.append(found is not None)
+                    found = c <= gain
+                    per_set.append(found)
                     expected = (not pa.omega_star) or c <= polar
-                    assert (found is not None) == expected, f"market {i} class {k}"
+                    assert found == expected, f"market {i} class {k}"
                 assert verdict.arbitrage == any(per_set), f"market {i} class {k}"
                 if not verdict.arbitrage:
                     q = class_measure(m, pa, cls)
                     assert q is not None
                     assert all(q.mass(c) > 0 for c in cls.sets)
 
-    _report(6, "classify(enlarged) == oracle LP per set; class measures charge every set", body)
+    _report(6, "classify(enlarged) == oracle gain set per set; class measures charge every set", body)
 
 
 def test_criterion_7_aggregator_contract(corpus, analyses):

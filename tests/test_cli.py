@@ -237,6 +237,12 @@ def _svu_with(**changes) -> dict:
     return doc
 
 
+def _svu_with_price(price: str) -> dict:
+    doc = copy.deepcopy(SVU_DOC)
+    doc["scenarios"][0]["prices"][1] = [price]
+    return doc
+
+
 def _scenario_not_object() -> dict:
     doc = copy.deepcopy(SVU_DOC)
     doc["scenarios"][1] = "w2"
@@ -252,6 +258,7 @@ _MALFORMED = {
     "probabilities-as-list": (_svu_with(probabilities=["w1"]), None, "probabilities must be a JSON object"),
     "scenario-entry-not-object": (_scenario_not_object(), None, "scenario entry 1 must be a JSON object"),
     "class-set-as-string": (_svu_with(classes={"c": "a"}), None, "class 'c' must be a JSON array"),
+    "price-exponent-too-large": (_svu_with_price("1e1000000"), None, "decimal exponent beyond"),
 }
 
 

@@ -2,13 +2,11 @@
 
 from fractions import Fraction as F
 
-import pytest
-
-from arbscan.market import natural_filtration, strategy_values
+from arbscan.market import natural_filtration, strategy_values, value_process
 from arbscan.measures import build_polytope
 from arbscan.oracle import oracle_arbitrage, oracle_support
-from arbscan.ratgeom import INFEASIBLE, OPTIMAL, lp_solve
-from arbscan.splitter import backward_eliminate, universal_aggregator
+from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
+from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
 
 
 def test_oracle_support_examples(svu, constant, countna):
@@ -37,38 +35,69 @@ def test_oracle_support_matches_literal_loop(mini_corpus):
         assert oracle_support(m) == _support_literal(m)
 
 
+def _arbitrage_literal(m, filtration, c, only_period=None):
+    """One feasibility LP for the set ``c``: V_T >= 0 everywhere, V_T >= 1 on c."""
+    periods = [only_period] if only_period is not None else range(1, m.T + 1)
+    layout = [
+        (t, atom, j) for t in periods for atom in filtration[t - 1].atoms for j in range(m.d)
+    ]
+    constraints = []
+    for i in range(m.n):
+        coeffs = tuple(
+            m.increment(t, i)[j] if i in atom else F(0) for t, atom, j in layout
+        )
+        constraints.append((coeffs, GE, F(1) if i in c else F(0)))
+    res = lp_solve(LinearProgram(tuple(F(0) for _ in layout), tuple(constraints)))
+    assert res.status in (OPTIMAL, INFEASIBLE)
+    return res.status == OPTIMAL
+
+
+def _assert_witness(m, filtration, gain, h):
+    if not gain:
+        assert h is None
+        return
+    assert check_predictable(h, filtration)
+    v = value_process(m, filtration, h)[m.T]
+    assert all(x >= 0 for x in v)
+    assert all(v[i] >= 1 for i in gain)
+    assert {i for i in range(m.n) if v[i] > 0} == gain
+
+
+def test_oracle_arbitrage_matches_literal_per_set_search(mini_corpus, multi):
+    # c <= gain exactly when the per-set LP finds a strategy gaining on c
+    for m in mini_corpus + [multi]:
+        pa = backward_eliminate(m)
+        for f in (pa.natural, pa.aggregator[1]):
+            gain, h = oracle_arbitrage(m, f)
+            _assert_witness(m, f, gain, h)
+            for c in [frozenset({i}) for i in range(m.n)] + [m.all_indices]:
+                assert (c <= gain) == _arbitrage_literal(m, f, c)
+
+
 def test_oracle_arbitrage_svu_model_independent(svu):
     pa = backward_eliminate(svu)
     _agg, enlarged = universal_aggregator(svu, pa)
-    h = oracle_arbitrage(svu, enlarged, svu.all_indices)
-    assert h is not None
-    v = strategy_values(svu, h)
-    assert all(x >= 1 for x in v[svu.T])
+    gain, h = oracle_arbitrage(svu, enlarged)
+    assert gain == svu.all_indices
+    assert all(x >= 1 for x in strategy_values(svu, h)[svu.T])
     # a natural-filtration witness exists here too (interim loss at t=1,
     # e.g. h1=1 then 5 shares on the down branch); the LP must find one
-    h_nat = oracle_arbitrage(svu, natural_filtration(svu), svu.all_indices)
-    assert h_nat is not None
+    gain_nat, h_nat = oracle_arbitrage(svu, natural_filtration(svu))
+    assert gain_nat == svu.all_indices
     assert all(x >= 1 for x in strategy_values(svu, h_nat)[svu.T])
 
 
 def test_oracle_arbitrage_constant_none(constant):
-    f = natural_filtration(constant)
-    for c in (constant.all_indices, frozenset({0})):
-        assert oracle_arbitrage(constant, f, c) is None
+    assert oracle_arbitrage(constant, natural_filtration(constant)) == (frozenset(), None)
 
 
 def test_oracle_arbitrage_multi_period_restriction(multi):
     f = natural_filtration(multi)
     target = frozenset({0, 1})
-    assert oracle_arbitrage(multi, f, target) is not None
-    assert oracle_arbitrage(multi, f, target, only_period=1) is None
-    assert oracle_arbitrage(multi, f, target, only_period=2) is None
-
-
-def test_oracle_arbitrage_rejects_empty_target(svu):
-    f = natural_filtration(svu)
-    with pytest.raises(ValueError):
-        oracle_arbitrage(svu, f, frozenset())
+    for only_period, found in ((None, True), (1, False), (2, False)):
+        gain, h = oracle_arbitrage(multi, f, only_period)
+        assert (target <= gain) == found == _arbitrage_literal(multi, f, target, only_period)
+        _assert_witness(multi, f, gain, h)
 
 
 def test_oracle_arbitrage_aggregator_is_feasible_point(mini_corpus):
@@ -78,8 +107,8 @@ def test_oracle_arbitrage_aggregator_is_feasible_point(mini_corpus):
         if not polar:
             continue
         agg, enlarged = universal_aggregator(m, pa)
-        h = oracle_arbitrage(m, enlarged, polar)
-        assert h is not None
+        gain, _h = oracle_arbitrage(m, enlarged)
+        assert polar <= gain
         # the aggregator satisfies the same constraint set up to scaling
         v = strategy_values(m, agg)
         assert all(x >= 0 for x in v[m.T])
@@ -89,5 +118,5 @@ def test_oracle_arbitrage_aggregator_is_feasible_point(mini_corpus):
 def test_oracle_determinism(svu):
     pa = backward_eliminate(svu)
     _agg, enlarged = universal_aggregator(svu, pa)
-    first = oracle_arbitrage(svu, enlarged, svu.all_indices)
-    assert oracle_arbitrage(svu, enlarged, svu.all_indices) == first
+    first = oracle_arbitrage(svu, enlarged)
+    assert oracle_arbitrage(svu, enlarged) == first

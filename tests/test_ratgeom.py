@@ -39,6 +39,17 @@ def test_rat_parsing():
         rat(True)
 
 
+def test_rat_bounds_decimal_exponents():
+    # the bound is Python's own int(str) digit limit, so no exponent builds a
+    # larger integer than a plain digit string may
+    assert rat("1e4300") == F(10) ** 4300
+    assert rat("-2.5E-4300") == F(-25, 10 ** 4301)
+    assert rat("3e+2") == F(300)
+    for text in ("1e4301", "1e-4301", "1E1000000", "-7.5e999999999", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="not a rational"):
+            rat(text)
+
+
 def test_single_constraint_optimum():
     lp = LinearProgram((F(1),), (((F(1),), LE, F(3, 2)),), bounds=((F(0), None),))
     res = lp_solve(lp)

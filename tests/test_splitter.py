@@ -253,11 +253,59 @@ def test_natural_classify_reuses_the_filtration(monkeypatch, multi):
     assert len(calls) == 1
 
 
+def test_natural_classify_solves_one_lp_per_analysis(monkeypatch, svu, multi, constant):
+    from arbscan.arbitrage import classify
+    from arbscan.market import SignificantClass
+
+    oracle_calls = _count_calls(monkeypatch, "oracle", "oracle_arbitrage")
+    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    for m, declared in (
+        (svu, svu.classes["branch"]),
+        (multi, multi.classes["openish"]),
+        (constant, SignificantClass("first", (frozenset({0}),))),
+    ):
+        pa = backward_eliminate(m)
+        pa.full_support  # the NoArbitrage certificate, built by its own LPs
+        oracle_calls.clear()
+        lp_calls.clear()
+        for cls in (
+            SignificantClass("MI", (m.all_indices,)),
+            SignificantClass("1p", tuple(frozenset({i}) for i in range(m.n))),
+            declared,
+        ):
+            classify(m, pa, cls, "natural")
+        assert (len(oracle_calls), len(lp_calls)) == (1, 1)
+
+
+def test_oracle_command_calls_the_oracle_once_per_filtration(monkeypatch, tmp_path, capsys):
+    import json
+
+    from arbscan import cli
+
+    from conftest import COUNTNA_DOC
+
+    # r1 and r2 gain one step ahead; q1 and q2 never move
+    doc = dict(COUNTNA_DOC, classes={
+        "up": [["r1"], ["r1", "r2"]],
+        "flat": [["q1"], ["q2"], ["q1", "q2"], ["r1", "q1"]],
+    })
+    path = tmp_path / "countna.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    calls = _count_calls(monkeypatch, "oracle", "oracle_arbitrage")
+    assert cli.main(["oracle", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["classes"] == {
+        "up": {"natural": True, "enlarged": True},
+        "flat": {"natural": False, "enlarged": False},
+    }
+    assert len(calls) == 2
+
+
 def test_cached_artifacts_repeat_and_do_not_leak(countna):
     pa = backward_eliminate(countna)
     assert pa.natural is pa.natural
     assert pa.aggregator is pa.aggregator
     assert pa.full_support is pa.full_support
+    assert pa.natural_arbitrage is pa.natural_arbitrage
     assert pa.natural == tuple(natural_filtration(countna))
     agg, enlarged = universal_aggregator(countna, pa)
     assert pa.aggregator == (agg, tuple(enlarged))
@@ -269,3 +317,4 @@ def test_cached_artifacts_repeat_and_do_not_leak(countna):
     assert other.natural is not pa.natural
     assert other.aggregator is not pa.aggregator
     assert other.full_support is not pa.full_support
+    assert other.natural_arbitrage is not pa.natural_arbitrage
