@@ -285,13 +285,13 @@ def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("market", help="market JSON file")
     common.add_argument("--out", help="write the JSON report to this file")
-    common.add_argument("--verify", action="store_true", help="cross-check with the LP oracle")
     common.add_argument("--summary", action="store_true", help="human summary on stderr")
 
     ap = argparse.ArgumentParser(prog="arbscan", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("analyze", parents=[common], help="full polar/aggregator/feasibility report")
+    p = sub.add_parser("analyze", parents=[common], help="full polar/aggregator/feasibility report")
+    p.add_argument("--verify", action="store_true", help="cross-check with the LP oracle")
 
     p = sub.add_parser("check", parents=[common], help="class arbitrage verdict")
     p.add_argument("--class", dest="cls", required=True, help="declared class, or MI / 1p")

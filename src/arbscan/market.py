@@ -50,9 +50,6 @@ class Partition:
 
     ground: Atom = field(init=False)
 
-    def refines(self, other: "Partition") -> bool:
-        return all(any(a <= b for b in other.atoms) for a in self.atoms)
-
 
 def refine(p: Partition, q: Partition) -> Partition:
     """Coarsest common refinement (the join of the two sigma-algebras)."""

@@ -1,4 +1,4 @@
-"""Martingale measures: the polytope, the full-support measure, mixing.
+"""Martingale measures: the martingale check, the full-support measure, mixing.
 
 A measure is a martingale measure iff, for every period and every atom of the
 conditioning partition, the weighted increments sum to zero exactly.  The
@@ -17,53 +17,15 @@ Callers read it as ``pa.full_support``, which builds it once per analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
-from .market import DiscreteMeasure, Market, Partition, natural_filtration
-from .ratgeom import EQ, LinearProgram, Vec, convex_combination_for_zero
+from .market import DiscreteMeasure, Market, Partition
+from .ratgeom import Vec, convex_combination_for_zero
 from .splitter import PolarAnalysis
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-@dataclass(frozen=True)
-class MartingalePolytope:
-    """Linear description of all martingale measures as weight vectors.
-
-    Row 0 normalizes the weights to sum 1; the remaining rows are the
-    per-(period, atom, asset) zero-expectation equalities, ordered by period
-    ascending, atom by smallest index, then asset index.  Nonnegativity is a
-    variable bound, not a row.
-    """
-
-    n: int
-    rows: tuple[tuple[Vec, str, Fraction], ...]
-
-    def lp(self, objective: Optional[Sequence[Fraction]] = None) -> LinearProgram:
-        obj = tuple(objective) if objective is not None else tuple(_ZERO for _ in range(self.n))
-        return LinearProgram(
-            objective=obj,
-            constraints=self.rows,
-            bounds=tuple((_ZERO, None) for _ in range(self.n)),
-        )
-
-
-def build_polytope(m: Market) -> MartingalePolytope:
-    rows = [(tuple(_ONE for _ in range(m.n)), EQ, _ONE)]
-    filtration = natural_filtration(m)
-    for t in range(1, m.T + 1):
-        incs = [m.increment(t, i) for i in range(m.n)]
-        for atom in filtration[t - 1].atoms:
-            for j in range(m.d):
-                coeffs = [_ZERO] * m.n
-                for i in atom:
-                    coeffs[i] = incs[i][j]
-                rows.append((tuple(coeffs), EQ, _ZERO))
-    return MartingalePolytope(n=m.n, rows=tuple(rows))
 
 
 def check_martingale(m: Market, q: DiscreteMeasure, filtration: Sequence[Partition]) -> bool:

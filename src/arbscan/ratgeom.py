@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
 
-Rational = Fraction
 Vec = tuple[Fraction, ...]
 
 LE = "<="
@@ -515,52 +514,23 @@ def _check_dims(points: Sequence[Vec]) -> int:
     return d
 
 
-def conv_contains_zero(points: Sequence[Vec]) -> bool:
-    """True iff 0 is a convex combination of ``points`` (exact)."""
-    d = _check_dims(points)
-    n = len(points)
-    constraints = [(tuple(_ONE for _ in range(n)), EQ, _ONE)]
-    for k in range(d):
-        constraints.append((tuple(p[k] for p in points), EQ, _ZERO))
-    lp = LinearProgram(
-        objective=tuple(_ZERO for _ in range(n)),
-        constraints=tuple(constraints),
-        bounds=tuple((_ZERO, None) for _ in range(n)),
-    )
-    return lp_solve(lp).status == OPTIMAL
-
-
-def _separator_round(values: list[Vec], d: int, target: list[int]) -> tuple[Vec, Fraction]:
-    """One slack LP: maximize sum of capped slacks over ``target`` values.
-
-    Variables are H in [-1,1]^d followed by one slack in [0,1] per target
-    value; every value (target or not) keeps its H.x >= 0 (resp >= s) row.
-    """
-    nv = d + len(target)
-    slack_of = {v: d + k for k, v in enumerate(target)}
-    constraints = []
-    for v, x in enumerate(values):
-        row = list(x) + [_ZERO] * len(target)
-        if v in slack_of:
-            row[slack_of[v]] = Fraction(-1)
-        constraints.append((tuple(row), GE, _ZERO))
-    bounds = [(Fraction(-1), _ONE)] * d + [(_ZERO, _ONE)] * len(target)
-    objective = tuple(_ZERO for _ in range(d)) + tuple(_ONE for _ in target)
-    res = lp_solve(LinearProgram(objective, tuple(constraints), tuple(bounds)))
-    if res.status != OPTIMAL:
-        raise InternalError(f"bounded separator LP came back {res.status}")
-    return res.solution[:d], res.objective_value
-
-
 def maximal_separator(points: Sequence[Vec]) -> Optional[tuple[Vec, frozenset[int]]]:
     """Separating direction with the largest possible strict set, or None.
 
     Returns None iff 0 lies in the relative interior of the convex cone
     spanned by the points (no one-sided direction gains anywhere).  Otherwise
-    returns (H, strict) with H.x >= 0 for every point and strict equal to the
-    union of the strict sets of *all* valid separators: the slack LP is
-    re-run on the not-yet-strict residual and the round directions are summed,
-    which certifies maximality when the residual LP's optimum hits zero.
+    returns (H, strict) with H.x >= 0 for every point, max |H_j| = 1, and
+    strict = {i : H.x_i > 0} equal to the union of the strict sets of *all*
+    valid separators.
+
+    One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
+    Todd (1985): H is free, each distinct point x_v gets a slack s_v in
+    [0, 1] and a row H.x_v - s_v >= 0, and the LP maximizes the sum of the
+    slacks.  Strict sets are closed under sums of separators, so an optimum
+    with s_v = 0 on a point some separator gains on could be improved; hence
+    every point that can be strict is strict at the optimum.  H is not boxed:
+    a box would stop H from being scaled up until every strict point reaches
+    its cap, and one optimum could then miss a strict point.
     """
     d = _check_dims(points)
     values: list[Vec] = []
@@ -576,24 +546,28 @@ def maximal_separator(points: Sequence[Vec]) -> Optional[tuple[Vec, frozenset[in
     if all(is_zero(v) for v in values):
         return None
 
-    strict_vals: set[int] = set()
-    acc: Optional[list[Fraction]] = None
-    target = list(range(len(values)))
-    while target:
-        h, gain = _separator_round(values, d, target)
-        if gain == 0:
-            break
-        new = {v for v in target if dot(h, values[v]) > 0}
-        if not new:
-            raise InternalError("positive slack sum without a strict value")
-        strict_vals |= new
-        acc = list(h) if acc is None else [a + b for a, b in zip(acc, h)]
-        target = [v for v in range(len(values)) if v not in strict_vals]
-
-    if not strict_vals:
+    # columns: the slacks first, then H, as in the oracle's strategy search;
+    # on one-period 16-scenario trees backward elimination then takes about a
+    # quarter of the time it takes with H first
+    nv = len(values)
+    constraints = []
+    for v, x in enumerate(values):
+        row = [_ZERO] * nv + list(x)
+        row[v] = Fraction(-1)
+        constraints.append((tuple(row), GE, _ZERO))
+    bounds = ((_ZERO, _ONE),) * nv + ((None, None),) * d
+    objective = (_ONE,) * nv + (_ZERO,) * d
+    res = lp_solve(LinearProgram(objective, tuple(constraints), bounds))
+    if res.status != OPTIMAL:
+        raise InternalError(f"capped-slack separator LP came back {res.status}")
+    if res.objective_value == 0:
         return None
-    scale = max(abs(c) for c in acc)
-    h_out = tuple(c / scale for c in acc)
+    h = res.solution[nv:]
+    strict_vals = {v for v, x in enumerate(values) if dot(h, x) > 0}
+    if not strict_vals:
+        raise InternalError("positive slack sum without a strict value")
+    scale = max(abs(c) for c in h)
+    h_out = tuple(c / scale for c in h)
     strict = frozenset(i for i, v in enumerate(val_idx) if v in strict_vals)
     return h_out, strict
 

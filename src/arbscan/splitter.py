@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
+from . import oracle
 from .errors import DomainError, InternalError
 from .market import Atom, DiscreteMeasure, Market, Partition, Strategy, natural_filtration, refine
 from .ratgeom import Vec, maximal_separator
@@ -116,17 +117,7 @@ class PolarAnalysis:
     @cached_property
     def natural_arbitrage(self) -> tuple[Atom, Optional[Strategy]]:
         """The natural-filtration gain set and a strategy gaining >= 1 on all of it."""
-        from . import oracle  # oracle imports measures, which imports this module
-
         return oracle.oracle_arbitrage(self.market, self.natural)
-
-    def blocks_at(self, t: int) -> Atom:
-        dead: set[int] = set()
-        for ev in self.events:
-            if ev.splitting.t == t:
-                for block in ev.splitting.blocks:
-                    dead |= block
-        return frozenset(dead)
 
 
 def split_level_set(m: Market, t: int, gamma: Atom) -> Splitting:

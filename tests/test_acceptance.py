@@ -18,14 +18,13 @@ from arbscan.arbitrage import (
 )
 from arbscan.market import SignificantClass, natural_filtration, strategy_values
 from arbscan.measures import (
-    build_polytope,
     check_martingale,
     class_measure,
     full_support_measure,
     mix,
     supporting_measure,
 )
-from arbscan.oracle import oracle_arbitrage, oracle_support
+from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
 from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
 from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
 

@@ -147,6 +147,26 @@ def test_check_exit_codes(capsys, svu_file, constant_file):
     assert code == 2 and "unknown class" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check", "--class", "MI"],
+        ["extract", "--prob", "U"],
+        ["measure", "--support", "w1"],
+        ["defrag", "--strategy", "h.json"],
+        ["oracle"],
+    ],
+)
+def test_verify_is_refused_outside_analyze(capsys, svu_file, command):
+    # only analyze cross-checks with the oracle; elsewhere the flag would be
+    # silently ignored, so it is a usage error
+    with pytest.raises(SystemExit) as info:
+        cli.main([command[0], svu_file, *command[1:], "--verify"])
+    assert info.value.code == 2
+    _out, err = capsys.readouterr()
+    assert "unrecognized arguments: --verify" in err
+
+
 def test_check_multi_natural(capsys, multi_file):
     code, out, _ = _run(
         capsys, "check", multi_file, "--class", "openish", "--filtration", "natural"

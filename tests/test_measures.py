@@ -10,14 +10,13 @@ from arbscan.arbitrage import feasibility
 from arbscan.errors import DomainError
 from arbscan.market import DiscreteMeasure, SignificantClass, load_market, natural_filtration
 from arbscan.measures import (
-    build_polytope,
     check_martingale,
     class_measure,
     full_support_measure,
     mix,
     supporting_measure,
 )
-from arbscan.oracle import oracle_support
+from arbscan.oracle import build_polytope, oracle_support
 from arbscan.ratgeom import INFEASIBLE, OPTIMAL, lp_solve
 from arbscan.splitter import backward_eliminate, universal_aggregator
 
@@ -211,24 +210,24 @@ _ARBITRAGE = st.one_of(
 
 
 @st.composite
-def _trinomial_tree(draw):
-    """Trinomial Tree(3, 3, 1), n = 27, with arbitrage nodes at the last level.
+def _trinomial_tree(draw, horizon=3):
+    """Trinomial Tree(3, horizon, 1), n = 3**horizon, with arbitrage nodes at the last level.
 
     Children may share a price, so level sets can merge branches and final
     groups of identical paths occur.
     """
     paths = [[10]]
-    for t in range(3):
+    for t in range(horizon):
         nxt = []
         for path in paths:
-            last = t == 2 and draw(st.booleans())
+            last = t == horizon - 1 and draw(st.booleans())
             incs = draw(_ARBITRAGE if last else _MEAN_ZERO)
             nxt.extend(path + [path[-1] + x] for x in incs)
         paths = nxt
     return load_market(
         {
             "d": 1,
-            "T": 3,
+            "T": horizon,
             "scenarios": [
                 {"id": f"w{i}", "prices": [[p] for p in path]} for i, path in enumerate(paths)
             ],
@@ -236,9 +235,7 @@ def _trinomial_tree(draw):
     )
 
 
-@settings(max_examples=40, deadline=None)
-@given(_trinomial_tree())
-def test_full_support_on_trinomial_trees(m):
+def _assert_full_support_agrees_with_oracle(m):
     pa = backward_eliminate(m)
     assert oracle_support(m) == pa.omega_star
     q = full_support_measure(m, pa)
@@ -249,3 +246,15 @@ def test_full_support_on_trinomial_trees(m):
     assert q.support == pa.omega_star
     assert check_martingale(m, q, natural_filtration(m))
     assert check_martingale(m, q, enlarged)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_trinomial_tree())
+def test_full_support_on_trinomial_trees(m):
+    _assert_full_support_agrees_with_oracle(m)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_trinomial_tree(horizon=4))
+def test_full_support_on_trinomial_trees_n81(m):
+    _assert_full_support_agrees_with_oracle(m)

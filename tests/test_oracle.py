@@ -3,8 +3,7 @@
 from fractions import Fraction as F
 
 from arbscan.market import natural_filtration, strategy_values, value_process
-from arbscan.measures import build_polytope
-from arbscan.oracle import oracle_arbitrage, oracle_support
+from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
 from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
 from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
 

@@ -97,10 +97,17 @@ def test_backward_eliminate_constant(constant):
     assert pa.rounds == 1
 
 
+def _eliminated_at(pa, t):
+    """The scenarios the elimination events at period t removed."""
+    return frozenset().union(
+        *(block for ev in pa.events if ev.splitting.t == t for block in ev.splitting.blocks)
+    )
+
+
 def test_backward_eliminate_countna(countna):
     pa = backward_eliminate(countna)
     assert set(countna.ids(pa.omega_star)) == {"q1", "q2"}
-    assert pa.blocks_at(1) == frozenset({0, 1})
+    assert _eliminated_at(pa, 1) == frozenset({0, 1})
 
 
 def test_survivor_chain(mini_corpus):
@@ -113,7 +120,7 @@ def test_survivor_chain(mini_corpus):
         # complement decomposes into the per-period block unions
         dead = set()
         for t in range(1, m.T + 1):
-            dead |= pa.blocks_at(t)
+            dead |= _eliminated_at(pa, t)
         assert frozenset(dead) == m.all_indices - pa.omega_star
         # surviving level sets all pass the interior test
         for t in range(1, m.T + 1):
@@ -318,3 +325,25 @@ def test_cached_artifacts_repeat_and_do_not_leak(countna):
     assert other.aggregator is not pa.aggregator
     assert other.full_support is not pa.full_support
     assert other.natural_arbitrage is not pa.natural_arbitrage
+
+
+def test_separator_and_support_solve_one_lp_each(monkeypatch, mini_corpus, multi, svu):
+    from arbscan.ratgeom import is_zero, maximal_separator
+
+    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    ties = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(1))]
+    assert len(maximal_separator(ties)[1]) == 3
+    assert len(lp_calls) == 1
+    for m in mini_corpus[:15] + [multi, svu]:
+        for t in range(1, m.T + 1):
+            for _key, gamma in m.level_sets(m.all_indices, t - 1):
+                points = [m.increment(t, i) for i in sorted(gamma)]
+                if all(is_zero(p) for p in points):
+                    continue  # answered without an LP
+                lp_calls.clear()
+                maximal_separator(points)
+                assert len(lp_calls) == 1
+        omega_star = backward_eliminate(m).omega_star
+        lp_calls.clear()
+        assert oracle_support(m) == omega_star
+        assert len(lp_calls) == 1
