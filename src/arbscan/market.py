@@ -170,7 +170,7 @@ class Market:
         if len({s.path[0] for s in self.scenarios}) > 1:
             warnings.warn(
                 "initial prices differ across scenarios; time-0 information is nontrivial",
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
 
     @property
@@ -203,19 +203,27 @@ class Market:
     def level_sets(self, members, depth: int) -> list[tuple[tuple[Vec, ...], Atom]]:
         """Group ``members`` by equality of price rows 0..depth, ordered by min index."""
         groups: dict[tuple[Vec, ...], set[int]] = {}
+        # sorted iteration inserts each group at its least member
         for i in sorted(members):
             groups.setdefault(self.history(i, depth), set()).add(i)
-        out = [(k, frozenset(v)) for k, v in groups.items()]
-        out.sort(key=lambda kv: min(kv[1]))
-        return out
+        return [(k, frozenset(v)) for k, v in groups.items()]
 
 
 def natural_filtration(m: Market) -> list[Partition]:
-    """Partitions F_0..F_T where F_t groups scenarios sharing price rows 0..t."""
-    return [
-        Partition(tuple(a for _k, a in m.level_sets(m.all_indices, t)))
-        for t in range(m.T + 1)
-    ]
+    """Partitions F_0..F_T where F_t groups scenarios sharing price rows 0..t.
+
+    F_0 is the level sets at depth 0; each later F_t splits every atom of
+    F_{t-1} by the price row at t, so each row is hashed once rather than
+    once per later period.
+    """
+    parts = [Partition(tuple(a for _k, a in m.level_sets(m.all_indices, 0)))]
+    for t in range(1, m.T + 1):
+        groups: dict[tuple[int, Vec], set[int]] = {}
+        for k, atom in enumerate(parts[-1].atoms):
+            for i in atom:
+                groups.setdefault((k, m.scenarios[i].path[t]), set()).add(i)
+        parts.append(Partition(tuple(frozenset(g) for g in groups.values())))
+    return parts
 
 
 def value_process(m: Market, filtration: Sequence[Partition], h: Strategy) -> list[list[Fraction]]:
@@ -293,6 +301,12 @@ def _read_document(source: Union[str, Path, dict], what: str) -> dict:
     return _expect(doc, dict, what)
 
 
+def _optional_table(doc: dict, key: str) -> dict:
+    """``doc[key]`` if it is a JSON object, ``{}`` if the key is missing or null."""
+    value = doc.get(key)
+    return {} if value is None else _expect(value, dict, key)
+
+
 def load_market(source: Union[str, Path, dict]) -> Market:
     """Parse and validate a market document (path, JSON text, or dict)."""
     doc = _read_document(source, "market document")
@@ -322,7 +336,13 @@ def load_market(source: Union[str, Path, dict]) -> Market:
         )
         scenarios.append(Scenario(sid, path))
 
-    market = Market(d=d, T=T, scenarios=tuple(scenarios))
+    # Market validates only its scenarios, so it is built once, first, and
+    # the class and probability tables it holds are filled in afterwards
+    classes: dict[str, SignificantClass] = {}
+    probabilities: dict[str, DiscreteMeasure] = {}
+    market = Market(
+        d=d, T=T, scenarios=tuple(scenarios), classes=classes, probabilities=probabilities
+    )
     idx = {s.id: i for i, s in enumerate(market.scenarios)}
 
     def to_indices(ids, where: str) -> Atom:
@@ -333,15 +353,13 @@ def load_market(source: Union[str, Path, dict]) -> Market:
             out.add(idx[sid])
         return frozenset(out)
 
-    classes = {}
-    for name, sets in _expect(doc.get("classes") or {}, dict, "classes").items():
+    for name, sets in _optional_table(doc, "classes").items():
         where = f"class {name!r}"
         classes[name] = SignificantClass(
             name, tuple(to_indices(s, where) for s in _expect(sets, list, where))
         )
 
-    probabilities = {}
-    for name, weights in _expect(doc.get("probabilities") or {}, dict, "probabilities").items():
+    for name, weights in _optional_table(doc, "probabilities").items():
         mapped = {}
         for sid, w in _expect(weights, dict, f"probability {name!r}").items():
             if sid not in idx:
@@ -358,9 +376,7 @@ def load_market(source: Union[str, Path, dict]) -> Market:
                 ) from None
             raise MarketFormatError(f"probability {name!r}: {exc}") from None
 
-    return Market(
-        d=d, T=T, scenarios=market.scenarios, classes=classes, probabilities=probabilities
-    )
+    return market
 
 
 def load_strategy(m: Market, source: Union[str, Path, dict]) -> Strategy:

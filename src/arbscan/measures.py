@@ -3,10 +3,13 @@
 A measure is a martingale measure iff, for every period and every atom of the
 conditioning partition, the weighted increments sum to zero exactly.  The
 full-support measure comes from one top-down walk of the scenario tree
-restricted to ``omega_star``.  At each node one LP,
+restricted to ``omega_star``; its nodes and their children are groups of the
+analysis's node ids (``pa.nodes``).  At each node one LP,
 :func:`convex_combination_for_zero`, gives the node's children strictly
 positive weights under which the mean increment is zero; a child's mass is
-its parent's mass times its weight.  Backward elimination leaves 0 in the
+its parent's mass times its weight.  Nodes whose children have the same
+increments ask the same question, which the analysis's LP memo
+(``pa.lp_memo``) answers once.  Backward elimination leaves 0 in the
 relative interior of every surviving level set's increment cone, so those
 weights exist, and the product is an exact martingale measure for the natural
 and the enlarged filtration whose support is exactly ``omega_star``.  It
@@ -22,8 +25,8 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
 from .market import DiscreteMeasure, Market, Partition
-from .ratgeom import Vec, convex_combination_for_zero
-from .splitter import PolarAnalysis
+from .ratgeom import convex_combination_for_zero
+from .splitter import PolarAnalysis, group_by, solve_once
 
 _ZERO = Fraction(0)
 
@@ -45,14 +48,6 @@ def check_martingale(m: Market, q: DiscreteMeasure, filtration: Sequence[Partiti
     return True
 
 
-def _children(m: Market, t: int, members: list[int]) -> list[list[int]]:
-    """Sorted ``members`` grouped by their price at time t, each group sorted."""
-    groups: dict[Vec, list[int]] = {}
-    for i in members:
-        groups.setdefault(m.scenarios[i].path[t], []).append(i)
-    return list(groups.values())
-
-
 def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasure]:
     """A martingale measure whose support is exactly ``omega_star`` (None if empty).
 
@@ -64,16 +59,16 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
     star = pa.omega_star
     if not star:
         return None
-    roots = _children(m, 0, sorted(star))
+    roots = group_by(pa.nodes[0], sorted(star))
     share = Fraction(1, len(roots))
     frontier = [(root, share) for root in roots]
     for t in range(1, m.T + 1):
         nxt: list[tuple[list[int], Fraction]] = []
         for node, mass in frontier:
-            children = _children(m, t, node)
-            points = [m.increment(t, c[0]) for c in children]
+            children = group_by(pa.nodes[t], node)
+            points = tuple(m.increment(t, c[0]) for c in children)
             try:
-                lam = convex_combination_for_zero(points)
+                lam = solve_once(pa.lp_memo, convex_combination_for_zero, points)
             except DomainError as exc:
                 raise InternalError(
                     f"surviving node of {m.scenarios[node[0]].id!r} at time {t - 1} "

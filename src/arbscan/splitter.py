@@ -7,13 +7,18 @@ scenarios supportable by martingale measures (``omega_star``); the aggregator
 strategy holds, in each scenario, the separator that eliminated it.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
-per-market context of everything downstream.  It keeps the market it analysed
-and builds four artifacts lazily, each at most once and only on first use:
-the natural filtration, the aggregator with its enlarged filtration, the
-full-support martingale measure, and the natural-filtration gain set with
-its oracle strategy.  They live exactly as long as the analysis;
-nothing is cached on the market, so a fresh ``backward_eliminate`` starts
-from nothing.
+per-market context of everything downstream.  Elimination starts by building
+the natural filtration and, from it, a node index: per period, each
+scenario's node (atom) id.  Level sets and a node's children are then groups
+of ids, not of hashed price histories.  Elimination and the full-support
+measure also share one LP memo: recombining trees ask the same separator and
+zero-combination questions at many nodes, and each is solved once.  The
+analysis keeps its market, the filtration, the index and the memo, and builds
+three artifacts lazily, each at most once and only on first use: the
+aggregator with its enlarged filtration, the full-support martingale measure,
+and the natural-filtration gain set with its oracle strategy.  All of it
+lives exactly as long as the analysis; nothing is cached on the market or at
+module level, so a fresh ``backward_eliminate`` starts from nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from . import oracle
 from .errors import DomainError, InternalError
@@ -76,10 +81,13 @@ class PolarAnalysis:
     of every level set (the reported, construction-faithful one); ``events``
     records every eliminating splitting across all sweeps.
 
-    ``market`` is the analysed market; it takes no part in ``==`` or ``repr``.
-    The cached properties ``natural``, ``aggregator``, ``full_support`` and
-    ``natural_arbitrage`` call :func:`~arbscan.market.natural_filtration`,
-    :func:`universal_aggregator`,
+    The per-analysis context takes no part in ``==`` or ``repr``: ``market``
+    is the analysed market, ``natural`` its natural filtration F_0..F_T,
+    ``nodes[t][i]`` the index of scenario i's atom in ``natural[t]`` (its node
+    at time t), and ``lp_memo`` the answers of the separator and
+    zero-combination LPs solved so far, keyed by :func:`solve_once`.
+    The cached properties ``aggregator``, ``full_support`` and
+    ``natural_arbitrage`` call :func:`universal_aggregator`,
     :func:`~arbscan.measures.full_support_measure` and
     :func:`~arbscan.oracle.oracle_arbitrage` once, on first read, and
     return that same object on every later read.  They are deterministic
@@ -95,11 +103,9 @@ class PolarAnalysis:
     rounds: int
     start_set: Atom
     market: Market = field(compare=False, repr=False)
-
-    @cached_property
-    def natural(self) -> tuple[Partition, ...]:
-        """The natural filtration F_0..F_T of ``market``."""
-        return tuple(natural_filtration(self.market))
+    natural: tuple[Partition, ...] = field(compare=False, repr=False)
+    nodes: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    lp_memo: dict = field(compare=False, repr=False)
 
     @cached_property
     def aggregator(self) -> tuple[Strategy, tuple[Partition, ...]]:
@@ -120,45 +126,84 @@ class PolarAnalysis:
         return oracle.oracle_arbitrage(self.market, self.natural)
 
 
-def split_level_set(m: Market, t: int, gamma: Atom) -> Splitting:
+def solve_once(memo: dict, solve: Callable, points: tuple[Vec, ...]):
+    """``solve(points)``, solved at most once per ``memo``.
+
+    The geometric LPs are deterministic functions of their exact input, so a
+    repeated question gets the very answer a fresh solve would give.
+    """
+    key = (solve, points)
+    try:
+        return memo[key]
+    except KeyError:
+        answer = memo[key] = solve(points)
+        return answer
+
+
+def group_by(key_of: Sequence[Hashable], members: Iterable[int]) -> list[list[int]]:
+    """``members`` grouped by ``key_of[i]``, groups and their members in first-seen order.
+
+    With sorted members and ``key_of`` a row of the node index, these are the
+    level sets of :meth:`~arbscan.market.Market.level_sets`, found from
+    integer ids.
+    """
+    groups: dict[Hashable, list[int]] = {}
+    for i in members:
+        groups.setdefault(key_of[i], []).append(i)
+    return list(groups.values())
+
+
+def split_level_set(
+    m: Market,
+    t: int,
+    gamma: Atom,
+    nodes: Optional[Sequence[Sequence[int]]] = None,
+    memo: Optional[dict] = None,
+) -> Splitting:
     """Iterated maximal separation of one level set's period-t increments.
 
     Peels strict-gain blocks until 0 enters the relative interior of the
     residual's increment cone; at most d rounds are possible because each
-    separator drops the span dimension.
+    separator drops the span dimension.  The scenarios of one child node
+    share their increment, so each round's separator LP sees one point per
+    remaining child, in the order of the children's least members.
+
+    ``nodes`` is the analysis's node index (:attr:`PolarAnalysis.nodes`):
+    with it the level set is checked and its children found by node id;
+    without it, by price rows.  ``memo`` is the analysis's LP memo.
     """
     if not gamma:
         raise DomainError("cannot split an empty level set")
     members = frozenset(gamma)
-    keys = {m.history(i, t - 1) for i in members}
-    if len(keys) > 1:
+    order = sorted(members)
+    if nodes is None:
+        shared = len({m.history(i, t - 1) for i in order}) == 1
+        child_of: Sequence[Hashable] = [s.path[t] for s in m.scenarios]
+    else:
+        shared = len({nodes[t - 1][i] for i in order}) == 1
+        child_of = nodes[t]
+    if not shared:
         raise ValueError("level set mixes different price histories")
-    level_key = next(iter(keys))
+    memo = {} if memo is None else memo
 
+    children = [(m.increment(t, c[0]), c) for c in group_by(child_of, order)]
     blocks: list[Atom] = []
     separators: list[Vec] = []
-    current = members
-    while True:
-        order = sorted(current)
-        found = maximal_separator([m.increment(t, i) for i in order])
+    while children:
+        found = solve_once(memo, maximal_separator, tuple(p for p, _c in children))
         if found is None:
-            residual = current
             break
         h, strict = found
-        block = frozenset(order[k] for k in strict)
-        blocks.append(block)
+        blocks.append(frozenset(i for k in strict for i in children[k][1]))
         separators.append(h)
-        current = current - block
-        if not current:
-            residual = frozenset()
-            break
+        children = [c for k, c in enumerate(children) if k not in strict]
     sp = Splitting(
         t=t,
-        level_key=level_key,
+        level_key=m.history(order[0], t - 1),
         members=members,
         blocks=tuple(blocks),
         separators=tuple(separators),
-        residual=residual,
+        residual=frozenset(i for _p, c in children for i in c),
     )
     if sp.beta > m.d:
         raise InternalError(f"level set split into {sp.beta} blocks, more than d={m.d}")
@@ -172,9 +217,13 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     survivors, and removes all blocks immediately; sweeps repeat until one
     full pass removes nothing.  On exit every surviving level set passes
     cone_ri_contains_zero, so every survivor is supportable by a martingale
-    measure concentrated on the survivors.
+    measure concentrated on the survivors.  Level sets are groups of the
+    survivors by node id (see :class:`PolarAnalysis`).
     """
     start = m.all_indices if within is None else frozenset(within)
+    natural = tuple(natural_filtration(m))
+    nodes = tuple(_node_ids(part, m.n) for part in natural)
+    memo: dict = {}
     surviving = set(start)
     cache: dict[tuple[int, Atom], Splitting] = {}
     round_one: dict[tuple[int, LevelKey], Splitting] = {}
@@ -188,11 +237,12 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
         for t in range(m.T, 0, -1):
             if not surviving:
                 break
-            for _key, gamma in m.level_sets(frozenset(surviving), t - 1):
+            for level in group_by(nodes[t - 1], sorted(surviving)):
+                gamma = frozenset(level)
                 ck = (t, gamma)
                 sp = cache.get(ck)
                 if sp is None:
-                    sp = split_level_set(m, t, gamma)
+                    sp = split_level_set(m, t, gamma, nodes, memo)
                     cache[ck] = sp
                 if sweep == 1:
                     round_one[(t, sp.level_key)] = sp
@@ -227,7 +277,19 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
         rounds=sweep,
         start_set=start,
         market=m,
+        natural=natural,
+        nodes=nodes,
+        lp_memo=memo,
     )
+
+
+def _node_ids(part: Partition, n: int) -> tuple[int, ...]:
+    """Per scenario index, the position of its atom in ``part.atoms``."""
+    ids = [0] * n
+    for k, atom in enumerate(part.atoms):
+        for i in atom:
+            ids[i] = k
+    return tuple(ids)
 
 
 def aggregator_pieces(m: Market, pa: PolarAnalysis) -> list[dict[int, Vec]]:

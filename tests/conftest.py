@@ -1,4 +1,4 @@
-"""Shared fixtures: benchmark markets and a random scenario-tree corpus."""
+"""Shared fixtures: benchmark markets, a random scenario-tree corpus, trinomial trees."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from arbscan.market import DiscreteMeasure, Market, Scenario, SignificantClass, load_market
 
@@ -195,3 +196,37 @@ def random_measure(rng: random.Random, n: int, support=None) -> DiscreteMeasure:
 def mini_corpus() -> list[Market]:
     rng = random.Random(20240811)
     return [random_market(rng, max_n=7) for _ in range(60)]
+
+
+_MEAN_ZERO = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda xy: (*xy, -xy[0] - xy[1]))
+# (0, a, b): the flat child survives; (a, b, c): the whole node is polar
+_ARBITRAGE = st.one_of(
+    st.tuples(st.just(0), st.integers(1, 3), st.integers(1, 3)),
+    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@st.composite
+def trinomial_tree(draw, horizon=3):
+    """Trinomial Tree(3, horizon, 1), n = 3**horizon, with arbitrage nodes at the last level.
+
+    Children may share a price, so level sets can merge branches and final
+    groups of identical paths occur.
+    """
+    paths = [[10]]
+    for t in range(horizon):
+        nxt = []
+        for path in paths:
+            last = t == horizon - 1 and draw(st.booleans())
+            incs = draw(_ARBITRAGE if last else _MEAN_ZERO)
+            nxt.extend(path + [path[-1] + x] for x in incs)
+        paths = nxt
+    return load_market(
+        {
+            "d": 1,
+            "T": horizon,
+            "scenarios": [
+                {"id": f"w{i}", "prices": [[p] for p in path]} for i, path in enumerate(paths)
+            ],
+        }
+    )

@@ -276,6 +276,17 @@ _MALFORMED = {
     "strategy-invalid-json": (SVU_DOC, '{"positions": ', "not valid JSON"),
     "market-path-is-directory": ("dir", None, "error"),
     "probabilities-as-list": (_svu_with(probabilities=["w1"]), None, "probabilities must be a JSON object"),
+    # only a missing key, null or an object is a table; falsy look-alikes are not
+    **{
+        f"{table}-as-{name}": (_svu_with(**{table: value}), None, f"{table} must be a JSON object, not {kind}")
+        for table in ("classes", "probabilities")
+        for name, value, kind in (
+            ("empty-list", [], "list"),
+            ("empty-string", "", "str"),
+            ("zero", 0, "int"),
+            ("false", False, "bool"),
+        )
+    },
     "scenario-entry-not-object": (_scenario_not_object(), None, "scenario entry 1 must be a JSON object"),
     "class-set-as-string": (_svu_with(classes={"c": "a"}), None, "class 'c' must be a JSON array"),
     "price-exponent-too-large": (_svu_with_price("1e1000000"), None, "decimal exponent beyond"),

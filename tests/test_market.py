@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from arbscan.errors import MarketFormatError
 from arbscan.market import (
     DiscreteMeasure,
+    Market,
     Partition,
+    Scenario,
     Strategy,
     load_market,
     load_strategy,
@@ -95,6 +97,30 @@ def test_time_zero_disagreement_warns():
     assert len(natural_filtration(m)[0].atoms) == 2
 
 
+def test_time_zero_warning_blames_the_caller():
+    scenarios = (Scenario("a", ((F(1),), (F(1),))), Scenario("b", ((F(2),), (F(2),))))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Market(d=1, T=1, scenarios=scenarios)
+    assert [w.filename for w in caught] == [__file__]
+
+
+def test_load_market_builds_the_market_once(monkeypatch, svu):
+    built = []
+    check = Market.__post_init__
+    monkeypatch.setattr(Market, "__post_init__", lambda self: built.append(check(self)))
+    m = load_market(SVU_DOC)
+    assert len(built) == 1
+    assert (m.classes, m.probabilities) == (svu.classes, svu.probabilities)
+
+
+def test_missing_or_null_tables_are_empty():
+    missing = {k: v for k, v in SVU_DOC.items() if k not in ("classes", "probabilities")}
+    for doc in (missing, dict(missing, classes=None, probabilities=None)):
+        m = load_market(doc)
+        assert (m.classes, m.probabilities) == ({}, {})
+
+
 def test_natural_filtration_svu(svu):
     f = natural_filtration(svu)
     assert [_ids(svu, a) for a in f[0].atoms] == [{"w1", "w2", "w3", "w4"}]
@@ -110,6 +136,14 @@ def test_natural_filtration_single_scenario():
 def test_natural_filtration_multi(multi):
     f = natural_filtration(multi)
     assert [_ids(multi, a) for a in f[1].atoms] == [{"A1"}, {"A2", "A3"}, {"A4"}]
+
+
+def test_natural_filtration_groups_shared_price_rows(mini_corpus, ex3d, countna):
+    for m in mini_corpus + [ex3d, countna]:
+        f = natural_filtration(m)
+        assert f == [
+            Partition(tuple(a for _k, a in m.level_sets(m.all_indices, t))) for t in range(m.T + 1)
+        ]
 
 
 def test_filtration_is_monotone(mini_corpus):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from arbscan.arbitrage import feasibility
 from arbscan.errors import DomainError
@@ -19,6 +19,8 @@ from arbscan.measures import (
 from arbscan.oracle import build_polytope, oracle_support
 from arbscan.ratgeom import INFEASIBLE, OPTIMAL, lp_solve
 from arbscan.splitter import backward_eliminate, universal_aggregator
+
+from conftest import trinomial_tree
 
 
 def test_polytope_svu_infeasible(svu):
@@ -201,40 +203,6 @@ def test_supporting_measure_anchor_weight_positive(mini_corpus):
             assert q.support <= pa.omega_star
 
 
-_MEAN_ZERO = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(lambda xy: (*xy, -xy[0] - xy[1]))
-# (0, a, b): the flat child survives; (a, b, c): the whole node is polar
-_ARBITRAGE = st.one_of(
-    st.tuples(st.just(0), st.integers(1, 3), st.integers(1, 3)),
-    st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
-)
-
-
-@st.composite
-def _trinomial_tree(draw, horizon=3):
-    """Trinomial Tree(3, horizon, 1), n = 3**horizon, with arbitrage nodes at the last level.
-
-    Children may share a price, so level sets can merge branches and final
-    groups of identical paths occur.
-    """
-    paths = [[10]]
-    for t in range(horizon):
-        nxt = []
-        for path in paths:
-            last = t == horizon - 1 and draw(st.booleans())
-            incs = draw(_ARBITRAGE if last else _MEAN_ZERO)
-            nxt.extend(path + [path[-1] + x] for x in incs)
-        paths = nxt
-    return load_market(
-        {
-            "d": 1,
-            "T": horizon,
-            "scenarios": [
-                {"id": f"w{i}", "prices": [[p] for p in path]} for i, path in enumerate(paths)
-            ],
-        }
-    )
-
-
 def _assert_full_support_agrees_with_oracle(m):
     pa = backward_eliminate(m)
     assert oracle_support(m) == pa.omega_star
@@ -249,12 +217,12 @@ def _assert_full_support_agrees_with_oracle(m):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_trinomial_tree())
+@given(trinomial_tree())
 def test_full_support_on_trinomial_trees(m):
     _assert_full_support_agrees_with_oracle(m)
 
 
 @settings(max_examples=10, deadline=None)
-@given(_trinomial_tree(horizon=4))
+@given(trinomial_tree(horizon=4))
 def test_full_support_on_trinomial_trees_n81(m):
     _assert_full_support_agrees_with_oracle(m)

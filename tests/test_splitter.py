@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 from arbscan.errors import DomainError
 from arbscan.market import Strategy, natural_filtration, strategy_values
@@ -12,9 +13,12 @@ from arbscan.ratgeom import cone_ri_contains_zero, dot
 from arbscan.splitter import (
     backward_eliminate,
     check_predictable,
+    group_by,
     split_level_set,
     universal_aggregator,
 )
+
+from conftest import trinomial_tree
 
 
 def test_split_svu_tail(svu):
@@ -347,3 +351,84 @@ def test_separator_and_support_solve_one_lp_each(monkeypatch, mini_corpus, multi
         lp_calls.clear()
         assert oracle_support(m) == omega_star
         assert len(lp_calls) == 1
+
+
+def _assert_node_level_sets_match(m):
+    pa = backward_eliminate(m)
+    every_other = frozenset(range(0, m.n, 2))
+    for members in (m.all_indices, pa.omega_star, every_other):
+        for t in range(m.T + 1):
+            by_node = [frozenset(g) for g in group_by(pa.nodes[t], sorted(members))]
+            assert by_node == [gamma for _k, gamma in m.level_sets(members, t)]
+    for (t, key), sp in pa.splittings.items():
+        assert key == m.history(min(sp.members), t - 1)
+        # the node index and the price rows split a level set alike
+        assert split_level_set(m, t, sp.members, pa.nodes) == split_level_set(m, t, sp.members)
+
+
+def test_node_level_sets_match_price_level_sets(mini_corpus, svu, multi, countna):
+    for m in mini_corpus + [svu, multi, countna]:
+        _assert_node_level_sets_match(m)
+
+
+@settings(max_examples=10, deadline=None)
+@given(trinomial_tree(horizon=4))
+def test_node_level_sets_match_on_trinomial_trees_n81(m):
+    _assert_node_level_sets_match(m)
+
+
+def test_split_rejects_mixed_histories_with_and_without_the_index(svu):
+    pa = backward_eliminate(svu)
+    for nodes in (None, pa.nodes):
+        with pytest.raises(ValueError, match="mixes different price histories"):
+            split_level_set(svu, 2, frozenset({0, 2}), nodes)
+
+
+def test_level_sets_are_ordered_by_least_member():
+    from arbscan.market import load_market
+
+    rows = {"x": [[1], [2]], "y": [[1], [3]], "z": [[1], [4]]}
+    m = load_market({
+        "d": 1,
+        "T": 1,
+        "scenarios": [{"id": f"{k}{i}", "prices": rows[k]} for i, k in enumerate("xyxzy")],
+    })
+    groups = m.level_sets({4, 3, 2, 1, 0}, 1)
+    assert [gamma for _k, gamma in groups] == [{0, 2}, {1, 4}, {3}]
+    assert [k for k, _gamma in groups] == [m.history(i, 1) for i in (0, 1, 3)]
+    assert [gamma for _k, gamma in m.level_sets({4, 3, 2, 1}, 1)] == [{1, 4}, {2}, {3}]
+
+
+def _lp_inputs_once_per_analysis(monkeypatch, markets):
+    from arbscan.cli import build_report
+
+    inputs = {
+        name: _count_calls(monkeypatch, "ratgeom", name)
+        for name in ("maximal_separator", "convex_combination_for_zero")
+    }
+    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    for m in markets:
+        before = dict(vars(m))
+        counts = []
+        for _fresh in range(2):
+            for calls in (*inputs.values(), lp_calls):
+                calls.clear()
+            build_report(m)
+            for name, calls in inputs.items():
+                # the analysis's LP memo answers every repeated question
+                assert len(set(calls)) == len(calls), name
+            counts.append(len(lp_calls))
+        # a new analysis shares no memo with the last one
+        assert counts[0] == counts[1] > 0
+        assert vars(m) == before
+
+
+def test_one_build_report_asks_each_lp_question_once(monkeypatch, mini_corpus, svu, multi, countna):
+    _lp_inputs_once_per_analysis(monkeypatch, mini_corpus[:20] + [svu, multi, countna])
+
+
+@settings(max_examples=5, deadline=None)
+@given(trinomial_tree(horizon=4))
+def test_one_build_report_asks_each_lp_question_once_n81(m):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _lp_inputs_once_per_analysis(monkeypatch, [m])
