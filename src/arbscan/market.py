@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from .errors import MarketFormatError
-from .ratgeom import Vec, rat
+from .ratgeom import Vec, over_common_denominator, rat
 
 Atom = frozenset[int]
 
@@ -87,12 +87,18 @@ class DiscreteMeasure:
     weights: Mapping[int, Fraction]
 
     def __post_init__(self):
-        w = {i: Fraction(v) for i, v in self.weights.items() if v != 0}
+        w = {}
+        for i, v in self.weights.items():
+            if not isinstance(v, Fraction):
+                v = Fraction(v)
+            if v.numerator:
+                w[i] = v
         object.__setattr__(self, "weights", w)
         for i, v in w.items():
-            if v < 0:
+            if v.numerator < 0:
                 raise MarketFormatError(f"negative weight on scenario index {i}")
-        if sum(w.values(), _ZERO) != 1:
+        nums, den = over_common_denominator(w.values())
+        if sum(nums) != den:
             raise MarketFormatError("weights do not sum to 1")
 
     def __getitem__(self, i: int) -> Fraction:

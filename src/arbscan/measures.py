@@ -6,16 +6,19 @@ full-support measure comes from one top-down walk of the scenario tree
 restricted to ``omega_star``; its nodes and their children are groups of the
 analysis's node ids (``pa.nodes``).  At each node one LP,
 :func:`convex_combination_for_zero`, gives the node's children strictly
-positive weights under which the mean increment is zero; a child's mass is
-its parent's mass times its weight.  Nodes whose children have the same
-increments ask the same question, which the analysis's LP memo
-(``pa.lp_memo``) answers once.  Backward elimination leaves 0 in the
-relative interior of every surviving level set's increment cone, so those
-weights exist, and the product is an exact martingale measure for the natural
-and the enlarged filtration whose support is exactly ``omega_star``.  It
-charges every survivor, so it is also the measure returned for a single
-surviving scenario and for a class whose sets all meet ``omega_star``.
-Callers read it as ``pa.full_support``, which builds it once per analysis.
+positive weights under which the mean increment is zero, with the smallest
+weight as large as possible; that LP has one row per asset plus one, none
+per child, and its weights are re-checked exactly before they are returned.
+A child's mass is its parent's mass times its weight.  Nodes whose
+children have the same increments ask the same question, which the
+analysis's LP memo (``pa.lp_memo``) answers once.  Backward elimination
+leaves 0 in the relative interior of every surviving level set's increment
+cone, so those weights exist, and the product is an exact martingale measure
+for the natural and the enlarged filtration whose support is exactly
+``omega_star``.  It charges every survivor, so it is also the measure
+returned for a single surviving scenario and for a class whose sets all meet
+``omega_star``.  Callers read it as ``pa.full_support``, which builds it once
+per analysis.
 """
 
 from __future__ import annotations

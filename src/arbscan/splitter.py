@@ -130,14 +130,14 @@ def solve_once(memo: dict, solve: Callable, points: tuple[Vec, ...]):
     """``solve(points)``, solved at most once per ``memo``.
 
     The geometric LPs are deterministic functions of their exact input, so a
-    repeated question gets the very answer a fresh solve would give.
+    repeated question gets the very answer a fresh solve would give.  One
+    ``setdefault`` with a one-slot holder hashes the key once per call; a
+    solve that raises leaves the holder empty, so the question is asked again.
     """
-    key = (solve, points)
-    try:
-        return memo[key]
-    except KeyError:
-        answer = memo[key] = solve(points)
-        return answer
+    slot = memo.setdefault((solve, points), [])
+    if not slot:
+        slot.append(solve(points))
+    return slot[0]
 
 
 def group_by(key_of: Sequence[Hashable], members: Iterable[int]) -> list[list[int]]:

@@ -258,6 +258,44 @@ def test_measure_validation():
     assert q.support == frozenset({0, 1})
 
 
+_weight = st.builds(F, st.integers(-2, 12), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_weight, min_size=1, max_size=8), st.data())
+def test_measure_sum_is_exact(weights, data):
+    # close the sum to 1 on half the examples, so both outcomes are drawn
+    if data.draw(st.booleans()):
+        weights.append(1 - sum(weights))
+    raw = dict(enumerate(weights))
+    if any(w < 0 for w in weights):
+        with pytest.raises(MarketFormatError, match="negative weight on scenario index"):
+            DiscreteMeasure(raw)
+    elif sum(weights) != 1:
+        with pytest.raises(MarketFormatError, match="weights do not sum to 1"):
+            DiscreteMeasure(raw)
+    else:
+        q = DiscreteMeasure(raw)
+        assert q.weights == {i: w for i, w in raw.items() if w}
+        # Fractions are kept as they are, not wrapped again
+        assert all(q.weights[i] is raw[i] for i in q.weights)
+
+
+def test_measure_accepts_ints_and_near_misses_fail():
+    q = DiscreteMeasure({0: 1, 1: 0})
+    assert q.weights == {0: F(1)} and type(q.weights[0]) is F
+    tiny = F(1, 10**40)
+    with pytest.raises(MarketFormatError, match="sum to 1"):
+        DiscreteMeasure({0: F(1, 3), 1: F(2, 3) - tiny})
+    assert DiscreteMeasure({0: F(1, 3) + tiny, 1: F(2, 3) - tiny}).support == {0, 1}
+
+
+def test_probability_negative_weight_error():
+    doc = dict(SVU_DOC, probabilities={"P": {"w1": "3/2", "w2": "-1/2"}})
+    with pytest.raises(MarketFormatError, match="probability 'P': negative weight"):
+        load_market(doc)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),

@@ -226,3 +226,16 @@ def test_full_support_on_trinomial_trees(m):
 @given(trinomial_tree(horizon=4))
 def test_full_support_on_trinomial_trees_n81(m):
     _assert_full_support_agrees_with_oracle(m)
+
+
+@settings(max_examples=3, deadline=None)
+@given(trinomial_tree(horizon=5))
+def test_full_support_on_trinomial_trees_n243(m):
+    # the zero-combination LP at every node of a T=5 tree; the oracle is
+    # left out at this size, so the contract is checked directly
+    pa = backward_eliminate(m)
+    q = full_support_measure(m, pa)
+    _agg, enlarged = universal_aggregator(m, pa)
+    assert q.support == pa.omega_star
+    assert check_martingale(m, q, natural_filtration(m))
+    assert check_martingale(m, q, enlarged)

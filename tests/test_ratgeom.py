@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbscan.errors import DomainError
+from arbscan.errors import DomainError, InternalError
 from arbscan.ratgeom import (
     EQ,
     GE,
@@ -394,3 +394,96 @@ def test_convex_combination_exactness(points):
             convex_combination_for_zero(points)
         return
     assert _is_zero_combination(convex_combination_for_zero(points), points)
+
+
+def _max_min_literal(points):
+    """The max-min LP with one floor row per point: w_i - s >= 0, sum(w) = 1, sum(w_i x_i) = 0."""
+    d, n = len(points[0]), len(points)
+    constraints = [((F(1),) * n + (F(0),), EQ, F(1))]
+    for k in range(d):
+        constraints.append((tuple(p[k] for p in points) + (F(0),), EQ, F(0)))
+    for i in range(n):
+        row = [F(0)] * (n + 1)
+        row[i], row[n] = F(1), F(-1)
+        constraints.append((tuple(row), GE, F(0)))
+    objective = (F(0),) * n + (F(1),)
+    res = lp_solve(LinearProgram(objective, tuple(constraints), ((F(0), None),) * (n + 1)))
+    if res.status != OPTIMAL or res.objective_value == 0:
+        raise DomainError("zero is not interior to the cone of the given points")
+    return res.solution[:n]
+
+
+@st.composite
+def _zero_combination_inputs(draw):
+    d = draw(st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[_coord] * d), min_size=1, max_size=7))
+    points += draw(st.lists(st.sampled_from(points), max_size=4))
+    points += [(F(0),) * d] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        # a set that sums to zero has the uniform weights
+        points.append(tuple(-sum(column) for column in zip(*points)))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zero_combination_inputs())
+def test_convex_combination_matches_max_min_literal(points):
+    try:
+        literal = _max_min_literal(points)
+    except DomainError:
+        with pytest.raises(DomainError):
+            convex_combination_for_zero(points)
+        return
+    lam = convex_combination_for_zero(points)
+    assert _is_zero_combination(lam, points)
+    # the optimal vertex may differ; the largest minimum weight may not
+    assert min(lam) == min(literal)
+
+
+def test_convex_combination_is_one_lp_with_1_plus_d_rows(monkeypatch):
+    import arbscan.ratgeom as ratgeom
+
+    solved = []
+    real = ratgeom.lp_solve
+
+    def spy(lp):
+        solved.append(lp)
+        return real(lp)
+
+    monkeypatch.setattr(ratgeom, "lp_solve", spy)
+    cases = [
+        [(F(1),), (F(-1),)],
+        [(F(2),), (F(-1),), (F(0),), (F(0),)],
+        [(F(1), F(0), F(2)), (F(-1), F(0), F(-1)), (F(0), F(1), F(0)), (F(0), F(-1), F(-1))],
+        [(F(3, 2), F(-1)), (F(-1, 2), F(1, 3)), (F(-1, 2), F(1, 3))] * 5,
+    ]
+    for points in cases:
+        solved.clear()
+        convex_combination_for_zero(points)
+        assert len(solved) == 1
+        assert len(expanded_rows(solved[0])) == 1 + len(points[0])
+
+
+# the LP's answer on [2, -1, 0] is s = 1/4, r = (0, 1/4, 0); each broken
+# answer fails exactly one of the three checks
+@pytest.mark.parametrize(
+    "broken",
+    [
+        (F(1, 4), F(1, 4), F(0), F(0)),  # sums to 1, but sum(w_i x_i) = 3/4
+        (F(1, 2), F(0), F(1, 2), F(0)),  # a zero combination summing to 2
+        (F(0), F(1, 3), F(2, 3), F(0)),  # a zero combination with a zero weight
+    ],
+)
+def test_convex_combination_rechecks_its_weights(monkeypatch, broken):
+    import arbscan.ratgeom as ratgeom
+
+    real = ratgeom.lp_solve
+
+    def broken_solve(lp):
+        res = real(lp)
+        assert res.solution == (F(1, 4), F(0), F(1, 4), F(0))
+        return ratgeom.LpResult(res.status, broken, res.objective_value)
+
+    monkeypatch.setattr(ratgeom, "lp_solve", broken_solve)
+    with pytest.raises(InternalError, match="re-check"):
+        convex_combination_for_zero([(F(2),), (F(-1),), (F(0),)])

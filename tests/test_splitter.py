@@ -14,6 +14,7 @@ from arbscan.splitter import (
     backward_eliminate,
     check_predictable,
     group_by,
+    solve_once,
     split_level_set,
     universal_aggregator,
 )
@@ -432,3 +433,34 @@ def test_one_build_report_asks_each_lp_question_once(monkeypatch, mini_corpus, s
 def test_one_build_report_asks_each_lp_question_once_n81(m):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _lp_inputs_once_per_analysis(monkeypatch, [m])
+
+
+class _CountedHash:
+    def __init__(self):
+        self.hashes = 0
+
+    def __hash__(self):
+        self.hashes += 1
+        return 7
+
+
+def test_solve_once_hashes_once_and_caches_no_failure():
+    memo = {}
+    calls = []
+
+    def solve(points):
+        calls.append(points)
+        if len(calls) == 1:
+            raise DomainError("first attempt fails")
+        return len(points)
+
+    key = _CountedHash()
+    points = (key,)
+    with pytest.raises(DomainError):
+        solve_once(memo, solve, points)
+    # the failed solve left no answer: the question is asked again, then kept
+    assert solve_once(memo, solve, points) == 1
+    assert solve_once(memo, solve, points) == 1
+    assert len(calls) == 2
+    # one dict operation per call, on a miss as on a hit
+    assert key.hashes == 3
