@@ -221,10 +221,15 @@ def trinomial_tree(draw, horizon=3):
             incs = draw(_ARBITRAGE if last else _MEAN_ZERO)
             nxt.extend(path + [path[-1] + x] for x in incs)
         paths = nxt
+    return tree_market(paths)
+
+
+def tree_market(paths) -> Market:
+    """The one-asset market whose scenarios follow the equal-length price ``paths``."""
     return load_market(
         {
             "d": 1,
-            "T": horizon,
+            "T": len(paths[0]) - 1,
             "scenarios": [
                 {"id": f"w{i}", "prices": [[p] for p in path]} for i, path in enumerate(paths)
             ],

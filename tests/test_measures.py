@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from arbscan.arbitrage import feasibility
 from arbscan.errors import DomainError
@@ -20,7 +20,7 @@ from arbscan.oracle import build_polytope, oracle_support
 from arbscan.ratgeom import INFEASIBLE, OPTIMAL, lp_solve
 from arbscan.splitter import backward_eliminate, universal_aggregator
 
-from conftest import trinomial_tree
+from conftest import tree_market, trinomial_tree
 
 
 def test_polytope_svu_infeasible(svu):
@@ -228,14 +228,23 @@ def test_full_support_on_trinomial_trees_n81(m):
     _assert_full_support_agrees_with_oracle(m)
 
 
+def _all_polar_tree(horizon):
+    """Flat internal nodes and increments (1, 2, 3) at every last-level node.
+
+    Every node at the last level gains for sure, so every scenario is polar
+    and there is no martingale measure at all.
+    """
+    paths = [[10]]
+    for t in range(horizon):
+        incs = (1, 2, 3) if t == horizon - 1 else (0, 0, 0)
+        paths = [path + [path[-1] + x] for path in paths for x in incs]
+    return tree_market(paths)
+
+
 @settings(max_examples=3, deadline=None)
 @given(trinomial_tree(horizon=5))
+@example(_all_polar_tree(5))
 def test_full_support_on_trinomial_trees_n243(m):
-    # the zero-combination LP at every node of a T=5 tree; the oracle is
-    # left out at this size, so the contract is checked directly
-    pa = backward_eliminate(m)
-    q = full_support_measure(m, pa)
-    _agg, enlarged = universal_aggregator(m, pa)
-    assert q.support == pa.omega_star
-    assert check_martingale(m, q, natural_filtration(m))
-    assert check_martingale(m, q, enlarged)
+    # the zero-combination LP at every node of a T=5 tree, and the one
+    # support LP of the oracle over all 243 scenarios
+    _assert_full_support_agrees_with_oracle(m)

@@ -1,10 +1,19 @@
 """The LP oracle: polytope support and strategy search."""
 
+import random
 from fractions import Fraction as F
 
-from arbscan.market import natural_filtration, strategy_values, value_process
+from arbscan.market import load_market, natural_filtration, strategy_values, value_process
 from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
-from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
+from arbscan.ratgeom import (
+    GE,
+    INFEASIBLE,
+    OPTIMAL,
+    LinearProgram,
+    _Tableau,
+    lp_solve,
+    maximal_separator,
+)
 from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
 
 
@@ -32,6 +41,35 @@ def _support_literal(m):
 def test_oracle_support_matches_literal_loop(mini_corpus):
     for m in mini_corpus[:25]:
         assert oracle_support(m) == _support_literal(m)
+
+
+def test_capped_slack_lps_have_no_cap_rows(monkeypatch):
+    # a one-period Tree(16, 1, 4): each slack in [0, 1] is a native cap, so
+    # the tableau holds only the rows that carry content
+    rng = random.Random(16)
+    scenarios = [
+        {"id": f"w{i}", "prices": [[10] * 4, [rng.randint(5, 15) for _ in range(4)]]}
+        for i in range(16)
+    ]
+    m = load_market({"d": 4, "T": 1, "scenarios": scenarios})
+    shapes = []
+    init = _Tableau.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        shapes.append(len(self.body))
+
+    monkeypatch.setattr(_Tableau, "__init__", spy)
+    oracle_support(m)
+    assert shapes == [m.d]  # the martingale rows of the single time-0 atom
+    shapes.clear()
+    oracle_arbitrage(m, natural_filtration(m))
+    assert shapes == [m.n]  # V_T(i) - s_i >= 0 per scenario
+    points = [m.increment(1, i) for i in range(m.n)]
+    assert len(set(points)) == 16
+    shapes.clear()
+    maximal_separator(points + points[:5])
+    assert shapes == [16]  # H.x_v - s_v >= 0 per distinct point
 
 
 def _arbitrage_literal(m, filtration, c, only_period=None):

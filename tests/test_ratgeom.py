@@ -15,6 +15,7 @@ from arbscan.ratgeom import (
     UNBOUNDED,
     LinearProgram,
     _Tableau,
+    _solver_rows,
     cone_ri_contains_zero,
     convex_combination_for_zero,
     dot,
@@ -107,10 +108,9 @@ def test_int_inputs_accepted():
 
 def _after_phase_one(lp):
     """The tableau of ``lp`` right after phase 1, built as lp_solve builds it."""
-    rows = expanded_rows(lp)
-    nonneg = [lo is not None and lo == 0 for lo, _hi in lp.bounds]
-    tab = _Tableau(lp, rows, list(range(len(rows))), nonneg)
-    assert tab.phase_one() == (True, None)
+    rows, nonneg, caps = _solver_rows(lp, len(lp.objective))
+    tab = _Tableau(lp, rows, list(range(len(rows))), nonneg, caps)
+    assert tab.phase_one() is None
     return tab
 
 
@@ -171,8 +171,17 @@ def test_determinism_bit_identical():
         assert lp_solve(lp) == first
 
 
+def _satisfies(lp, x):
+    """x meets every row of ``expanded_rows(lp)`` and every zero lower bound."""
+    for coeffs, rel, rhs in expanded_rows(lp):
+        lhs = dot(coeffs, x)
+        if not ((lhs <= rhs) if rel == LE else (lhs >= rhs) if rel == GE else (lhs == rhs)):
+            return False
+    return all(v >= 0 for v, (lo, _hi) in zip(x, lp.bounds or ()) if lo == 0)
+
+
 def test_bland_tie_breaks_pin_the_answer():
-    # both LPs have ratio ties whose Bland tie-break (lowest basic index)
+    # both LPs have ratio ties whose Bland tie-break (lowest leaving column)
     # decides which optimal vertex or which certificate comes back
     lp = LinearProgram(
         (F(1), F(0), F(0)),
@@ -195,9 +204,13 @@ def test_bland_tie_breaks_pin_the_answer():
         ),
         ((F(-1), F(1)),) * 2 + ((F(0), F(1)),) * 3,
     )
+    # x2..x4 in [0, 1] are native caps; the optimum is 2 on an edge, and the
+    # bounded-variable ratio test ends on (0, 1, 1, 1, 0) of it
     res = lp_solve(lp)
     assert res.status == OPTIMAL
-    assert res.solution == (F(1), F(1), F(1), F(1), F(0))
+    assert res.solution == (F(0), F(1), F(1), F(1), F(0))
+    assert res.objective_value == 2
+    assert _satisfies(lp, res.solution)
 
 
 def _rat_coeff():
@@ -232,18 +245,15 @@ def test_random_lps_exact_and_certified(lp):
     res = lp_solve(lp)
     assert res.status in (OPTIMAL, INFEASIBLE)
     if res.status == OPTIMAL:
-        for coeffs, rel, rhs in expanded_rows(lp):
-            lhs = dot(coeffs, res.solution)
-            assert (lhs <= rhs) if rel == LE else (lhs >= rhs) if rel == GE else (lhs == rhs)
+        assert _satisfies(lp, res.solution)
         assert res.objective_value == dot(lp.objective, res.solution)
     else:
         assert verify_farkas_certificate(lp, res.certificate)
     assert lp_solve(lp) == res
 
 
-@settings(max_examples=60, deadline=None)
-@given(_random_lp())
-def test_random_lps_match_scipy(lp):
+def _scipy_linprog(lp):
+    """scipy's HiGHS answer to ``lp`` in floats; the test is skipped without scipy."""
     scipy = pytest.importorskip("scipy.optimize")
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, rel, rhs in lp.constraints:
@@ -257,21 +267,112 @@ def test_random_lps_match_scipy(lp):
         else:
             a_eq.append(row)
             b_eq.append(float(rhs))
-    res = scipy.linprog(
+    as_float = lambda b: None if b is None else float(b)
+    return scipy.linprog(
         [-float(c) for c in lp.objective],
         A_ub=a_ub or None,
         b_ub=b_ub or None,
         A_eq=a_eq or None,
         b_eq=b_eq or None,
-        bounds=[(float(lo), float(hi)) for lo, hi in lp.bounds],
+        bounds=[(as_float(lo), as_float(hi)) for lo, hi in lp.bounds],
         method="highs",
     )
-    mine = lp_solve(lp)
+
+
+def _assert_matches_scipy(lp, mine):
+    res = _scipy_linprog(lp)
     if mine.status == OPTIMAL:
         assert res.status == 0
         assert abs(-res.fun - float(mine.objective_value)) < 1e-7
-    else:
+    elif mine.status == INFEASIBLE:
         assert res.status == 2
+    else:
+        assert res.status == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_lp())
+def test_random_lps_match_scipy(lp):
+    _assert_matches_scipy(lp, lp_solve(lp))
+
+
+# ---------------------------------------------------------------------------
+# Native caps: variables in [0, u] take no row
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _capped_lp(draw):
+    """Mostly variables in [0, u], u fractional and sometimes 0, and a few
+    nonnegative, free or only bounded above, whose upper bound stays a row
+    between the caps; GE rows with positive right-hand sides beyond the caps
+    make part of the programs infeasible."""
+    n = draw(st.integers(1, 5))
+    cap = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 9), st.integers(1, 4)))
+    domains = {
+        "cap": st.tuples(st.just(F(0)), cap),
+        "nonneg": st.just((F(0), None)),
+        "free": st.just((None, None)),
+        "upper": st.tuples(st.none(), _rat_coeff()),
+    }
+    kind = st.sampled_from(["cap"] * 5 + ["nonneg", "free", "upper"])
+    bounds = [draw(domains[draw(kind)]) for _ in range(n)]
+    constraints = []
+    for _ in range(draw(st.integers(1, 4))):
+        coeffs = tuple(draw(_rat_coeff()) for _ in range(n))
+        constraints.append((coeffs, draw(st.sampled_from([LE, EQ, GE])), draw(_rat_coeff())))
+    objective = tuple(draw(_rat_coeff()) for _ in range(n))
+    return LinearProgram(objective, tuple(constraints), tuple(bounds))
+
+
+def _caps_as_rows(lp):
+    """The same program with every finite upper bound as an explicit row."""
+    n = len(lp.objective)
+    rows = list(lp.constraints)
+    bounds = []
+    for j, (lo, hi) in enumerate(lp.bounds):
+        if hi is not None:
+            rows.append((tuple(F(int(i == j)) for i in range(n)), LE, hi))
+        bounds.append((lo, None))
+    return LinearProgram(lp.objective, tuple(rows), tuple(bounds))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_capped_lp())
+def test_native_caps_exact_and_certified(lp):
+    res = lp_solve(lp)
+    # the row form takes the solver's path without caps: same status and value
+    rows_form = lp_solve(_caps_as_rows(lp))
+    assert res.status == rows_form.status
+    if res.status == OPTIMAL:
+        assert _satisfies(lp, res.solution)
+        assert res.objective_value == dot(lp.objective, res.solution)
+        assert res.objective_value == rows_form.objective_value
+    elif res.status == INFEASIBLE:
+        assert len(res.certificate) == len(expanded_rows(lp))
+        assert verify_farkas_certificate(lp, res.certificate)
+    assert lp_solve(lp) == res
+
+
+@settings(max_examples=100, deadline=None)
+@given(_capped_lp())
+def test_native_caps_match_scipy(lp):
+    _assert_matches_scipy(lp, lp_solve(lp))
+
+
+def test_native_caps_reach_both_answers():
+    # a cap the objective pushes against, and caps too small for a row
+    lp = LinearProgram((F(1), F(1)), (((F(1), F(2)), LE, F(3)),), ((F(0), F(1, 2)), (F(0), F(5, 3))))
+    res = lp_solve(lp)
+    assert res.status == OPTIMAL
+    assert res.solution == (F(1, 2), F(5, 4))
+    assert res.objective_value == F(7, 4)
+    lp = LinearProgram((F(0), F(0)), (((F(1), F(1)), GE, F(2)),), ((F(0), F(1, 2)), (F(0), F(1))))
+    res = lp_solve(lp)
+    assert res.status == INFEASIBLE
+    # over expanded_rows: the GE row, then the two cap rows
+    assert res.certificate == (F(-1), F(1), F(1))
+    assert verify_farkas_certificate(lp, res.certificate)
 
 
 # ---------------------------------------------------------------------------
