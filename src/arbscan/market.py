@@ -24,7 +24,13 @@ _ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class Scenario:
-    """One price trajectory: ``path[t]`` is the d-vector of prices at time t."""
+    """One price trajectory: ``path[t]`` is the d-vector of prices at time t.
+
+    Each price is an exact rational, an ``int`` or a ``Fraction``;
+    :func:`load_market` stores a price with denominator 1 as an ``int``.
+    The two are equally exact and an ``int`` equals, hashes and prints like
+    the equal ``Fraction``, so every answer is the same, only cheaper.
+    """
 
     id: str
     path: tuple[Vec, ...]
@@ -274,6 +280,14 @@ def _parse_rat(value, where: str) -> Fraction:
         raise MarketFormatError(f"{where}: {exc}") from exc
 
 
+def _parse_price(value, where: str) -> Union[int, Fraction]:
+    """A price as :func:`_parse_rat` reads it, an ``int`` when it is integral."""
+    if type(value) is int:  # a JSON integer; bool, an int subclass, is rejected below
+        return value
+    q = _parse_rat(value, where)
+    return q.numerator if q.denominator == 1 else q
+
+
 _JSON_KINDS = {list: "a JSON array", dict: "a JSON object", str: "a string"}
 
 
@@ -337,7 +351,7 @@ def load_market(source: Union[str, Path, dict]) -> Market:
             raise MarketFormatError(f"scenario {sid!r} has no price rows")
         where = f"scenario {sid!r}"
         path = tuple(
-            tuple(_parse_rat(x, where) for x in _expect(row, list, f"{where} price row"))
+            tuple(_parse_price(x, where) for x in _expect(row, list, f"{where} price row"))
             for row in rows
         )
         scenarios.append(Scenario(sid, path))

@@ -13,15 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .errors import InternalError
 from .market import Atom, Market, Partition, Strategy, natural_filtration, value_process
 from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, Vec, lp_solve
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-_MINUS_ONE = Fraction(-1)
 
 
 @dataclass(frozen=True)
@@ -31,32 +27,29 @@ class MartingalePolytope:
     Row 0 normalizes the weights to sum 1; the remaining rows are the
     per-(period, atom, asset) zero-expectation equalities, ordered by period
     ascending, atom by smallest index, then asset index.  Nonnegativity is a
-    variable bound, not a row.
+    variable bound, not a row.  Structural numbers are ``int``s, and so are
+    the increments of integral prices.
     """
 
     n: int
-    rows: tuple[tuple[Vec, str, Fraction], ...]
+    rows: tuple[tuple[Vec, str, Union[int, Fraction]], ...]
 
     def lp(self, objective: Optional[Sequence[Fraction]] = None) -> LinearProgram:
-        obj = tuple(objective) if objective is not None else tuple(_ZERO for _ in range(self.n))
-        return LinearProgram(
-            objective=obj,
-            constraints=self.rows,
-            bounds=tuple((_ZERO, None) for _ in range(self.n)),
-        )
+        obj = tuple(objective) if objective is not None else (0,) * self.n
+        return LinearProgram(objective=obj, constraints=self.rows, bounds=((0, None),) * self.n)
 
 
 def build_polytope(m: Market) -> MartingalePolytope:
-    rows = [(tuple(_ONE for _ in range(m.n)), EQ, _ONE)]
+    rows = [((1,) * m.n, EQ, 1)]
     filtration = natural_filtration(m)
     for t in range(1, m.T + 1):
         incs = [m.increment(t, i) for i in range(m.n)]
         for atom in filtration[t - 1].atoms:
             for j in range(m.d):
-                coeffs = [_ZERO] * m.n
+                coeffs = [0] * m.n
                 for i in atom:
                     coeffs[i] = incs[i][j]
-                rows.append((tuple(coeffs), EQ, _ZERO))
+                rows.append((tuple(coeffs), EQ, 0))
     return MartingalePolytope(n=m.n, rows=tuple(rows))
 
 
@@ -81,8 +74,8 @@ def oracle_support(m: Market) -> Atom:
     # trees of 243 scenarios, and 0.36 ms in place of 0.46 ms on small
     # random markets.
     constraints = tuple((coeffs + coeffs, rel, rhs) for coeffs, rel, rhs in rows)
-    objective = (_ZERO,) * n + (_ONE,) * n
-    bounds = ((_ZERO, None),) * n + ((_ZERO, _ONE),) * n
+    objective = (0,) * n + (1,) * n
+    bounds = ((0, None),) * n + ((0, 1),) * n
     res = lp_solve(LinearProgram(objective, constraints, bounds))
     if res.status != OPTIMAL:
         raise InternalError(f"support LP ended {res.status}")
@@ -132,15 +125,15 @@ def oracle_arbitrage(
 
     constraints = []
     for i in range(n):
-        coeffs = [_ZERO] * nv
-        coeffs[i] = _MINUS_ONE
+        coeffs = [0] * nv
+        coeffs[i] = -1
         for t, cols in zip(periods, first_col):
             k = cols.get(i)
             if k is not None:
                 coeffs[k : k + m.d] = m.increment(t, i)
-        constraints.append((tuple(coeffs), GE, _ZERO))
-    objective = (_ONE,) * n + (_ZERO,) * len(layout)
-    bounds = ((_ZERO, _ONE),) * n + ((None, None),) * len(layout)
+        constraints.append((tuple(coeffs), GE, 0))
+    objective = (1,) * n + (0,) * len(layout)
+    bounds = ((0, 1),) * n + ((None, None),) * len(layout)
 
     res = lp_solve(LinearProgram(objective, tuple(constraints), bounds))
     if res.status != OPTIMAL:
@@ -152,7 +145,7 @@ def oracle_arbitrage(
     scale = min(slack[i] for i in gain)
 
     positions: list[dict[Atom, list]] = [
-        {atom: [_ZERO] * m.d for atom in filtration[t - 1].atoms}
+        {atom: [0] * m.d for atom in filtration[t - 1].atoms}
         for t in range(1, m.T + 1)
     ]
     for (t, atom, j), x in zip(layout, res.solution[n:]):

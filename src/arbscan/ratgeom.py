@@ -1,20 +1,28 @@
 """Exact rational linear programming and the convex-geometry predicates on top of it.
 
-Inputs and outputs are exact: every coefficient, bound, solution, objective
-value and certificate is an ``int`` or a ``fractions.Fraction``; there are no
-floats and no tolerances anywhere.  The solver is a two-phase dense-tableau
-simplex with Bland's anti-cycling pivot rule (lowest eligible column index
-enters, ratio ties broken by lowest leaving column index), which makes every
-result both terminating and bit-reproducible.  It is a bounded-variable
-simplex (Dantzig 1955): a variable with bounds [0, u] is a column with no
-row, held at either bound while nonbasic, so a capped slack costs no tableau
-row.  The tableau is fraction-free: each row keeps integer numerators over
-one positive row denominator, reduced by their gcd, so it holds the same
+Inputs and outputs are exact: every coefficient, right-hand side and bound
+is an ``int`` or a ``fractions.Fraction``, and every solution, objective
+value and certificate entry a ``Fraction``; there are no floats and no
+tolerances anywhere.  The solver is a two-phase dense-tableau simplex with
+Bland's anti-cycling pivot rule (lowest eligible column index enters, ratio
+ties broken by lowest leaving column index), which makes every result both
+terminating and bit-reproducible.  It is a bounded-variable simplex
+(Dantzig 1955): a variable with bounds [0, u] is a column with no row, held
+at either bound while nonbasic, so a capped slack costs no tableau row.  The
+tableau is fraction-free: each row keeps integer numerators over one
+positive row denominator, reduced by their gcd, so it holds the same
 rationals as a ``Fraction`` tableau would, and ``Fraction``s appear only
-where inputs are scaled and results are read off.  Infeasible programs come
-back with a Farkas certificate over the expanded row system, in which every
-finite bound is a row, that callers can re-verify with
-:func:`verify_farkas_certificate`.
+where results are read off.  Infeasible programs come back with a Farkas
+certificate over the expanded row system, in which every finite bound is a
+row, that callers can re-verify with :func:`verify_farkas_certificate`.
+
+An ``int`` is as exact as the equal ``Fraction`` and far cheaper to add,
+compare and hash, so the LPs built here and in ``oracle`` hold ``int``s
+wherever a number is integral: the structural 0, +-1, counts, right-hand
+sides and bounds, and the increments of integral prices.  The tableau
+scales each row by the lcm of its denominators, which is 1 for ``3`` and
+for ``Fraction(3)`` alike, so both give the same integer tableau, the same
+pivots and bit-identical results.
 """
 
 from __future__ import annotations
@@ -22,11 +30,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Collection, Optional, Sequence
+from typing import Collection, Optional, Sequence, Union
 
 from .errors import DomainError, InternalError
 
-Vec = tuple[Fraction, ...]
+# An exact vector: each entry an ``int`` or a ``Fraction`` (integral prices
+# load as ``int``s).  Entries compare, hash and print by value, so equal
+# vectors of either type are interchangeable keys.
+Vec = tuple[Union[int, Fraction], ...]
 
 LE = "<="
 EQ = "="
@@ -95,6 +106,12 @@ def over_common_denominator(values: Collection[Fraction]) -> tuple[list[int], in
 class LinearProgram:
     """maximize objective . x  subject to rows ``coeffs . x rel rhs`` and bounds.
 
+    Every number is an ``int`` or a ``Fraction``; ``bool``, ``float`` and
+    every other type are rejected by :func:`lp_solve`.  An ``int`` and the
+    equal ``Fraction`` pose the same program and give the same result, but
+    ``int``s are cheaper to check and to scale, so builders use them for
+    integral numbers.
+
     ``bounds`` is an optional per-variable (lower, upper) pair; ``None`` on
     either side means unbounded on that side.  The solver handles a lower
     bound of exactly 0 natively, and with it a finite upper bound u >= 0, so
@@ -130,7 +147,12 @@ class LpResult:
 
 def _check_exact(values, where: str) -> None:
     for v in values:
-        if not isinstance(v, (int, Fraction)) or isinstance(v, bool):
+        # exact types first: the isinstance test alone cost 6% of a solve;
+        # it stays the fallback so that subclasses pass and bool does not
+        t = type(v)
+        if t is not int and t is not Fraction and (
+            not isinstance(v, (int, Fraction)) or isinstance(v, bool)
+        ):
             raise ValueError(f"{where} holds {v!r}; use an int or a Fraction")
 
 
@@ -159,7 +181,7 @@ def _nonneg_mask(lp: LinearProgram, n: int) -> list[bool]:
 
 
 def _unit(n: int, j: int) -> Vec:
-    return tuple(_ONE if i == j else _ZERO for i in range(n))
+    return tuple(1 if i == j else 0 for i in range(n))
 
 
 def expanded_rows(lp: LinearProgram) -> list[tuple[Vec, str, Fraction]]:
@@ -725,11 +747,11 @@ def maximal_separator(points: Sequence[Vec]) -> Optional[tuple[Vec, frozenset[in
     nv = len(values)
     constraints = []
     for v, x in enumerate(values):
-        row = [_ZERO] * nv + list(x)
-        row[v] = Fraction(-1)
-        constraints.append((tuple(row), GE, _ZERO))
-    bounds = ((_ZERO, _ONE),) * nv + ((None, None),) * d
-    objective = (_ONE,) * nv + (_ZERO,) * d
+        row = [0] * nv + list(x)
+        row[v] = -1
+        constraints.append((tuple(row), GE, 0))
+    bounds = ((0, 1),) * nv + ((None, None),) * d
+    objective = (1,) * nv + (0,) * d
     res = lp_solve(LinearProgram(objective, tuple(constraints), bounds))
     if res.status != OPTIMAL:
         raise InternalError(f"capped-slack separator LP came back {res.status}")
@@ -774,11 +796,11 @@ def convex_combination_for_zero(points: Sequence[Vec]) -> tuple[Fraction, ...]:
     # columns: s first, then r; on one-period 16-scenario trees this LP took
     # 0.38 ms against 0.44 ms with r first (1.3 ms with the n floor rows), and
     # about 7% less than r first on small trinomial trees and corpus markets
-    constraints = [((Fraction(n),) + (_ONE,) * n, EQ, _ONE)]
+    constraints = [((n,) + (1,) * n, EQ, 1)]
     for coord in coords:
-        constraints.append(((sum(coord, _ZERO),) + coord, EQ, _ZERO))
-    objective = (_ONE,) + (_ZERO,) * n
-    res = lp_solve(LinearProgram(objective, tuple(constraints), ((_ZERO, None),) * (n + 1)))
+        constraints.append(((sum(coord),) + coord, EQ, 0))
+    objective = (1,) + (0,) * n
+    res = lp_solve(LinearProgram(objective, tuple(constraints), ((0, None),) * (n + 1)))
     if res.status != OPTIMAL or res.objective_value == 0:
         sep = maximal_separator(points)
         raise DomainError(

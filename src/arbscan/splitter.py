@@ -24,7 +24,6 @@ module level, so a fresh ``backward_eliminate`` starts from nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
@@ -32,8 +31,6 @@ from . import oracle
 from .errors import DomainError, InternalError
 from .market import Atom, DiscreteMeasure, Market, Partition, Strategy, natural_filtration, refine
 from .ratgeom import Vec, maximal_separator
-
-_ZERO = Fraction(0)
 
 LevelKey = tuple[Vec, ...]
 
@@ -292,17 +289,6 @@ def _node_ids(part: Partition, n: int) -> tuple[int, ...]:
     return tuple(ids)
 
 
-def aggregator_pieces(m: Market, pa: PolarAnalysis) -> list[dict[int, Vec]]:
-    """Per period t (1-based), the nonzero aggregator values by scenario index."""
-    pieces: list[dict[int, Vec]] = [dict() for _ in range(m.T + 1)]
-    for ev in pa.events:
-        sp = ev.splitting
-        for block, sep in zip(sp.blocks, sp.separators):
-            for i in block:
-                pieces[sp.t][i] = sep
-    return pieces
-
-
 def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[Partition]]:
     """The aggregator strategy and the enlarged filtration it is predictable for.
 
@@ -311,17 +297,28 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
     exactly the complement of ``omega_star``.  The filtration joins the
     natural one (``pa.natural``) with the value partitions of the aggregator
     one step ahead (no look-ahead term at T).
+
+    Each block's separator is interned once: equal separators, common in
+    recombining trees, share one id, so grouping scenarios by id is grouping
+    them by value, and no vector is hashed per scenario and period.
     """
-    zero = tuple(_ZERO for _ in range(m.d))
-    pieces = aggregator_pieces(m, pa)
+    values: list[Vec] = [(0,) * m.d]  # id 0 is the zero position
+    id_of: dict[Vec, int] = {values[0]: 0}
+    ids = [[0] * m.n for _ in range(m.T + 1)]
+    for ev in pa.events:
+        sp = ev.splitting
+        for block, sep in zip(sp.blocks, sp.separators):
+            k = id_of.setdefault(sep, len(values))
+            if k == len(values):
+                values.append(sep)
+            row = ids[sp.t]
+            for i in block:
+                row[i] = k
 
-    def value_partition(t: int) -> Partition:
-        groups: dict[Vec, set[int]] = {}
-        for i in range(m.n):
-            groups.setdefault(pieces[t].get(i, zero), set()).add(i)
-        return Partition(tuple(frozenset(g) for g in groups.values()))
-
-    value_parts = [None] + [value_partition(t) for t in range(1, m.T + 1)]
+    value_parts = [None] + [
+        Partition(tuple(frozenset(g) for g in group_by(ids[t], range(m.n))))
+        for t in range(1, m.T + 1)
+    ]
     f = pa.natural
     enlarged = []
     for t in range(m.T + 1):
@@ -333,11 +330,12 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
     positions = []
     for t in range(1, m.T + 1):
         pos: dict[Atom, Vec] = {}
+        row = ids[t]
         for atom in enlarged[t - 1].atoms:
-            vals = {pieces[t].get(i, zero) for i in atom}
-            if len(vals) != 1:
+            held = {row[i] for i in atom}
+            if len(held) != 1:
                 raise InternalError("aggregator not constant on an enlarged atom")
-            pos[atom] = next(iter(vals))
+            pos[atom] = values[held.pop()]
         positions.append(pos)
     return Strategy(tuple(positions)), enlarged
 

@@ -224,6 +224,15 @@ def trinomial_tree(draw, horizon=3):
     return tree_market(paths)
 
 
+def fraction_market(m: Market) -> Market:
+    """``m`` with every price a ``Fraction``, built directly, not by the loader."""
+    scenarios = tuple(
+        Scenario(s.id, tuple(tuple(Fraction(x) for x in row) for row in s.path))
+        for s in m.scenarios
+    )
+    return Market(m.d, m.T, scenarios, m.classes, m.probabilities)
+
+
 def tree_market(paths) -> Market:
     """The one-asset market whose scenarios follow the equal-length price ``paths``."""
     return load_market(

@@ -6,11 +6,17 @@ produces (separators, aggregator positions, measure weights), so a kernel
 change that keeps the same pivots must leave them byte-identical.  A change
 that alters the bytes on purpose regenerates them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
+
+The loader keeps integral prices as ``int``s.  The same bytes must come
+from each market rebuilt with every price a ``Fraction``, and from the CLI
+run under ``python -O``, which strips ``assert`` statements.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -20,9 +26,17 @@ from arbscan.cli import build_report
 from arbscan.market import load_market
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import COUNTNA_DOC, EX1000_DOC, EX3D_DOC, MULTI_DOC, SVU_DOC  # noqa: E402
+from conftest import (  # noqa: E402
+    COUNTNA_DOC,
+    EX1000_DOC,
+    EX3D_DOC,
+    MULTI_DOC,
+    SVU_DOC,
+    fraction_market,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # two-period, two-asset tree with "p/q" prices: one node has a one-sided
 # direction (c3 is polar), so separators and measure weights are fractional
@@ -74,8 +88,8 @@ DOCS = {
 }
 
 
-def render(doc: dict) -> str:
-    report, _agrees = build_report(load_market(doc), verify=True)
+def render(doc: dict, rebuild=lambda m: m) -> str:
+    report, _agrees = build_report(rebuild(load_market(doc)), verify=True)
     return json.dumps(report, indent=2) + "\n"
 
 
@@ -83,6 +97,30 @@ def render(doc: dict) -> str:
 def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text("utf-8")
     assert render(DOCS[name]) == expected
+
+
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_fraction_priced_market_matches_golden(name):
+    expected = (GOLDEN / f"{name}.json").read_text("utf-8")
+    assert render(DOCS[name], fraction_market) == expected
+
+
+# one integral and one fractional market
+@pytest.mark.parametrize("name", ["trinomial", "fractree"])
+def test_cli_under_python_O_matches_golden(name, tmp_path):
+    market = tmp_path / f"{name}.json"
+    market.write_text(json.dumps(DOCS[name]), "utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "arbscan.cli", "analyze", "--verify", str(market)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (GOLDEN / f"{name}.json").read_text("utf-8")
 
 
 if __name__ == "__main__":

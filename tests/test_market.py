@@ -77,10 +77,12 @@ def test_validation_errors(mutate, message):
 def test_unknown_ids_and_float_prices():
     with pytest.raises(MarketFormatError, match="unknown scenario"):
         load_market(dict(SVU_DOC, classes={"c": [["nope"]]}))
-    with pytest.raises(MarketFormatError, match="not a rational"):
-        load_market(
-            {"d": 1, "T": 1, "scenarios": [{"id": "a", "prices": [[0.5], [1]]}]}
-        )
+    # 1.0 is integral and True an int subclass, yet neither is a price
+    for price in (0.5, 1.0, True, False):
+        with pytest.raises(MarketFormatError, match="not a rational"):
+            load_market(
+                {"d": 1, "T": 1, "scenarios": [{"id": "a", "prices": [[price], [1]]}]}
+            )
 
 
 def test_time_zero_disagreement_warns():
@@ -165,14 +167,13 @@ def test_refine():
 
 
 def test_refine_by_aggregator_values_ex1000(ex1000):
-    from arbscan.splitter import aggregator_pieces, backward_eliminate
+    from arbscan.splitter import backward_eliminate
 
     pa = backward_eliminate(ex1000)
-    pieces = aggregator_pieces(ex1000, pa)
-    zero = (F(0),) * ex1000.d
+    agg, _enlarged = pa.aggregator
     groups = {}
     for i in range(ex1000.n):
-        groups.setdefault(pieces[1].get(i, zero), set()).add(i)
+        groups.setdefault(agg.vector(1, i, ex1000.d), set()).add(i)
     by_value = Partition(tuple(frozenset(g) for g in groups.values()))
     f1 = natural_filtration(ex1000)[1]
     refined = refine(f1, by_value)

@@ -1,5 +1,6 @@
 """Exact LP solver and convex-geometry predicates."""
 
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -77,7 +78,7 @@ def test_arity_mismatch_is_structural():
         lp_solve(LinearProgram((F(1),), (((F(1),), "<", F(0)),)))
 
 
-@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, Decimal("1")])
 @pytest.mark.parametrize("where", ["objective", "coefficient", "rhs", "lower", "upper"])
 def test_inexact_numbers_rejected(where, bad):
     objective, coeffs, rhs, lower, upper = (F(1),), (F(1),), F(1), F(0), F(3)
@@ -358,6 +359,43 @@ def test_native_caps_exact_and_certified(lp):
 @given(_capped_lp())
 def test_native_caps_match_scipy(lp):
     _assert_matches_scipy(lp, lp_solve(lp))
+
+
+# ---------------------------------------------------------------------------
+# int and Fraction inputs
+# ---------------------------------------------------------------------------
+
+
+def _with_numbers(lp, as_number):
+    """``lp`` with ``as_number`` applied to every number in it."""
+    def vec_(v):
+        return tuple(as_number(x) for x in v)
+
+    bounds = None
+    if lp.bounds is not None:
+        bounds = tuple(
+            tuple(None if b is None else as_number(b) for b in pair) for pair in lp.bounds
+        )
+    return LinearProgram(
+        vec_(lp.objective),
+        tuple((vec_(c), rel, as_number(rhs)) for c, rel, rhs in lp.constraints),
+        bounds,
+    )
+
+
+def _int_if_integral(x):
+    return x.numerator if x.denominator == 1 else x
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_random_lp(), _capped_lp()))
+def test_int_and_fraction_lps_agree(lp):
+    """The LP with every integral number an ``int`` solves as with every number a ``Fraction``."""
+    by_int = lp_solve(_with_numbers(lp, _int_if_integral))
+    by_fraction = lp_solve(_with_numbers(lp, F))
+    # the repr tells 3 from Fraction(3): results are Fractions either way
+    assert repr(by_int) == repr(by_fraction)
+    assert by_int == by_fraction
 
 
 def test_native_caps_reach_both_answers():
