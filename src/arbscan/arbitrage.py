@@ -111,10 +111,10 @@ def classify(
 
 
 def one_step_1p_check(m: Market, pa: PolarAnalysis) -> list[tuple[int, tuple, Vec, Atom]]:
-    """All single-period strict-gain opportunities found by the first sweep.
+    """All single-period strict-gain opportunities found by backward elimination.
 
-    One entry (t, level key, direction, gaining set) per first-sweep splitting
-    with at least one block; the list is empty exactly when no one-point
+    One entry (t, level key, direction, gaining set) per splitting with at
+    least one block; the list is empty exactly when no one-point
     arbitrage exists at all.
     """
     out = []
@@ -176,8 +176,8 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
 
     The analysis restricted to supp(P) (``pa`` itself when supp(P) is its
     start set) is searched; the first period with an eliminating event
-    supplies, per level set, the first-sweep separator on that level set
-    (zero elsewhere).  The level set covers every P-charged
+    supplies, per level set, the first separator on that level set (zero
+    elsewhere).  The level set covers every P-charged
     scenario of its atom, so V_T >= 0 holds P-almost surely and the first
     block carries positive P-mass.
     """
@@ -187,15 +187,8 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     sub = pa if p.support == pa.start_set else backward_eliminate(m, within=p.support)
     if not sub.events:
         raise InternalError("positive polar mass but no restricted elimination")
-    tau = min(ev.splitting.t for ev in sub.events)
-    seen_levels: set[tuple] = set()
-    pieces: dict[Atom, Vec] = {}
-    for ev in sub.events:
-        sp = ev.splitting
-        if sp.t != tau or sp.level_key in seen_levels:
-            continue
-        seen_levels.add(sp.level_key)
-        pieces[sp.members] = sp.separators[0]
+    tau = min(sp.t for sp in sub.events)
+    pieces = {sp.members: sp.separators[0] for sp in sub.events if sp.t == tau}
     rest = m.all_indices - frozenset().union(*pieces)
     if rest:
         pieces[rest] = tuple(_ZERO for _ in range(m.d))

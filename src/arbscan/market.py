@@ -11,6 +11,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import sub
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
@@ -205,8 +206,8 @@ class Market:
 
     def increment(self, t: int, i: int) -> Vec:
         """Price increment over (t-1, t] in scenario i."""
-        a, b = self.scenarios[i].path[t - 1], self.scenarios[i].path[t]
-        return tuple(x - y for x, y in zip(b, a))
+        path = self.scenarios[i].path
+        return tuple(map(sub, path[t], path[t - 1]))
 
     def history(self, i: int, upto: int) -> tuple[Vec, ...]:
         """Price rows 0..upto of scenario i (a level-set key)."""

@@ -2,20 +2,19 @@
 
 A measure is a martingale measure iff, for every period and every atom of the
 conditioning partition, the weighted increments sum to zero exactly.  The
-full-support measure comes from one top-down walk of the scenario tree
-restricted to ``omega_star``; its nodes and their children are groups of the
-analysis's node ids (``pa.nodes``).  At each node one LP,
+full-support measure comes from one top-down walk of the analysis's node
+tree (``pa.tree``) restricted to ``omega_star``.  At each node one LP,
 :func:`convex_combination_for_zero`, gives the node's children strictly
 positive weights under which the mean increment is zero, with the smallest
 weight as large as possible; that LP has one row per asset plus one, none
 per child, and its weights are re-checked exactly before they are returned.
 A child's mass is its parent's mass times its weight.  Nodes whose
-children have the same increments ask the same question, which the
-analysis's LP memo (``pa.lp_memo``) answers once.  Backward elimination
-leaves 0 in the relative interior of every surviving level set's increment
-cone, so those weights exist, and the product is an exact martingale measure
-for the natural and the enlarged filtration whose support is exactly
-``omega_star``.  It charges every survivor, so it is also the measure
+children have the same increments, in any order, ask the same question,
+which the analysis's LP memo (``pa.lp_memo``) answers once.  Backward
+elimination leaves 0 in the relative interior of every surviving level set's
+increment cone, so those weights exist, and the product is an exact
+martingale measure for the natural and the enlarged filtration whose
+support is exactly ``omega_star``.  It charges every survivor, so it is also the measure
 returned for a single surviving scenario and for a class whose sets all meet
 ``omega_star``.  Callers read it as ``pa.full_support``, which builds it once
 per analysis.
@@ -29,7 +28,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, InternalError
 from .market import DiscreteMeasure, Market, Partition
 from .ratgeom import convex_combination_for_zero
-from .splitter import PolarAnalysis, group_by, solve_once
+from .splitter import PolarAnalysis, move_weights, solve_once
 
 _ZERO = Fraction(0)
 
@@ -54,33 +53,40 @@ def check_martingale(m: Market, q: DiscreteMeasure, filtration: Sequence[Partiti
 def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasure]:
     """A martingale measure whose support is exactly ``omega_star`` (None if empty).
 
-    Each time-0 atom of ``omega_star`` gets an equal share of the mass; each
-    surviving node passes its mass to its children in the proportions of
-    :func:`convex_combination_for_zero` on their increments; a final group of
-    identical paths splits its mass evenly.
+    Each time-0 node of ``omega_star`` gets an equal share of the mass; each
+    surviving node passes its mass to its surviving children in the
+    proportions of :func:`convex_combination_for_zero` on their increments; a
+    final group of identical paths splits its mass evenly.  Nodes are node
+    ids of ``pa.tree``, and a node survives when its atom meets ``omega_star``.
     """
     star = pa.omega_star
     if not star:
         return None
-    roots = group_by(pa.nodes[0], sorted(star))
+    tree = pa.tree
+    roots = [k for k, atom in enumerate(pa.natural[0].atoms) if not atom.isdisjoint(star)]
     share = Fraction(1, len(roots))
-    frontier = [(root, share) for root in roots]
+    frontier = [(k, share) for k in roots]
     for t in range(1, m.T + 1):
-        nxt: list[tuple[list[int], Fraction]] = []
-        for node, mass in frontier:
-            children = group_by(pa.nodes[t], node)
-            points = tuple(m.increment(t, c[0]) for c in children)
+        atoms = pa.natural[t].atoms
+        increments = tree.increments[t]
+        nxt: list[tuple[int, Fraction]] = []
+        for k, mass in frontier:
+            children = [c for c in tree.children[t - 1][k] if not atoms[c].isdisjoint(star)]
+            points = tuple(increments[c] for c in children)
             try:
-                lam = solve_once(pa.lp_memo, convex_combination_for_zero, points)
+                lam = solve_once(pa.lp_memo, convex_combination_for_zero, points, move_weights)
             except DomainError as exc:
+                i = min(pa.natural[t - 1].atoms[k] & star)
                 raise InternalError(
-                    f"surviving node of {m.scenarios[node[0]].id!r} at time {t - 1} "
+                    f"surviving node of {m.scenarios[i].id!r} at time {t - 1} "
                     f"has no strictly positive martingale weights"
                 ) from exc
-            nxt.extend((child, mass * w) for child, w in zip(children, lam))
+            nxt.extend((c, mass * w) for c, w in zip(children, lam))
         frontier = nxt
     weights: dict[int, Fraction] = {}
-    for leaf, mass in frontier:
+    leaves = pa.natural[m.T].atoms
+    for c, mass in frontier:
+        leaf = leaves[c] & star
         each = mass / len(leaf)
         for i in leaf:
             weights[i] = each

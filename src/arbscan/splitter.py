@@ -1,24 +1,30 @@
-"""Level-set splitting, backward elimination to a fixpoint, and the aggregator.
+"""Level-set splitting, backward elimination in one sweep, and the aggregator.
 
 A level set whose increment cone does not contain 0 in its relative interior
-splits into strict-gain blocks plus an efficient residual.  Iterating block
-removal backwards over time until nothing changes yields the maximal set of
-scenarios supportable by martingale measures (``omega_star``); the aggregator
-strategy holds, in each scenario, the separator that eliminated it.
+splits into strict-gain blocks plus an efficient residual.  Removing the
+blocks backwards over time, t = T..1, yields the maximal set of scenarios
+supportable by martingale measures (``omega_star``) in one sweep: a block
+removed at period t is a union of whole child nodes at time t, so every level
+set of a later period lies inside it or misses it, and a second sweep would
+remove nothing.  The aggregator strategy holds, in each scenario, the
+separator that eliminated it.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
 per-market context of everything downstream.  Elimination starts by building
-the natural filtration and, from it, a node index: per period, each
-scenario's node (atom) id.  Level sets and a node's children are then groups
-of ids, not of hashed price histories.  Elimination and the full-support
-measure also share one LP memo: recombining trees ask the same separator and
-zero-combination questions at many nodes, and each is solved once.  The
-analysis keeps its market, the filtration, the index and the memo, and builds
-three artifacts lazily, each at most once and only on first use: the
-aggregator with its enlarged filtration, the full-support martingale measure,
-and the natural-filtration gain set with its oracle strategy.  All of it
-lives exactly as long as the analysis; nothing is cached on the market or at
-module level, so a fresh ``backward_eliminate`` starts from nothing.
+the natural filtration and, from it, a node index (per period, each
+scenario's node, or atom, id) and a node tree (per period, each node's child
+node ids and each child's shared increment).  Elimination walks the tree up
+from the leaves and the full-support measure walks it down from the roots,
+so neither regroups scenarios or recomputes increments per node.  Both share
+one LP memo: trees ask the same separator and zero-combination questions at
+many nodes, often about the same points in another order, and each point set
+is solved once.  The analysis keeps its market, the filtration, the index,
+the tree and the memo, and builds three artifacts lazily, each at most once
+and only on first use: the aggregator with its enlarged filtration, the
+full-support martingale measure, and the natural-filtration gain set with
+its oracle strategy.  All of it lives exactly as long as the analysis;
+nothing is cached on the market or at module level, so a fresh
+``backward_eliminate`` starts from nothing.
 """
 
 from __future__ import annotations
@@ -61,11 +67,18 @@ class Splitting:
 
 
 @dataclass(frozen=True)
-class Event:
-    """One block-elimination step of the fixpoint (sweep >= 1)."""
+class NodeTree:
+    """The scenario tree of the natural filtration F_0..F_T, by node id.
 
-    sweep: int
-    splitting: Splitting
+    Node c at time t is the atom ``natural[t].atoms[c]``; atoms are ordered by
+    least member, and so are node ids.  ``children[t][k]`` holds the ids at
+    time t+1 of node k's children, ascending, and ``increments[t][c]`` the
+    price increment over (t-1, t] that every scenario of node c at time t
+    shares (``increments[0]`` is empty).
+    """
+
+    children: tuple[tuple[tuple[int, ...], ...], ...]
+    increments: tuple[tuple[Vec, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -74,15 +87,17 @@ class PolarAnalysis:
 
     ``survivors[t]`` is the set of scenarios not eliminated at any period
     strictly after t, so ``survivors[T]`` is everything and ``survivors[0]``
-    equals ``omega_star``.  ``splittings`` holds the first-sweep decomposition
-    of every level set (the reported, construction-faithful one); ``events``
-    records every eliminating splitting across all sweeps.
+    equals ``omega_star``.  ``splittings`` holds the decomposition of every
+    level set the sweep met; ``events`` holds those with at least one block,
+    in the order they were removed.  Elimination is one sweep, so ``rounds``
+    is always 1; the report prints it.
 
     The per-analysis context takes no part in ``==`` or ``repr``: ``market``
     is the analysed market, ``natural`` its natural filtration F_0..F_T,
     ``nodes[t][i]`` the index of scenario i's atom in ``natural[t]`` (its node
-    at time t), and ``lp_memo`` the answers of the separator and
-    zero-combination LPs solved so far, keyed by :func:`solve_once`.
+    at time t), ``tree`` the :class:`NodeTree` of those nodes, and ``lp_memo``
+    the answers of the separator and zero-combination LPs solved so far, one
+    per point set, kept by :func:`solve_once`.
     The cached properties ``aggregator``, ``full_support`` and
     ``natural_arbitrage`` call :func:`universal_aggregator`,
     :func:`~arbscan.measures.full_support_measure` and
@@ -95,14 +110,16 @@ class PolarAnalysis:
     omega_star: Atom
     survivors: tuple[Atom, ...]
     splittings: Mapping[tuple[int, LevelKey], Splitting]
-    events: tuple[Event, ...]
+    events: tuple[Splitting, ...]
     eliminated_levels: Mapping[int, tuple[Splitting, ...]]
-    rounds: int
     start_set: Atom
     market: Market = field(compare=False, repr=False)
     natural: tuple[Partition, ...] = field(compare=False, repr=False)
     nodes: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    tree: NodeTree = field(compare=False, repr=False)
     lp_memo: dict = field(compare=False, repr=False)
+
+    rounds = 1
 
     @cached_property
     def aggregator(self) -> tuple[Strategy, tuple[Partition, ...]]:
@@ -123,18 +140,49 @@ class PolarAnalysis:
         return oracle.oracle_arbitrage(self.market, self.natural)
 
 
-def solve_once(memo: dict, solve: Callable, points: tuple[Vec, ...]):
-    """``solve(points)``, solved at most once per ``memo``.
+def solve_once(memo: dict, solve: Callable, points: Sequence[Vec], move: Callable):
+    """``solve(points)``, solved at most once per point set per ``memo``.
 
-    The geometric LPs are deterministic functions of their exact input, so a
-    repeated question gets the very answer a fresh solve would give.  One
-    ``setdefault`` with a one-slot holder hashes the key once per call; a
+    The question is keyed on its points in sorted order, so the same points
+    asked in another order are not solved again.  A miss is solved in the
+    asker's own order (the simplex's pivots depend on column order, and a
+    sorted solve was measured slower) and kept against the points' sorted
+    ranks.  ``move(answer, index)`` re-indexes an answer, sending the part of
+    point k to position ``index[k]``; each later asker gets the kept answer
+    moved to its own order.  The answers are exact, and a separator, its
+    strict set and max-min zero-combination weights stay valid under any
+    order of the points, so every answer holds for the point set; it is the
+    first asker's solve.
+
+    One ``setdefault`` with a one-slot holder hashes the key once per call; a
     solve that raises leaves the holder empty, so the question is asked again.
     """
-    slot = memo.setdefault((solve, points), [])
-    if not slot:
-        slot.append(solve(points))
-    return slot[0]
+    order = sorted(range(len(points)), key=points.__getitem__)
+    slot = memo.setdefault((solve, tuple(map(points.__getitem__, order))), [])
+    if slot:
+        return move(slot[0], order)
+    answer = solve(points)
+    rank = [0] * len(order)
+    for r, k in enumerate(order):
+        rank[k] = r
+    slot.append(move(answer, rank))
+    return answer
+
+
+def move_strict(found: Optional[tuple[Vec, Iterable[int]]], index: Sequence[int]):
+    """A :func:`~arbscan.ratgeom.maximal_separator` answer with its strict set re-indexed."""
+    if found is None:
+        return None
+    h, strict = found
+    return h, frozenset(index[k] for k in strict)
+
+
+def move_weights(weights: Sequence, index: Sequence[int]) -> tuple:
+    """Per-point ``weights`` with the weight of point k moved to position ``index[k]``."""
+    out = [None] * len(weights)
+    for k, w in enumerate(weights):
+        out[index[k]] = w
+    return tuple(out)
 
 
 def group_by(key_of: Sequence[Hashable], members: Iterable[int]) -> list[list[int]]:
@@ -154,7 +202,7 @@ def split_level_set(
     m: Market,
     t: int,
     gamma: Atom,
-    nodes: Optional[Sequence[Sequence[int]]] = None,
+    children: Optional[Sequence[tuple[Vec, Atom]]] = None,
     memo: Optional[dict] = None,
 ) -> Splitting:
     """Iterated maximal separation of one level set's period-t increments.
@@ -163,44 +211,45 @@ def split_level_set(
     residual's increment cone; at most d rounds are possible because each
     separator drops the span dimension.  The scenarios of one child node
     share their increment, so each round's separator LP sees one point per
-    remaining child, in the order of the children's least members.
+    remaining child.
 
-    ``nodes`` is the analysis's node index (:attr:`PolarAnalysis.nodes`):
-    with it the level set is checked and its children found by node id;
-    without it, by price rows.  ``memo`` is the analysis's LP memo.
+    ``children`` are the level set's child nodes as (shared increment,
+    members) pairs, members drawn from ``gamma`` and covering it, as
+    :func:`backward_eliminate` reads them off the node tree.  Without them
+    the children are found from price rows, in the order of their least
+    members, and a ``gamma`` whose scenarios differ before t is rejected.
+    ``memo`` is the analysis's LP memo.
     """
     if not gamma:
         raise DomainError("cannot split an empty level set")
     members = frozenset(gamma)
-    order = sorted(members)
-    if nodes is None:
-        shared = len({m.history(i, t - 1) for i in order}) == 1
-        child_of: Sequence[Hashable] = [s.path[t] for s in m.scenarios]
-    else:
-        shared = len({nodes[t - 1][i] for i in order}) == 1
-        child_of = nodes[t]
-    if not shared:
-        raise ValueError("level set mixes different price histories")
+    if children is None:
+        order = sorted(members)
+        if len({m.history(i, t - 1) for i in order}) != 1:
+            raise ValueError("level set mixes different price histories")
+        children = [
+            (m.increment(t, c[0]), frozenset(c))
+            for c in group_by([s.path[t] for s in m.scenarios], order)
+        ]
     memo = {} if memo is None else memo
 
-    children = [(m.increment(t, c[0]), c) for c in group_by(child_of, order)]
     blocks: list[Atom] = []
     separators: list[Vec] = []
     while children:
-        found = solve_once(memo, maximal_separator, tuple(p for p, _c in children))
+        found = solve_once(memo, maximal_separator, tuple(p for p, _c in children), move_strict)
         if found is None:
             break
         h, strict = found
-        blocks.append(frozenset(i for k in strict for i in children[k][1]))
+        blocks.append(frozenset().union(*(children[k][1] for k in strict)))
         separators.append(h)
         children = [c for k, c in enumerate(children) if k not in strict]
     sp = Splitting(
         t=t,
-        level_key=m.history(order[0], t - 1),
+        level_key=m.history(next(iter(members)), t - 1),
         members=members,
         blocks=tuple(blocks),
         separators=tuple(separators),
-        residual=frozenset(i for _p, c in children for i in c),
+        residual=frozenset().union(*(c for _p, c in children)),
     )
     if sp.beta > m.d:
         raise InternalError(f"level set split into {sp.beta} blocks, more than d={m.d}")
@@ -208,74 +257,67 @@ def split_level_set(
 
 
 def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysis:
-    """Fixpoint block elimination over the (optionally restricted) scenario set.
+    """Block elimination over the (optionally restricted) scenario set, in one sweep.
 
-    Each sweep walks t = T..1, splits every level set of the current
-    survivors, and removes all blocks immediately; sweeps repeat until one
-    full pass removes nothing.  On exit every surviving level set passes
+    The sweep walks t = T..1 up the node tree.  At each period it splits the
+    level set of every node at time t-1 that still has survivors: the node's
+    surviving children, with the increments the tree holds for them.  All
+    blocks are removed at once, and the residuals are the surviving nodes one
+    period up.  A block is a union of whole surviving child nodes, so the
+    level sets of later periods were final when it was removed, and a second
+    sweep would remove nothing.  On exit every surviving level set passes
     cone_ri_contains_zero, so every survivor is supportable by a martingale
-    measure concentrated on the survivors.  Level sets are groups of the
-    survivors by node id (see :class:`PolarAnalysis`).
+    measure concentrated on the survivors.
     """
     start = m.all_indices if within is None else frozenset(within)
     natural = tuple(natural_filtration(m))
     nodes = tuple(_node_ids(part, m.n) for part in natural)
+    tree = _node_tree(m, natural, nodes)
     memo: dict = {}
-    surviving = set(start)
-    cache: dict[tuple[int, Atom], Splitting] = {}
-    round_one: dict[tuple[int, LevelKey], Splitting] = {}
-    events: list[Event] = []
+    splittings: dict[tuple[int, LevelKey], Splitting] = {}
+    events: list[Splitting] = []
     eliminated: dict[int, list[Splitting]] = {t: [] for t in range(1, m.T + 1)}
+    survivors = [start] * (m.T + 1)
 
-    sweep = 0
-    while True:
-        sweep += 1
-        changed = False
-        for t in range(m.T, 0, -1):
-            if not surviving:
-                break
-            for level in group_by(nodes[t - 1], sorted(surviving)):
-                gamma = frozenset(level)
-                ck = (t, gamma)
-                sp = cache.get(ck)
-                if sp is None:
-                    sp = split_level_set(m, t, gamma, nodes, memo)
-                    cache[ck] = sp
-                if sweep == 1:
-                    round_one[(t, sp.level_key)] = sp
-                if sp.blocks:
-                    changed = True
-                    events.append(Event(sweep, sp))
-                    for block in sp.blocks:
-                        surviving -= block
-                    if not sp.residual:
-                        eliminated[t].append(sp)
-        if not changed:
-            break
-
-    omega_star = frozenset(surviving)
-    elim_time: dict[int, int] = {}
-    for ev in events:
-        for block in ev.splitting.blocks:
-            for i in block:
-                elim_time[i] = ev.splitting.t
-    survivors = tuple(
-        frozenset(i for i in start if elim_time.get(i, 0) <= t) for t in range(m.T + 1)
+    # (least member, node id, members) of each node at time t that has
+    # survivors, in order of least surviving member; a node's least survivor
+    # is its first child's, so its level set and its children keep that order
+    alive = sorted(
+        (min(members), c, members)
+        for c, atom in enumerate(natural[m.T].atoms)
+        if (members := atom & start)
     )
-    if survivors[0] != omega_star or survivors[m.T] != start:
-        raise InternalError("survivor sets do not run from omega_star to the start set")
+    for t in range(m.T, 0, -1):
+        up = nodes[t - 1]
+        increments = tree.increments[t]
+        levels: dict[int, list[tuple[Vec, Atom]]] = {}
+        for least, c, members in alive:
+            levels.setdefault(up[least], []).append((increments[c], members))
+        alive = []
+        for k, children in levels.items():
+            gamma = frozenset().union(*(c for _p, c in children))
+            sp = split_level_set(m, t, gamma, children, memo)
+            splittings[(t, sp.level_key)] = sp
+            if sp.residual:
+                alive.append((min(sp.residual), k, sp.residual))
+            if sp.blocks:
+                events.append(sp)
+                if not sp.residual:
+                    eliminated[t].append(sp)
+        alive.sort()
+        survivors[t - 1] = frozenset().union(*(members for _least, _k, members in alive))
 
     return PolarAnalysis(
-        omega_star=omega_star,
-        survivors=survivors,
-        splittings=round_one,
+        omega_star=survivors[0],
+        survivors=tuple(survivors),
+        splittings=splittings,
         events=tuple(events),
         eliminated_levels={t: tuple(v) for t, v in eliminated.items()},
-        rounds=sweep,
         start_set=start,
         market=m,
         natural=natural,
         nodes=nodes,
+        tree=tree,
         lp_memo=memo,
     )
 
@@ -287,6 +329,22 @@ def _node_ids(part: Partition, n: int) -> tuple[int, ...]:
         for i in atom:
             ids[i] = k
     return tuple(ids)
+
+
+def _node_tree(m: Market, natural: Sequence[Partition], nodes: Sequence[Sequence[int]]) -> NodeTree:
+    """The :class:`NodeTree` of ``natural``, one increment per node."""
+    children = []
+    increments: list[tuple[Vec, ...]] = [()]
+    for t in range(1, m.T + 1):
+        kids: list[list[int]] = [[] for _ in natural[t - 1].atoms]
+        incs = []
+        for c, atom in enumerate(natural[t].atoms):
+            i = next(iter(atom))
+            kids[nodes[t - 1][i]].append(c)
+            incs.append(m.increment(t, i))
+        children.append(tuple(map(tuple, kids)))
+        increments.append(tuple(incs))
+    return NodeTree(tuple(children), tuple(increments))
 
 
 def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[Partition]]:
@@ -305,8 +363,7 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
     values: list[Vec] = [(0,) * m.d]  # id 0 is the zero position
     id_of: dict[Vec, int] = {values[0]: 0}
     ids = [[0] * m.n for _ in range(m.T + 1)]
-    for ev in pa.events:
-        sp = ev.splitting
+    for sp in pa.events:
         for block, sep in zip(sp.blocks, sp.separators):
             k = id_of.setdefault(sep, len(values))
             if k == len(values):

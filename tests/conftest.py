@@ -1,4 +1,4 @@
-"""Shared fixtures: benchmark markets, a random scenario-tree corpus, trinomial trees."""
+"""Shared fixtures: benchmark markets, a random scenario-tree corpus, tree families."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import strategies as st
+from hypothesis import assume, strategies as st
 
 from arbscan.market import DiscreteMeasure, Market, Scenario, SignificantClass, load_market
 
@@ -224,6 +224,108 @@ def trinomial_tree(draw, horizon=3):
     return tree_market(paths)
 
 
+def corpus_markets():
+    """Random acceptance-corpus markets (n <= 10, T <= 3, d <= 3), one per drawn seed."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: random_market(random.Random(seed)))
+
+
+def seeded_tree_market(rng: random.Random, b: int, horizon: int, d: int) -> Market:
+    """Complete Tree(b, horizon, d) with start prices 10, as the benchmark draws it.
+
+    Each child increment is uniform in [-3, 3]^d.  With probability 0.15 the
+    last child rises by [1, 3] in every asset, which can make the node an
+    arbitrage; otherwise it cancels its siblings' sum, so 0 is the mean.
+    """
+    paths = [[(10,) * d]]
+    for _t in range(horizon):
+        nxt = []
+        for path in paths:
+            incs = [tuple(rng.randint(-3, 3) for _ in range(d)) for _ in range(b - 1)]
+            if rng.random() < 0.15:
+                incs.append(tuple(rng.randint(1, 3) for _ in range(d)))
+            else:
+                incs.append(tuple(-sum(col) for col in zip(*incs)))
+            nxt.extend(path + [tuple(a + x for a, x in zip(path[-1], inc))] for inc in incs)
+        paths = nxt
+    return paths_market(paths)
+
+
+def seeded_trinomial_market(rng: random.Random, horizon: int, n_arb: int) -> Market:
+    """Trinomial Tree(3, horizon, 1) with ``n_arb`` arbitrage nodes, as the benchmark draws it.
+
+    Ordinary nodes take distinct increments (x, y, -x-y) with x, y in
+    [-3, 3]; the arbitrage nodes, drawn among the last internal level, take
+    (0, a, b) with distinct a, b in [1, 3].  Few increment sets exist, so
+    many nodes ask about the same points in another order.
+    """
+    paths = [[10]]
+    for t in range(horizon):
+        arb = set(rng.sample(range(len(paths)), n_arb)) if t == horizon - 1 else set()
+        nxt = []
+        for k, path in enumerate(paths):
+            if k in arb:
+                incs = [0] + rng.sample((1, 2, 3), 2)
+            else:
+                incs = [0, 0, 0]
+                while len(set(incs)) < 3:
+                    x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+                    incs = [x, y, -x - y]
+            nxt.extend(path + [path[-1] + inc] for inc in incs)
+        paths = nxt
+    return tree_market(paths)
+
+
+def wide_trees():
+    """One-period Tree(16, 1, 4) markets, the benchmark's ``wide`` family, one per drawn seed."""
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: seeded_tree_market(random.Random(seed), 16, 1, 4)
+    )
+
+
+@st.composite
+def _shape(draw, b):
+    """b distinct increments in Z^2: mean zero, or, one time in four, an arbitrage.
+
+    A mean-zero shape has mean zero under drawn weights in [1, 3], so its
+    max-min zero-combination weights are seldom all equal and tell its
+    points apart.  The arbitrage shapes never fall in the first asset and
+    rise in it at least once, so holding that asset gains on part of the node.
+    """
+    if draw(st.integers(0, 3)) == 0:
+        pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(-3, 3)),
+                            min_size=b, max_size=b, unique=True))
+        assume(any(x > 0 for x, _y in pts))
+    else:
+        pts = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                            min_size=b - 1, max_size=b - 1, unique=True))
+        weights = draw(st.lists(st.integers(1, 3), min_size=b - 1, max_size=b - 1))
+        last = tuple(-sum(w * x for w, x in zip(weights, col)) for col in zip(*pts))
+        assume(last not in pts)
+        pts.append(last)
+    return pts
+
+
+@st.composite
+def shaped_tree(draw):
+    """Two-asset Tree(b, T, 2), b in {3, 4} and T in {2, 3}, built from a few repeated shapes.
+
+    Every node takes its children's increments as a permutation of one of
+    two to four drawn shapes, so many nodes ask the same question about the
+    same points in another order, and some of the shapes are arbitrages.
+    """
+    b = draw(st.integers(3, 4))
+    horizon = draw(st.integers(2, 3))
+    shapes = draw(st.lists(_shape(b), min_size=2, max_size=4))
+    paths = [[(10, 10)]]
+    for _t in range(horizon):
+        nxt = []
+        for path in paths:
+            incs = draw(st.permutations(draw(st.sampled_from(shapes))))
+            nxt.extend(path + [tuple(a + x for a, x in zip(path[-1], inc))] for inc in incs)
+        paths = nxt
+    return paths_market(paths)
+
+
 def fraction_market(m: Market) -> Market:
     """``m`` with every price a ``Fraction``, built directly, not by the loader."""
     scenarios = tuple(
@@ -235,12 +337,18 @@ def fraction_market(m: Market) -> Market:
 
 def tree_market(paths) -> Market:
     """The one-asset market whose scenarios follow the equal-length price ``paths``."""
+    return paths_market([[(p,) for p in path] for path in paths])
+
+
+def paths_market(paths) -> Market:
+    """The market whose scenarios follow the equal-length ``paths`` of price rows."""
     return load_market(
         {
-            "d": 1,
+            "d": len(paths[0][0]),
             "T": len(paths[0]) - 1,
             "scenarios": [
-                {"id": f"w{i}", "prices": [[p] for p in path]} for i, path in enumerate(paths)
+                {"id": f"w{i}", "prices": [list(row) for row in path]}
+                for i, path in enumerate(paths)
             ],
         }
     )

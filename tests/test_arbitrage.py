@@ -92,7 +92,7 @@ def test_one_step_check_ex3d(ex3d):
 
 
 def test_one_step_entries_iff_natural_one_point(mini_corpus):
-    # first-sweep entries exist exactly when some natural-filtration strategy
+    # one-step entries exist exactly when some natural-filtration strategy
     # gains somewhere without ever losing (a nonempty oracle gain set)
     from arbscan.market import natural_filtration
     from arbscan.oracle import oracle_arbitrage

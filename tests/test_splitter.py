@@ -1,9 +1,11 @@
-"""Level-set splitting, fixpoint elimination, and the aggregator contracts."""
+"""Level-set splitting, one-sweep elimination, the LP memo and the aggregator contracts."""
 
+import json
+import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from arbscan.errors import DomainError
 from arbscan.market import Strategy, natural_filtration, strategy_values
@@ -14,12 +16,20 @@ from arbscan.splitter import (
     backward_eliminate,
     check_predictable,
     group_by,
+    move_strict,
+    move_weights,
     solve_once,
     split_level_set,
     universal_aggregator,
 )
 
-from conftest import trinomial_tree
+from conftest import (
+    corpus_markets,
+    seeded_trinomial_market,
+    shaped_tree,
+    trinomial_tree,
+    wide_trees,
+)
 
 
 def test_split_svu_tail(svu):
@@ -83,15 +93,15 @@ def test_splitting_invariants_on_corpus(mini_corpus):
         pa = backward_eliminate(m)
         for sp in pa.splittings.values():
             _check_splitting_contracts(m, sp)
-        for ev in pa.events:
-            _check_splitting_contracts(m, ev.splitting)
+        for sp in pa.events:
+            _check_splitting_contracts(m, sp)
 
 
 def test_backward_eliminate_svu(svu):
     pa = backward_eliminate(svu)
     assert pa.omega_star == frozenset()
-    steps = [(e.sweep, e.splitting.t, set(e.splitting.members)) for e in pa.events]
-    assert steps == [(1, 2, {2, 3}), (1, 1, {0, 1})]
+    steps = [(sp.t, set(sp.members)) for sp in pa.events]
+    assert steps == [(2, {2, 3}), (1, {0, 1})]
     assert pa.eliminated_levels[2][0].members == frozenset({2, 3})
 
 
@@ -105,7 +115,7 @@ def test_backward_eliminate_constant(constant):
 def _eliminated_at(pa, t):
     """The scenarios the elimination events at period t removed."""
     return frozenset().union(
-        *(block for ev in pa.events if ev.splitting.t == t for block in ev.splitting.blocks)
+        *(block for sp in pa.events if sp.t == t for block in sp.blocks)
     )
 
 
@@ -131,6 +141,86 @@ def test_survivor_chain(mini_corpus):
         for t in range(1, m.T + 1):
             for _k, gamma in m.level_sets(pa.omega_star, t - 1):
                 assert cone_ri_contains_zero([m.increment(t, i) for i in sorted(gamma)])
+
+
+def _second_sweep_blocks(m, pa):
+    """The blocks a second backward sweep over ``pa``'s survivors removes.
+
+    A test-only second sweep, as a loop run to the fixpoint would make it:
+    every level set of the survivors is split again from price rows, without
+    the analysis's LP memo, and its blocks are removed before the next period.
+    """
+    surviving = set(pa.omega_star)
+    blocks = []
+    for t in range(m.T, 0, -1):
+        for _key, gamma in m.level_sets(surviving, t - 1):
+            sp = split_level_set(m, t, gamma)
+            blocks += sp.blocks
+            for block in sp.blocks:
+                surviving -= block
+    return blocks
+
+
+@st.composite
+def _restricted(draw, markets):
+    """A market and either no restriction or a random ``within`` set of its scenarios."""
+    m = draw(markets)
+    within = draw(st.none() | st.sets(st.integers(0, m.n - 1)).map(frozenset))
+    return m, within
+
+
+def _assert_one_sweep_is_the_fixpoint(m, within):
+    pa = backward_eliminate(m, within)
+    assert pa.rounds == 1
+    assert pa.survivors[m.T] == pa.start_set
+    assert _second_sweep_blocks(m, pa) == []
+    # every surviving level set holds 0 in the relative interior of its cone
+    for t in range(1, m.T + 1):
+        for _key, gamma in m.level_sets(pa.omega_star, t - 1):
+            assert cone_ri_contains_zero([m.increment(t, i) for i in sorted(gamma)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_restricted(corpus_markets()))
+def test_one_sweep_is_the_fixpoint_on_corpus_markets(case):
+    _assert_one_sweep_is_the_fixpoint(*case)
+
+
+@settings(max_examples=15, deadline=None)
+@given(_restricted(wide_trees()))
+def test_one_sweep_is_the_fixpoint_on_wide_trees(case):
+    _assert_one_sweep_is_the_fixpoint(*case)
+
+
+@settings(max_examples=10, deadline=None)
+@given(_restricted(trinomial_tree(horizon=4)))
+def test_one_sweep_is_the_fixpoint_on_trinomial_trees_n81(case):
+    _assert_one_sweep_is_the_fixpoint(*case)
+
+
+@settings(max_examples=20, deadline=None)
+@given(shaped_tree())
+def test_repeated_shape_trees_keep_every_contract(m):
+    # d = 2, so an answer moved to another order of the points may differ
+    # from a fresh solve in that order; every contract must hold regardless
+    from arbscan.cli import build_report
+
+    pa = backward_eliminate(m)
+    assert pa.omega_star == oracle_support(m)
+    agg, enlarged = pa.aggregator
+    v = strategy_values(m, agg)[m.T]
+    assert all(x >= 0 for x in v)
+    assert {i for i in range(m.n) if v[i] > 0} == m.all_indices - pa.omega_star
+    assert check_predictable(agg, enlarged)
+    q = pa.full_support
+    if pa.omega_star:
+        assert q.support == pa.omega_star
+        assert check_martingale(m, q, pa.natural)
+        assert check_martingale(m, q, enlarged)
+    else:
+        assert q is None
+    first, second = (json.dumps(build_report(m)[0], indent=2) for _ in range(2))
+    assert first == second
 
 
 def test_aggregator_svu(svu):
@@ -361,10 +451,25 @@ def _assert_node_level_sets_match(m):
         for t in range(m.T + 1):
             by_node = [frozenset(g) for g in group_by(pa.nodes[t], sorted(members))]
             assert by_node == [gamma for _k, gamma in m.level_sets(members, t)]
+    # the node tree: each node's children partition it, and share one increment
+    for t in range(1, m.T + 1):
+        atoms, below = pa.natural[t - 1].atoms, pa.natural[t].atoms
+        for k, kids in enumerate(pa.tree.children[t - 1]):
+            assert list(kids) == sorted(kids)
+            assert frozenset().union(*(below[c] for c in kids)) == atoms[k]
+            for c in kids:
+                assert {m.increment(t, i) for i in below[c]} == {pa.tree.increments[t][c]}
     for (t, key), sp in pa.splittings.items():
         assert key == m.history(min(sp.members), t - 1)
-        # the node index and the price rows split a level set alike
-        assert split_level_set(m, t, sp.members, pa.nodes) == split_level_set(m, t, sp.members)
+        # the node tree and the price rows split a level set alike
+        k = pa.nodes[t - 1][min(sp.members)]
+        children = sorted(
+            ((pa.tree.increments[t][c], pa.natural[t].atoms[c] & sp.members)
+             for c in pa.tree.children[t - 1][k]),
+            key=lambda child: min(child[1], default=m.n),
+        )
+        children = [child for child in children if child[1]]
+        assert split_level_set(m, t, sp.members, children) == split_level_set(m, t, sp.members)
 
 
 def test_node_level_sets_match_price_level_sets(mini_corpus, svu, multi, countna):
@@ -376,13 +481,6 @@ def test_node_level_sets_match_price_level_sets(mini_corpus, svu, multi, countna
 @given(trinomial_tree(horizon=4))
 def test_node_level_sets_match_on_trinomial_trees_n81(m):
     _assert_node_level_sets_match(m)
-
-
-def test_split_rejects_mixed_histories_with_and_without_the_index(svu):
-    pa = backward_eliminate(svu)
-    for nodes in (None, pa.nodes):
-        with pytest.raises(ValueError, match="mixes different price histories"):
-            split_level_set(svu, 2, frozenset({0, 2}), nodes)
 
 
 def test_level_sets_are_ordered_by_least_member():
@@ -416,8 +514,10 @@ def _lp_inputs_once_per_analysis(monkeypatch, markets):
                 calls.clear()
             build_report(m)
             for name, calls in inputs.items():
-                # the analysis's LP memo answers every repeated question
-                assert len(set(calls)) == len(calls), name
+                # the analysis's LP memo answers every repeated question,
+                # also one about the same points in another order
+                point_sets = [tuple(sorted(args[0])) for args in calls]
+                assert len(set(point_sets)) == len(point_sets), name
             counts.append(len(lp_calls))
         # a new analysis shares no memo with the last one
         assert counts[0] == counts[1] > 0
@@ -435,9 +535,30 @@ def test_one_build_report_asks_each_lp_question_once_n81(m):
         _lp_inputs_once_per_analysis(monkeypatch, [m])
 
 
+# lp_solve calls of one build_report on the tree below when the LP memo was
+# keyed on the points in the askers' order and elimination swept twice
+ORDERED_MEMO_LP_CALLS = 81
+
+
+def test_build_report_on_an_n243_trinomial_tree_solves_a_third_of_the_lps(monkeypatch):
+    from arbscan.cli import build_report
+
+    m = seeded_trinomial_market(random.Random(931), horizon=5, n_arb=6)
+    assert m.n == 243
+    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    build_report(m)
+    assert 0 < 3 * len(lp_calls) <= ORDERED_MEMO_LP_CALLS
+
+
 class _CountedHash:
-    def __init__(self):
+    """A sortable point that counts how often it is hashed."""
+
+    def __init__(self, rank):
+        self.rank = rank
         self.hashes = 0
+
+    def __lt__(self, other):
+        return self.rank < other.rank
 
     def __hash__(self):
         self.hashes += 1
@@ -449,18 +570,45 @@ def test_solve_once_hashes_once_and_caches_no_failure():
     calls = []
 
     def solve(points):
+        # a weight per point, in the asker's order, by the point's rank
         calls.append(points)
         if len(calls) == 1:
             raise DomainError("first attempt fails")
-        return len(points)
+        return tuple(F(p.rank, 10) for p in points)
 
-    key = _CountedHash()
-    points = (key,)
+    a, b, c = (_CountedHash(rank) for rank in (3, 1, 2))
     with pytest.raises(DomainError):
-        solve_once(memo, solve, points)
+        solve_once(memo, solve, (a, b, c), move_weights)
     # the failed solve left no answer: the question is asked again, then kept
-    assert solve_once(memo, solve, points) == 1
-    assert solve_once(memo, solve, points) == 1
+    assert solve_once(memo, solve, (a, b, c), move_weights) == (F(3, 10), F(1, 10), F(2, 10))
+    # the same points in another order are not solved again, and each
+    # point keeps its own weight
+    assert solve_once(memo, solve, (c, a, b), move_weights) == (F(2, 10), F(3, 10), F(1, 10))
+    assert solve_once(memo, solve, (b, c, a), move_weights) == (F(1, 10), F(2, 10), F(3, 10))
     assert len(calls) == 2
     # one dict operation per call, on a miss as on a hit
-    assert key.hashes == 3
+    assert [p.hashes for p in (a, b, c)] == [4, 4, 4]
+    assert len(memo) == 1
+
+
+def test_solve_once_reindexes_both_lp_answers_to_the_askers_order(monkeypatch):
+    from arbscan.ratgeom import convex_combination_for_zero, maximal_separator
+
+    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    memo = {}
+    # the strict set of a separator: every point but the flat one
+    points = ((F(2),), (F(0),), (F(1),))
+    h, strict = solve_once(memo, maximal_separator, points, move_strict)
+    assert strict == {0, 2}
+    assert solve_once(memo, maximal_separator, points[::-1], move_strict) == (h, {0, 2})
+    assert solve_once(memo, maximal_separator, points[1:] + points[:1], move_strict) == (h, {1, 2})
+    assert solve_once(memo, maximal_separator, points[1:], move_strict) == (h, {1})
+    assert len(lp_calls) == 2
+    # max-min zero-combination weights follow their points
+    points = ((F(-1), F(0)), (F(1), F(1)), (F(2), F(-3)), (F(-1), F(1)))
+    w = solve_once(memo, convex_combination_for_zero, points, move_weights)
+    for perm in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
+        moved = solve_once(memo, convex_combination_for_zero, tuple(points[k] for k in perm), move_weights)
+        assert moved == tuple(w[k] for k in perm)
+    assert len(lp_calls) == 3
+    assert w == convex_combination_for_zero(points)
