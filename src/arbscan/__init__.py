@@ -21,7 +21,6 @@ from .market import (
     Strategy,
     load_market,
     natural_filtration,
-    refine,
     value_process,
 )
 from .measures import (
@@ -97,7 +96,6 @@ __all__ = [
     "oracle_arbitrage",
     "oracle_support",
     "rat",
-    "refine",
     "split_level_set",
     "supporting_measure",
     "universal_aggregator",

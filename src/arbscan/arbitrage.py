@@ -103,6 +103,8 @@ def classify(
             return Verdict(ARBITRAGE, witness=h, witness_class=c,
                            detail="strategy found by LP search over the natural filtration")
     q = class_measure(m, pa, cls)
+    if q is None:
+        raise InternalError("no class measure despite a NoArbitrage verdict")
     return Verdict(
         NO_ARBITRAGE,
         certificate_measure=q,
@@ -114,12 +116,11 @@ def one_step_1p_check(m: Market, pa: PolarAnalysis) -> list[tuple[int, tuple, Ve
     """All single-period strict-gain opportunities found by backward elimination.
 
     One entry (t, level key, direction, gaining set) per splitting with at
-    least one block; the list is empty exactly when no one-point
-    arbitrage exists at all.
+    least one block, in the order of ``pa.splittings``; the list is empty
+    exactly when no one-point arbitrage exists at all.
     """
     out = []
-    items = sorted(pa.splittings.items(), key=lambda kv: (kv[0][0], min(kv[1].members)))
-    for (t, key), sp in items:
+    for (t, key), sp in pa.splittings.items():
         if sp.beta >= 1:
             out.append((t, key, sp.separators[0], sp.blocks[0]))
     return out
@@ -175,11 +176,13 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     """A strategy beating the model P, or None when P only charges survivors.
 
     The analysis restricted to supp(P) (``pa`` itself when supp(P) is its
-    start set) is searched; the first period with an eliminating event
-    supplies, per level set, the first separator on that level set (zero
-    elsewhere).  The level set covers every P-charged
-    scenario of its atom, so V_T >= 0 holds P-almost surely and the first
-    block carries positive P-mass.
+    start set) is searched.  The sweep's first event period, the latest
+    period with an eliminating event, supplies, per level set, the first
+    separator on that level set (zero elsewhere).  The sweep removes nothing
+    before that period, so each such level set is a whole natural node
+    intersected with supp(P): the strategy is naturally predictable
+    P-almost surely, V_T >= 0 holds P-almost surely and the first block
+    carries positive P-mass.
     """
     polar_mass = p.mass(m.all_indices - pa.omega_star)
     if polar_mass == 0:
@@ -187,7 +190,7 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     sub = pa if p.support == pa.start_set else backward_eliminate(m, within=p.support)
     if not sub.events:
         raise InternalError("positive polar mass but no restricted elimination")
-    tau = min(sp.t for sp in sub.events)
+    tau = max(sp.t for sp in sub.events)
     pieces = {sp.members: sp.separators[0] for sp in sub.events if sp.t == tau}
     rest = m.all_indices - frozenset().union(*pieces)
     if rest:

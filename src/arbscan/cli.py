@@ -92,9 +92,7 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     feas = feasibility(m, pa)
 
     splittings = []
-    for (t, key), sp in sorted(
-        pa.splittings.items(), key=lambda kv: (kv[0][0], min(kv[1].members))
-    ):
+    for (t, key), sp in pa.splittings.items():
         splittings.append(
             {
                 "t": t,

@@ -1,7 +1,9 @@
 """Finite scenario-tree market model: scenarios, filtrations, strategies, measures.
 
 Sigma-algebras are partitions of scenario indices; measurability is constancy
-on atoms.  Everything is exact rational arithmetic.
+on atoms.  A grouping of scenarios is a row of node ids, one per scenario,
+as :func:`natural_nodes` builds them; :func:`partition_of` turns a row into
+a :class:`Partition`.  Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -44,31 +46,16 @@ class Partition:
     atoms: tuple[Atom, ...]
 
     def __post_init__(self):
-        atoms = tuple(sorted((frozenset(a) for a in self.atoms), key=min))
-        object.__setattr__(self, "atoms", atoms)
-        seen: set[int] = set()
-        for a in atoms:
-            if not a:
-                raise ValueError("partition atom is empty")
-            if seen & a:
-                raise ValueError("partition atoms overlap")
-            seen |= a
-        object.__setattr__(self, "ground", frozenset(seen))
+        atoms = tuple(map(frozenset, self.atoms))
+        if not all(atoms):
+            raise ValueError("partition atom is empty")
+        ground = frozenset().union(*atoms)
+        if sum(map(len, atoms)) != len(ground):
+            raise ValueError("partition atoms overlap")
+        object.__setattr__(self, "atoms", tuple(sorted(atoms, key=min)))
+        object.__setattr__(self, "ground", ground)
 
     ground: Atom = field(init=False)
-
-
-def refine(p: Partition, q: Partition) -> Partition:
-    """Coarsest common refinement (the join of the two sigma-algebras)."""
-    if p.ground != q.ground:
-        raise ValueError("partitions have different ground sets")
-    atoms = []
-    for a in p.atoms:
-        for b in q.atoms:
-            c = a & b
-            if c:
-                atoms.append(c)
-    return Partition(tuple(atoms))
 
 
 @dataclass(frozen=True)
@@ -222,21 +209,48 @@ class Market:
         return [(k, frozenset(v)) for k, v in groups.items()]
 
 
-def natural_filtration(m: Market) -> list[Partition]:
-    """Partitions F_0..F_T where F_t groups scenarios sharing price rows 0..t.
+def natural_nodes(m: Market) -> tuple[tuple[int, ...], ...]:
+    """Per period t = 0..T, each scenario's node id in the natural filtration.
 
-    F_0 is the level sets at depth 0; each later F_t splits every atom of
-    F_{t-1} by the price row at t, so each row is hashed once rather than
-    once per later period.
+    ``nodes[t][i]`` is the id of the atom of F_t holding scenario i.  Node
+    ids at each period run 0, 1, ... in order of each node's least member,
+    the order of :class:`Partition` atoms.  F_0 is the level sets at depth 0;
+    each later row interns (node id at t-1, price row at t) per scenario, so
+    each row is hashed once rather than once per later period.
     """
-    parts = [Partition(tuple(a for _k, a in m.level_sets(m.all_indices, 0)))]
+    first = [0] * m.n
+    for k, (_key, atom) in enumerate(m.level_sets(m.all_indices, 0)):
+        for i in atom:
+            first[i] = k
+    rows = [tuple(first)]
     for t in range(1, m.T + 1):
-        groups: dict[tuple[int, Vec], set[int]] = {}
-        for k, atom in enumerate(parts[-1].atoms):
-            for i in atom:
-                groups.setdefault((k, m.scenarios[i].path[t]), set()).add(i)
-        parts.append(Partition(tuple(frozenset(g) for g in groups.values())))
-    return parts
+        up = rows[-1]
+        ids: dict[tuple[int, Vec], int] = {}
+        rows.append(tuple([
+            ids.setdefault((k, s.path[t]), len(ids)) for k, s in zip(up, m.scenarios)
+        ]))
+    return tuple(rows)
+
+
+def partition_of(ids: Sequence[int]) -> Partition:
+    """The partition whose atom ``ids[i]`` holds scenario i.
+
+    ``ids`` is a row as :func:`natural_nodes` numbers it: 0, 1, ... in order
+    of each atom's least member, so each id first appears right after the
+    ids below it.
+    """
+    atoms: list[list[int]] = []
+    for i, k in enumerate(ids):
+        if k == len(atoms):
+            atoms.append([i])
+        else:
+            atoms[k].append(i)
+    return Partition(tuple(map(frozenset, atoms)))
+
+
+def natural_filtration(m: Market) -> list[Partition]:
+    """Partitions F_0..F_T where F_t groups scenarios sharing price rows 0..t."""
+    return [partition_of(row) for row in natural_nodes(m)]
 
 
 def value_process(m: Market, filtration: Sequence[Partition], h: Strategy) -> list[list[Fraction]]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InternalError
-from .market import Atom, Market, Partition, Strategy, natural_filtration, value_process
+from .market import Atom, Market, Partition, Strategy, natural_nodes, value_process
 from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, Vec, lp_solve
 
 
@@ -26,8 +26,8 @@ class MartingalePolytope:
 
     Row 0 normalizes the weights to sum 1; the remaining rows are the
     per-(period, atom, asset) zero-expectation equalities, ordered by period
-    ascending, atom by smallest index, then asset index.  Nonnegativity is a
-    variable bound, not a row.  Structural numbers are ``int``s, and so are
+    ascending, atom by smallest index (its node id), then asset index.
+    Nonnegativity is a variable bound, not a row.  Structural numbers are ``int``s, and so are
     the increments of integral prices.
     """
 
@@ -41,15 +41,15 @@ class MartingalePolytope:
 
 def build_polytope(m: Market) -> MartingalePolytope:
     rows = [((1,) * m.n, EQ, 1)]
-    filtration = natural_filtration(m)
+    nodes = natural_nodes(m)
     for t in range(1, m.T + 1):
-        incs = [m.increment(t, i) for i in range(m.n)]
-        for atom in filtration[t - 1].atoms:
-            for j in range(m.d):
-                coeffs = [0] * m.n
-                for i in atom:
-                    coeffs[i] = incs[i][j]
-                rows.append((tuple(coeffs), EQ, 0))
+        up = nodes[t - 1]
+        # row k * d + j: asset j's increments on node k at time t-1
+        coeffs = [[0] * m.n for _ in range((max(up) + 1) * m.d)]
+        for i, k in enumerate(up):
+            for j, x in enumerate(m.increment(t, i)):
+                coeffs[k * m.d + j][i] = x
+        rows.extend((tuple(c), EQ, 0) for c in coeffs)
     return MartingalePolytope(n=m.n, rows=tuple(rows))
 
 

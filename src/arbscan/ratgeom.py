@@ -80,10 +80,6 @@ def rat(value) -> Fraction:
     raise ValueError(f"not a rational: {value!r} (use an integer or a string)")
 
 
-def vec(values) -> Vec:
-    return tuple(rat(v) for v in values)
-
-
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), _ZERO)
 

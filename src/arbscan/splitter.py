@@ -10,12 +10,13 @@ remove nothing.  The aggregator strategy holds, in each scenario, the
 separator that eliminated it.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
-per-market context of everything downstream.  Elimination starts by building
-the natural filtration and, from it, a node index (per period, each
-scenario's node, or atom, id) and a node tree (per period, each node's child
-node ids and each child's shared increment).  Elimination walks the tree up
-from the leaves and the full-support measure walks it down from the roots,
-so neither regroups scenarios or recomputes increments per node.  Both share
+per-market context of everything downstream.  Elimination starts from the
+node index (per period, each scenario's node, or atom, id, from
+:func:`~arbscan.market.natural_nodes`) and builds from it the natural
+filtration and a node tree (per period, each node's child node ids and each
+child's shared increment).  Elimination walks the tree up from the leaves
+and the full-support measure walks it down from the roots, so neither
+regroups scenarios or recomputes increments per node.  Both share
 one LP memo: trees ask the same separator and zero-combination questions at
 many nodes, often about the same points in another order, and each point set
 is solved once.  The analysis keeps its market, the filtration, the index,
@@ -31,11 +32,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import oracle
 from .errors import DomainError, InternalError
-from .market import Atom, DiscreteMeasure, Market, Partition, Strategy, natural_filtration, refine
+from .market import Atom, DiscreteMeasure, Market, Partition, Strategy, natural_nodes, partition_of
 from .ratgeom import Vec, maximal_separator
 
 LevelKey = tuple[Vec, ...]
@@ -88,16 +89,18 @@ class PolarAnalysis:
     ``survivors[t]`` is the set of scenarios not eliminated at any period
     strictly after t, so ``survivors[T]`` is everything and ``survivors[0]``
     equals ``omega_star``.  ``splittings`` holds the decomposition of every
-    level set the sweep met; ``events`` holds those with at least one block,
-    in the order they were removed.  Elimination is one sweep, so ``rounds``
-    is always 1; the report prints it.
+    level set the sweep met, in report order: t ascending, then least member;
+    ``events`` holds those with at least one block, in the order they were
+    removed.  Elimination is one sweep, so ``rounds`` is always 1; the
+    report prints it.
 
     The per-analysis context takes no part in ``==`` or ``repr``: ``market``
-    is the analysed market, ``natural`` its natural filtration F_0..F_T,
-    ``nodes[t][i]`` the index of scenario i's atom in ``natural[t]`` (its node
-    at time t), ``tree`` the :class:`NodeTree` of those nodes, and ``lp_memo``
-    the answers of the separator and zero-combination LPs solved so far, one
-    per point set, kept by :func:`solve_once`.
+    is the analysed market, ``nodes[t][i]`` the id of scenario i's node at
+    time t (:func:`~arbscan.market.natural_nodes`), ``natural`` the natural
+    filtration F_0..F_T built from those rows (node id = atom index), ``tree``
+    the :class:`NodeTree` of those nodes, and ``lp_memo`` the answers of the
+    separator and zero-combination LPs solved so far, one per point set, kept
+    by :func:`solve_once`.
     The cached properties ``aggregator``, ``full_support`` and
     ``natural_arbitrage`` call :func:`universal_aggregator`,
     :func:`~arbscan.measures.full_support_measure` and
@@ -185,19 +188,6 @@ def move_weights(weights: Sequence, index: Sequence[int]) -> tuple:
     return tuple(out)
 
 
-def group_by(key_of: Sequence[Hashable], members: Iterable[int]) -> list[list[int]]:
-    """``members`` grouped by ``key_of[i]``, groups and their members in first-seen order.
-
-    With sorted members and ``key_of`` a row of the node index, these are the
-    level sets of :meth:`~arbscan.market.Market.level_sets`, found from
-    integer ids.
-    """
-    groups: dict[Hashable, list[int]] = {}
-    for i in members:
-        groups.setdefault(key_of[i], []).append(i)
-    return list(groups.values())
-
-
 def split_level_set(
     m: Market,
     t: int,
@@ -216,21 +206,19 @@ def split_level_set(
     ``children`` are the level set's child nodes as (shared increment,
     members) pairs, members drawn from ``gamma`` and covering it, as
     :func:`backward_eliminate` reads them off the node tree.  Without them
-    the children are found from price rows, in the order of their least
-    members, and a ``gamma`` whose scenarios differ before t is rejected.
+    the children are the price level sets of ``gamma`` at depth t, in the
+    order of their least members, and a ``gamma`` whose scenarios differ
+    before t is rejected.
     ``memo`` is the analysis's LP memo.
     """
     if not gamma:
         raise DomainError("cannot split an empty level set")
     members = frozenset(gamma)
     if children is None:
-        order = sorted(members)
-        if len({m.history(i, t - 1) for i in order}) != 1:
+        levels = m.level_sets(members, t)
+        if len({key[:t] for key, _c in levels}) != 1:
             raise ValueError("level set mixes different price histories")
-        children = [
-            (m.increment(t, c[0]), frozenset(c))
-            for c in group_by([s.path[t] for s in m.scenarios], order)
-        ]
+        children = [(m.increment(t, min(c)), c) for _key, c in levels]
     memo = {} if memo is None else memo
 
     blocks: list[Atom] = []
@@ -270,11 +258,12 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     measure concentrated on the survivors.
     """
     start = m.all_indices if within is None else frozenset(within)
-    natural = tuple(natural_filtration(m))
-    nodes = tuple(_node_ids(part, m.n) for part in natural)
-    tree = _node_tree(m, natural, nodes)
+    nodes = natural_nodes(m)
+    natural = tuple(map(partition_of, nodes))
+    tree = _node_tree(m, nodes)
     memo: dict = {}
-    splittings: dict[tuple[int, LevelKey], Splitting] = {}
+    # per period, the splittings in order of least member
+    split_at: list[list[Splitting]] = [[] for _ in range(m.T + 1)]
     events: list[Splitting] = []
     eliminated: dict[int, list[Splitting]] = {t: [] for t in range(1, m.T + 1)}
     survivors = [start] * (m.T + 1)
@@ -297,7 +286,7 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
         for k, children in levels.items():
             gamma = frozenset().union(*(c for _p, c in children))
             sp = split_level_set(m, t, gamma, children, memo)
-            splittings[(t, sp.level_key)] = sp
+            split_at[t].append(sp)
             if sp.residual:
                 alive.append((min(sp.residual), k, sp.residual))
             if sp.blocks:
@@ -310,7 +299,7 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     return PolarAnalysis(
         omega_star=survivors[0],
         survivors=tuple(survivors),
-        splittings=splittings,
+        splittings={(sp.t, sp.level_key): sp for level in split_at for sp in level},
         events=tuple(events),
         eliminated_levels={t: tuple(v) for t, v in eliminated.items()},
         start_set=start,
@@ -322,26 +311,19 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     )
 
 
-def _node_ids(part: Partition, n: int) -> tuple[int, ...]:
-    """Per scenario index, the position of its atom in ``part.atoms``."""
-    ids = [0] * n
-    for k, atom in enumerate(part.atoms):
-        for i in atom:
-            ids[i] = k
-    return tuple(ids)
-
-
-def _node_tree(m: Market, natural: Sequence[Partition], nodes: Sequence[Sequence[int]]) -> NodeTree:
-    """The :class:`NodeTree` of ``natural``, one increment per node."""
+def _node_tree(m: Market, nodes: Sequence[Sequence[int]]) -> NodeTree:
+    """The :class:`NodeTree` of the node ids ``nodes``, one increment per node."""
     children = []
     increments: list[tuple[Vec, ...]] = [()]
     for t in range(1, m.T + 1):
-        kids: list[list[int]] = [[] for _ in natural[t - 1].atoms]
-        incs = []
-        for c, atom in enumerate(natural[t].atoms):
-            i = next(iter(atom))
-            kids[nodes[t - 1][i]].append(c)
-            incs.append(m.increment(t, i))
+        kids: list[list[int]] = [[] for _ in range(max(nodes[t - 1]) + 1)]
+        incs: list[Vec] = []
+        # node ids run in order of least member, so node c first appears at
+        # its least member, when c new ids have been seen
+        for i, (k, c) in enumerate(zip(nodes[t - 1], nodes[t])):
+            if c == len(incs):
+                kids[k].append(c)
+                incs.append(m.increment(t, i))
         children.append(tuple(map(tuple, kids)))
         increments.append(tuple(incs))
     return NodeTree(tuple(children), tuple(increments))
@@ -353,12 +335,15 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
     The strategy holds, at each scenario's elimination period, the separator
     of the block that removed it (zero otherwise); its strict-gain set is
     exactly the complement of ``omega_star``.  The filtration joins the
-    natural one (``pa.natural``) with the value partitions of the aggregator
-    one step ahead (no look-ahead term at T).
+    natural one with the value partitions of the aggregator one step ahead
+    (no look-ahead term at T): F~_t groups scenarios by their node id at t
+    (``pa.nodes``) and their held values over periods 1..min(t+1, T).
 
     Each block's separator is interned once: equal separators, common in
     recombining trees, share one id, so grouping scenarios by id is grouping
-    them by value, and no vector is hashed per scenario and period.
+    them by value, and no vector is hashed per scenario and period.  Each
+    scenario's value history and each enlarged atom are interned the same
+    way, as ids in order of least member.
     """
     values: list[Vec] = [(0,) * m.d]  # id 0 is the zero position
     id_of: dict[Vec, int] = {values[0]: 0}
@@ -372,17 +357,16 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
             for i in block:
                 row[i] = k
 
-    value_parts = [None] + [
-        Partition(tuple(frozenset(g) for g in group_by(ids[t], range(m.n))))
-        for t in range(1, m.T + 1)
-    ]
-    f = pa.natural
+    # history[s][i]: the id of scenario i's held values over periods 1..s
+    history = [ids[0]]
+    for s in range(1, m.T + 1):
+        seen: dict[tuple[int, int], int] = {}
+        history.append([seen.setdefault(key, len(seen)) for key in zip(history[-1], ids[s])])
     enlarged = []
     for t in range(m.T + 1):
-        part = f[t]
-        for s in range(1, min(t + 1, m.T) + 1):
-            part = refine(part, value_parts[s])
-        enlarged.append(part)
+        seen = {}
+        keys = zip(pa.nodes[t], history[min(t + 1, m.T)])
+        enlarged.append(partition_of([seen.setdefault(key, len(seen)) for key in keys]))
 
     positions = []
     for t in range(1, m.T + 1):

@@ -1,14 +1,26 @@
-"""Shared fixtures: benchmark markets, a random scenario-tree corpus, tree families."""
+"""Shared fixtures: benchmark markets, a random scenario-tree corpus, tree families.
+
+Also the reference groupings the program's node ids are checked against:
+``group_by`` and ``refine``, the join of two partitions atom by atom.
+"""
 
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, strategies as st
 
-from arbscan.market import DiscreteMeasure, Market, Scenario, SignificantClass, load_market
+from arbscan.market import (
+    DiscreteMeasure,
+    Market,
+    Partition,
+    Scenario,
+    SignificantClass,
+    load_market,
+)
 
 SVU_DOC = {
     "d": 1,
@@ -352,3 +364,55 @@ def paths_market(paths) -> Market:
             ],
         }
     )
+
+
+def market_doc(m: Market) -> dict:
+    """The market document of ``m``'s scenarios, prices as strings."""
+    return {
+        "d": m.d,
+        "T": m.T,
+        "scenarios": [
+            {"id": s.id, "prices": [[str(x) for x in row] for row in s.path]}
+            for s in m.scenarios
+        ],
+    }
+
+
+def group_by(key_of, members) -> list[list[int]]:
+    """``members`` grouped by ``key_of[i]``, groups and their members in first-seen order."""
+    groups: dict = {}
+    for i in members:
+        groups.setdefault(key_of[i], []).append(i)
+    return list(groups.values())
+
+
+def refine(p: Partition, q: Partition) -> Partition:
+    """Coarsest common refinement (the join of the two sigma-algebras), atom by atom."""
+    if p.ground != q.ground:
+        raise ValueError("partitions have different ground sets")
+    return Partition(tuple(a & b for a in p.atoms for b in q.atoms if a & b))
+
+
+def predictable_on(m: Market, h, filtration, support) -> bool:
+    """True iff each period's positions of ``h`` are constant on every atom of
+    the previous partition intersected with ``support`` (predictable a.s.)."""
+    for t in range(1, m.T + 1):
+        for atom in filtration[t - 1].atoms:
+            if len({h.vector(t, i, m.d) for i in atom & support}) > 1:
+                return False
+    return True
+
+
+def count_calls(monkeypatch, module_name: str, name: str) -> list:
+    """Count calls to ``module.name`` through every arbscan module that holds it."""
+    original = getattr(sys.modules[f"arbscan.{module_name}"], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("arbscan") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls

@@ -28,7 +28,7 @@ from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
 from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
 from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
 
-from conftest import random_class, random_market, random_measure
+from conftest import predictable_on, random_class, random_market, random_measure
 
 CORPUS_SIZE = 500
 
@@ -282,5 +282,11 @@ def test_criterion_10_extraction(corpus, analyses):
                     assert all(v[m.T][j] >= 0 for j in p.support), f"market {i}"
                     gain = sum((p[j] for j in range(m.n) if v[m.T][j] > 0), F(0))
                     assert gain > 0, f"market {i}"
+                    assert predictable_on(m, h, pa.natural, p.support), f"market {i}"
 
-    _report(10, "extraction none iff no polar mass; returned strategies beat P; parts recompose", body)
+    _report(
+        10,
+        "extraction none iff no polar mass; returned strategies beat P, "
+        "naturally predictable P-a.s.; parts recompose",
+        body,
+    )

@@ -25,7 +25,7 @@ from arbscan.market import (
 )
 from arbscan.splitter import backward_eliminate
 
-from conftest import random_measure
+from conftest import predictable_on, random_measure
 
 
 def _singletons(m):
@@ -223,3 +223,5 @@ def test_extraction_matches_decomposition_on_corpus(mini_corpus):
                 v = strategy_values(m, h)
                 assert all(v[m.T][i] >= 0 for i in p.support)
                 assert sum(p[i] for i in range(m.n) if v[m.T][i] > 0) > 0
+                # no look-ahead: one position per natural atom, P-a.s.
+                assert predictable_on(m, h, pa.natural, p.support)

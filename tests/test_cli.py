@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import arbscan
-from arbscan import cli, measures, oracle, splitter
+from arbscan import arbitrage, cli, measures, oracle, splitter
 from arbscan.errors import DomainError, InternalError
 from arbscan.market import load_market, strategy_values
 from arbscan.ratgeom import EQ, UNBOUNDED, LinearProgram, LpResult, _Tableau, lp_solve
@@ -132,6 +132,17 @@ def test_broken_measure_node_exits_4(capsys, constant_file, monkeypatch):
     assert "internal error" in err
 
 
+@pytest.mark.parametrize("filtration", ["natural", "enlarged"])
+def test_no_arbitrage_without_a_class_measure_exits_4(capsys, constant_file, monkeypatch, filtration):
+    # a NoArbitrage verdict always carries a measure; one without is a
+    # broken invariant, never a verdict without a certificate
+    monkeypatch.setattr(arbitrage, "class_measure", lambda m, pa, cls: None)
+    code, out, err = _run(capsys, "check", constant_file, "--class", "MI", "--filtration", filtration)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and "no class measure" in err
+
+
 def test_check_exit_codes(capsys, svu_file, constant_file):
     code, out, _ = _run(capsys, "check", svu_file, "--class", "MI", "--filtration", "enlarged")
     assert code == 1
@@ -211,6 +222,31 @@ def test_extract_command(capsys, svu_file):
 
     code, _out, _err = _run(capsys, "extract", svu_file, "--prob", "nope")
     assert code == 2
+
+
+def test_extract_does_not_look_ahead(capsys, tmp_path):
+    # s0 and s1 share the time-0 price, so no strategy may tell them apart
+    # at period 1; s1 alone gains at period 2, after the price has split
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps({
+        "d": 1,
+        "T": 2,
+        "scenarios": [
+            {"id": "s0", "prices": [[15], [16], [16]]},
+            {"id": "s1", "prices": [[15], [15], [16]]},
+        ],
+        "probabilities": {"U": {"s0": "1/2", "s1": "1/2"}},
+    }), "utf-8")
+    code, out, _ = _run(capsys, "extract", str(path), "--prob", "U")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["strategy"] == {
+        "positions": {"1": {"s0,s1": ["0"]}, "2": {"s0": ["0"], "s1": ["1"]}}
+    }
+    assert doc["certificate"] == {
+        "terminal_values": {"s0": "0", "s1": "1"},
+        "charged_gain_ids": ["s1"],
+    }
 
 
 def test_defrag_command(capsys, tmp_path, multi_file):

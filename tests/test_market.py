@@ -18,13 +18,14 @@ from arbscan.market import (
     load_market,
     load_strategy,
     natural_filtration,
-    refine,
+    natural_nodes,
+    partition_of,
     value_process,
 )
 from arbscan.measures import check_martingale, full_support_measure
 from arbscan.splitter import backward_eliminate
 
-from conftest import SVU_DOC
+from conftest import SVU_DOC, refine
 
 
 def _ids(m, indices):
@@ -146,6 +147,27 @@ def test_natural_filtration_groups_shared_price_rows(mini_corpus, ex3d, countna)
         assert f == [
             Partition(tuple(a for _k, a in m.level_sets(m.all_indices, t))) for t in range(m.T + 1)
         ]
+
+
+def test_natural_nodes_number_nodes_by_least_member(svu, multi):
+    # w1, w2 rise to 11 and w3, w4 fall to 9; each scenario then moves alone
+    assert natural_nodes(svu) == ((0, 0, 0, 0), (0, 0, 1, 1), (0, 1, 2, 3))
+    assert natural_nodes(multi)[1] == (0, 1, 1, 2)
+    # a scenario whose time-0 price differs opens a node of its own at t = 0
+    with pytest.warns(UserWarning, match="initial prices differ"):
+        m = load_market({"d": 1, "T": 1, "scenarios": [
+            {"id": "a", "prices": [[2], [3]]},
+            {"id": "b", "prices": [[1], [3]]},
+            {"id": "c", "prices": [[2], [3]]},
+        ]})
+    assert natural_nodes(m) == ((0, 1, 0), (0, 1, 0))
+
+
+def test_partition_of_groups_by_id():
+    assert partition_of((0, 1, 1, 0, 2)).atoms == (
+        frozenset({0, 3}), frozenset({1, 2}), frozenset({4}),
+    )
+    assert partition_of((0,)) == Partition((frozenset({0}),))
 
 
 def test_filtration_is_monotone(mini_corpus):

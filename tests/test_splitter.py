@@ -8,14 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arbscan.errors import DomainError
-from arbscan.market import Strategy, natural_filtration, strategy_values
+from arbscan.market import Partition, Strategy, natural_filtration, natural_nodes, strategy_values
 from arbscan.measures import check_martingale, full_support_measure
 from arbscan.oracle import oracle_support
 from arbscan.ratgeom import cone_ri_contains_zero, dot
 from arbscan.splitter import (
     backward_eliminate,
     check_predictable,
-    group_by,
     move_strict,
     move_weights,
     solve_once,
@@ -25,6 +24,9 @@ from arbscan.splitter import (
 
 from conftest import (
     corpus_markets,
+    count_calls,
+    group_by,
+    refine,
     seeded_trinomial_market,
     shaped_tree,
     trinomial_tree,
@@ -287,6 +289,30 @@ def test_fixpoint_matches_oracle_on_corpus(mini_corpus):
         assert backward_eliminate(m).omega_star == oracle_support(m)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(corpus_markets(), wide_trees(), trinomial_tree(horizon=3)))
+def test_enlarged_filtration_is_the_reference_join(m):
+    pa = backward_eliminate(m)
+    # node ids group scenarios as price level sets do, numbered by least member
+    assert pa.nodes == natural_nodes(m)
+    for t, row in enumerate(pa.nodes):
+        groups = group_by(row, range(m.n))
+        assert [frozenset(g) for g in groups] == [a for _k, a in m.level_sets(m.all_indices, t)]
+        assert [row[g[0]] for g in groups] == list(range(len(groups)))
+        assert pa.natural[t] == Partition(tuple(map(frozenset, groups)))
+    # F~_t joins F_t with the aggregator's value partitions of periods 1..min(t+1, T)
+    agg, enlarged = pa.aggregator
+    values = [None]
+    for s in range(1, m.T + 1):
+        held = [agg.vector(s, i, m.d) for i in range(m.n)]
+        values.append(Partition(tuple(map(frozenset, group_by(held, range(m.n))))))
+    for t in range(m.T + 1):
+        join = pa.natural[t]
+        for s in range(1, min(t + 1, m.T) + 1):
+            join = refine(join, values[s])
+        assert enlarged[t] == join
+
+
 def test_single_drifting_scenario():
     from arbscan.market import load_market
 
@@ -299,32 +325,15 @@ def test_single_drifting_scenario():
     assert check_predictable(agg, enlarged)
 
 
-def _count_calls(monkeypatch, module_name: str, name: str) -> list:
-    """Count calls to ``module.name`` through every arbscan module that holds it."""
-    import sys
-
-    original = getattr(sys.modules[f"arbscan.{module_name}"], name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for modname, mod in list(sys.modules.items()):
-        if modname.startswith("arbscan") and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
-
-
 def test_build_report_builds_each_artifact_once(monkeypatch, mini_corpus, svu, multi, countna):
     from arbscan.cli import build_report
 
     counts = {
-        name: _count_calls(monkeypatch, module, name)
+        name: count_calls(monkeypatch, module, name)
         for module, name in (
             ("splitter", "universal_aggregator"),
             ("measures", "full_support_measure"),
-            ("market", "natural_filtration"),
+            ("market", "natural_nodes"),
         )
     }
     for m in [svu, multi, countna] + mini_corpus[:20]:
@@ -335,7 +344,7 @@ def test_build_report_builds_each_artifact_once(monkeypatch, mini_corpus, svu, m
         assert {name: len(calls) for name, calls in counts.items()} == {
             "universal_aggregator": 1,
             "full_support_measure": 1,
-            "natural_filtration": 1,
+            "natural_nodes": 1,
         }
         # nothing from the analysis is left behind on the market
         assert vars(m) == before
@@ -345,7 +354,7 @@ def test_natural_classify_reuses_the_filtration(monkeypatch, multi):
     from arbscan.arbitrage import classify
     from arbscan.market import SignificantClass
 
-    calls = _count_calls(monkeypatch, "market", "natural_filtration")
+    calls = count_calls(monkeypatch, "market", "natural_nodes")
     pa = backward_eliminate(multi)
     for cls in (
         SignificantClass("MI", (multi.all_indices,)),
@@ -359,8 +368,8 @@ def test_natural_classify_solves_one_lp_per_analysis(monkeypatch, svu, multi, co
     from arbscan.arbitrage import classify
     from arbscan.market import SignificantClass
 
-    oracle_calls = _count_calls(monkeypatch, "oracle", "oracle_arbitrage")
-    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    oracle_calls = count_calls(monkeypatch, "oracle", "oracle_arbitrage")
+    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     for m, declared in (
         (svu, svu.classes["branch"]),
         (multi, multi.classes["openish"]),
@@ -393,7 +402,7 @@ def test_oracle_command_calls_the_oracle_once_per_filtration(monkeypatch, tmp_pa
     })
     path = tmp_path / "countna.json"
     path.write_text(json.dumps(doc), "utf-8")
-    calls = _count_calls(monkeypatch, "oracle", "oracle_arbitrage")
+    calls = count_calls(monkeypatch, "oracle", "oracle_arbitrage")
     assert cli.main(["oracle", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["classes"] == {
         "up": {"natural": True, "enlarged": True},
@@ -425,7 +434,7 @@ def test_cached_artifacts_repeat_and_do_not_leak(countna):
 def test_separator_and_support_solve_one_lp_each(monkeypatch, mini_corpus, multi, svu):
     from arbscan.ratgeom import is_zero, maximal_separator
 
-    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     ties = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(1))]
     assert len(maximal_separator(ties)[1]) == 3
     assert len(lp_calls) == 1
@@ -459,6 +468,9 @@ def _assert_node_level_sets_match(m):
             assert frozenset().union(*(below[c] for c in kids)) == atoms[k]
             for c in kids:
                 assert {m.increment(t, i) for i in below[c]} == {pa.tree.increments[t][c]}
+    # splittings come in report order: t ascending, then least member
+    order = [(t, min(sp.members)) for (t, _key), sp in pa.splittings.items()]
+    assert order == sorted(order)
     for (t, key), sp in pa.splittings.items():
         assert key == m.history(min(sp.members), t - 1)
         # the node tree and the price rows split a level set alike
@@ -502,10 +514,10 @@ def _lp_inputs_once_per_analysis(monkeypatch, markets):
     from arbscan.cli import build_report
 
     inputs = {
-        name: _count_calls(monkeypatch, "ratgeom", name)
+        name: count_calls(monkeypatch, "ratgeom", name)
         for name in ("maximal_separator", "convex_combination_for_zero")
     }
-    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     for m in markets:
         before = dict(vars(m))
         counts = []
@@ -545,7 +557,7 @@ def test_build_report_on_an_n243_trinomial_tree_solves_a_third_of_the_lps(monkey
 
     m = seeded_trinomial_market(random.Random(931), horizon=5, n_arb=6)
     assert m.n == 243
-    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     build_report(m)
     assert 0 < 3 * len(lp_calls) <= ORDERED_MEMO_LP_CALLS
 
@@ -594,7 +606,7 @@ def test_solve_once_hashes_once_and_caches_no_failure():
 def test_solve_once_reindexes_both_lp_answers_to_the_askers_order(monkeypatch):
     from arbscan.ratgeom import convex_combination_for_zero, maximal_separator
 
-    lp_calls = _count_calls(monkeypatch, "ratgeom", "lp_solve")
+    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     memo = {}
     # the strict set of a separator: every point but the flat one
     points = ((F(2),), (F(0),), (F(1),))
