@@ -418,10 +418,15 @@ def load_strategy(m: Market, source: Union[str, Path, dict]) -> Strategy:
     """Parse a strategy document against ``m`` (path, JSON text, or dict).
 
     ``positions`` maps each period "1".."T" to a table from comma-joined
-    scenario ids to a d-vector of rationals; periods left out hold zero.
+    scenario ids to a d-vector of rationals; periods left out hold zero, and
+    any other key is a format error.
     """
     doc = _read_document(source, "strategy document")
     table = _expect(doc.get("positions", {}), dict, "strategy positions")
+    periods = {str(t) for t in range(1, m.T + 1)}
+    for key in table:
+        if key not in periods:
+            raise MarketFormatError(f"strategy positions key {key!r} is not a period 1..{m.T}")
     positions = []
     for t in range(1, m.T + 1):
         where = f"strategy period {t}"

@@ -6,15 +6,18 @@ value and certificate entry a ``Fraction``; there are no floats and no
 tolerances anywhere.  The solver is a two-phase dense-tableau simplex with
 Bland's anti-cycling pivot rule (lowest eligible column index enters, ratio
 ties broken by lowest leaving column index), which makes every result both
-terminating and bit-reproducible.  It is a bounded-variable simplex
-(Dantzig 1955): a variable with bounds [0, u] is a column with no row, held
-at either bound while nonbasic, so a capped slack costs no tableau row.  The
-tableau is fraction-free: each row keeps integer numerators over one
-positive row denominator, reduced by their gcd, so it holds the same
-rationals as a ``Fraction`` tableau would, and ``Fraction``s appear only
-where results are read off.  Infeasible programs come back with a Farkas
-certificate over the expanded row system, in which every finite bound is a
-row, that callers can re-verify with :func:`verify_farkas_certificate`.
+terminating and bit-reproducible.
+
+The solver takes exactly the programs arbscan builds: rows ``=`` or ``>=``
+over variables that are free, nonnegative or capped in [0, u].  It is a
+bounded-variable simplex (Dantzig 1955): a capped variable is a column with
+no row, held at either bound while nonbasic, so a capped slack costs no
+tableau row.  The tableau is fraction-free: each row keeps integer
+numerators over one positive row denominator, reduced by their gcd, so it
+holds the same rationals as a ``Fraction`` tableau would, and ``Fraction``s
+appear only where results are read off.  Infeasible programs come back with
+a Farkas certificate over the constraints and one row -x_j >= -u_j per cap,
+that callers can re-verify with :func:`verify_farkas_certificate`.
 
 An ``int`` is as exact as the equal ``Fraction`` and far cheaper to add,
 compare and hash, so the LPs built here and in ``oracle`` hold ``int``s
@@ -39,10 +42,9 @@ from .errors import DomainError, InternalError
 # vectors of either type are interchangeable keys.
 Vec = tuple[Union[int, Fraction], ...]
 
-LE = "<="
 EQ = "="
 GE = ">="
-RELATIONS = (LE, EQ, GE)
+RELATIONS = (EQ, GE)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -108,14 +110,13 @@ class LinearProgram:
     ``int``s are cheaper to check and to scale, so builders use them for
     integral numbers.
 
-    ``bounds`` is an optional per-variable (lower, upper) pair; ``None`` on
-    either side means unbounded on that side.  The solver handles a lower
-    bound of exactly 0 natively, and with it a finite upper bound u >= 0, so
-    a variable in [0, u] adds no constraint row.  Every other finite bound
-    (a nonzero lower bound, or an upper bound of a variable without the zero
-    lower bound) becomes an extra constraint row.  The Farkas certificate of
-    an infeasible program covers every finite bound as a row (see
-    :func:`expanded_rows`).
+    Each row's relation is ``EQ`` or ``GE``.  ``bounds`` holds one (lower,
+    upper) pair per variable, of one of three kinds: free ``(None, None)``,
+    nonnegative ``(0, None)`` or capped ``(0, u)`` with u >= 0; ``None``
+    stands for every variable free.  A capped variable adds no constraint
+    row, and the Farkas certificate of an infeasible program covers each cap
+    as a row -x_j >= -u_j (see :func:`expanded_rows`).  :func:`lp_solve`
+    rejects any other relation or bound with ``ValueError``.
     """
 
     objective: Vec
@@ -129,8 +130,11 @@ class LinearProgram:
             "constraints",
             tuple((tuple(c), r, b) for (c, r, b) in self.constraints),
         )
-        if self.bounds is not None:
-            object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
+        if self.bounds is None:
+            bounds = ((None, None),) * len(self.objective)
+        else:
+            bounds = tuple(tuple(b) for b in self.bounds)
+        object.__setattr__(self, "bounds", bounds)
 
 
 @dataclass(frozen=True)
@@ -152,7 +156,7 @@ def _check_exact(values, where: str) -> None:
             raise ValueError(f"{where} holds {v!r}; use an int or a Fraction")
 
 
-def _validate(lp: LinearProgram) -> int:
+def _validate(lp: LinearProgram) -> None:
     n = len(lp.objective)
     _check_exact(lp.objective, "objective")
     for k, (coeffs, rel, rhs) in enumerate(lp.constraints):
@@ -162,108 +166,54 @@ def _validate(lp: LinearProgram) -> int:
             raise ValueError(f"constraint {k} has unknown relation {rel!r}")
         _check_exact(coeffs, f"constraint {k}")
         _check_exact((rhs,), f"constraint {k} right-hand side")
-    if lp.bounds is not None:
-        if len(lp.bounds) != n:
-            raise ValueError(f"bounds cover {len(lp.bounds)} variables, expected {n}")
-        for j, pair in enumerate(lp.bounds):
-            _check_exact((b for b in pair if b is not None), f"bounds of variable {j}")
-    return n
-
-
-def _nonneg_mask(lp: LinearProgram, n: int) -> list[bool]:
-    if lp.bounds is None:
-        return [False] * n
-    return [lo is not None and lo == 0 for lo, _hi in lp.bounds]
-
-
-def _unit(n: int, j: int) -> Vec:
-    return tuple(1 if i == j else 0 for i in range(n))
+    if len(lp.bounds) != n:
+        raise ValueError(f"bounds cover {len(lp.bounds)} variables, expected {n}")
+    for j, pair in enumerate(lp.bounds):
+        _check_exact((b for b in pair if b is not None), f"bounds of variable {j}")
+        lo, hi = pair
+        if not (lo is None and hi is None or lo == 0 and (hi is None or hi >= 0)):
+            raise ValueError(
+                f"bounds of variable {j} are {pair!r}; "
+                "use (None, None), (0, None) or (0, u) with u >= 0"
+            )
 
 
 def expanded_rows(lp: LinearProgram) -> list[tuple[Vec, str, Fraction]]:
     """The constraint system of the Farkas verifier.
 
-    Original rows in order, then nonzero lower-bound rows (ascending variable
-    index), then upper-bound rows.  Zero lower bounds are absorbed into the
-    variable domain instead.  The solver itself keeps only the rows it needs
-    (see :func:`_solver_rows`); it builds this system only to check the
+    The constraints in order, then one row -x_j >= -u_j per capped variable,
+    in variable order.  Nonnegativity is the variable's domain, not a row.
+    The solver keeps no cap row; it builds this system only to check the
     certificate of an infeasible program.
     """
     n = len(lp.objective)
     rows = list(lp.constraints)
-    if lp.bounds is not None:
-        for j, (lo, _hi) in enumerate(lp.bounds):
-            if lo is not None and lo != 0:
-                rows.append((_unit(n, j), GE, lo))
-        for j, (_lo, hi) in enumerate(lp.bounds):
-            if hi is not None:
-                rows.append((_unit(n, j), LE, hi))
+    for j, (_lo, hi) in enumerate(lp.bounds):
+        if hi is not None:
+            rows.append((tuple(-1 if i == j else 0 for i in range(n)), GE, -hi))
     return rows
-
-
-def _solver_rows(lp: LinearProgram, n: int):
-    """The rows the tableau needs, the nonnegativity mask and the native caps.
-
-    A variable whose lower bound is exactly 0 is a nonnegative column, and a
-    finite upper bound u >= 0 on it is a native cap (``caps[j] = u``) with no
-    row.  Every other finite bound becomes a unit row.  The rows keep the
-    order of :func:`expanded_rows` with the capped variables' upper-bound
-    rows left out.
-    """
-    nonneg = _nonneg_mask(lp, n)
-    caps: list[Optional[Fraction]] = [None] * n
-    rows = list(lp.constraints)
-    if lp.bounds is not None:
-        uppers = []
-        for j, (lo, hi) in enumerate(lp.bounds):
-            if lo is not None and lo != 0:
-                rows.append((_unit(n, j), GE, lo))
-            if hi is not None:
-                if nonneg[j] and hi >= 0:
-                    caps[j] = hi
-                else:
-                    uppers.append((_unit(n, j), LE, hi))
-        rows += uppers
-    return rows, nonneg, caps
-
-
-def _expanded_certificate(lp: LinearProgram, caps, y, w) -> Vec:
-    """Farkas multipliers laid out over :func:`expanded_rows`.
-
-    ``y`` holds one per row of :func:`_solver_rows` and ``w`` one per
-    variable; each native cap's multiplier takes the place of its
-    upper-bound row.
-    """
-    if lp.bounds is None:
-        return tuple(y)
-    his = [j for j, (_lo, hi) in enumerate(lp.bounds) if hi is not None]
-    base = len(y) - sum(1 for j in his if caps[j] is None)
-    kept = iter(y[base:])
-    return tuple(y[:base]) + tuple(w[j] if caps[j] is not None else next(kept) for j in his)
 
 
 def verify_farkas_certificate(lp: LinearProgram, certificate: Sequence[Fraction]) -> bool:
     """Check that ``certificate`` proves infeasibility of ``lp``.
 
     With v over :func:`expanded_rows` and g = sum_i v_i a_i, the conditions are
-    v_i >= 0 on <= rows, v_i <= 0 on >= rows, g_j = 0 for free variables,
-    g_j >= 0 for variables with native lower bound 0, and v . b < 0.  Any
-    feasible x would then give 0 <= g.x <= v.b < 0.
+    v_i <= 0 on >= rows, g_j = 0 for free variables, g_j >= 0 for
+    nonnegative and capped ones, and v . b < 0.  Any feasible x would then
+    give 0 <= g.x <= v.b < 0.
     """
-    n = _validate(lp)
-    return _farkas_holds(expanded_rows(lp), _nonneg_mask(lp, n), certificate)
+    _validate(lp)
+    return _farkas_holds(lp, certificate)
 
 
-def _farkas_holds(rows, nonneg: list[bool], certificate: Sequence[Fraction]) -> bool:
-    """The test of :func:`verify_farkas_certificate` on validated, expanded rows."""
+def _farkas_holds(lp: LinearProgram, certificate: Sequence[Fraction]) -> bool:
+    """The test of :func:`verify_farkas_certificate` on a validated ``lp``."""
+    rows = expanded_rows(lp)
     if len(certificate) != len(rows):
         return False
-    n = len(nonneg)
-    g = [_ZERO] * n
+    g = [_ZERO] * len(lp.objective)
     vb = _ZERO
     for v_i, (coeffs, rel, rhs) in zip(certificate, rows):
-        if rel == LE and v_i < 0:
-            return False
         if rel == GE and v_i > 0:
             return False
         if v_i:
@@ -271,11 +221,8 @@ def _farkas_holds(rows, nonneg: list[bool], certificate: Sequence[Fraction]) -> 
                 if a:
                     g[j] += v_i * a
             vb += v_i * rhs
-    for j in range(n):
-        if nonneg[j]:
-            if g[j] < 0:
-                return False
-        elif g[j] != 0:
+    for g_j, (lo, _hi) in zip(g, lp.bounds):
+        if g_j < 0 or (lo is None and g_j != 0):
             return False
     return vb < 0
 
@@ -283,8 +230,8 @@ def _farkas_holds(rows, nonneg: list[bool], certificate: Sequence[Fraction]) -> 
 class _Tableau:
     """Internal standard-form tableau with integer rows and native caps.
 
-    Columns: per variable either one column (native nonnegative) or a +/- pair
-    (free), then one slack per inequality row, then artificials where the row
+    Columns: per variable either one column (nonnegative or capped) or a +/-
+    pair (free), then one surplus per >= row, then artificials where the row
     has no natural unit column.  Rows are sign-normalized so every right-hand
     side is nonnegative; >=-rows with rhs <= 0 flip so their surplus becomes a
     basic slack and needs no artificial.
@@ -295,7 +242,7 @@ class _Tableau:
     holds exactly the rationals of a ``Fraction`` tableau at every step.  The
     objective row ``obj`` over ``obj_den`` is kept the same way.
 
-    A nonnegative column may carry a cap u, ``cap[c]`` as (numerator,
+    A capped variable's column carries its cap u, ``cap[c]`` as (numerator,
     denominator), in place of a row.  A column at its cap is held as the
     substitution x = u - x': its entries are negated and u times them moves
     to the right-hand sides, so every nonbasic column sits at 0 and the
@@ -304,19 +251,18 @@ class _Tableau:
     the rows stay integer.
     """
 
-    def __init__(self, lp: LinearProgram, rows, live, nonneg, caps):
+    def __init__(self, lp: LinearProgram, live: list[int]):
+        """The tableau of the constraints of ``lp`` numbered in ``live``."""
         self.lp = lp
-        self.nrows = len(rows)
         self.live = live
-        self.cap_of_var = caps
-        n = len(lp.objective)
+        rows = lp.constraints
 
         self.var_cols: list[tuple[int, int]] = []  # (var index, sign)
         col_of_var: list[tuple[int, Optional[int]]] = []
-        for j in range(n):
+        for j, (lo, _hi) in enumerate(lp.bounds):
             plus = len(self.var_cols)
             self.var_cols.append((j, +1))
-            if nonneg[j]:
+            if lo is not None:
                 col_of_var.append((plus, None))
             else:
                 self.var_cols.append((j, -1))
@@ -331,9 +277,6 @@ class _Tableau:
             if rel == EQ:
                 s = -1 if rhs < 0 else 1
                 slack_kind.append(0)
-            elif rel == LE:
-                s = -1 if rhs < 0 else 1
-                slack_kind.append(s)  # slack coeff +1 scaled by s
             else:  # GE: flip whenever that makes the surplus basic
                 s = -1 if rhs <= 0 else 1
                 slack_kind.append(-s)
@@ -355,9 +298,9 @@ class _Tableau:
         self.art_set = frozenset(art_col.values())
 
         self.cap: list[Optional[tuple[int, int]]] = [None] * c
-        for j, u in enumerate(caps):
+        for (_lo, u), (plus, _minus) in zip(lp.bounds, col_of_var):
             if u is not None:
-                self.cap[col_of_var[j][0]] = (u.numerator, u.denominator)
+                self.cap[plus] = (u.numerator, u.denominator)
         self.flipped = [False] * c
 
         body = []
@@ -525,11 +468,10 @@ class _Tableau:
                 den //= g
         self.obj, self.obj_den = obj, den
 
-    def phase_one(self):
-        """None when feasible, else the Farkas multipliers (y, w).
+    def phase_one(self) -> Optional[Vec]:
+        """None when feasible, else the Farkas certificate over :func:`expanded_rows`.
 
-        y holds one multiplier per row passed in, w one per variable for its
-        native cap (0 where there is none).
+        It holds one multiplier per constraint, then one per cap row.
         """
         if not self.art_set:
             return None
@@ -542,18 +484,17 @@ class _Tableau:
         obj, den = self.obj, self.obj_den
         if obj[-1] > 0:  # the phase-1 optimum -obj[-1]/den is negative
             # row k's price y_k is c - d of its initial unit column
-            y = [_ZERO] * self.nrows
+            y = [_ZERO] * len(self.lp.constraints)
             for k, idx in enumerate(self.live):
                 unit = self.start_unit[k]
                 c_unit = -1 if unit in self.art_set else 0
                 y[idx] = self.sigma[k] * (c_unit - Fraction(obj[unit], den))
-            # a column at its cap has reduced cost d = -obj >= 0 there; d on
-            # its cap row makes its entry of the combined row exactly 0
-            w = [_ZERO] * len(self.cap_of_var)
-            for j, (c, _minus) in enumerate(self.col_of_var):
-                if self.flipped[c]:
-                    w[j] = Fraction(-obj[c], den)
-            return y, w
+            # a column at its cap has reduced cost d = -obj >= 0 there; -d on
+            # its row -x_j >= -u_j makes its entry of the combined row exactly 0
+            for (_lo, hi), (c, _minus) in zip(self.lp.bounds, self.col_of_var):
+                if hi is not None:
+                    y.append(Fraction(obj[c], den) if self.flipped[c] else _ZERO)
+            return tuple(y)
         self.obj = None  # drive-out pivots need no objective row
         self._drive_out_artificials()
         return None
@@ -596,10 +537,10 @@ class _Tableau:
         for b, row, den in zip(self.basis, self.body, self.den):
             value_of[b] = Fraction(row[-1], den)
         out = []
-        for j, (plus, minus) in enumerate(self.col_of_var):
+        for (_lo, hi), (plus, minus) in zip(self.lp.bounds, self.col_of_var):
             x = value_of.get(plus, _ZERO)
             if self.flipped[plus]:
-                x = self.cap_of_var[j] - x
+                x = hi - x
             if minus is not None:
                 x -= value_of.get(minus, _ZERO)
             out.append(x)
@@ -652,33 +593,25 @@ def _substitute(row, den, c, p, q):
 
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Exact optimum of ``lp`` (maximization), deterministic via Bland's rule."""
-    n = _validate(lp)
-    rows, nonneg, caps = _solver_rows(lp, n)
+    _validate(lp)
 
     live = []
-    prices = None
-    for idx, (coeffs, rel, rhs) in enumerate(rows):
+    cert = None
+    for idx, (coeffs, rel, rhs) in enumerate(lp.constraints):
         if any(coeffs):
             live.append(idx)
-            continue
-        ok = rhs >= 0 if rel == LE else rhs <= 0 if rel == GE else rhs == 0
-        if not ok:
-            y = [_ZERO] * len(rows)
-            if rel == LE:
-                y[idx] = _ONE
-            elif rel == GE:
-                y[idx] = Fraction(-1)
-            else:
-                y[idx] = Fraction(-1) if rhs > 0 else _ONE
-            prices = y, [_ZERO] * n
+        elif (rhs > 0) if rel == GE else (rhs != 0):
+            # 0 >= rhs > 0 or 0 = rhs != 0: this row alone is infeasible
+            y = [_ZERO] * len(expanded_rows(lp))
+            y[idx] = _ONE if rel == EQ and rhs < 0 else Fraction(-1)
+            cert = tuple(y)
             break
 
-    if prices is None:
-        tab = _Tableau(lp, rows, live, nonneg, caps)
-        prices = tab.phase_one()
-    if prices is not None:
-        cert = _expanded_certificate(lp, caps, *prices)
-        if not _farkas_holds(expanded_rows(lp), nonneg, cert):
+    if cert is None:
+        tab = _Tableau(lp, live)
+        cert = tab.phase_one()
+    if cert is not None:
+        if not _farkas_holds(lp, cert):
             raise InternalError("invalid Farkas certificate")
         return LpResult(INFEASIBLE, None, None, cert)
     status = tab.phase_two()

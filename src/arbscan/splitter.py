@@ -86,13 +86,11 @@ class NodeTree:
 class PolarAnalysis:
     """Full output of :func:`backward_eliminate`.
 
-    ``survivors[t]`` is the set of scenarios not eliminated at any period
-    strictly after t, so ``survivors[T]`` is everything and ``survivors[0]``
-    equals ``omega_star``.  ``splittings`` holds the decomposition of every
-    level set the sweep met, in report order: t ascending, then least member;
-    ``events`` holds those with at least one block, in the order they were
-    removed.  Elimination is one sweep, so ``rounds`` is always 1; the
-    report prints it.
+    ``omega_star`` is the set of scenarios no period eliminated.
+    ``splittings`` holds the decomposition of every level set the sweep met,
+    in report order: t ascending, then least member; ``events`` holds those
+    with at least one block, in the order they were removed.  Elimination is
+    one sweep, so ``rounds`` is always 1; the report prints it.
 
     The per-analysis context takes no part in ``==`` or ``repr``: ``market``
     is the analysed market, ``nodes[t][i]`` the id of scenario i's node at
@@ -111,7 +109,6 @@ class PolarAnalysis:
     """
 
     omega_star: Atom
-    survivors: tuple[Atom, ...]
     splittings: Mapping[tuple[int, LevelKey], Splitting]
     events: tuple[Splitting, ...]
     eliminated_levels: Mapping[int, tuple[Splitting, ...]]
@@ -266,7 +263,6 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     split_at: list[list[Splitting]] = [[] for _ in range(m.T + 1)]
     events: list[Splitting] = []
     eliminated: dict[int, list[Splitting]] = {t: [] for t in range(1, m.T + 1)}
-    survivors = [start] * (m.T + 1)
 
     # (least member, node id, members) of each node at time t that has
     # survivors, in order of least surviving member; a node's least survivor
@@ -294,11 +290,9 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
                 if not sp.residual:
                     eliminated[t].append(sp)
         alive.sort()
-        survivors[t - 1] = frozenset().union(*(members for _least, _k, members in alive))
 
     return PolarAnalysis(
-        omega_star=survivors[0],
-        survivors=tuple(survivors),
+        omega_star=frozenset().union(*(members for _least, _k, members in alive)),
         splittings={(sp.t, sp.level_key): sp for level in split_at for sp in level},
         events=tuple(events),
         eliminated_levels={t: tuple(v) for t, v in eliminated.items()},

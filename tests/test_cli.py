@@ -310,6 +310,15 @@ _MALFORMED = {
     "strategy-unknown-scenario": (SVU_DOC, '{"positions": {"1": {"w1,zz": ["1"]}}}', "unknown scenario 'zz'"),
     "strategy-float-position": (SVU_DOC, '{"positions": {"1": {"w1": [0.5]}}}', "not a rational"),
     "strategy-invalid-json": (SVU_DOC, '{"positions": ', "not valid JSON"),
+    # SVU has T = 2, so only "1" and "2" are periods
+    **{
+        f"strategy-period-{key}": (
+            SVU_DOC,
+            json.dumps({"positions": {key: {"w1": ["1"]}, "1": {"w1": ["1"]}}}),
+            f"key {key!r} is not a period 1..2",
+        )
+        for key in ("0", "7", "x")
+    },
     "market-path-is-directory": ("dir", None, "error"),
     "probabilities-as-list": (_svu_with(probabilities=["w1"]), None, "probabilities must be a JSON object"),
     # only a missing key, null or an object is a table; falsy look-alikes are not

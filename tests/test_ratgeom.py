@@ -10,13 +10,11 @@ from arbscan.errors import DomainError, InternalError
 from arbscan.ratgeom import (
     EQ,
     GE,
-    LE,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
     _Tableau,
-    _solver_rows,
     cone_ri_contains_zero,
     convex_combination_for_zero,
     dot,
@@ -52,7 +50,7 @@ def test_rat_bounds_decimal_exponents():
 
 
 def test_single_constraint_optimum():
-    lp = LinearProgram((F(1),), (((F(1),), LE, F(3, 2)),), bounds=((F(0), None),))
+    lp = LinearProgram((F(1),), (((F(-1),), GE, F(-3, 2)),), bounds=((F(0), None),))
     res = lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.solution == (F(3, 2),)
@@ -60,10 +58,27 @@ def test_single_constraint_optimum():
 
 
 def test_contradictory_bounds_infeasible():
-    lp = LinearProgram((F(1),), (((F(1),), GE, F(1)), ((F(1),), LE, F(0))))
+    # x >= 1 against the cap x <= 0; the certificate covers the cap as -x >= 0
+    lp = LinearProgram((F(1),), (((F(1),), GE, F(1)),), ((F(0), F(0)),))
     res = lp_solve(lp)
     assert res.status == INFEASIBLE
-    assert res.certificate is not None
+    assert res.certificate == (F(-1), F(-1))
+    assert verify_farkas_certificate(lp, res.certificate)
+    # the same contradiction between two rows of a free variable
+    lp = LinearProgram((F(1),), (((F(1),), GE, F(1)), ((F(-1),), GE, F(0))))
+    res = lp_solve(lp)
+    assert res.status == INFEASIBLE
+    assert verify_farkas_certificate(lp, res.certificate)
+
+
+@pytest.mark.parametrize("rel, rhs, sign", [(GE, F(1), -1), (EQ, F(1), -1), (EQ, F(-2), 1)])
+def test_zero_row_certificate(rel, rhs, sign):
+    # a row with no coefficient is infeasible on its own; the certificate
+    # charges it alone, and the cap row after it takes 0
+    lp = LinearProgram((F(1),), (((F(1),), GE, F(0)), ((F(0),), rel, rhs)), ((F(0), F(2)),))
+    res = lp_solve(lp)
+    assert res.status == INFEASIBLE
+    assert res.certificate == (F(0), F(sign), F(0))
     assert verify_farkas_certificate(lp, res.certificate)
 
 
@@ -73,7 +88,7 @@ def test_unbounded():
 
 def test_arity_mismatch_is_structural():
     with pytest.raises(ValueError):
-        lp_solve(LinearProgram((F(1),), (((F(1), F(2)), LE, F(0)),)))
+        lp_solve(LinearProgram((F(1),), (((F(1), F(2)), GE, F(0)),)))
     with pytest.raises(ValueError):
         lp_solve(LinearProgram((F(1),), (((F(1),), "<", F(0)),)))
 
@@ -92,15 +107,34 @@ def test_inexact_numbers_rejected(where, bad):
         lower = bad
     else:
         upper = bad
-    lp = LinearProgram(objective, ((coeffs, LE, rhs),), ((lower, upper),))
+    lp = LinearProgram(objective, ((coeffs, GE, rhs),), ((lower, upper),))
     with pytest.raises(ValueError):
         lp_solve(lp)
     with pytest.raises(ValueError):
         verify_farkas_certificate(lp, (F(1), F(0)))
 
 
+@pytest.mark.parametrize(
+    "relation, bound",
+    [
+        ("<=", (0, None)),
+        (GE, (1, None)),
+        (GE, (None, 5)),
+        (GE, (0, -1)),
+        (GE, (-1, None)),
+    ],
+)
+def test_outside_the_contract_rejected(relation, bound):
+    # rows are = or >=; each variable is free, nonnegative or capped in [0, u]
+    lp = LinearProgram((F(1),), (((F(1),), relation, F(0)),), (bound,))
+    with pytest.raises(ValueError):
+        lp_solve(lp)
+    with pytest.raises(ValueError):
+        verify_farkas_certificate(lp, (F(-1),))
+
+
 def test_int_inputs_accepted():
-    lp = LinearProgram((1, 2), (((1, 1), LE, 3),), ((0, None), (0, 1)))
+    lp = LinearProgram((1, 2), (((-1, -1), GE, -3),), ((0, None), (0, 1)))
     res = lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.solution == (F(2), F(1))
@@ -109,8 +143,7 @@ def test_int_inputs_accepted():
 
 def _after_phase_one(lp):
     """The tableau of ``lp`` right after phase 1, built as lp_solve builds it."""
-    rows, nonneg, caps = _solver_rows(lp, len(lp.objective))
-    tab = _Tableau(lp, rows, list(range(len(rows))), nonneg, caps)
+    tab = _Tableau(lp, list(range(len(lp.constraints))))
     assert tab.phase_one() is None
     return tab
 
@@ -144,7 +177,7 @@ def test_drive_out_pivots_on_negative_entry(monkeypatch):
         (
             ((F(-1), F(1)), EQ, F(0)),
             ((F(1), F(-2)), EQ, F(0)),
-            ((F(1), F(1)), LE, F(2)),
+            ((F(-1), F(-1)), GE, F(-2)),
         ),
         ((F(0), None), (F(0), None)),
     )
@@ -161,11 +194,11 @@ def test_determinism_bit_identical():
     lp = LinearProgram(
         (F(2), F(-1), F(1)),
         (
-            ((F(1), F(1), F(1)), LE, F(4)),
+            ((F(-1), F(-1), F(-1)), GE, F(-4)),
             ((F(1), F(-1), F(0)), GE, F(-2)),
             ((F(0), F(1), F(2)), EQ, F(1)),
         ),
-        bounds=((F(0), None), (None, None), (F(-3), F(3))),
+        bounds=((F(0), None), (None, None), (F(0), F(3))),
     )
     first = lp_solve(lp)
     for _ in range(3):
@@ -176,9 +209,9 @@ def _satisfies(lp, x):
     """x meets every row of ``expanded_rows(lp)`` and every zero lower bound."""
     for coeffs, rel, rhs in expanded_rows(lp):
         lhs = dot(coeffs, x)
-        if not ((lhs <= rhs) if rel == LE else (lhs >= rhs) if rel == GE else (lhs == rhs)):
+        if not ((lhs >= rhs) if rel == GE else (lhs == rhs)):
             return False
-    return all(v >= 0 for v, (lo, _hi) in zip(x, lp.bounds or ()) if lo == 0)
+    return all(v >= 0 for v, (lo, _hi) in zip(x, lp.bounds) if lo == 0)
 
 
 def test_bland_tie_breaks_pin_the_answer():
@@ -196,17 +229,23 @@ def test_bland_tie_breaks_pin_the_answer():
     res = lp_solve(lp)
     assert res.status == INFEASIBLE
     assert res.certificate == (F(-1), F(-1), F(2))
+    # x0, x1 free in [-1, 1] by rows, x2..x4 in [0, 1] native caps
+    unit = lambda j, a: tuple(F(a) if i == j else F(0) for i in range(5))
     lp = LinearProgram(
         (F(0), F(0), F(1), F(1), F(1)),
         (
             ((F(1), F(1), F(-1), F(0), F(0)), GE, F(0)),
             ((F(0), F(1), F(0), F(-1), F(0)), GE, F(0)),
             ((F(0), F(0), F(0), F(0), F(-1)), GE, F(0)),
+            (unit(0, 1), GE, F(-1)),
+            (unit(1, 1), GE, F(-1)),
+            (unit(0, -1), GE, F(-1)),
+            (unit(1, -1), GE, F(-1)),
         ),
-        ((F(-1), F(1)),) * 2 + ((F(0), F(1)),) * 3,
+        ((None, None),) * 2 + ((F(0), F(1)),) * 3,
     )
-    # x2..x4 in [0, 1] are native caps; the optimum is 2 on an edge, and the
-    # bounded-variable ratio test ends on (0, 1, 1, 1, 0) of it
+    # the optimum is 2 on an edge, and the bounded-variable ratio test ends
+    # on (0, 1, 1, 1, 0) of it
     res = lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.solution == (F(0), F(1), F(1), F(1), F(0))
@@ -219,8 +258,11 @@ def _rat_coeff():
     return st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(1, 9))
 
 
-def _box_end(least: int):
-    return st.builds(F, st.integers(min_value=least, max_value=45), st.integers(1, 9))
+def _bounds(cap):
+    """Free, nonnegative and capped [0, u] variables, u drawn by ``cap``."""
+    return st.one_of(
+        st.just((None, None)), st.just((F(0), None)), st.tuples(st.just(F(0)), cap)
+    )
 
 
 @st.composite
@@ -230,13 +272,12 @@ def _random_lp(draw):
     constraints = []
     for _ in range(rows):
         coeffs = tuple(draw(_rat_coeff()) for _ in range(n))
-        rel = draw(st.sampled_from([LE, EQ, GE]))
+        rel = draw(st.sampled_from([EQ, GE]))
         rhs = draw(_rat_coeff())
         constraints.append((coeffs, rel, rhs))
     objective = tuple(draw(_rat_coeff()) for _ in range(n))
-    # box bounds keep every instance bounded
-    # (a zero lower bound takes the native nonnegative-column path)
-    bounds = tuple((-draw(_box_end(0)), draw(_box_end(1))) for _ in range(n))
+    cap = st.builds(F, st.integers(0, 45), st.integers(1, 9))
+    bounds = tuple(draw(_bounds(cap)) for _ in range(n))
     return LinearProgram(objective, tuple(constraints), bounds)
 
 
@@ -244,37 +285,39 @@ def _random_lp(draw):
 @given(_random_lp())
 def test_random_lps_exact_and_certified(lp):
     res = lp_solve(lp)
-    assert res.status in (OPTIMAL, INFEASIBLE)
     if res.status == OPTIMAL:
         assert _satisfies(lp, res.solution)
         assert res.objective_value == dot(lp.objective, res.solution)
-    else:
+    elif res.status == INFEASIBLE:
         assert verify_farkas_certificate(lp, res.certificate)
+    else:
+        # unbounded needs a feasible point: the same program without an objective
+        assert res.status == UNBOUNDED
+        zero = LinearProgram((F(0),) * len(lp.objective), lp.constraints, lp.bounds)
+        assert lp_solve(zero).status == OPTIMAL
     assert lp_solve(lp) == res
 
 
 def _scipy_linprog(lp):
-    """scipy's HiGHS answer to ``lp`` in floats; the test is skipped without scipy.
+    """scipy's HiGHS answer to ``lp`` in floats.
 
     Presolve is off: with it, HiGHS (scipy 1.17.1) reports some feasible,
     unbounded programs as infeasible, such as the one pinned on
     :func:`test_native_caps_match_scipy`.
     """
-    scipy = pytest.importorskip("scipy.optimize")
+    from scipy.optimize import linprog
+
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for coeffs, rel, rhs in lp.constraints:
         row = [float(c) for c in coeffs]
-        if rel == LE:
-            a_ub.append(row)
-            b_ub.append(float(rhs))
-        elif rel == GE:
+        if rel == GE:
             a_ub.append([-c for c in row])
             b_ub.append(-float(rhs))
         else:
             a_eq.append(row)
             b_eq.append(float(rhs))
     as_float = lambda b: None if b is None else float(b)
-    return scipy.linprog(
+    return linprog(
         [-float(c) for c in lp.objective],
         A_ub=a_ub or None,
         b_ub=b_ub or None,
@@ -311,35 +354,28 @@ def test_random_lps_match_scipy(lp):
 @st.composite
 def _capped_lp(draw):
     """Mostly variables in [0, u], u fractional and sometimes 0, and a few
-    nonnegative, free or only bounded above, whose upper bound stays a row
-    between the caps; GE rows with positive right-hand sides beyond the caps
-    make part of the programs infeasible."""
+    nonnegative or free; GE rows with positive right-hand sides beyond the
+    caps make part of the programs infeasible."""
     n = draw(st.integers(1, 5))
     cap = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 9), st.integers(1, 4)))
-    domains = {
-        "cap": st.tuples(st.just(F(0)), cap),
-        "nonneg": st.just((F(0), None)),
-        "free": st.just((None, None)),
-        "upper": st.tuples(st.none(), _rat_coeff()),
-    }
-    kind = st.sampled_from(["cap"] * 5 + ["nonneg", "free", "upper"])
-    bounds = [draw(domains[draw(kind)]) for _ in range(n)]
+    capped = st.tuples(st.just(F(0)), cap)
+    bounds = [draw(st.one_of(capped, capped, _bounds(cap))) for _ in range(n)]
     constraints = []
     for _ in range(draw(st.integers(1, 4))):
         coeffs = tuple(draw(_rat_coeff()) for _ in range(n))
-        constraints.append((coeffs, draw(st.sampled_from([LE, EQ, GE])), draw(_rat_coeff())))
+        constraints.append((coeffs, draw(st.sampled_from([EQ, GE])), draw(_rat_coeff())))
     objective = tuple(draw(_rat_coeff()) for _ in range(n))
     return LinearProgram(objective, tuple(constraints), tuple(bounds))
 
 
 def _caps_as_rows(lp):
-    """The same program with every finite upper bound as an explicit row."""
+    """The same program with every cap as an explicit row -x_j >= -u_j."""
     n = len(lp.objective)
     rows = list(lp.constraints)
     bounds = []
     for j, (lo, hi) in enumerate(lp.bounds):
         if hi is not None:
-            rows.append((tuple(F(int(i == j)) for i in range(n)), LE, hi))
+            rows.append((tuple(F(-int(i == j)) for i in range(n)), GE, -hi))
         bounds.append((lo, None))
     return LinearProgram(lp.objective, tuple(rows), tuple(bounds))
 
@@ -366,7 +402,7 @@ def test_native_caps_exact_and_certified(lp):
 # x = 0 is feasible and x3 grows without bound along (0, 1, 1)
 @example(LinearProgram(
     (F(0), F(0), F(1)),
-    (((F(-1), F(1), F(-1)), LE, F(1)), ((F(1), F(-1), F(1)), LE, F(0))),
+    (((F(1), F(-1), F(1)), GE, F(-1)), ((F(-1), F(1), F(-1)), GE, F(0))),
     ((F(0), F(1)), (F(0), None), (F(0), None)),
 ))
 def test_native_caps_match_scipy(lp):
@@ -383,11 +419,9 @@ def _with_numbers(lp, as_number):
     def vec_(v):
         return tuple(as_number(x) for x in v)
 
-    bounds = None
-    if lp.bounds is not None:
-        bounds = tuple(
-            tuple(None if b is None else as_number(b) for b in pair) for pair in lp.bounds
-        )
+    bounds = tuple(
+        tuple(None if b is None else as_number(b) for b in pair) for pair in lp.bounds
+    )
     return LinearProgram(
         vec_(lp.objective),
         tuple((vec_(c), rel, as_number(rhs)) for c, rel, rhs in lp.constraints),
@@ -412,7 +446,7 @@ def test_int_and_fraction_lps_agree(lp):
 
 def test_native_caps_reach_both_answers():
     # a cap the objective pushes against, and caps too small for a row
-    lp = LinearProgram((F(1), F(1)), (((F(1), F(2)), LE, F(3)),), ((F(0), F(1, 2)), (F(0), F(5, 3))))
+    lp = LinearProgram((F(1), F(1)), (((F(-1), F(-2)), GE, F(-3)),), ((F(0), F(1, 2)), (F(0), F(5, 3))))
     res = lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.solution == (F(1, 2), F(5, 4))
@@ -420,8 +454,8 @@ def test_native_caps_reach_both_answers():
     lp = LinearProgram((F(0), F(0)), (((F(1), F(1)), GE, F(2)),), ((F(0), F(1, 2)), (F(0), F(1))))
     res = lp_solve(lp)
     assert res.status == INFEASIBLE
-    # over expanded_rows: the GE row, then the two cap rows
-    assert res.certificate == (F(-1), F(1), F(1))
+    # over expanded_rows: the GE row, then the two cap rows -x_j >= -u_j
+    assert res.certificate == (F(-1), F(-1), F(-1))
     assert verify_farkas_certificate(lp, res.certificate)
 
 

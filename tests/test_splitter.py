@@ -130,10 +130,6 @@ def test_backward_eliminate_countna(countna):
 def test_survivor_chain(mini_corpus):
     for m in mini_corpus[:25]:
         pa = backward_eliminate(m)
-        assert pa.survivors[m.T] == m.all_indices
-        assert pa.survivors[0] == pa.omega_star
-        for t in range(m.T):
-            assert pa.survivors[t] <= pa.survivors[t + 1]
         # complement decomposes into the per-period block unions
         dead = set()
         for t in range(1, m.T + 1):
@@ -174,7 +170,6 @@ def _restricted(draw, markets):
 def _assert_one_sweep_is_the_fixpoint(m, within):
     pa = backward_eliminate(m, within)
     assert pa.rounds == 1
-    assert pa.survivors[m.T] == pa.start_set
     assert _second_sweep_blocks(m, pa) == []
     # every surviving level set holds 0 in the relative interior of its cone
     for t in range(1, m.T + 1):
