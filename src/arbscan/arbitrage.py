@@ -66,50 +66,35 @@ def classify(
 ) -> Verdict:
     """Class-S verdict under the chosen strategy universe.
 
-    Enlarged mode: arbitrage iff the polar complement swallows some declared
-    set (or everything is polar); the aggregator is the witness and a measure
-    charging every declared set certifies the negative.  Natural mode:
-    arbitrage iff some declared set lies inside the natural-filtration gain
-    set, which the oracle finds in one LP per analysis
-    (``pa.natural_arbitrage``); its strategy witnesses every such set.
+    Both modes are set logic on a gain set: arbitrage iff some declared set
+    lies inside it, the first such set is cited, and otherwise a measure
+    charging every declared set certifies the negative.  Enlarged mode: the
+    gain set is the polar complement (every scenario when all are polar) and
+    the aggregator is the witness.  Natural mode: the gain set is the
+    natural-filtration gain set, which the oracle finds in one LP per
+    analysis (``pa.natural_arbitrage``); its strategy witnesses every such set.
     """
-    if filtration not in ("natural", "enlarged"):
-        raise ValueError(f"unknown filtration mode {filtration!r}")
-    polar = pa.start_set - pa.omega_star
-
     if filtration == "enlarged":
-        if not pa.omega_star:
-            agg, _ = pa.aggregator
-            cited = cls.sets[0]
-            return Verdict(ARBITRAGE, witness=agg, witness_class=cited,
-                           detail="every scenario is polar")
-        for c in cls.sets:
-            if c <= polar:
-                agg, _ = pa.aggregator
-                return Verdict(ARBITRAGE, witness=agg, witness_class=c,
-                               detail="declared set inside the polar complement")
-        q = class_measure(m, pa, cls)
-        if q is None:
-            raise InternalError("no class measure despite a NoArbitrage verdict")
-        return Verdict(
-            NO_ARBITRAGE,
-            certificate_measure=q,
-            detail="martingale measures exist and no declared set is polar",
-        )
-
-    gain, h = pa.natural_arbitrage
+        h = None  # the aggregator, built only for an Arbitrage verdict
+        if pa.omega_star:
+            gain, found = pa.start_set - pa.omega_star, "declared set inside the polar complement"
+        else:
+            gain, found = m.all_indices, "every scenario is polar"
+        none = "martingale measures exist and no declared set is polar"
+    elif filtration == "natural":
+        gain, h = pa.natural_arbitrage
+        found = "strategy found by LP search over the natural filtration"
+        none = "no declared set inside the natural-filtration gain set"
+    else:
+        raise ValueError(f"unknown filtration mode {filtration!r}")
     for c in cls.sets:
         if c <= gain:
-            return Verdict(ARBITRAGE, witness=h, witness_class=c,
-                           detail="strategy found by LP search over the natural filtration")
+            witness = pa.aggregator[0] if h is None else h
+            return Verdict(ARBITRAGE, witness=witness, witness_class=c, detail=found)
     q = class_measure(m, pa, cls)
     if q is None:
         raise InternalError("no class measure despite a NoArbitrage verdict")
-    return Verdict(
-        NO_ARBITRAGE,
-        certificate_measure=q,
-        detail="no declared set inside the natural-filtration gain set",
-    )
+    return Verdict(NO_ARBITRAGE, certificate_measure=q, detail=none)
 
 
 def one_step_1p_check(m: Market, pa: PolarAnalysis) -> list[tuple[int, tuple, Vec, Atom]]:

@@ -92,7 +92,11 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     feas = feasibility(m, pa)
 
     splittings = []
+    # levels a block swallowed whole, per period in report order
+    eliminated_levels: dict[str, list] = {}
     for (t, key), sp in pa.splittings.items():
+        if sp.blocks and not sp.residual:
+            eliminated_levels.setdefault(str(t), []).append(m.ids(sp.members))
         splittings.append(
             {
                 "t": t,
@@ -113,11 +117,7 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
         "polar_complement": m.ids(m.all_indices - pa.omega_star),
         "rounds": pa.rounds,
         "splittings": splittings,
-        "eliminated_levels": {
-            str(t): [m.ids(sp.members) for sp in sps]
-            for t, sps in pa.eliminated_levels.items()
-            if sps
-        },
+        "eliminated_levels": eliminated_levels,
         "aggregator": strategy_json(m, agg),
         "enlarged_filtration": {
             str(t): [m.ids(a) for a in enlarged[t].atoms] for t in range(m.T + 1)
@@ -267,7 +267,7 @@ def cmd_oracle(args) -> int:
     if m.classes:
         pa = backward_eliminate(m)
         _, enlarged = pa.aggregator
-        natural_gain, _ = oracle_arbitrage(m, pa.natural)
+        natural_gain, _ = pa.natural_arbitrage
         enlarged_gain, _ = oracle_arbitrage(m, enlarged)
         for name, cls in m.classes.items():
             classes[name] = {

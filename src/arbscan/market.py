@@ -401,15 +401,17 @@ def load_market(source: Union[str, Path, dict]) -> Market:
                 raise MarketFormatError(
                     f"probability {name!r} references unknown scenario {sid!r}"
                 )
-            mapped[idx[sid]] = _parse_rat(w, f"probability {name!r}")
+            w = _parse_rat(w, f"probability {name!r}")
+            if w < 0:
+                raise MarketFormatError(
+                    f"probability {name!r}: negative weight on scenario {sid!r}"
+                )
+            mapped[idx[sid]] = w
+        # the weights are nonnegative, so the sum is the only check left
         try:
             probabilities[name] = DiscreteMeasure(mapped)
-        except MarketFormatError as exc:
-            if "sum to 1" in str(exc):
-                raise MarketFormatError(
-                    f"probability {name!r} does not sum to 1"
-                ) from None
-            raise MarketFormatError(f"probability {name!r}: {exc}") from None
+        except MarketFormatError:
+            raise MarketFormatError(f"probability {name!r} does not sum to 1") from None
 
     return market
 

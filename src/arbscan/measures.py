@@ -3,17 +3,17 @@
 A measure is a martingale measure iff, for every period and every atom of the
 conditioning partition, the weighted increments sum to zero exactly.  The
 full-support measure comes from one top-down walk of the analysis's node
-tree (``pa.tree``) restricted to ``omega_star``.  At each node one LP,
+rows (``pa.nodes``) restricted to ``omega_star``.  At each node one LP,
 :func:`convex_combination_for_zero`, gives the node's children strictly
 positive weights under which the mean increment is zero, with the smallest
 weight as large as possible; that LP has one row per asset plus one, none
 per child, and its weights are re-checked exactly before they are returned.
 A child's mass is its parent's mass times its weight.  Nodes whose
-children have the same increments, in any order, ask the same question,
-which the analysis's LP memo (``pa.lp_memo``) answers once.  Backward
-elimination leaves 0 in the relative interior of every surviving level set's
-increment cone, so those weights exist, and the product is an exact
-martingale measure for the natural and the enlarged filtration whose
+children have the same increments (``pa.increments``), in any order, ask the
+same question, which the analysis's LP memo (``pa.lp_memo``) answers once.
+Backward elimination leaves 0 in the relative interior of every surviving
+level set's increment cone, so those weights exist, and the product is an
+exact martingale measure for the natural and the enlarged filtration whose
 support is exactly ``omega_star``.  It charges every survivor, so it is also the measure
 returned for a single surviving scenario and for a class whose sets all meet
 ``omega_star``.  Callers read it as ``pa.full_support``, which builds it once
@@ -55,43 +55,48 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
 
     Each time-0 node of ``omega_star`` gets an equal share of the mass; each
     surviving node passes its mass to its surviving children in the
-    proportions of :func:`convex_combination_for_zero` on their increments; a
-    final group of identical paths splits its mass evenly.  Nodes are node
-    ids of ``pa.tree``, and a node survives when its atom meets ``omega_star``.
+    proportions of :func:`convex_combination_for_zero` on their increments
+    (``pa.increments``); a final group of identical paths splits its mass
+    evenly.  Nodes are the node ids of ``pa.nodes``, and a node survives when
+    it holds a scenario of ``omega_star``: per period, the rows of
+    ``omega_star`` group the surviving children by parent id, and each parent
+    passes its children to the LP in ascending node id.
     """
-    star = pa.omega_star
+    star = sorted(pa.omega_star)
     if not star:
         return None
-    tree = pa.tree
-    roots = [k for k, atom in enumerate(pa.natural[0].atoms) if not atom.isdisjoint(star)]
+    roots = sorted({pa.nodes[0][i] for i in star})
     share = Fraction(1, len(roots))
     frontier = [(k, share) for k in roots]
     for t in range(1, m.T + 1):
-        atoms = pa.natural[t].atoms
-        increments = tree.increments[t]
+        up, row, increments = pa.nodes[t - 1], pa.nodes[t], pa.increments[t]
+        children: dict[int, set[int]] = {}
+        for i in star:
+            children.setdefault(up[i], set()).add(row[i])
         nxt: list[tuple[int, Fraction]] = []
         for k, mass in frontier:
-            children = [c for c in tree.children[t - 1][k] if not atoms[c].isdisjoint(star)]
-            points = tuple(increments[c] for c in children)
+            kids = sorted(children[k])
+            points = tuple(increments[c] for c in kids)
             try:
                 lam = solve_once(pa.lp_memo, convex_combination_for_zero, points, move_weights)
             except DomainError as exc:
-                i = min(pa.natural[t - 1].atoms[k] & star)
+                i = next(i for i in star if up[i] == k)
                 raise InternalError(
                     f"surviving node of {m.scenarios[i].id!r} at time {t - 1} "
                     f"has no strictly positive martingale weights"
                 ) from exc
-            nxt.extend((c, mass * w) for c, w in zip(children, lam))
+            nxt.extend((c, mass * w) for c, w in zip(kids, lam))
         frontier = nxt
+    leaves: dict[int, list[int]] = {}
+    for i in star:
+        leaves.setdefault(pa.nodes[m.T][i], []).append(i)
     weights: dict[int, Fraction] = {}
-    leaves = pa.natural[m.T].atoms
     for c, mass in frontier:
-        leaf = leaves[c] & star
-        each = mass / len(leaf)
-        for i in leaf:
+        each = mass / len(leaves[c])
+        for i in leaves[c]:
             weights[i] = each
     q = DiscreteMeasure(weights)
-    if q.support != star:
+    if q.support != pa.omega_star:
         raise InternalError("full-support measure does not charge exactly omega_star")
     return q
 

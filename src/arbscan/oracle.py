@@ -83,9 +83,7 @@ def oracle_support(m: Market) -> Atom:
 
 
 def oracle_arbitrage(
-    m: Market,
-    filtration: Sequence[Partition],
-    only_period: Optional[int] = None,
+    m: Market, filtration: Sequence[Partition]
 ) -> tuple[Atom, Optional[Strategy]]:
     """The largest strict-gain set of a nonnegative strategy, and one such strategy.
 
@@ -93,7 +91,7 @@ def oracle_arbitrage(
     ``filtration``-predictable strategy with V_T >= 0 everywhere, and ``h`` is
     one such strategy with V_T >= 1 on all of ``gain`` (None when ``gain`` is
     empty).  Variables are one position vector per (period, conditioning
-    atom); ``only_period`` restricts trading to that single period.
+    atom).
 
     One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
     Todd (1985): one slack s_i in [0, 1] per scenario, rows V_T(i) - s_i >= 0,
@@ -103,7 +101,6 @@ def oracle_arbitrage(
     least such s_i lifts the gain to >= 1 there.
     """
     n = m.n
-    periods = [only_period] if only_period is not None else list(range(1, m.T + 1))
     # columns: the n slacks first, then one position vector per (period,
     # atom).  Bland's rule then makes each s_i basic on its own row before any
     # position enters: on one-period 16-scenario trees that is 17 pivots in
@@ -113,7 +110,7 @@ def oracle_arbitrage(
     layout: list[tuple[int, Atom, int]] = []
     # per period, each scenario's first position column: the block of its atom
     first_col: list[dict[int, int]] = []
-    for t in periods:
+    for t in range(1, m.T + 1):
         cols: dict[int, int] = {}
         for atom in filtration[t - 1].atoms:
             for i in atom:
@@ -127,7 +124,7 @@ def oracle_arbitrage(
     for i in range(n):
         coeffs = [0] * nv
         coeffs[i] = -1
-        for t, cols in zip(periods, first_col):
+        for t, cols in enumerate(first_col, 1):
             k = cols.get(i)
             if k is not None:
                 coeffs[k : k + m.d] = m.increment(t, i)

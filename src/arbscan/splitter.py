@@ -10,22 +10,22 @@ remove nothing.  The aggregator strategy holds, in each scenario, the
 separator that eliminated it.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
-per-market context of everything downstream.  Elimination starts from the
-node index (per period, each scenario's node, or atom, id, from
-:func:`~arbscan.market.natural_nodes`) and builds from it the natural
-filtration and a node tree (per period, each node's child node ids and each
-child's shared increment).  Elimination walks the tree up from the leaves
-and the full-support measure walks it down from the roots, so neither
-regroups scenarios or recomputes increments per node.  Both share
-one LP memo: trees ask the same separator and zero-combination questions at
-many nodes, often about the same points in another order, and each point set
-is solved once.  The analysis keeps its market, the filtration, the index,
-the tree and the memo, and builds three artifacts lazily, each at most once
-and only on first use: the aggregator with its enlarged filtration, the
-full-support martingale measure, and the natural-filtration gain set with
-its oracle strategy.  All of it lives exactly as long as the analysis;
-nothing is cached on the market or at module level, so a fresh
-``backward_eliminate`` starts from nothing.
+per-market context of everything downstream.  It stores the natural
+filtration once, as node rows (per period, each scenario's node, or atom,
+id, from :func:`~arbscan.market.natural_nodes`), with one increment per node
+(the price increment all of the node's scenarios share).  Elimination groups
+the surviving nodes of one period by their parent ids in those rows, and the
+full-support measure groups the survivors' rows the same way from the roots
+down, so neither recomputes an increment per scenario.  Both share one LP
+memo: trees ask the same separator and zero-combination questions at many
+nodes, often about the same points in another order, and each point set is
+solved once.  The analysis keeps its market, the rows, the increments and
+the memo, and builds four artifacts lazily, each at most once and only on
+first use: the natural filtration as partitions, the aggregator with its
+enlarged filtration, the full-support martingale measure, and the
+natural-filtration gain set with its oracle strategy.  All of it lives
+exactly as long as the analysis; nothing is cached on the market or at
+module level, so a fresh ``backward_eliminate`` starts from nothing.
 """
 
 from __future__ import annotations
@@ -68,21 +68,6 @@ class Splitting:
 
 
 @dataclass(frozen=True)
-class NodeTree:
-    """The scenario tree of the natural filtration F_0..F_T, by node id.
-
-    Node c at time t is the atom ``natural[t].atoms[c]``; atoms are ordered by
-    least member, and so are node ids.  ``children[t][k]`` holds the ids at
-    time t+1 of node k's children, ascending, and ``increments[t][c]`` the
-    price increment over (t-1, t] that every scenario of node c at time t
-    shares (``increments[0]`` is empty).
-    """
-
-    children: tuple[tuple[tuple[int, ...], ...], ...]
-    increments: tuple[tuple[Vec, ...], ...]
-
-
-@dataclass(frozen=True)
 class PolarAnalysis:
     """Full output of :func:`backward_eliminate`.
 
@@ -94,16 +79,18 @@ class PolarAnalysis:
 
     The per-analysis context takes no part in ``==`` or ``repr``: ``market``
     is the analysed market, ``nodes[t][i]`` the id of scenario i's node at
-    time t (:func:`~arbscan.market.natural_nodes`), ``natural`` the natural
-    filtration F_0..F_T built from those rows (node id = atom index), ``tree``
-    the :class:`NodeTree` of those nodes, and ``lp_memo`` the answers of the
-    separator and zero-combination LPs solved so far, one per point set, kept
-    by :func:`solve_once`.
-    The cached properties ``aggregator``, ``full_support`` and
-    ``natural_arbitrage`` call :func:`universal_aggregator`,
+    time t (:func:`~arbscan.market.natural_nodes`; ids run in order of least
+    member), ``increments[t][c]`` the price increment over (t-1, t] that
+    every scenario of node c at time t shares (``increments[0]`` is empty),
+    and ``lp_memo`` the answers of the separator and zero-combination LPs
+    solved so far, one per point set, kept by :func:`solve_once`.
+    The cached properties ``natural`` (the natural filtration F_0..F_T, one
+    :func:`~arbscan.market.partition_of` per row, node id = atom index),
+    ``aggregator``, ``full_support`` and ``natural_arbitrage`` are built
+    once, on first read, by :func:`universal_aggregator`,
     :func:`~arbscan.measures.full_support_measure` and
-    :func:`~arbscan.oracle.oracle_arbitrage` once, on first read, and
-    return that same object on every later read.  They are deterministic
+    :func:`~arbscan.oracle.oracle_arbitrage`, and return that same object on
+    every later read.  They are deterministic
     functions of (market, analysis), so reading them changes no answer; a new
     analysis of the same market shares none of them.
     """
@@ -111,15 +98,18 @@ class PolarAnalysis:
     omega_star: Atom
     splittings: Mapping[tuple[int, LevelKey], Splitting]
     events: tuple[Splitting, ...]
-    eliminated_levels: Mapping[int, tuple[Splitting, ...]]
     start_set: Atom
     market: Market = field(compare=False, repr=False)
-    natural: tuple[Partition, ...] = field(compare=False, repr=False)
     nodes: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    tree: NodeTree = field(compare=False, repr=False)
+    increments: tuple[tuple[Vec, ...], ...] = field(compare=False, repr=False)
     lp_memo: dict = field(compare=False, repr=False)
 
     rounds = 1
+
+    @cached_property
+    def natural(self) -> tuple[Partition, ...]:
+        """The natural filtration F_0..F_T, one partition per node row."""
+        return tuple(map(partition_of, self.nodes))
 
     @cached_property
     def aggregator(self) -> tuple[Strategy, tuple[Partition, ...]]:
@@ -202,7 +192,7 @@ def split_level_set(
 
     ``children`` are the level set's child nodes as (shared increment,
     members) pairs, members drawn from ``gamma`` and covering it, as
-    :func:`backward_eliminate` reads them off the node tree.  Without them
+    :func:`backward_eliminate` reads them off the node rows.  Without them
     the children are the price level sets of ``gamma`` at depth t, in the
     order of their least members, and a ``gamma`` whose scenarios differ
     before t is rejected.
@@ -244,40 +234,44 @@ def split_level_set(
 def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysis:
     """Block elimination over the (optionally restricted) scenario set, in one sweep.
 
-    The sweep walks t = T..1 up the node tree.  At each period it splits the
+    The sweep walks t = T..1 up the node rows.  At each period it splits the
     level set of every node at time t-1 that still has survivors: the node's
-    surviving children, with the increments the tree holds for them.  All
-    blocks are removed at once, and the residuals are the surviving nodes one
-    period up.  A block is a union of whole surviving child nodes, so the
-    level sets of later periods were final when it was removed, and a second
-    sweep would remove nothing.  On exit every surviving level set passes
+    surviving children, with the increments they share.  All blocks are
+    removed at once, and the residuals are the surviving nodes one period up.
+    A block is a union of whole surviving child nodes, so the level sets of
+    later periods were final when it was removed, and a second sweep would
+    remove nothing.  On exit every surviving level set passes
     cone_ri_contains_zero, so every survivor is supportable by a martingale
     measure concentrated on the survivors.
     """
     start = m.all_indices if within is None else frozenset(within)
     nodes = natural_nodes(m)
-    natural = tuple(map(partition_of, nodes))
-    tree = _node_tree(m, nodes)
+    # node ids run in order of least member, so node c first appears at its
+    # least member, when c new ids have been seen
+    increments: list[tuple[Vec, ...]] = [()]
+    for t in range(1, m.T + 1):
+        incs: list[Vec] = []
+        for i, c in enumerate(nodes[t]):
+            if c == len(incs):
+                incs.append(m.increment(t, i))
+        increments.append(tuple(incs))
     memo: dict = {}
     # per period, the splittings in order of least member
     split_at: list[list[Splitting]] = [[] for _ in range(m.T + 1)]
     events: list[Splitting] = []
-    eliminated: dict[int, list[Splitting]] = {t: [] for t in range(1, m.T + 1)}
 
     # (least member, node id, members) of each node at time t that has
     # survivors, in order of least surviving member; a node's least survivor
     # is its first child's, so its level set and its children keep that order
-    alive = sorted(
-        (min(members), c, members)
-        for c, atom in enumerate(natural[m.T].atoms)
-        if (members := atom & start)
-    )
+    leaves: dict[int, list[int]] = {}
+    for i in sorted(start):
+        leaves.setdefault(nodes[m.T][i], []).append(i)
+    alive = [(members[0], c, frozenset(members)) for c, members in leaves.items()]
     for t in range(m.T, 0, -1):
         up = nodes[t - 1]
-        increments = tree.increments[t]
         levels: dict[int, list[tuple[Vec, Atom]]] = {}
         for least, c, members in alive:
-            levels.setdefault(up[least], []).append((increments[c], members))
+            levels.setdefault(up[least], []).append((increments[t][c], members))
         alive = []
         for k, children in levels.items():
             gamma = frozenset().union(*(c for _p, c in children))
@@ -287,40 +281,18 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
                 alive.append((min(sp.residual), k, sp.residual))
             if sp.blocks:
                 events.append(sp)
-                if not sp.residual:
-                    eliminated[t].append(sp)
         alive.sort()
 
     return PolarAnalysis(
         omega_star=frozenset().union(*(members for _least, _k, members in alive)),
         splittings={(sp.t, sp.level_key): sp for level in split_at for sp in level},
         events=tuple(events),
-        eliminated_levels={t: tuple(v) for t, v in eliminated.items()},
         start_set=start,
         market=m,
-        natural=natural,
         nodes=nodes,
-        tree=tree,
+        increments=tuple(increments),
         lp_memo=memo,
     )
-
-
-def _node_tree(m: Market, nodes: Sequence[Sequence[int]]) -> NodeTree:
-    """The :class:`NodeTree` of the node ids ``nodes``, one increment per node."""
-    children = []
-    increments: list[tuple[Vec, ...]] = [()]
-    for t in range(1, m.T + 1):
-        kids: list[list[int]] = [[] for _ in range(max(nodes[t - 1]) + 1)]
-        incs: list[Vec] = []
-        # node ids run in order of least member, so node c first appears at
-        # its least member, when c new ids have been seen
-        for i, (k, c) in enumerate(zip(nodes[t - 1], nodes[t])):
-            if c == len(incs):
-                kids[k].append(c)
-                incs.append(m.increment(t, i))
-        children.append(tuple(map(tuple, kids)))
-        increments.append(tuple(incs))
-    return NodeTree(tuple(children), tuple(increments))
 
 
 def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[Partition]]:

@@ -1,7 +1,9 @@
 """Shared fixtures: benchmark markets, a random scenario-tree corpus, tree families.
 
 Also the reference groupings the program's node ids are checked against:
-``group_by`` and ``refine``, the join of two partitions atom by atom.
+``group_by`` and ``refine``, the join of two partitions atom by atom; and
+``arbitrage_literal``, the per-set strategy search the oracle is checked
+against.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from arbscan.market import (
     SignificantClass,
     load_market,
 )
+from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
 
 SVU_DOC = {
     "d": 1,
@@ -391,6 +394,26 @@ def refine(p: Partition, q: Partition) -> Partition:
     if p.ground != q.ground:
         raise ValueError("partitions have different ground sets")
     return Partition(tuple(a & b for a in p.atoms for b in q.atoms if a & b))
+
+
+def arbitrage_literal(m: Market, filtration, c, only_period=None) -> bool:
+    """One feasibility LP for the set ``c``: V_T >= 0 everywhere, V_T >= 1 on c.
+
+    ``only_period`` restricts trading to that single period.
+    """
+    periods = [only_period] if only_period is not None else range(1, m.T + 1)
+    layout = [
+        (t, atom, j) for t in periods for atom in filtration[t - 1].atoms for j in range(m.d)
+    ]
+    constraints = []
+    for i in range(m.n):
+        coeffs = tuple(
+            m.increment(t, i)[j] if i in atom else Fraction(0) for t, atom, j in layout
+        )
+        constraints.append((coeffs, GE, Fraction(1) if i in c else Fraction(0)))
+    res = lp_solve(LinearProgram(tuple(Fraction(0) for _ in layout), tuple(constraints)))
+    assert res.status in (OPTIMAL, INFEASIBLE)
+    return res.status == OPTIMAL
 
 
 def predictable_on(m: Market, h, filtration, support) -> bool:

@@ -335,6 +335,12 @@ _MALFORMED = {
     "scenario-entry-not-object": (_scenario_not_object(), None, "scenario entry 1 must be a JSON object"),
     "class-set-as-string": (_svu_with(classes={"c": "a"}), None, "class 'c' must be a JSON array"),
     "price-exponent-too-large": (_svu_with_price("1e1000000"), None, "decimal exponent beyond"),
+    # the message names the scenario by its id, as every other loader message does
+    "probability-negative-weight": (
+        _svu_with(probabilities={"P": {"w1": "3/2", "w2": "-1/2"}}),
+        None,
+        "probability 'P': negative weight on scenario 'w2'",
+    ),
 }
 
 
@@ -360,8 +366,10 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
 
 def test_no_bare_asserts_in_the_package():
     # invariants must survive python -O and exit 4, so none may be an assert
+    paths = sorted(Path(arbscan.__file__).parent.glob("*.py"))
+    assert {"cli.py", "market.py", "measures.py", "splitter.py"} <= {p.name for p in paths}
     found = []
-    for path in sorted(Path(arbscan.__file__).parent.glob("*.py")):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")

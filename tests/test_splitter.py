@@ -104,7 +104,12 @@ def test_backward_eliminate_svu(svu):
     assert pa.omega_star == frozenset()
     steps = [(sp.t, set(sp.members)) for sp in pa.events]
     assert steps == [(2, {2, 3}), (1, {0, 1})]
-    assert pa.eliminated_levels[2][0].members == frozenset({2, 3})
+    # both level sets are eliminated whole: blocks and no residual
+    assert all(sp.blocks and not sp.residual for sp in pa.events)
+    # the report derives its eliminated levels from those splittings
+    from arbscan.cli import build_report
+
+    assert build_report(svu)[0]["eliminated_levels"] == {"1": [["w1", "w2"]], "2": [["w3", "w4"]]}
 
 
 def test_backward_eliminate_constant(constant):
@@ -345,6 +350,24 @@ def test_build_report_builds_each_artifact_once(monkeypatch, mini_corpus, svu, m
         assert vars(m) == before
 
 
+def test_natural_filtration_is_built_on_first_natural_read(monkeypatch, mini_corpus, svu, multi):
+    from arbscan.arbitrage import classify
+    from arbscan.cli import build_report
+    from arbscan.market import SignificantClass
+
+    calls = count_calls(monkeypatch, "market", "partition_of")
+    for m in [svu, multi] + mini_corpus[:10]:
+        # an analyze report groups only the enlarged filtration
+        calls.clear()
+        build_report(m)
+        assert len(calls) == m.T + 1
+        pa = backward_eliminate(m)
+        calls.clear()
+        for expected in (m.T + 1, m.T + 1):
+            classify(m, pa, SignificantClass("MI", (m.all_indices,)), "natural")
+            assert len(calls) == expected
+
+
 def test_natural_classify_reuses_the_filtration(monkeypatch, multi):
     from arbscan.arbitrage import classify
     from arbscan.market import SignificantClass
@@ -455,27 +478,28 @@ def _assert_node_level_sets_match(m):
         for t in range(m.T + 1):
             by_node = [frozenset(g) for g in group_by(pa.nodes[t], sorted(members))]
             assert by_node == [gamma for _k, gamma in m.level_sets(members, t)]
-    # the node tree: each node's children partition it, and share one increment
+    # each node's members share its increment, and the children read off
+    # the rows partition their parent
+    assert pa.increments[0] == ()
     for t in range(1, m.T + 1):
         atoms, below = pa.natural[t - 1].atoms, pa.natural[t].atoms
-        for k, kids in enumerate(pa.tree.children[t - 1]):
-            assert list(kids) == sorted(kids)
-            assert frozenset().union(*(below[c] for c in kids)) == atoms[k]
-            for c in kids:
-                assert {m.increment(t, i) for i in below[c]} == {pa.tree.increments[t][c]}
+        assert len(pa.increments[t]) == len(below)
+        for c, atom in enumerate(below):
+            assert {m.increment(t, i) for i in atom} == {pa.increments[t][c]}
+        for k, atom in enumerate(atoms):
+            kids = {pa.nodes[t][i] for i in atom}
+            assert frozenset().union(*(below[c] for c in kids)) == atom
+            assert all({pa.nodes[t - 1][i] for i in below[c]} == {k} for c in kids)
     # splittings come in report order: t ascending, then least member
     order = [(t, min(sp.members)) for (t, _key), sp in pa.splittings.items()]
     assert order == sorted(order)
     for (t, key), sp in pa.splittings.items():
         assert key == m.history(min(sp.members), t - 1)
-        # the node tree and the price rows split a level set alike
-        k = pa.nodes[t - 1][min(sp.members)]
-        children = sorted(
-            ((pa.tree.increments[t][c], pa.natural[t].atoms[c] & sp.members)
-             for c in pa.tree.children[t - 1][k]),
-            key=lambda child: min(child[1], default=m.n),
-        )
-        children = [child for child in children if child[1]]
+        # the node rows and the price rows split a level set alike
+        children = [
+            (pa.increments[t][pa.nodes[t][g[0]]], frozenset(g))
+            for g in group_by(pa.nodes[t], sorted(sp.members))
+        ]
         assert split_level_set(m, t, sp.members, children) == split_level_set(m, t, sp.members)
 
 
