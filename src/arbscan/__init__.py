@@ -15,12 +15,12 @@ from .errors import DomainError, MarketFormatError
 from .market import (
     DiscreteMeasure,
     Market,
-    Partition,
     Scenario,
     SignificantClass,
     Strategy,
+    atoms_of,
     load_market,
-    natural_filtration,
+    natural_nodes,
     value_process,
 )
 from .measures import (
@@ -67,13 +67,13 @@ __all__ = [
     "Market",
     "MarketFormatError",
     "MartingalePolytope",
-    "Partition",
     "PolarAnalysis",
     "Scenario",
     "SignificantClass",
     "Splitting",
     "Strategy",
     "Verdict",
+    "atoms_of",
     "backward_eliminate",
     "build_polytope",
     "check_martingale",
@@ -91,7 +91,7 @@ __all__ = [
     "lp_solve",
     "maximal_separator",
     "mix",
-    "natural_filtration",
+    "natural_nodes",
     "one_step_1p_check",
     "oracle_arbitrage",
     "oracle_support",

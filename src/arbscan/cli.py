@@ -27,6 +27,7 @@ from .market import (
     Market,
     SignificantClass,
     Strategy,
+    atoms_of,
     load_market,
     load_strategy,
     strategy_values,
@@ -120,7 +121,7 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
         "eliminated_levels": eliminated_levels,
         "aggregator": strategy_json(m, agg),
         "enlarged_filtration": {
-            str(t): [m.ids(a) for a in enlarged[t].atoms] for t in range(m.T + 1)
+            str(t): [m.ids(a) for a in atoms_of(enlarged[t])] for t in range(m.T + 1)
         },
         "measures": {
             "full_support": (
@@ -197,7 +198,7 @@ def cmd_check(args) -> int:
     try:
         cls = _resolve_class(m, args.cls)
     except KeyError:
-        print(f"unknown class {args.cls!r}", file=sys.stderr)
+        print(f"error: unknown class {args.cls!r}", file=sys.stderr)
         return 2
     pa = backward_eliminate(m)
     verdict = classify(m, pa, cls, args.filtration)
@@ -209,7 +210,7 @@ def cmd_check(args) -> int:
 def cmd_extract(args) -> int:
     m = load_market(Path(args.market))
     if args.prob not in m.probabilities:
-        print(f"unknown probability {args.prob!r}", file=sys.stderr)
+        print(f"error: unknown probability {args.prob!r}", file=sys.stderr)
         return 2
     p = m.probabilities[args.prob]
     pa = backward_eliminate(m)
@@ -238,7 +239,7 @@ def cmd_measure(args) -> int:
     try:
         idx = m.index_of(args.support)
     except KeyError:
-        print(f"unknown scenario {args.support!r}", file=sys.stderr)
+        print(f"error: unknown scenario {args.support!r}", file=sys.stderr)
         return 2
     pa = backward_eliminate(m)
     q = supporting_measure(m, pa, idx)

@@ -1,9 +1,11 @@
 """Finite scenario-tree market model: scenarios, filtrations, strategies, measures.
 
-Sigma-algebras are partitions of scenario indices; measurability is constancy
-on atoms.  A grouping of scenarios is a row of node ids, one per scenario,
-as :func:`natural_nodes` builds them; :func:`partition_of` turns a row into
-a :class:`Partition`.  Everything is exact rational arithmetic.
+A filtration is a tuple of node-id rows, one per period t = 0..T: ``rows[t][i]``
+is the id of the node (the atom of F_t) holding scenario i, and ids run 0, 1,
+... in order of each node's least member, as :func:`natural_nodes` numbers
+them.  Measurability is constancy on nodes.  :func:`atoms_of` groups a row
+into atoms where a strategy key or a report needs them.  Everything is exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -37,25 +39,6 @@ class Scenario:
 
     id: str
     path: tuple[Vec, ...]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint nonempty atoms covering a ground set of scenario indices."""
-
-    atoms: tuple[Atom, ...]
-
-    def __post_init__(self):
-        atoms = tuple(map(frozenset, self.atoms))
-        if not all(atoms):
-            raise ValueError("partition atom is empty")
-        ground = frozenset().union(*atoms)
-        if sum(map(len, atoms)) != len(ground):
-            raise ValueError("partition atoms overlap")
-        object.__setattr__(self, "atoms", tuple(sorted(atoms, key=min)))
-        object.__setattr__(self, "ground", ground)
-
-    ground: Atom = field(init=False)
 
 
 @dataclass(frozen=True)
@@ -213,8 +196,8 @@ def natural_nodes(m: Market) -> tuple[tuple[int, ...], ...]:
     """Per period t = 0..T, each scenario's node id in the natural filtration.
 
     ``nodes[t][i]`` is the id of the atom of F_t holding scenario i.  Node
-    ids at each period run 0, 1, ... in order of each node's least member,
-    the order of :class:`Partition` atoms.  F_0 is the level sets at depth 0;
+    ids at each period run 0, 1, ... in order of each node's least member.
+    F_0 is the level sets at depth 0;
     each later row interns (node id at t-1, price row at t) per scenario, so
     each row is hashed once rather than once per later period.
     """
@@ -232,36 +215,34 @@ def natural_nodes(m: Market) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def partition_of(ids: Sequence[int]) -> Partition:
-    """The partition whose atom ``ids[i]`` holds scenario i.
+def atoms_of(row: Sequence[int]) -> tuple[Atom, ...]:
+    """The atoms of a node-id row: atom k holds every i with ``row[i] == k``.
 
-    ``ids`` is a row as :func:`natural_nodes` numbers it: 0, 1, ... in order
-    of each atom's least member, so each id first appears right after the
-    ids below it.
+    ``row`` is numbered as :func:`natural_nodes` numbers it: 0, 1, ... in
+    order of each node's least member, so each id first appears right after
+    the ids below it, and the atoms come in order of least member.
     """
     atoms: list[list[int]] = []
-    for i, k in enumerate(ids):
+    for i, k in enumerate(row):
         if k == len(atoms):
             atoms.append([i])
         else:
             atoms[k].append(i)
-    return Partition(tuple(map(frozenset, atoms)))
+    return tuple(map(frozenset, atoms))
 
 
-def natural_filtration(m: Market) -> list[Partition]:
-    """Partitions F_0..F_T where F_t groups scenarios sharing price rows 0..t."""
-    return [partition_of(row) for row in natural_nodes(m)]
-
-
-def value_process(m: Market, filtration: Sequence[Partition], h: Strategy) -> list[list[Fraction]]:
+def value_process(
+    m: Market, rows: Sequence[Sequence[int]], h: Strategy
+) -> list[list[Fraction]]:
     """V[t][i]: exact gains of ``h``; V[0] = 0 everywhere.
 
-    Every atom that ``h`` references must be an atom of ``filtration``.
+    ``rows`` is a filtration as node-id rows, and every atom that ``h``
+    references at period t must be an atom of ``rows[t-1]``.
     """
     if len(h.positions) != m.T:
         raise ValueError(f"strategy covers {len(h.positions)} periods, expected {m.T}")
     for t in range(1, m.T + 1):
-        legal = set(filtration[t - 1].atoms)
+        legal = set(atoms_of(rows[t - 1]))
         for a in h.positions[t - 1]:
             if a not in legal:
                 raise ValueError(

@@ -1,7 +1,7 @@
 """Martingale measures: the martingale check, the full-support measure, mixing.
 
-A measure is a martingale measure iff, for every period and every atom of the
-conditioning partition, the weighted increments sum to zero exactly.  The
+A measure is a martingale measure iff, for every period and every node of the
+conditioning filtration, the weighted increments sum to zero exactly.  The
 full-support measure comes from one top-down walk of the analysis's node
 rows (``pa.nodes``) restricted to ``omega_star``.  At each node one LP,
 :func:`convex_combination_for_zero`, gives the node's children strictly
@@ -26,27 +26,24 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
-from .market import DiscreteMeasure, Market, Partition
+from .market import DiscreteMeasure, Market
 from .ratgeom import convex_combination_for_zero
 from .splitter import PolarAnalysis, move_weights, solve_once
 
 _ZERO = Fraction(0)
 
 
-def check_martingale(m: Market, q: DiscreteMeasure, filtration: Sequence[Partition]) -> bool:
-    """Exact per-atom zero-expectation check against the given filtration."""
+def check_martingale(m: Market, q: DiscreteMeasure, rows: Sequence[Sequence[int]]) -> bool:
+    """Exact per-node zero-expectation check against the filtration ``rows`` (node-id rows)."""
     for t in range(1, m.T + 1):
-        for atom in filtration[t - 1].atoms:
-            total = [_ZERO] * m.d
-            for i in atom:
-                w = q[i]
-                if w:
-                    inc = m.increment(t, i)
-                    for j in range(m.d):
-                        if inc[j]:
-                            total[j] += w * inc[j]
-            if any(total):
-                return False
+        row = rows[t - 1]
+        totals: dict[int, list[Fraction]] = {}
+        for i, w in q.weights.items():
+            total = totals.setdefault(row[i], [_ZERO] * m.d)
+            for j, x in enumerate(m.increment(t, i)):
+                total[j] += w * x
+        if any(any(total) for total in totals.values()):
+            return False
     return True
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InternalError
-from .market import Atom, Market, Partition, Strategy, natural_nodes, value_process
+from .market import Atom, Market, Strategy, atoms_of, natural_nodes, value_process
 from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, Vec, lp_solve
 
 
@@ -83,15 +83,16 @@ def oracle_support(m: Market) -> Atom:
 
 
 def oracle_arbitrage(
-    m: Market, filtration: Sequence[Partition]
+    m: Market, rows: Sequence[Sequence[int]]
 ) -> tuple[Atom, Optional[Strategy]]:
     """The largest strict-gain set of a nonnegative strategy, and one such strategy.
 
-    Returns (gain, h): ``gain`` is the union of {V_T > 0} over every
-    ``filtration``-predictable strategy with V_T >= 0 everywhere, and ``h`` is
-    one such strategy with V_T >= 1 on all of ``gain`` (None when ``gain`` is
-    empty).  Variables are one position vector per (period, conditioning
-    atom).
+    Returns (gain, h): ``gain`` is the union of {V_T > 0} over every strategy
+    predictable for the filtration ``rows`` (node-id rows, as
+    :func:`~arbscan.market.natural_nodes` numbers them) with V_T >= 0
+    everywhere, and ``h`` is one such strategy with V_T >= 1 on all of
+    ``gain`` (None when ``gain`` is empty).  Variables are one position
+    vector per (period t, node of ``rows[t-1]``).
 
     One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
     Todd (1985): one slack s_i in [0, 1] per scenario, rows V_T(i) - s_i >= 0,
@@ -100,58 +101,49 @@ def oracle_arbitrage(
     on could be improved; hence ``gain`` = {i : s_i > 0}, and dividing by the
     least such s_i lifts the gain to >= 1 there.
     """
-    n = m.n
+    n, d = m.n, m.d
     # columns: the n slacks first, then one position vector per (period,
-    # atom).  Bland's rule then makes each s_i basic on its own row before any
+    # node).  Bland's rule then makes each s_i basic on its own row before any
     # position enters: on one-period 16-scenario trees that is 17 pivots in
     # place of 29 with the positions first, and 1.0 ms in place of 3.0 ms;
     # 3.0 ms in place of 5.9 ms on trinomial trees of 27 scenarios.  Only
     # small random markets favour the positions (0.56 ms against 0.82 ms).
-    layout: list[tuple[int, Atom, int]] = []
-    # per period, each scenario's first position column: the block of its atom
-    first_col: list[dict[int, int]] = []
-    for t in range(1, m.T + 1):
-        cols: dict[int, int] = {}
-        for atom in filtration[t - 1].atoms:
-            for i in atom:
-                cols[i] = n + len(layout)
-            for j in range(m.d):
-                layout.append((t, atom, j))
-        first_col.append(cols)
-    nv = n + len(layout)
+    # Asset j of node k in period t is column first[t-1] + k*d + j.
+    first = []
+    nv = n
+    for row in rows[: m.T]:
+        first.append(nv)
+        nv += (max(row) + 1) * d
 
     constraints = []
     for i in range(n):
         coeffs = [0] * nv
         coeffs[i] = -1
-        for t, cols in enumerate(first_col, 1):
-            k = cols.get(i)
-            if k is not None:
-                coeffs[k : k + m.d] = m.increment(t, i)
+        for t, col in enumerate(first, 1):
+            k = col + rows[t - 1][i] * d
+            coeffs[k : k + d] = m.increment(t, i)
         constraints.append((tuple(coeffs), GE, 0))
-    objective = (1,) * n + (0,) * len(layout)
-    bounds = ((0, 1),) * n + ((None, None),) * len(layout)
+    objective = (1,) * n + (0,) * (nv - n)
+    bounds = ((0, 1),) * n + ((None, None),) * (nv - n)
 
     res = lp_solve(LinearProgram(objective, tuple(constraints), bounds))
     if res.status != OPTIMAL:
         raise InternalError(f"strategy search LP ended {res.status}")
-    slack = res.solution[:n]
-    gain = frozenset(i for i, s in enumerate(slack) if s > 0)
+    sol = res.solution
+    gain = frozenset(i for i, s in enumerate(sol[:n]) if s > 0)
     if not gain:
         return gain, None
-    scale = min(slack[i] for i in gain)
+    scale = min(sol[i] for i in gain)
 
-    positions: list[dict[Atom, list]] = [
-        {atom: [0] * m.d for atom in filtration[t - 1].atoms}
-        for t in range(1, m.T + 1)
-    ]
-    for (t, atom, j), x in zip(layout, res.solution[n:]):
-        positions[t - 1][atom][j] = x / scale
-    strategy = Strategy(
-        tuple({a: tuple(v) for a, v in pos.items()} for pos in positions)
-    )
+    strategy = Strategy(tuple(
+        {
+            atom: tuple(x / scale for x in sol[col + k * d : col + (k + 1) * d])
+            for k, atom in enumerate(atoms_of(rows[t - 1]))
+        }
+        for t, col in enumerate(first, 1)
+    ))
 
-    v = value_process(m, filtration, strategy)
+    v = value_process(m, rows, strategy)
     if any(x < 0 for x in v[m.T]):
         raise InternalError("oracle strategy loses on some scenario")
     if any(v[m.T][i] < 1 for i in gain):

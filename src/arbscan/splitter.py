@@ -12,7 +12,8 @@ separator that eliminated it.
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
 per-market context of everything downstream.  It stores the natural
 filtration once, as node rows (per period, each scenario's node, or atom,
-id, from :func:`~arbscan.market.natural_nodes`), with one increment per node
+id, from :func:`~arbscan.market.natural_nodes`), the one form in which every
+module takes a filtration, with one increment per node
 (the price increment all of the node's scenarios share).  Elimination groups
 the surviving nodes of one period by their parent ids in those rows, and the
 full-support measure groups the survivors' rows the same way from the roots
@@ -20,10 +21,10 @@ down, so neither recomputes an increment per scenario.  Both share one LP
 memo: trees ask the same separator and zero-combination questions at many
 nodes, often about the same points in another order, and each point set is
 solved once.  The analysis keeps its market, the rows, the increments and
-the memo, and builds four artifacts lazily, each at most once and only on
-first use: the natural filtration as partitions, the aggregator with its
-enlarged filtration, the full-support martingale measure, and the
-natural-filtration gain set with its oracle strategy.  All of it lives
+the memo, and builds three artifacts lazily, each at most once and only on
+first use: the aggregator with its enlarged filtration (node rows as well),
+the full-support martingale measure, and the natural-filtration gain set
+with its oracle strategy.  All of it lives
 exactly as long as the analysis; nothing is cached on the market or at
 module level, so a fresh ``backward_eliminate`` starts from nothing.
 """
@@ -36,7 +37,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import oracle
 from .errors import DomainError, InternalError
-from .market import Atom, DiscreteMeasure, Market, Partition, Strategy, natural_nodes, partition_of
+from .market import Atom, DiscreteMeasure, Market, Strategy, atoms_of, natural_nodes
 from .ratgeom import Vec, maximal_separator
 
 LevelKey = tuple[Vec, ...]
@@ -84,10 +85,10 @@ class PolarAnalysis:
     every scenario of node c at time t shares (``increments[0]`` is empty),
     and ``lp_memo`` the answers of the separator and zero-combination LPs
     solved so far, one per point set, kept by :func:`solve_once`.
-    The cached properties ``natural`` (the natural filtration F_0..F_T, one
-    :func:`~arbscan.market.partition_of` per row, node id = atom index),
-    ``aggregator``, ``full_support`` and ``natural_arbitrage`` are built
-    once, on first read, by :func:`universal_aggregator`,
+    ``nodes`` is also the natural filtration wherever one is taken.
+    The cached properties ``aggregator``, ``full_support`` and
+    ``natural_arbitrage`` are built once, on first read, by
+    :func:`universal_aggregator`,
     :func:`~arbscan.measures.full_support_measure` and
     :func:`~arbscan.oracle.oracle_arbitrage`, and return that same object on
     every later read.  They are deterministic
@@ -107,15 +108,9 @@ class PolarAnalysis:
     rounds = 1
 
     @cached_property
-    def natural(self) -> tuple[Partition, ...]:
-        """The natural filtration F_0..F_T, one partition per node row."""
-        return tuple(map(partition_of, self.nodes))
-
-    @cached_property
-    def aggregator(self) -> tuple[Strategy, tuple[Partition, ...]]:
-        """The universal aggregator and its enlarged filtration."""
-        agg, enlarged = universal_aggregator(self.market, self)
-        return agg, tuple(enlarged)
+    def aggregator(self) -> tuple[Strategy, tuple[tuple[int, ...], ...]]:
+        """The universal aggregator and its enlarged filtration's node rows."""
+        return universal_aggregator(self.market, self)
 
     @cached_property
     def full_support(self) -> Optional[DiscreteMeasure]:
@@ -127,7 +122,7 @@ class PolarAnalysis:
     @cached_property
     def natural_arbitrage(self) -> tuple[Atom, Optional[Strategy]]:
         """The natural-filtration gain set and a strategy gaining >= 1 on all of it."""
-        return oracle.oracle_arbitrage(self.market, self.natural)
+        return oracle.oracle_arbitrage(self.market, self.nodes)
 
 
 def solve_once(memo: dict, solve: Callable, points: Sequence[Vec], move: Callable):
@@ -295,7 +290,9 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     )
 
 
-def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[Partition]]:
+def universal_aggregator(
+    m: Market, pa: PolarAnalysis
+) -> tuple[Strategy, tuple[tuple[int, ...], ...]]:
     """The aggregator strategy and the enlarged filtration it is predictable for.
 
     The strategy holds, at each scenario's elimination period, the separator
@@ -303,7 +300,8 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
     exactly the complement of ``omega_star``.  The filtration joins the
     natural one with the value partitions of the aggregator one step ahead
     (no look-ahead term at T): F~_t groups scenarios by their node id at t
-    (``pa.nodes``) and their held values over periods 1..min(t+1, T).
+    (``pa.nodes``) and their held values over periods 1..min(t+1, T).  The
+    filtration is returned as node-id rows, numbered like ``pa.nodes``.
 
     Each block's separator is interned once: equal separators, common in
     recombining trees, share one id, so grouping scenarios by id is grouping
@@ -332,29 +330,34 @@ def universal_aggregator(m: Market, pa: PolarAnalysis) -> tuple[Strategy, list[P
     for t in range(m.T + 1):
         seen = {}
         keys = zip(pa.nodes[t], history[min(t + 1, m.T)])
-        enlarged.append(partition_of([seen.setdefault(key, len(seen)) for key in keys]))
+        enlarged.append(tuple([seen.setdefault(key, len(seen)) for key in keys]))
 
     positions = []
     for t in range(1, m.T + 1):
         pos: dict[Atom, Vec] = {}
         row = ids[t]
-        for atom in enlarged[t - 1].atoms:
+        for atom in atoms_of(enlarged[t - 1]):
             held = {row[i] for i in atom}
             if len(held) != 1:
                 raise InternalError("aggregator not constant on an enlarged atom")
             pos[atom] = values[held.pop()]
         positions.append(pos)
-    return Strategy(tuple(positions)), enlarged
+    return Strategy(tuple(positions)), tuple(enlarged)
 
 
-def check_predictable(h: Strategy, filtration: Sequence[Partition]) -> bool:
-    """True iff each period's positions are constant on the previous partition's atoms."""
+def check_predictable(h: Strategy, rows: Sequence[Sequence[int]]) -> bool:
+    """True iff each period's positions are constant on the nodes of the previous row.
+
+    ``rows`` is a filtration as node-id rows; a scenario no atom of ``h``
+    covers holds the zero position.
+    """
     d = next((len(v) for pos in h.positions for v in pos.values()), None)
     if d is None:
         return True
     for t in range(1, len(h.positions) + 1):
-        for atom in filtration[t - 1].atoms:
-            vals = {h.vector(t, i, d) for i in atom}
-            if len(vals) > 1:
+        held: dict[int, Vec] = {}
+        for i, k in enumerate(rows[t - 1]):
+            v = h.vector(t, i, d)
+            if held.setdefault(k, v) != v:
                 return False
     return True

@@ -3,7 +3,7 @@
 Also the reference groupings the program's node ids are checked against:
 ``group_by`` and ``refine``, the join of two partitions atom by atom; and
 ``arbitrage_literal``, the per-set strategy search the oracle is checked
-against.
+against, with its own (period, atom, asset) column layout.
 """
 
 from __future__ import annotations
@@ -16,11 +16,12 @@ import pytest
 from hypothesis import assume, strategies as st
 
 from arbscan.market import (
+    Atom,
     DiscreteMeasure,
     Market,
-    Partition,
     Scenario,
     SignificantClass,
+    atoms_of,
     load_market,
 )
 from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
@@ -389,21 +390,24 @@ def group_by(key_of, members) -> list[list[int]]:
     return list(groups.values())
 
 
-def refine(p: Partition, q: Partition) -> Partition:
-    """Coarsest common refinement (the join of the two sigma-algebras), atom by atom."""
-    if p.ground != q.ground:
+def refine(p, q) -> tuple[Atom, ...]:
+    """Coarsest common refinement of two partitions given as atoms (the join of
+    the two sigma-algebras), atom by atom, in order of least member."""
+    if frozenset().union(*p) != frozenset().union(*q):
         raise ValueError("partitions have different ground sets")
-    return Partition(tuple(a & b for a in p.atoms for b in q.atoms if a & b))
+    return tuple(sorted((a & b for a in p for b in q if a & b), key=min))
 
 
-def arbitrage_literal(m: Market, filtration, c, only_period=None) -> bool:
+def arbitrage_literal(m: Market, rows, c, only_period=None) -> bool:
     """One feasibility LP for the set ``c``: V_T >= 0 everywhere, V_T >= 1 on c.
 
-    ``only_period`` restricts trading to that single period.
+    ``rows`` is the filtration as node-id rows; the LP has one column per
+    (period, atom, asset).  ``only_period`` restricts trading to that single
+    period.
     """
     periods = [only_period] if only_period is not None else range(1, m.T + 1)
     layout = [
-        (t, atom, j) for t in periods for atom in filtration[t - 1].atoms for j in range(m.d)
+        (t, atom, j) for t in periods for atom in atoms_of(rows[t - 1]) for j in range(m.d)
     ]
     constraints = []
     for i in range(m.n):
@@ -416,11 +420,11 @@ def arbitrage_literal(m: Market, filtration, c, only_period=None) -> bool:
     return res.status == OPTIMAL
 
 
-def predictable_on(m: Market, h, filtration, support) -> bool:
+def predictable_on(m: Market, h, rows, support) -> bool:
     """True iff each period's positions of ``h`` are constant on every atom of
-    the previous partition intersected with ``support`` (predictable a.s.)."""
+    the previous row intersected with ``support`` (predictable a.s.)."""
     for t in range(1, m.T + 1):
-        for atom in filtration[t - 1].atoms:
+        for atom in atoms_of(rows[t - 1]):
             if len({h.vector(t, i, m.d) for i in atom & support}) > 1:
                 return False
     return True

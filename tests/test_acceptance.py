@@ -16,7 +16,7 @@ from arbscan.arbitrage import (
     lebesgue_decompose,
     one_step_1p_check,
 )
-from arbscan.market import SignificantClass, natural_filtration, strategy_values
+from arbscan.market import SignificantClass, atoms_of, natural_nodes, strategy_values
 from arbscan.measures import (
     check_martingale,
     class_measure,
@@ -77,7 +77,7 @@ def test_criterion_2_multi(multi):
 
     def body():
         start = time.time()
-        f = natural_filtration(multi)
+        f = natural_nodes(multi)
         omega = frozenset(range(4))
         h = Strategy(
             (
@@ -170,7 +170,7 @@ def test_criterion_6_class_ftap(corpus, analyses):
             # coarser natural filtration gains on no more
             gain, _h = oracle_arbitrage(m, enlarged)
             assert gain == polar, f"market {i}"
-            assert oracle_arbitrage(m, pa.natural)[0] <= gain, f"market {i}"
+            assert oracle_arbitrage(m, pa.nodes)[0] <= gain, f"market {i}"
             for k in range(5):
                 cls = random_class(rng, m.n, f"c{k}")
                 verdict = classify(m, pa, cls, "enlarged")
@@ -199,11 +199,11 @@ def test_criterion_7_aggregator_contract(corpus, analyses):
             assert all(x >= 0 for x in v[m.T]), f"market {i}"
             assert {j for j in range(m.n) if v[m.T][j] > 0} == polar, f"market {i}"
             assert check_predictable(agg, enlarged), f"market {i}"
-            f = natural_filtration(m)
+            f = natural_nodes(m)
             splits_atom = any(
                 len({agg.vector(t, j, m.d) for j in atom}) > 1
                 for t in range(1, m.T + 1)
-                for atom in f[t - 1].atoms
+                for atom in atoms_of(f[t - 1])
             )
             assert check_predictable(agg, f) == (not splits_atom), f"market {i}"
 
@@ -218,7 +218,7 @@ def test_criterion_8_measure_exactness(corpus, analyses):
             pa = analyses[i]
             if not pa.omega_star:
                 continue
-            f = natural_filtration(m)
+            f = natural_nodes(m)
             _agg, enlarged = universal_aggregator(m, pa)
             witness = full_support_measure(m, pa)
             emitted = [witness]
@@ -282,7 +282,7 @@ def test_criterion_10_extraction(corpus, analyses):
                     assert all(v[m.T][j] >= 0 for j in p.support), f"market {i}"
                     gain = sum((p[j] for j in range(m.n) if v[m.T][j] > 0), F(0))
                     assert gain > 0, f"market {i}"
-                    assert predictable_on(m, h, pa.natural, p.support), f"market {i}"
+                    assert predictable_on(m, h, pa.nodes, p.support), f"market {i}"
 
     _report(
         10,

@@ -20,7 +20,8 @@ from arbscan.market import (
     DiscreteMeasure,
     SignificantClass,
     Strategy,
-    natural_filtration,
+    atoms_of,
+    natural_nodes,
     strategy_values,
 )
 from arbscan.splitter import backward_eliminate
@@ -94,22 +95,21 @@ def test_one_step_check_ex3d(ex3d):
 def test_one_step_entries_iff_natural_one_point(mini_corpus):
     # one-step entries exist exactly when some natural-filtration strategy
     # gains somewhere without ever losing (a nonempty oracle gain set)
-    from arbscan.market import natural_filtration
     from arbscan.oracle import oracle_arbitrage
 
     for m in mini_corpus[:15]:
         pa = backward_eliminate(m)
         entries = one_step_1p_check(m, pa)
-        gain, _h = oracle_arbitrage(m, natural_filtration(m))
+        gain, _h = oracle_arbitrage(m, natural_nodes(m))
         exists_1p = any(frozenset({i}) <= gain for i in range(m.n))
         assert bool(entries) == exists_1p
 
 
 def test_defragment_multi(multi):
-    f = natural_filtration(multi)
+    f = natural_nodes(multi)
     h = Strategy(
         (
-            {a: (F(-1), F(1)) for a in f[0].atoms},
+            {a: (F(-1), F(1)) for a in atoms_of(f[0])},
             {
                 frozenset({1, 2}): (F(1), F(-1)),
                 frozenset({0}): (F(0), F(0)),
@@ -146,8 +146,8 @@ def test_defragment_covers_svu_aggregator(svu):
 
 
 def test_defragment_rejects_negative_terminal(svu):
-    f = natural_filtration(svu)
-    short = Strategy(({a: (F(-1),) for a in f[0].atoms}, {}))
+    f = natural_nodes(svu)
+    short = Strategy(({a: (F(-1),) for a in atoms_of(f[0])}, {}))
     with pytest.raises(DomainError, match="negative"):
         defragment(svu, short)
 
@@ -224,4 +224,4 @@ def test_extraction_matches_decomposition_on_corpus(mini_corpus):
                 assert all(v[m.T][i] >= 0 for i in p.support)
                 assert sum(p[i] for i in range(m.n) if v[m.T][i] > 0) > 0
                 # no look-ahead: one position per natural atom, P-a.s.
-                assert predictable_on(m, h, pa.natural, p.support)
+                assert predictable_on(m, h, pa.nodes, p.support)

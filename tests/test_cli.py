@@ -192,6 +192,20 @@ def test_check_multi_natural(capsys, multi_file):
     assert len(periods_used) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--class", "nope"], "unknown class 'nope'"),
+        (["extract", "--prob", "nope"], "unknown probability 'nope'"),
+        (["measure", "--support", "nope"], "unknown scenario 'nope'"),
+    ],
+)
+def test_lookup_errors_exit_2_with_error_prefix(capsys, svu_file, argv, message):
+    code, out, err = _run(capsys, argv[0], svu_file, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_load_errors_exit_2(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d": 1, "T": 0, "scenarios": []}', "utf-8")

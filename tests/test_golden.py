@@ -1,10 +1,13 @@
-"""Golden `analyze --verify` reports: the exact bytes of every report are pinned.
+"""Golden reports: the exact bytes of every pinned command output.
 
-The files under ``tests/golden/`` hold ``build_report(m, verify=True)``
+The files ``tests/golden/<market>.json`` hold ``build_report(m, verify=True)``
 rendered as the CLI renders it.  They pin every rational the LP layer
 produces (separators, aggregator positions, measure weights), so a kernel
-change that keeps the same pivots must leave them byte-identical.  A change
-that alters the bytes on purpose regenerates them with
+change that keeps the same pivots must leave them byte-identical.  Beside
+them, ``<market>.<command>.json`` pins the natural-filtration verdicts
+``check --class MI`` and ``check --class 1p`` (whose witness is the oracle
+LP's strategy) and the ``oracle`` command's output.  A change that alters
+the bytes on purpose regenerates them with
 ``PYTHONPATH=src python tests/test_golden.py`` and says so in CHANGES.md.
 
 The loader keeps integral prices as ``int``s.  The same bytes must come
@@ -18,11 +21,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from arbscan.cli import build_report
+from arbscan.cli import build_report, main
 from arbscan.market import load_market
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -88,9 +92,27 @@ DOCS = {
 }
 
 
+# name -> CLI arguments after the market file; the golden is <market>.<name>.json
+COMMANDS = {
+    "check-MI-natural": ["check", "--class", "MI", "--filtration", "natural"],
+    "check-1p-natural": ["check", "--class", "1p", "--filtration", "natural"],
+    "oracle": ["oracle"],
+}
+
+
 def render(doc: dict, rebuild=lambda m: m) -> str:
     report, _agrees = build_report(rebuild(load_market(doc)), verify=True)
     return json.dumps(report, indent=2) + "\n"
+
+
+def render_command(doc: dict, command: str) -> str:
+    """What ``arbscan <command> market.json`` writes for the market ``doc``."""
+    cmd, *rest = COMMANDS[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        market, out = Path(tmp, "market.json"), Path(tmp, "out.json")
+        market.write_text(json.dumps(doc), "utf-8")
+        main([cmd, str(market), "--out", str(out), *rest])
+        return out.read_text("utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(DOCS))
@@ -103,6 +125,13 @@ def test_report_matches_golden(name):
 def test_fraction_priced_market_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text("utf-8")
     assert render(DOCS[name], fraction_market) == expected
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("name", sorted(DOCS))
+def test_command_matches_golden(name, command):
+    expected = (GOLDEN / f"{name}.{command}.json").read_text("utf-8")
+    assert render_command(DOCS[name], command) == expected
 
 
 # one integral and one fractional market
@@ -126,3 +155,5 @@ def test_cli_under_python_O_matches_golden(name, tmp_path):
 if __name__ == "__main__":
     for name, doc in sorted(DOCS.items()):
         (GOLDEN / f"{name}.json").write_text(render(doc), "utf-8")
+        for command in COMMANDS:
+            (GOLDEN / f"{name}.{command}.json").write_text(render_command(doc, command), "utf-8")

@@ -12,14 +12,12 @@ from arbscan.errors import MarketFormatError
 from arbscan.market import (
     DiscreteMeasure,
     Market,
-    Partition,
     Scenario,
     Strategy,
+    atoms_of,
     load_market,
     load_strategy,
-    natural_filtration,
     natural_nodes,
-    partition_of,
     value_process,
 )
 from arbscan.measures import check_martingale, full_support_measure
@@ -97,7 +95,7 @@ def test_time_zero_disagreement_warns():
     }
     with pytest.warns(UserWarning, match="initial prices differ"):
         m = load_market(doc)
-    assert len(natural_filtration(m)[0].atoms) == 2
+    assert natural_nodes(m)[0] == (0, 1)
 
 
 def test_time_zero_warning_blames_the_caller():
@@ -125,27 +123,26 @@ def test_missing_or_null_tables_are_empty():
 
 
 def test_natural_filtration_svu(svu):
-    f = natural_filtration(svu)
-    assert [_ids(svu, a) for a in f[0].atoms] == [{"w1", "w2", "w3", "w4"}]
-    assert [_ids(svu, a) for a in f[1].atoms] == [{"w1", "w2"}, {"w3", "w4"}]
-    assert all(len(a) == 1 for a in f[2].atoms)
+    f = [atoms_of(row) for row in natural_nodes(svu)]
+    assert [_ids(svu, a) for a in f[0]] == [{"w1", "w2", "w3", "w4"}]
+    assert [_ids(svu, a) for a in f[1]] == [{"w1", "w2"}, {"w3", "w4"}]
+    assert all(len(a) == 1 for a in f[2])
 
 
 def test_natural_filtration_single_scenario():
     m = load_market({"d": 1, "T": 2, "scenarios": [{"id": "a", "prices": [[1], [2], [3]]}]})
-    assert all(len(p.atoms) == 1 for p in natural_filtration(m))
+    assert natural_nodes(m) == ((0,), (0,), (0,))
 
 
 def test_natural_filtration_multi(multi):
-    f = natural_filtration(multi)
-    assert [_ids(multi, a) for a in f[1].atoms] == [{"A1"}, {"A2", "A3"}, {"A4"}]
+    f1 = atoms_of(natural_nodes(multi)[1])
+    assert [_ids(multi, a) for a in f1] == [{"A1"}, {"A2", "A3"}, {"A4"}]
 
 
 def test_natural_filtration_groups_shared_price_rows(mini_corpus, ex3d, countna):
     for m in mini_corpus + [ex3d, countna]:
-        f = natural_filtration(m)
-        assert f == [
-            Partition(tuple(a for _k, a in m.level_sets(m.all_indices, t))) for t in range(m.T + 1)
+        assert [atoms_of(row) for row in natural_nodes(m)] == [
+            tuple(a for _k, a in m.level_sets(m.all_indices, t)) for t in range(m.T + 1)
         ]
 
 
@@ -163,29 +160,29 @@ def test_natural_nodes_number_nodes_by_least_member(svu, multi):
     assert natural_nodes(m) == ((0, 1, 0), (0, 1, 0))
 
 
-def test_partition_of_groups_by_id():
-    assert partition_of((0, 1, 1, 0, 2)).atoms == (
+def test_atoms_of_groups_by_id():
+    assert atoms_of((0, 1, 1, 0, 2)) == (
         frozenset({0, 3}), frozenset({1, 2}), frozenset({4}),
     )
-    assert partition_of((0,)) == Partition((frozenset({0}),))
+    assert atoms_of((0,)) == (frozenset({0}),)
 
 
 def test_filtration_is_monotone(mini_corpus):
     for m in mini_corpus[:20]:
-        f = natural_filtration(m)
+        f = [atoms_of(row) for row in natural_nodes(m)]
         for t in range(1, m.T + 1):
             # every atom at t lies inside one atom at t - 1
-            assert all(any(a <= b for b in f[t - 1].atoms) for a in f[t].atoms)
+            assert all(any(a <= b for b in f[t - 1]) for a in f[t])
 
 
 def test_refine():
-    p = Partition((frozenset({0, 1}), frozenset({2, 3})))
-    whole = Partition((frozenset({0, 1, 2, 3}),))
-    cross = Partition((frozenset({0, 2}), frozenset({1, 3})))
+    p = (frozenset({0, 1}), frozenset({2, 3}))
+    whole = (frozenset({0, 1, 2, 3}),)
+    cross = (frozenset({0, 2}), frozenset({1, 3}))
     assert refine(p, whole) == p
-    assert refine(p, cross).atoms == tuple(frozenset({i}) for i in range(4))
+    assert refine(p, cross) == tuple(frozenset({i}) for i in range(4))
     with pytest.raises(ValueError, match="ground"):
-        refine(p, Partition((frozenset({0}),)))
+        refine(p, (frozenset({0}),))
 
 
 def test_refine_by_aggregator_values_ex1000(ex1000):
@@ -196,14 +193,14 @@ def test_refine_by_aggregator_values_ex1000(ex1000):
     groups = {}
     for i in range(ex1000.n):
         groups.setdefault(agg.vector(1, i, ex1000.d), set()).add(i)
-    by_value = Partition(tuple(frozenset(g) for g in groups.values()))
-    f1 = natural_filtration(ex1000)[1]
+    by_value = tuple(frozenset(g) for g in groups.values())
+    f1 = atoms_of(natural_nodes(ex1000)[1])
     refined = refine(f1, by_value)
-    assert all(len(a) == 1 for a in refined.atoms)
+    assert all(len(a) == 1 for a in refined)
 
 
 def test_value_process_multi(multi):
-    f = natural_filtration(multi)
+    f = natural_nodes(multi)
     omega = frozenset(range(4))
     h1_only = Strategy(({omega: (F(-1), F(1))}, {}))
     v = value_process(multi, f, h1_only)
@@ -218,7 +215,7 @@ def test_value_process_multi(multi):
 
 
 def test_value_process_rejects_foreign_atom(multi):
-    f = natural_filtration(multi)
+    f = natural_nodes(multi)
     bad = Strategy(({}, {frozenset({0, 1}): (F(1), F(0))}))
     with pytest.raises(ValueError, match="absent from the filtration"):
         value_process(multi, f, bad)
@@ -228,7 +225,7 @@ def test_value_process_rejects_foreign_atom(multi):
 @given(st.integers(-3, 3), st.integers(-3, 3), st.data())
 def test_value_process_linear(a, b, data):
     m = load_market(SVU_DOC)
-    f = natural_filtration(m)
+    f = natural_nodes(m)
 
     def rand_strategy():
         pos = []
@@ -236,7 +233,7 @@ def test_value_process_linear(a, b, data):
             pos.append(
                 {
                     atom: tuple(F(data.draw(st.integers(-3, 3))) for _ in range(m.d))
-                    for atom in f[t - 1].atoms
+                    for atom in atoms_of(f[t - 1])
                 }
             )
         return Strategy(tuple(pos))
@@ -246,7 +243,7 @@ def test_value_process_linear(a, b, data):
         tuple(
             {
                 atom: tuple(F(a) * x + F(b) * y for x, y in zip(g.positions[t][atom], h.positions[t][atom]))
-                for atom in f[t].atoms
+                for atom in atoms_of(f[t])
             }
             for t in range(m.T)
         )
@@ -260,7 +257,7 @@ def test_value_process_linear(a, b, data):
 def test_martingale_kills_expected_terminal_value(countna):
     pa = backward_eliminate(countna)
     q = full_support_measure(countna, pa)
-    f = natural_filtration(countna)
+    f = natural_nodes(countna)
     assert check_martingale(countna, q, f)
     h = Strategy(({frozenset(range(4)): (F(3),)},))
     v = value_process(countna, f, h)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 
 from arbscan.arbitrage import feasibility
 from arbscan.errors import DomainError
-from arbscan.market import DiscreteMeasure, SignificantClass, load_market, natural_filtration
+from arbscan.market import DiscreteMeasure, SignificantClass, load_market, natural_nodes
 from arbscan.measures import (
     check_martingale,
     class_measure,
@@ -56,7 +56,7 @@ def test_supporting_measure_countna(countna):
     q = supporting_measure(countna, pa, target)
     assert q[target] > 0
     assert q.support == pa.omega_star
-    assert check_martingale(countna, q, natural_filtration(countna))
+    assert check_martingale(countna, q, natural_nodes(countna))
 
 
 def test_supporting_measure_two_point():
@@ -92,7 +92,7 @@ def test_mix():
 
 def test_mix_preserves_martingality(countna):
     pa = backward_eliminate(countna)
-    f = natural_filtration(countna)
+    f = natural_nodes(countna)
     qa = supporting_measure(countna, pa, countna.index_of("q1"))
     qb = supporting_measure(countna, pa, countna.index_of("q2"))
     q = mix([qa, qb], [F(1, 2), F(1, 2)])
@@ -104,7 +104,7 @@ def test_full_support_trivial(constant):
     pa = backward_eliminate(constant)
     q = full_support_measure(constant, pa)
     assert q.support == pa.omega_star == constant.all_indices
-    assert check_martingale(constant, q, natural_filtration(constant))
+    assert check_martingale(constant, q, natural_nodes(constant))
     assert feasibility(constant, pa).facets["full_support_martingale_measure_exists"]
 
 
@@ -129,7 +129,7 @@ def test_full_support_time0_atoms_share_equally():
         m = load_market(doc)
     q = full_support_measure(m, backward_eliminate(m))
     assert q.weights == {0: F(1, 4), 1: F(1, 4), 2: F(1, 2)}
-    assert check_martingale(m, q, natural_filtration(m))
+    assert check_martingale(m, q, natural_nodes(m))
 
 
 def test_full_support_svu(svu):
@@ -141,7 +141,7 @@ def test_class_measure_whole_space(countna):
     q = class_measure(countna, pa, SignificantClass("MI", (countna.all_indices,)))
     assert q is not None
     assert q.mass(countna.all_indices) == 1
-    assert check_martingale(countna, q, natural_filtration(countna))
+    assert check_martingale(countna, q, natural_nodes(countna))
 
 
 def test_class_measure_singletons_none(countna):
@@ -160,13 +160,13 @@ def test_class_measure_surviving_singleton(countna):
 
 def test_check_martingale_simple():
     m = load_market({"d": 1, "T": 1, "scenarios": [{"id": "a", "prices": [[3], [3]]}]})
-    f = natural_filtration(m)
+    f = natural_nodes(m)
     assert check_martingale(m, DiscreteMeasure({0: F(1)}), f)
 
 
 def test_check_martingale_uniform_svu_fails(svu):
     uniform = DiscreteMeasure({i: F(1, 4) for i in range(4)})
-    assert not check_martingale(svu, uniform, natural_filtration(svu))
+    assert not check_martingale(svu, uniform, natural_nodes(svu))
 
 
 def test_emitted_measures_exact_on_corpus(mini_corpus):
@@ -175,7 +175,7 @@ def test_emitted_measures_exact_on_corpus(mini_corpus):
         pa = backward_eliminate(m)
         if not pa.omega_star:
             continue
-        f = natural_filtration(m)
+        f = natural_nodes(m)
         _agg, enlarged = universal_aggregator(m, pa)
         emitted = [full_support_measure(m, pa)]
         emitted.append(supporting_measure(m, pa, min(pa.omega_star)))
@@ -212,7 +212,7 @@ def _assert_full_support_agrees_with_oracle(m):
         return
     _agg, enlarged = universal_aggregator(m, pa)
     assert q.support == pa.omega_star
-    assert check_martingale(m, q, natural_filtration(m))
+    assert check_martingale(m, q, natural_nodes(m))
     assert check_martingale(m, q, enlarged)
 
 

@@ -1,14 +1,23 @@
 """The LP oracle: polytope support and strategy search."""
 
 import random
+import warnings
 from fractions import Fraction as F
 
-from arbscan.market import load_market, natural_filtration, strategy_values, value_process
+from hypothesis import given, settings, strategies as st
+
+from arbscan.market import load_market, natural_nodes, strategy_values, value_process
 from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
 from arbscan.ratgeom import INFEASIBLE, OPTIMAL, _Tableau, lp_solve, maximal_separator
 from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
 
-from conftest import arbitrage_literal
+from conftest import (
+    arbitrage_literal,
+    corpus_markets,
+    paths_market,
+    trinomial_tree,
+    wide_trees,
+)
 
 
 def test_oracle_support_examples(svu, constant, countna):
@@ -57,7 +66,7 @@ def test_capped_slack_lps_have_no_cap_rows(monkeypatch):
     oracle_support(m)
     assert shapes == [m.d]  # the martingale rows of the single time-0 atom
     shapes.clear()
-    oracle_arbitrage(m, natural_filtration(m))
+    oracle_arbitrage(m, natural_nodes(m))
     assert shapes == [m.n]  # V_T(i) - s_i >= 0 per scenario
     points = [m.increment(1, i) for i in range(m.n)]
     assert len(set(points)) == 16
@@ -81,11 +90,41 @@ def test_oracle_arbitrage_matches_literal_per_set_search(mini_corpus, multi):
     # c <= gain exactly when the per-set LP finds a strategy gaining on c
     for m in mini_corpus + [multi]:
         pa = backward_eliminate(m)
-        for f in (pa.natural, pa.aggregator[1]):
+        for f in (pa.nodes, pa.aggregator[1]):
             gain, h = oracle_arbitrage(m, f)
             _assert_witness(m, f, gain, h)
             for c in [frozenset({i}) for i in range(m.n)] + [m.all_indices]:
                 assert (c <= gain) == arbitrage_literal(m, f, c)
+
+
+@st.composite
+def several_roots(draw, markets):
+    """A drawn market with each time-1 node's paths shifted by 0, 50 or 100 in
+    every asset: the increments and the subtrees below t = 1 stay, and F_0
+    has one node per shift in use."""
+    m = draw(markets)
+    shift = [0] * m.n
+    for _key, node in m.level_sets(m.all_indices, 1):
+        k = draw(st.sampled_from((0, 50, 100)))
+        for i in node:
+            shift[i] = k
+    paths = [[tuple(x + k for x in row) for row in s.path] for s, k in zip(m.scenarios, shift)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # initial prices differ
+        return paths_market(paths)
+
+
+@settings(max_examples=25, deadline=None)
+@given(several_roots(st.one_of(corpus_markets(), wide_trees(), trinomial_tree(horizon=3))))
+def test_oracle_arbitrage_matches_literal_search_with_several_time_0_nodes(m):
+    # the oracle lays out each period's positions from the row's node ids;
+    # with several time-0 nodes, every period's block starts past the last
+    pa = backward_eliminate(m)
+    for rows in (pa.nodes, pa.aggregator[1]):
+        gain, h = oracle_arbitrage(m, rows)
+        _assert_witness(m, rows, gain, h)
+        for c in [frozenset({i}) for i in range(m.n)] + [m.all_indices]:
+            assert (c <= gain) == arbitrage_literal(m, rows, c)
 
 
 def test_oracle_arbitrage_svu_model_independent(svu):
@@ -96,19 +135,19 @@ def test_oracle_arbitrage_svu_model_independent(svu):
     assert all(x >= 1 for x in strategy_values(svu, h)[svu.T])
     # a natural-filtration witness exists here too (interim loss at t=1,
     # e.g. h1=1 then 5 shares on the down branch); the LP must find one
-    gain_nat, h_nat = oracle_arbitrage(svu, natural_filtration(svu))
+    gain_nat, h_nat = oracle_arbitrage(svu, natural_nodes(svu))
     assert gain_nat == svu.all_indices
     assert all(x >= 1 for x in strategy_values(svu, h_nat)[svu.T])
 
 
 def test_oracle_arbitrage_constant_none(constant):
-    assert oracle_arbitrage(constant, natural_filtration(constant)) == (frozenset(), None)
+    assert oracle_arbitrage(constant, natural_nodes(constant)) == (frozenset(), None)
 
 
 def test_oracle_arbitrage_multi_period_restriction(multi):
     # the oracle gains on the target, which needs both periods: neither
     # period alone admits a strategy gaining on it
-    f = natural_filtration(multi)
+    f = natural_nodes(multi)
     target = frozenset({0, 1})
     gain, h = oracle_arbitrage(multi, f)
     assert target <= gain and arbitrage_literal(multi, f, target)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arbscan.errors import DomainError
-from arbscan.market import Partition, Strategy, natural_filtration, natural_nodes, strategy_values
+from arbscan.market import Strategy, atoms_of, natural_nodes, strategy_values
 from arbscan.measures import check_martingale, full_support_measure
 from arbscan.oracle import oracle_support
 from arbscan.ratgeom import cone_ri_contains_zero, dot
@@ -217,7 +217,7 @@ def test_repeated_shape_trees_keep_every_contract(m):
     q = pa.full_support
     if pa.omega_star:
         assert q.support == pa.omega_star
-        assert check_martingale(m, q, pa.natural)
+        assert check_martingale(m, q, pa.nodes)
         assert check_martingale(m, q, enlarged)
     else:
         assert q is None
@@ -232,14 +232,14 @@ def test_aggregator_svu(svu):
     assert all(x > 0 for x in v[svu.T])
     atom23 = frozenset({2, 3})
     assert agg.positions[1][atom23] == (F(1),)
-    assert {frozenset(a) for a in enlarged[0].atoms} == {frozenset({0, 1}), atom23}
+    assert atoms_of(enlarged[0]) == (frozenset({0, 1}), atom23)
 
 
 def test_aggregator_trivial_market(constant):
     pa = backward_eliminate(constant)
     agg, enlarged = universal_aggregator(constant, pa)
     assert strategy_values(constant, agg)[constant.T] == [F(0), F(0)]
-    assert enlarged == natural_filtration(constant)
+    assert enlarged == natural_nodes(constant)
     assert all(v == (F(0),) for pos in agg.positions for v in pos.values())
 
 
@@ -250,11 +250,11 @@ def test_aggregator_ex3d(ex3d):
     polar = ex3d.all_indices - pa.omega_star
     assert {i for i in range(ex3d.n) if v[ex3d.T][i] > 0} == polar
     assert check_predictable(agg, enlarged)
-    assert not check_predictable(agg, natural_filtration(ex3d))
+    assert not check_predictable(agg, natural_nodes(ex3d))
 
 
 def test_check_predictable_constant(svu):
-    f = natural_filtration(svu)
+    f = natural_nodes(svu)
     h = Strategy(tuple({frozenset(range(4)): (F(2),)} for _ in range(2)))
     assert check_predictable(h, f)
 
@@ -278,7 +278,7 @@ def test_measures_invariant_under_enlargement(mini_corpus):
         if witness is None:
             continue
         _agg, enlarged = universal_aggregator(m, pa)
-        assert check_martingale(m, witness, natural_filtration(m))
+        assert check_martingale(m, witness, natural_nodes(m))
         assert check_martingale(m, witness, enlarged)
         checked += 1
     assert checked > 10
@@ -299,18 +299,21 @@ def test_enlarged_filtration_is_the_reference_join(m):
         groups = group_by(row, range(m.n))
         assert [frozenset(g) for g in groups] == [a for _k, a in m.level_sets(m.all_indices, t)]
         assert [row[g[0]] for g in groups] == list(range(len(groups)))
-        assert pa.natural[t] == Partition(tuple(map(frozenset, groups)))
+        assert atoms_of(row) == tuple(map(frozenset, groups))
     # F~_t joins F_t with the aggregator's value partitions of periods 1..min(t+1, T)
     agg, enlarged = pa.aggregator
     values = [None]
     for s in range(1, m.T + 1):
         held = [agg.vector(s, i, m.d) for i in range(m.n)]
-        values.append(Partition(tuple(map(frozenset, group_by(held, range(m.n))))))
+        values.append(tuple(map(frozenset, group_by(held, range(m.n)))))
     for t in range(m.T + 1):
-        join = pa.natural[t]
+        join = tuple(map(frozenset, group_by(pa.nodes[t], range(m.n))))
         for s in range(1, min(t + 1, m.T) + 1):
             join = refine(join, values[s])
-        assert enlarged[t] == join
+        # the enlarged row groups as the join does, numbered by least member
+        groups = group_by(enlarged[t], range(m.n))
+        assert tuple(map(frozenset, groups)) == join
+        assert [enlarged[t][g[0]] for g in groups] == list(range(len(groups)))
 
 
 def test_single_drifting_scenario():
@@ -350,22 +353,21 @@ def test_build_report_builds_each_artifact_once(monkeypatch, mini_corpus, svu, m
         assert vars(m) == before
 
 
-def test_natural_filtration_is_built_on_first_natural_read(monkeypatch, mini_corpus, svu, multi):
+def test_natural_classify_reads_the_analysis_rows(monkeypatch, mini_corpus, svu, multi):
     from arbscan.arbitrage import classify
-    from arbscan.cli import build_report
     from arbscan.market import SignificantClass
 
-    calls = count_calls(monkeypatch, "market", "partition_of")
+    nodes_calls = count_calls(monkeypatch, "market", "natural_nodes")
+    oracle_calls = count_calls(monkeypatch, "oracle", "oracle_arbitrage")
     for m in [svu, multi] + mini_corpus[:10]:
-        # an analyze report groups only the enlarged filtration
-        calls.clear()
-        build_report(m)
-        assert len(calls) == m.T + 1
         pa = backward_eliminate(m)
-        calls.clear()
-        for expected in (m.T + 1, m.T + 1):
+        nodes_calls.clear()
+        oracle_calls.clear()
+        for _ in range(2):
             classify(m, pa, SignificantClass("MI", (m.all_indices,)), "natural")
-            assert len(calls) == expected
+        # the oracle LP is laid out from the rows the analysis already holds
+        assert (len(nodes_calls), len(oracle_calls)) == (0, 1)
+        assert oracle_calls[0][1] is pa.nodes
 
 
 def test_natural_classify_reuses_the_filtration(monkeypatch, multi):
@@ -431,19 +433,15 @@ def test_oracle_command_calls_the_oracle_once_per_filtration(monkeypatch, tmp_pa
 
 def test_cached_artifacts_repeat_and_do_not_leak(countna):
     pa = backward_eliminate(countna)
-    assert pa.natural is pa.natural
     assert pa.aggregator is pa.aggregator
     assert pa.full_support is pa.full_support
     assert pa.natural_arbitrage is pa.natural_arbitrage
-    assert pa.natural == tuple(natural_filtration(countna))
-    agg, enlarged = universal_aggregator(countna, pa)
-    assert pa.aggregator == (agg, tuple(enlarged))
+    assert pa.aggregator == universal_aggregator(countna, pa)
     assert pa.full_support == full_support_measure(countna, pa)
 
     other = backward_eliminate(countna)
     assert other == pa and repr(other) == repr(pa)
     assert "market" not in repr(pa)
-    assert other.natural is not pa.natural
     assert other.aggregator is not pa.aggregator
     assert other.full_support is not pa.full_support
     assert other.natural_arbitrage is not pa.natural_arbitrage
@@ -482,7 +480,7 @@ def _assert_node_level_sets_match(m):
     # the rows partition their parent
     assert pa.increments[0] == ()
     for t in range(1, m.T + 1):
-        atoms, below = pa.natural[t - 1].atoms, pa.natural[t].atoms
+        atoms, below = atoms_of(pa.nodes[t - 1]), atoms_of(pa.nodes[t])
         assert len(pa.increments[t]) == len(below)
         for c, atom in enumerate(below):
             assert {m.increment(t, i) for i in atom} == {pa.increments[t][c]}
