@@ -19,6 +19,7 @@ from .market import (
     SignificantClass,
     Strategy,
     atoms_of,
+    check_predictable,
     load_market,
     natural_nodes,
     value_process,
@@ -50,7 +51,6 @@ from .splitter import (
     PolarAnalysis,
     Splitting,
     backward_eliminate,
-    check_predictable,
     split_level_set,
     universal_aggregator,
 )

@@ -20,7 +20,7 @@ from .market import (
     Market,
     SignificantClass,
     Strategy,
-    strategy_values,
+    value_process,
 )
 from .measures import class_measure
 from .ratgeom import Vec
@@ -118,33 +118,27 @@ def defragment(m: Market, h: Strategy) -> tuple[tuple[Atom, ...], Strategy]:
     the masked strategy zeroes every position from the first gain onwards and
     still gains strictly on each nonempty U_t.
     """
-    v = strategy_values(m, h)
+    v = value_process(m, h)
     for i in range(m.n):
         if v[m.T][i] < 0:
             raise DomainError(
                 f"terminal value is negative on scenario {m.scenarios[i].id!r}"
             )
-    b = [frozenset(i for i in range(m.n) if v[t][i] > 0) for t in range(m.T + 1)]
     u: list[Atom] = []
-    covered: set[int] = set()
-    for t in range(1, m.T + 1):
-        u.append(frozenset(b[t] - covered))
-        covered |= b[t]
-
     masked_positions = []
-    blocked: set[int] = set()
-    for t in range(1, m.T + 1):
-        keep = frozenset(range(m.n)) - frozenset(blocked)
-        pos: dict[Atom, Vec] = {}
-        for atom, vec_ in h.positions[t - 1].items():
-            inside = atom & keep
-            outside = atom - keep
+    gained: Atom = frozenset()  # scenarios whose value turned positive before t
+    for t, pos in enumerate(h.positions, 1):
+        masked: dict[Atom, Vec] = {}
+        for atom, vec_ in pos.items():
+            inside, outside = atom - gained, atom & gained
             if inside:
-                pos[inside] = vec_
+                masked[inside] = vec_
             if outside:
-                pos[outside] = tuple(_ZERO for _ in range(m.d))
-        masked_positions.append(pos)
-        blocked |= u[t - 1]
+                masked[outside] = tuple(_ZERO for _ in range(m.d))
+        masked_positions.append(masked)
+        now = frozenset(i for i in range(m.n) if v[t][i] > 0)
+        u.append(now - gained)
+        gained |= now
     return tuple(u), Strategy(tuple(masked_positions))
 
 
@@ -176,17 +170,14 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     if not sub.events:
         raise InternalError("positive polar mass but no restricted elimination")
     tau = max(sp.t for sp in sub.events)
+    zero = tuple(_ZERO for _ in range(m.d))
     pieces = {sp.members: sp.separators[0] for sp in sub.events if sp.t == tau}
     rest = m.all_indices - frozenset().union(*pieces)
     if rest:
-        pieces[rest] = tuple(_ZERO for _ in range(m.d))
-    zero_row = {m.all_indices: tuple(_ZERO for _ in range(m.d))}
-    positions = tuple(
-        pieces if t == tau else dict(zero_row) for t in range(1, m.T + 1)
-    )
-    h = Strategy(positions)
+        pieces[rest] = zero
+    h = Strategy(tuple(pieces if t == tau else {m.all_indices: zero} for t in range(1, m.T + 1)))
 
-    v = strategy_values(m, h)
+    v = value_process(m, h)
     if any(v[m.T][i] < 0 for i in p.support):
         raise InternalError("extracted strategy loses on a charged scenario")
     gained = sum((p[i] for i in range(m.n) if v[m.T][i] > 0), _ZERO)

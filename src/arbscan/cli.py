@@ -30,7 +30,7 @@ from .market import (
     atoms_of,
     load_market,
     load_strategy,
-    strategy_values,
+    value_process,
 )
 from .measures import supporting_measure
 from .oracle import oracle_arbitrage, oracle_support
@@ -65,13 +65,10 @@ def _level_key_str(key) -> str:
 
 
 def strategy_json(m: Market, h: Strategy) -> dict:
-    positions = {}
-    for t in range(1, m.T + 1):
-        row = {}
-        for atom in sorted(h.positions[t - 1], key=min):
-            row[_atom_key(m, atom)] = _vec_json(h.positions[t - 1][atom])
-        positions[str(t)] = row
-    return {"positions": positions}
+    return {"positions": {
+        str(t): {_atom_key(m, atom): _vec_json(pos[atom]) for atom in sorted(pos, key=min)}
+        for t, pos in enumerate(h.positions, 1)
+    }}
 
 
 def _verdict_json(m: Market, verdict: Verdict) -> dict:
@@ -222,12 +219,10 @@ def cmd_extract(args) -> int:
         "strategy": None if h is None else strategy_json(m, h),
     }
     if h is not None:
-        v = strategy_values(m, h)
+        v = value_process(m, h)
         doc["certificate"] = {
             "terminal_values": {m.scenarios[i].id: str(v[m.T][i]) for i in range(m.n)},
-            "charged_gain_ids": m.ids(
-                [i for i in p.support if v[m.T][i] > 0]
-            ),
+            "charged_gain_ids": m.ids([i for i in p.support if v[m.T][i] > 0]),
         }
     _emit(doc, args.out)
     _summary([f"extract {args.prob}: {'found' if h else 'none'}"], args.summary)

@@ -4,8 +4,10 @@ A filtration is a tuple of node-id rows, one per period t = 0..T: ``rows[t][i]``
 is the id of the node (the atom of F_t) holding scenario i, and ids run 0, 1,
 ... in order of each node's least member, as :func:`natural_nodes` numbers
 them.  Measurability is constancy on nodes.  :func:`atoms_of` groups a row
-into atoms where a strategy key or a report needs them.  Everything is exact
-rational arithmetic.
+into atoms where a strategy key or a report needs them.  A
+:class:`Strategy` is atom-keyed positions per period, as strategy files
+print them; :func:`check_predictable` checks one against node rows and
+:func:`value_process` values it.  Everything is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -15,9 +17,10 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import sub
+from math import lcm
+from operator import mul, sub
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import MarketFormatError
 from .ratgeom import Vec, over_common_denominator, rat
@@ -91,36 +94,21 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class Strategy:
-    """Predictable positions: ``positions[t-1]`` maps time-(t-1) atoms to vectors.
+    """Positions per period: ``positions[t-1]`` maps atoms to the d-vector kept over (t-1, t].
 
-    Atoms within one period must be disjoint; indices not covered by any atom
-    hold the zero position.  ``held[t-1]`` maps each covered scenario index to
-    its period-t position.
+    Atoms are any disjoint sets of scenario indices, nodes of a filtration
+    or not, and a scenario no atom covers holds zero.  This is the one
+    format; :func:`check_predictable` and :func:`value_process` read it.
     """
 
     positions: tuple[Mapping[Atom, Vec], ...]
-    held: tuple[Mapping[int, Vec], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        norm = []
-        held = []
-        for t, pos in enumerate(self.positions):
-            pos = {frozenset(a): tuple(v) for a, v in pos.items()}
-            index: dict[int, Vec] = {}
-            for a, v in pos.items():
-                for i in a:
-                    if i in index:
-                        raise ValueError(f"strategy atoms overlap at period {t + 1}")
-                    index[i] = v
-            norm.append(pos)
-            held.append(index)
-        object.__setattr__(self, "positions", tuple(norm))
-        object.__setattr__(self, "held", tuple(held))
-
-    def vector(self, t: int, i: int, d: int) -> Vec:
-        """Position held over (t-1, t] in scenario i."""
-        v = self.held[t - 1].get(i)
-        return tuple(_ZERO for _ in range(d)) if v is None else v
+        norm = tuple({frozenset(a): tuple(v) for a, v in pos.items()} for pos in self.positions)
+        for t, pos in enumerate(norm, 1):
+            if sum(map(len, pos)) != len(frozenset().union(*pos)):
+                raise ValueError(f"strategy atoms overlap at period {t}")
+        object.__setattr__(self, "positions", norm)
 
 
 @dataclass(frozen=True)
@@ -192,6 +180,12 @@ class Market:
         return [(k, frozenset(v)) for k, v in groups.items()]
 
 
+def node_row(keys: Iterable) -> tuple[int, ...]:
+    """The node-id row grouping scenario i by ``keys[i]``, ids in order of least member."""
+    seen: dict = {}
+    return tuple([seen.setdefault(key, len(seen)) for key in keys])
+
+
 def natural_nodes(m: Market) -> tuple[tuple[int, ...], ...]:
     """Per period t = 0..T, each scenario's node id in the natural filtration.
 
@@ -207,61 +201,73 @@ def natural_nodes(m: Market) -> tuple[tuple[int, ...], ...]:
             first[i] = k
     rows = [tuple(first)]
     for t in range(1, m.T + 1):
-        up = rows[-1]
-        ids: dict[tuple[int, Vec], int] = {}
-        rows.append(tuple([
-            ids.setdefault((k, s.path[t]), len(ids)) for k, s in zip(up, m.scenarios)
-        ]))
+        rows.append(node_row(zip(rows[-1], [s.path[t] for s in m.scenarios])))
     return tuple(rows)
 
 
 def atoms_of(row: Sequence[int]) -> tuple[Atom, ...]:
     """The atoms of a node-id row: atom k holds every i with ``row[i] == k``.
 
-    ``row`` is numbered as :func:`natural_nodes` numbers it: 0, 1, ... in
-    order of each node's least member, so each id first appears right after
-    the ids below it, and the atoms come in order of least member.
+    ``row`` must be numbered as :func:`natural_nodes` numbers it: 0, 1, ...
+    in order of each node's least member, so each id first appears right
+    after the ids below it, and the atoms come in order of least member.
+    Any other row raises ValueError.
     """
     atoms: list[list[int]] = []
     for i, k in enumerate(row):
         if k == len(atoms):
             atoms.append([i])
-        else:
+        elif 0 <= k < len(atoms):
             atoms[k].append(i)
+        else:
+            raise ValueError(f"node-id row {list(row)} is not numbered in order of least member")
     return tuple(map(frozenset, atoms))
 
 
-def value_process(
-    m: Market, rows: Sequence[Sequence[int]], h: Strategy
-) -> list[list[Fraction]]:
-    """V[t][i]: exact gains of ``h``; V[0] = 0 everywhere.
+def check_predictable(h: Strategy, rows: Sequence[Sequence[int]]) -> bool:
+    """True iff each period's positions are constant on the nodes of the previous row.
 
-    ``rows`` is a filtration as node-id rows, and every atom that ``h``
-    references at period t must be an atom of ``rows[t-1]``.
+    ``rows`` is a filtration as node-id rows, under any numbering; a
+    scenario no atom of ``h`` covers holds the zero position.
+    """
+    for t, pos in enumerate(h.positions, 1):
+        vec_of = {i: v for atom, v in pos.items() if any(v) for i in atom}
+        by_node: dict[int, Vec] = {}
+        for i, k in enumerate(rows[t - 1]):
+            v = vec_of.get(i, ())  # () stands for every zero vector
+            if by_node.setdefault(k, v) != v:
+                return False
+    return True
+
+
+def value_process(m: Market, h: Strategy) -> list[list[Fraction]]:
+    """V[t][i]: the exact gains of ``h`` in scenario i up to time t; V[0] = 0.
+
+    The atoms of ``h`` are taken as they are: any disjoint sets will do,
+    nodes of a filtration or not (:func:`check_predictable` is the separate
+    question).  Each period's positions are ``int`` numerators over one
+    common denominator, and its gains too, so the running values are ``int``
+    numerators over the lcm of those denominators until they are returned.
     """
     if len(h.positions) != m.T:
         raise ValueError(f"strategy covers {len(h.positions)} periods, expected {m.T}")
-    for t in range(1, m.T + 1):
-        legal = set(atoms_of(rows[t - 1]))
-        for a in h.positions[t - 1]:
-            if a not in legal:
-                raise ValueError(
-                    f"strategy references atom {sorted(a)} absent from the filtration at time {t - 1}"
-                )
-    return strategy_values(m, h)
-
-
-def strategy_values(m: Market, h: Strategy) -> list[list[Fraction]]:
-    """V[t][i] without any filtration cross-check (atoms taken at face value)."""
-    v = [[_ZERO] * m.n]
-    for t in range(1, m.T + 1):
-        row = list(v[-1])
-        for i, pos in h.held[t - 1].items():
-            if any(pos):
-                inc = m.increment(t, i)
-                row[i] += sum((a * b for a, b in zip(pos, inc)), _ZERO)
-        v.append(row)
-    return v
+    total, den = [0] * m.n, 1  # V_t's numerators over den
+    out = [[_ZERO] * m.n]
+    for t, pos in enumerate(h.positions, 1):
+        vden = lcm(*(x.denominator for v in pos.values() for x in v))
+        gains = {}  # per covered scenario, its gain's numerator over vden
+        for atom, v in pos.items():
+            if any(v):
+                vec = [x.numerator * (vden // x.denominator) for x in v]
+                for i in atom:
+                    gains[i] = sum(map(mul, vec, m.increment(t, i)))
+        gnums, gden = over_common_denominator(gains.values())
+        scale = lcm(den, vden * gden) // den
+        total, den = [x * scale for x in total], den * scale
+        for i, g in zip(gains, gnums):
+            total[i] += g * (den // (vden * gden))
+        out.append([Fraction(x, den) if x else _ZERO for x in total])
+    return out
 
 
 # ---------------------------------------------------------------------------

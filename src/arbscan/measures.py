@@ -8,26 +8,29 @@ rows (``pa.nodes``) restricted to ``omega_star``.  At each node one LP,
 positive weights under which the mean increment is zero, with the smallest
 weight as large as possible; that LP has one row per asset plus one, none
 per child, and its weights are re-checked exactly before they are returned.
-A child's mass is its parent's mass times its weight.  Nodes whose
-children have the same increments (``pa.increments``), in any order, ask the
-same question, which the analysis's LP memo (``pa.lp_memo``) answers once.
-Backward elimination leaves 0 in the relative interior of every surviving
-level set's increment cone, so those weights exist, and the product is an
-exact martingale measure for the natural and the enlarged filtration whose
-support is exactly ``omega_star``.  It charges every survivor, so it is also the measure
-returned for a single surviving scenario and for a class whose sets all meet
-``omega_star``.  Callers read it as ``pa.full_support``, which builds it once
-per analysis.
+A child's mass is its parent's mass times its weight; the masses of one
+level are ``int`` numerators over one common denominator, so no ``Fraction``
+is built until the weights are.  Nodes whose children have the same
+increments (``pa.increments``), in any order, ask the same question, which
+the analysis's LP memo (``pa.lp_memo``) answers once.  Backward elimination
+leaves 0 in the relative interior of every surviving level set's increment
+cone, so those weights exist, and the product is an exact martingale
+measure for the natural and the enlarged filtration whose support is
+exactly ``omega_star``.  It charges every survivor, so it is also the
+measure returned for a single surviving scenario and for a class whose sets
+all meet ``omega_star``.  Callers read it as ``pa.full_support``, which
+builds it once per analysis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
 from .market import DiscreteMeasure, Market
-from .ratgeom import convex_combination_for_zero
+from .ratgeom import convex_combination_for_zero, over_common_denominator
 from .splitter import PolarAnalysis, move_weights, solve_once
 
 _ZERO = Fraction(0)
@@ -63,14 +66,15 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
     if not star:
         return None
     roots = sorted({pa.nodes[0][i] for i in star})
-    share = Fraction(1, len(roots))
-    frontier = [(k, share) for k in roots]
+    # (node, its mass's numerator) per surviving node, over one den per level
+    frontier = [(k, 1) for k in roots]
+    den = len(roots)
     for t in range(1, m.T + 1):
         up, row, increments = pa.nodes[t - 1], pa.nodes[t], pa.increments[t]
         children: dict[int, set[int]] = {}
         for i in star:
             children.setdefault(up[i], set()).add(row[i])
-        nxt: list[tuple[int, Fraction]] = []
+        splits = []
         for k, mass in frontier:
             kids = sorted(children[k])
             points = tuple(increments[c] for c in kids)
@@ -82,14 +86,19 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
                     f"surviving node of {m.scenarios[i].id!r} at time {t - 1} "
                     f"has no strictly positive martingale weights"
                 ) from exc
-            nxt.extend((c, mass * w) for c, w in zip(kids, lam))
-        frontier = nxt
+            splits.append((mass, kids, *over_common_denominator(lam)))
+        step = lcm(*(split[-1] for split in splits))
+        den *= step
+        frontier = [
+            (c, mass * w * (step // lam_den))
+            for mass, kids, nums, lam_den in splits for c, w in zip(kids, nums)
+        ]
     leaves: dict[int, list[int]] = {}
     for i in star:
         leaves.setdefault(pa.nodes[m.T][i], []).append(i)
     weights: dict[int, Fraction] = {}
     for c, mass in frontier:
-        each = mass / len(leaves[c])
+        each = Fraction(mass, den * len(leaves[c]))
         for i in leaves[c]:
             weights[i] = each
     q = DiscreteMeasure(weights)

@@ -16,7 +16,15 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import InternalError
-from .market import Atom, Market, Strategy, atoms_of, natural_nodes, value_process
+from .market import (
+    Atom,
+    Market,
+    Strategy,
+    atoms_of,
+    check_predictable,
+    natural_nodes,
+    value_process,
+)
 from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, Vec, lp_solve
 
 
@@ -92,7 +100,9 @@ def oracle_arbitrage(
     :func:`~arbscan.market.natural_nodes` numbers them) with V_T >= 0
     everywhere, and ``h`` is one such strategy with V_T >= 1 on all of
     ``gain`` (None when ``gain`` is empty).  Variables are one position
-    vector per (period t, node of ``rows[t-1]``).
+    vector per (period t, node of ``rows[t-1]``).  Malformed rows raise
+    ValueError before any LP is built, and ``h`` is re-checked with
+    ``check_predictable`` and ``value_process``.
 
     One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
     Todd (1985): one slack s_i in [0, 1] per scenario, rows V_T(i) - s_i >= 0,
@@ -102,6 +112,9 @@ def oracle_arbitrage(
     least such s_i lifts the gain to >= 1 there.
     """
     n, d = m.n, m.d
+    if len(rows) < m.T or any(len(row) != n for row in rows):
+        raise ValueError(f"a filtration needs a row of {n} node ids per time 0..{m.T - 1}")
+    atoms = [atoms_of(row) for row in rows[: m.T]]
     # columns: the n slacks first, then one position vector per (period,
     # node).  Bland's rule then makes each s_i basic on its own row before any
     # position enters: on one-period 16-scenario trees that is 17 pivots in
@@ -111,9 +124,9 @@ def oracle_arbitrage(
     # Asset j of node k in period t is column first[t-1] + k*d + j.
     first = []
     nv = n
-    for row in rows[: m.T]:
+    for period in atoms:
         first.append(nv)
-        nv += (max(row) + 1) * d
+        nv += len(period) * d
 
     constraints = []
     for i in range(n):
@@ -138,12 +151,14 @@ def oracle_arbitrage(
     strategy = Strategy(tuple(
         {
             atom: tuple(x / scale for x in sol[col + k * d : col + (k + 1) * d])
-            for k, atom in enumerate(atoms_of(rows[t - 1]))
+            for k, atom in enumerate(atoms[t - 1])
         }
         for t, col in enumerate(first, 1)
     ))
 
-    v = value_process(m, rows, strategy)
+    if not check_predictable(strategy, rows):
+        raise InternalError("oracle strategy is not predictable for its filtration")
+    v = value_process(m, strategy)
     if any(x < 0 for x in v[m.T]):
         raise InternalError("oracle strategy loses on some scenario")
     if any(v[m.T][i] < 1 for i in gain):

@@ -7,26 +7,15 @@ supportable by martingale measures (``omega_star``) in one sweep: a block
 removed at period t is a union of whole child nodes at time t, so every level
 set of a later period lies inside it or misses it, and a second sweep would
 remove nothing.  The aggregator strategy holds, in each scenario, the
-separator that eliminated it.
+separator that eliminated it, and is re-checked with ``market``'s
+``check_predictable`` and ``value_process``, as every emitted strategy is.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
-per-market context of everything downstream.  It stores the natural
-filtration once, as node rows (per period, each scenario's node, or atom,
-id, from :func:`~arbscan.market.natural_nodes`), the one form in which every
-module takes a filtration, with one increment per node
-(the price increment all of the node's scenarios share).  Elimination groups
-the surviving nodes of one period by their parent ids in those rows, and the
-full-support measure groups the survivors' rows the same way from the roots
-down, so neither recomputes an increment per scenario.  Both share one LP
-memo: trees ask the same separator and zero-combination questions at many
-nodes, often about the same points in another order, and each point set is
-solved once.  The analysis keeps its market, the rows, the increments and
-the memo, and builds three artifacts lazily, each at most once and only on
-first use: the aggregator with its enlarged filtration (node rows as well),
-the full-support martingale measure, and the natural-filtration gain set
-with its oracle strategy.  All of it lives
-exactly as long as the analysis; nothing is cached on the market or at
-module level, so a fresh ``backward_eliminate`` starts from nothing.
+per-market context of everything downstream: the natural filtration once, as
+node rows with one increment per node, the LP memo that elimination and the
+full-support measure share, and three artifacts built lazily, at most once
+each (see its docstring).  Nothing is cached on the market or at module
+level, so a fresh ``backward_eliminate`` starts from nothing.
 """
 
 from __future__ import annotations
@@ -37,7 +26,17 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from . import oracle
 from .errors import DomainError, InternalError
-from .market import Atom, DiscreteMeasure, Market, Strategy, atoms_of, natural_nodes
+from .market import (
+    Atom,
+    DiscreteMeasure,
+    Market,
+    Strategy,
+    atoms_of,
+    check_predictable,
+    natural_nodes,
+    node_row,
+    value_process,
+)
 from .ratgeom import Vec, maximal_separator
 
 LevelKey = tuple[Vec, ...]
@@ -307,57 +306,41 @@ def universal_aggregator(
     recombining trees, share one id, so grouping scenarios by id is grouping
     them by value, and no vector is hashed per scenario and period.  Each
     scenario's value history and each enlarged atom are interned the same
-    way, as ids in order of least member.
+    way, as ids in order of least member.  The strategy is re-checked: it is
+    predictable for the enlarged rows, V_T >= 0 everywhere and V_T > 0
+    exactly on ``start_set - omega_star``, or InternalError is raised.
     """
-    values: list[Vec] = [(0,) * m.d]  # id 0 is the zero position
-    id_of: dict[Vec, int] = {values[0]: 0}
+    id_of: dict[Vec, int] = {(0,) * m.d: 0}  # id 0 is the zero position
     ids = [[0] * m.n for _ in range(m.T + 1)]
     for sp in pa.events:
         for block, sep in zip(sp.blocks, sp.separators):
-            k = id_of.setdefault(sep, len(values))
-            if k == len(values):
-                values.append(sep)
-            row = ids[sp.t]
+            k = id_of.setdefault(sep, len(id_of))
             for i in block:
-                row[i] = k
+                ids[sp.t][i] = k
 
     # history[s][i]: the id of scenario i's held values over periods 1..s
     history = [ids[0]]
     for s in range(1, m.T + 1):
-        seen: dict[tuple[int, int], int] = {}
-        history.append([seen.setdefault(key, len(seen)) for key in zip(history[-1], ids[s])])
-    enlarged = []
-    for t in range(m.T + 1):
-        seen = {}
-        keys = zip(pa.nodes[t], history[min(t + 1, m.T)])
-        enlarged.append(tuple([seen.setdefault(key, len(seen)) for key in keys]))
+        history.append(node_row(zip(history[-1], ids[s])))
+    enlarged = tuple(
+        node_row(zip(pa.nodes[t], history[min(t + 1, m.T)])) for t in range(m.T + 1)
+    )
 
-    positions = []
-    for t in range(1, m.T + 1):
-        pos: dict[Atom, Vec] = {}
-        row = ids[t]
-        for atom in atoms_of(enlarged[t - 1]):
-            held = {row[i] for i in atom}
-            if len(held) != 1:
-                raise InternalError("aggregator not constant on an enlarged atom")
-            pos[atom] = values[held.pop()]
-        positions.append(pos)
-    return Strategy(tuple(positions)), tuple(enlarged)
-
-
-def check_predictable(h: Strategy, rows: Sequence[Sequence[int]]) -> bool:
-    """True iff each period's positions are constant on the nodes of the previous row.
-
-    ``rows`` is a filtration as node-id rows; a scenario no atom of ``h``
-    covers holds the zero position.
-    """
-    d = next((len(v) for pos in h.positions for v in pos.values()), None)
-    if d is None:
-        return True
-    for t in range(1, len(h.positions) + 1):
-        held: dict[int, Vec] = {}
-        for i, k in enumerate(rows[t - 1]):
-            v = h.vector(t, i, d)
-            if held.setdefault(k, v) != v:
-                return False
-    return True
+    values = list(id_of)
+    # keyed by (enlarged node, held value), so a node holding two values
+    # splits in two and fails the predictability check
+    h = Strategy(tuple(
+        {
+            atom: values[ids[t][min(atom)]]
+            for atom in atoms_of(node_row(zip(enlarged[t - 1], ids[t])))
+        }
+        for t in range(1, m.T + 1)
+    ))
+    signs = [x.numerator for x in value_process(m, h)[m.T]]  # int, cheaper to compare
+    if not check_predictable(h, enlarged):
+        raise InternalError("aggregator not predictable for its enlarged filtration")
+    if any(x < 0 for x in signs):
+        raise InternalError("aggregator loses on some scenario")
+    if {i for i, x in enumerate(signs) if x > 0} != pa.start_set - pa.omega_star:
+        raise InternalError("aggregator gain set differs from the polar complement")
+    return h, enlarged

@@ -21,6 +21,7 @@ from arbscan.market import (
     Market,
     Scenario,
     SignificantClass,
+    Strategy,
     atoms_of,
     load_market,
 )
@@ -425,9 +426,34 @@ def predictable_on(m: Market, h, rows, support) -> bool:
     the previous row intersected with ``support`` (predictable a.s.)."""
     for t in range(1, m.T + 1):
         for atom in atoms_of(rows[t - 1]):
-            if len({h.vector(t, i, m.d) for i in atom & support}) > 1:
+            if len({position(h, t, i, m.d) for i in atom & support}) > 1:
                 return False
     return True
+
+
+def position(h: Strategy, t: int, i: int, d: int) -> tuple:
+    """The d-vector ``h`` holds over (t-1, t] in scenario i; zero where no atom covers i."""
+    return next(
+        (v for atom, v in h.positions[t - 1].items() if i in atom), (Fraction(0),) * d
+    )
+
+
+def reference_values(m: Market, h: Strategy) -> list[list[Fraction]]:
+    """V[t][i] summed one ``Fraction`` product at a time per covered scenario.
+
+    The value function as it stood before values were summed as integer
+    numerators; ``value_process`` must agree with it.
+    """
+    v = [[Fraction(0)] * m.n]
+    for t in range(1, m.T + 1):
+        row = list(v[-1])
+        for atom, pos in h.positions[t - 1].items():
+            if any(pos):
+                for i in atom:
+                    inc = m.increment(t, i)
+                    row[i] += sum((a * b for a, b in zip(pos, inc)), Fraction(0))
+        v.append(row)
+    return v
 
 
 def count_calls(monkeypatch, module_name: str, name: str) -> list:

@@ -16,7 +16,13 @@ from arbscan.arbitrage import (
     lebesgue_decompose,
     one_step_1p_check,
 )
-from arbscan.market import SignificantClass, atoms_of, natural_nodes, strategy_values
+from arbscan.market import (
+    SignificantClass,
+    atoms_of,
+    check_predictable,
+    natural_nodes,
+    value_process,
+)
 from arbscan.measures import (
     check_martingale,
     class_measure,
@@ -26,9 +32,16 @@ from arbscan.measures import (
 )
 from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
 from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
-from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
+from arbscan.splitter import backward_eliminate, universal_aggregator
 
-from conftest import arbitrage_literal, predictable_on, random_class, random_market, random_measure
+from conftest import (
+    arbitrage_literal,
+    position,
+    predictable_on,
+    random_class,
+    random_market,
+    random_measure,
+)
 
 CORPUS_SIZE = 500
 
@@ -63,7 +76,7 @@ def test_criterion_1_svu(svu):
         assert not feasibility(svu, pa).feasible
         verdict = classify(svu, pa, SignificantClass("MI", (svu.all_indices,)), "enlarged")
         assert verdict.kind == "Arbitrage"
-        v = strategy_values(svu, verdict.witness)
+        v = value_process(svu, verdict.witness)
         assert all(x >= 0 for x in v[svu.T])
         assert {i for i in range(svu.n) if v[svu.T][i] > 0} == svu.all_indices
         assert time.time() - start < 1.0
@@ -89,7 +102,8 @@ def test_criterion_2_multi(multi):
                 },
             )
         )
-        v = value_process(multi, f, h)
+        assert check_predictable(h, f)
+        v = value_process(multi, h)
         assert v[1] == [F(4), F(0), F(0), F(0)]
         assert v[2] == [F(4), F(2), F(0), F(0)]
         u, _masked = defragment(multi, h)
@@ -194,14 +208,14 @@ def test_criterion_7_aggregator_contract(corpus, analyses):
         for i, m in enumerate(corpus):
             pa = analyses[i]
             agg, enlarged = universal_aggregator(m, pa)
-            v = strategy_values(m, agg)
+            v = value_process(m, agg)
             polar = m.all_indices - pa.omega_star
             assert all(x >= 0 for x in v[m.T]), f"market {i}"
             assert {j for j in range(m.n) if v[m.T][j] > 0} == polar, f"market {i}"
             assert check_predictable(agg, enlarged), f"market {i}"
             f = natural_nodes(m)
             splits_atom = any(
-                len({agg.vector(t, j, m.d) for j in atom}) > 1
+                len({position(agg, t, j, m.d) for j in atom}) > 1
                 for t in range(1, m.T + 1)
                 for atom in atoms_of(f[t - 1])
             )
@@ -278,7 +292,7 @@ def test_criterion_10_extraction(corpus, analyses):
                 }
                 assert recomposed == dict(p.weights), f"market {i}"
                 if h is not None:
-                    v = strategy_values(m, h)
+                    v = value_process(m, h)
                     assert all(v[m.T][j] >= 0 for j in p.support), f"market {i}"
                     gain = sum((p[j] for j in range(m.n) if v[m.T][j] > 0), F(0))
                     assert gain > 0, f"market {i}"

@@ -22,11 +22,11 @@ from arbscan.market import (
     Strategy,
     atoms_of,
     natural_nodes,
-    strategy_values,
+    value_process,
 )
 from arbscan.splitter import backward_eliminate
 
-from conftest import predictable_on, random_measure
+from conftest import position, predictable_on, random_measure
 
 
 def _singletons(m):
@@ -37,7 +37,7 @@ def test_classify_svu_mi_enlarged(svu):
     pa = backward_eliminate(svu)
     verdict = classify(svu, pa, SignificantClass("MI", (svu.all_indices,)), "enlarged")
     assert verdict.kind == ARBITRAGE
-    v = strategy_values(svu, verdict.witness)
+    v = value_process(svu, verdict.witness)
     assert all(x >= 0 for x in v[svu.T])
     assert {i for i in range(svu.n) if v[svu.T][i] > 0} == svu.all_indices
     assert verdict.witness_class <= {i for i in range(svu.n) if v[svu.T][i] > 0}
@@ -119,12 +119,12 @@ def test_defragment_multi(multi):
     )
     u, masked = defragment(multi, h)
     assert [set(multi.ids(x)) for x in u] == [{"A1"}, {"A2"}]
-    v = strategy_values(multi, masked)
+    v = value_process(multi, masked)
     assert all(x >= 0 for x in v[multi.T])
     # masked strategy gains strictly at each piece's own period
     for t, u_t in enumerate(u, start=1):
         for i in u_t:
-            pos = masked.vector(t, i, multi.d)
+            pos = position(masked, t, i, multi.d)
             inc = multi.increment(t, i)
             assert sum(a * b for a, b in zip(pos, inc)) > 0
 
@@ -133,7 +133,7 @@ def test_defragment_zero_strategy(multi):
     zero = Strategy(({}, {}))
     u, masked = defragment(multi, zero)
     assert all(not x for x in u)
-    assert strategy_values(multi, masked)[multi.T] == [F(0)] * 4
+    assert value_process(multi, masked)[multi.T] == [F(0)] * 4
 
 
 def test_defragment_covers_svu_aggregator(svu):
@@ -172,7 +172,7 @@ def test_extract_ex3d_irrational_mass(ex3d):
     pa = backward_eliminate(ex3d)
     p = ex3d.probabilities["P_I"]
     h = extract_p_arbitrage(ex3d, pa, p)
-    v = strategy_values(ex3d, h)
+    v = value_process(ex3d, h)
     assert all(v[ex3d.T][i] >= 0 for i in p.support)
     assert sum(p[i] for i in range(ex3d.n) if v[ex3d.T][i] > 0) > 0
 
@@ -186,7 +186,7 @@ def test_extract_none_inside_star(countna):
 def test_extract_svu_uniform(svu):
     pa = backward_eliminate(svu)
     h = extract_p_arbitrage(svu, pa, svu.probabilities["U"])
-    v = strategy_values(svu, h)
+    v = value_process(svu, h)
     assert all(x >= 0 for x in v[svu.T])
     assert sum(v[svu.T]) > 0
 
@@ -220,7 +220,7 @@ def test_extraction_matches_decomposition_on_corpus(mini_corpus):
             }
             assert merged == dict(p.weights)
             if h is not None:
-                v = strategy_values(m, h)
+                v = value_process(m, h)
                 assert all(v[m.T][i] >= 0 for i in p.support)
                 assert sum(p[i] for i in range(m.n) if v[m.T][i] > 0) > 0
                 # no look-ahead: one position per natural atom, P-a.s.

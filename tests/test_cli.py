@@ -11,7 +11,7 @@ import pytest
 import arbscan
 from arbscan import arbitrage, cli, measures, oracle, splitter
 from arbscan.errors import DomainError, InternalError
-from arbscan.market import load_market, strategy_values
+from arbscan.market import load_market, value_process
 from arbscan.ratgeom import EQ, UNBOUNDED, LinearProgram, LpResult, _Tableau, lp_solve
 from arbscan.splitter import backward_eliminate
 
@@ -278,12 +278,36 @@ def test_defrag_command(capsys, tmp_path, multi_file):
     assert doc["U"] == {"1": ["A1"], "2": ["A2"]}
 
 
+def test_defrag_round_trips_a_strategy_with_scattered_gaps(capsys, tmp_path, multi_file):
+    # period 1 leaves A2 and A3 out, period 2 leaves A3 and A4 out: the gaps
+    # lie in different nodes, and neither is printed as a zero group
+    strategy = {"positions": {"1": {"A1,A4": ["-1", "1"]}, "2": {"A1,A2": ["1", "0"]}}}
+    spath = tmp_path / "h.json"
+    spath.write_text(json.dumps(strategy), "utf-8")
+    code, out, _ = _run(capsys, "defrag", multi_file, "--strategy", str(spath))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc == {
+        "U": {"1": ["A1"], "2": ["A2"]},
+        "masked": {
+            "positions": {
+                "1": {"A1,A4": ["-1", "1"]},
+                "2": {"A1": ["0", "0"], "A2": ["1", "0"]},
+            }
+        },
+    }
+    # the masked strategy loads back and defrags to itself
+    spath.write_text(json.dumps(doc["masked"]), "utf-8")
+    code, again, _ = _run(capsys, "defrag", multi_file, "--strategy", str(spath))
+    assert code == 0 and again == out
+
+
 def test_aggregator_table_round_trips_as_strategy(capsys, svu_file):
     _code, out, _ = _run(capsys, "analyze", svu_file)
     report = json.loads(out)
     m = load_market(SVU_DOC)
     h = cli.load_strategy(m, {"positions": report["aggregator"]["positions"]})
-    v = strategy_values(m, h)
+    v = value_process(m, h)
     assert [str(x) for x in v[m.T]] == ["1", "1", "2", "1"]
 
 
@@ -401,6 +425,31 @@ def test_broken_splitter_invariant_exits_4(capsys, svu_file, monkeypatch):
     assert code == 4
     assert out == ""
     assert "internal error" in err and "more than d=1" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda h: tuple(-x for x in h), "aggregator loses"),
+        (lambda h: tuple(0 * x for x in h), "aggregator gain set differs"),
+    ],
+    ids=["flipped", "zeroed"],
+)
+def test_corrupted_separator_fails_the_aggregator_recheck(
+    capsys, svu_file, monkeypatch, corrupt, message
+):
+    separator = splitter.maximal_separator
+
+    def corrupted(points):
+        # the strict set stays right, the direction does not gain on it
+        found = separator(points)
+        return None if found is None else (corrupt(found[0]), found[1])
+
+    monkeypatch.setattr(splitter, "maximal_separator", corrupted)
+    code, out, err = _run(capsys, "analyze", svu_file)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and message in err
 
 
 def test_broken_oracle_lp_exits_4(capsys, svu_file, monkeypatch):

@@ -15,6 +15,7 @@ from arbscan.market import (
     Scenario,
     Strategy,
     atoms_of,
+    check_predictable,
     load_market,
     load_strategy,
     natural_nodes,
@@ -23,7 +24,15 @@ from arbscan.market import (
 from arbscan.measures import check_martingale, full_support_measure
 from arbscan.splitter import backward_eliminate
 
-from conftest import SVU_DOC, refine
+from conftest import (
+    SVU_DOC,
+    corpus_markets,
+    fraction_market,
+    market_doc,
+    position,
+    reference_values,
+    refine,
+)
 
 
 def _ids(m, indices):
@@ -167,6 +176,12 @@ def test_atoms_of_groups_by_id():
     assert atoms_of((0,)) == (frozenset({0}),)
 
 
+@pytest.mark.parametrize("row", [(0, 2, 1), (1, 0), (0, -1), (1,)])
+def test_atoms_of_rejects_a_misnumbered_row(row):
+    with pytest.raises(ValueError, match="not numbered in order of least member"):
+        atoms_of(row)
+
+
 def test_filtration_is_monotone(mini_corpus):
     for m in mini_corpus[:20]:
         f = [atoms_of(row) for row in natural_nodes(m)]
@@ -192,7 +207,7 @@ def test_refine_by_aggregator_values_ex1000(ex1000):
     agg, _enlarged = pa.aggregator
     groups = {}
     for i in range(ex1000.n):
-        groups.setdefault(agg.vector(1, i, ex1000.d), set()).add(i)
+        groups.setdefault(position(agg, 1, i, ex1000.d), set()).add(i)
     by_value = tuple(frozenset(g) for g in groups.values())
     f1 = atoms_of(natural_nodes(ex1000)[1])
     refined = refine(f1, by_value)
@@ -203,22 +218,36 @@ def test_value_process_multi(multi):
     f = natural_nodes(multi)
     omega = frozenset(range(4))
     h1_only = Strategy(({omega: (F(-1), F(1))}, {}))
-    v = value_process(multi, f, h1_only)
+    assert check_predictable(h1_only, f)
+    v = value_process(multi, h1_only)
     assert v[2] == [F(4), F(0), F(0), F(0)]
 
     h2_only = Strategy(({}, {frozenset({1, 2}): (F(1), F(-1))}))
-    v = value_process(multi, f, h2_only)
+    assert check_predictable(h2_only, f)
+    v = value_process(multi, h2_only)
     assert v[2] == [F(0), F(2), F(0), F(0)]
 
     zero = Strategy(({}, {}))
-    assert value_process(multi, f, zero) == [[F(0)] * 4] * 3
+    assert check_predictable(zero, f)
+    assert value_process(multi, zero) == [[F(0)] * 4] * 3
 
 
-def test_value_process_rejects_foreign_atom(multi):
+def test_foreign_atom_is_not_predictable(multi):
+    # {0, 1} splits the natural node {1, 2} at time 1, and scenario 2 holds zero
     f = natural_nodes(multi)
     bad = Strategy(({}, {frozenset({0, 1}): (F(1), F(0))}))
-    with pytest.raises(ValueError, match="absent from the filtration"):
-        value_process(multi, f, bad)
+    assert check_predictable(bad, f) is False
+    assert value_process(multi, bad)[2] == [F(0), F(3), F(0), F(0)]
+
+
+def test_one_vector_on_two_nodes_is_predictable(multi):
+    # an atom that is a union of nodes, each holding the same vector
+    f = ((0, 0, 0, 0), (0, 1, 1, 2), (0, 1, 2, 3))
+    assert f == natural_nodes(multi)
+    h = Strategy(({}, {frozenset({0, 3}): (1, 0)}))
+    assert check_predictable(h, f) is True
+    # A1 and A4 do not move over (1, 2]
+    assert value_process(multi, h) == [[F(0)] * 4] * 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -248,10 +277,49 @@ def test_value_process_linear(a, b, data):
             for t in range(m.T)
         )
     )
-    vg, vh, vc = (value_process(m, f, s) for s in (g, h, combo))
+    vg, vh, vc = (value_process(m, s) for s in (g, h, combo))
     for t in range(m.T + 1):
         for i in range(m.n):
             assert vc[t][i] == F(a) * vg[t][i] + F(b) * vh[t][i]
+
+
+def _scaled(m, k):
+    """``m`` with every price a ``Fraction``, divided by ``k``."""
+    scenarios = tuple(
+        Scenario(s.id, tuple(tuple(F(x) / k for x in row) for row in s.path))
+        for s in m.scenarios
+    )
+    return Market(m.d, m.T, scenarios)
+
+
+@st.composite
+def scattered_strategies(draw, m):
+    """Disjoint atoms drawn freely: they may span several nodes or leave scenarios out."""
+    positions = []
+    for _t in range(m.T):
+        labels = draw(st.lists(st.integers(-1, 3), min_size=m.n, max_size=m.n))
+        pos = {}
+        for k in sorted(set(labels) - {-1}):  # label -1: uncovered
+            atom = frozenset(i for i, label in enumerate(labels) if label == k)
+            pos[atom] = tuple(
+                draw(st.fractions(-3, 3, max_denominator=6)) for _ in range(m.d)
+            )
+        positions.append(pos)
+    return Strategy(tuple(positions))
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_markets(), st.sampled_from([None, 1, 3, 4]), st.data())
+def test_value_process_matches_the_reference(m, divisor, data):
+    # int prices as loaded, the same as Fractions, and non-integral Fractions
+    if divisor is None:
+        m = load_market(market_doc(m))
+    else:
+        m = fraction_market(m) if divisor == 1 else _scaled(m, divisor)
+    h = data.draw(scattered_strategies(m))
+    v = value_process(m, h)
+    assert v == reference_values(m, h)
+    assert all(type(x) is F for row in v for x in row)
 
 
 def test_martingale_kills_expected_terminal_value(countna):
@@ -260,7 +328,7 @@ def test_martingale_kills_expected_terminal_value(countna):
     f = natural_nodes(countna)
     assert check_martingale(countna, q, f)
     h = Strategy(({frozenset(range(4)): (F(3),)},))
-    v = value_process(countna, f, h)
+    v = value_process(countna, h)
     assert sum(q[i] * v[countna.T][i] for i in range(countna.n)) == 0
 
 

@@ -4,16 +4,18 @@ import random
 import warnings
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbscan.market import load_market, natural_nodes, strategy_values, value_process
+from arbscan.market import check_predictable, load_market, natural_nodes, value_process
 from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
 from arbscan.ratgeom import INFEASIBLE, OPTIMAL, _Tableau, lp_solve, maximal_separator
-from arbscan.splitter import backward_eliminate, check_predictable, universal_aggregator
+from arbscan.splitter import backward_eliminate, universal_aggregator
 
 from conftest import (
     arbitrage_literal,
     corpus_markets,
+    count_calls,
     paths_market,
     trinomial_tree,
     wide_trees,
@@ -80,7 +82,7 @@ def _assert_witness(m, filtration, gain, h):
         assert h is None
         return
     assert check_predictable(h, filtration)
-    v = value_process(m, filtration, h)[m.T]
+    v = value_process(m, h)[m.T]
     assert all(x >= 0 for x in v)
     assert all(v[i] >= 1 for i in gain)
     assert {i for i in range(m.n) if v[i] > 0} == gain
@@ -132,16 +134,33 @@ def test_oracle_arbitrage_svu_model_independent(svu):
     _agg, enlarged = universal_aggregator(svu, pa)
     gain, h = oracle_arbitrage(svu, enlarged)
     assert gain == svu.all_indices
-    assert all(x >= 1 for x in strategy_values(svu, h)[svu.T])
+    assert all(x >= 1 for x in value_process(svu, h)[svu.T])
     # a natural-filtration witness exists here too (interim loss at t=1,
     # e.g. h1=1 then 5 shares on the down branch); the LP must find one
     gain_nat, h_nat = oracle_arbitrage(svu, natural_nodes(svu))
     assert gain_nat == svu.all_indices
-    assert all(x >= 1 for x in strategy_values(svu, h_nat)[svu.T])
+    assert all(x >= 1 for x in value_process(svu, h_nat)[svu.T])
 
 
 def test_oracle_arbitrage_constant_none(constant):
     assert oracle_arbitrage(constant, natural_nodes(constant)) == (frozenset(), None)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        (((0, 0, 0, 0), (1, 0, 0, 2)), "not numbered in order of least member"),
+        (((0, 0, 0, 0), (0, 2, 1, 1)), "not numbered in order of least member"),
+        (((0, 0, 0, 0), (0, 1, 1)), "a row of 4 node ids"),
+        (((0, 0, 0, 0),), "a row of 4 node ids"),
+    ],
+)
+def test_oracle_arbitrage_checks_its_rows(svu, monkeypatch, rows, message):
+    # rows are checked before any LP is built, and every SVU scenario gains
+    calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
+    with pytest.raises(ValueError, match=message):
+        oracle_arbitrage(svu, rows)
+    assert calls == []
 
 
 def test_oracle_arbitrage_multi_period_restriction(multi):
@@ -166,7 +185,7 @@ def test_oracle_arbitrage_aggregator_is_feasible_point(mini_corpus):
         gain, _h = oracle_arbitrage(m, enlarged)
         assert polar <= gain
         # the aggregator satisfies the same constraint set up to scaling
-        v = strategy_values(m, agg)
+        v = value_process(m, agg)
         assert all(x >= 0 for x in v[m.T])
         assert all(v[m.T][i] > 0 for i in polar)
 

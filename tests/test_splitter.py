@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arbscan.errors import DomainError
-from arbscan.market import Strategy, atoms_of, natural_nodes, strategy_values
+from arbscan.market import Strategy, atoms_of, check_predictable, natural_nodes, value_process
 from arbscan.measures import check_martingale, full_support_measure
 from arbscan.oracle import oracle_support
 from arbscan.ratgeom import cone_ri_contains_zero, dot
 from arbscan.splitter import (
     backward_eliminate,
-    check_predictable,
     move_strict,
     move_weights,
     solve_once,
@@ -26,6 +25,7 @@ from conftest import (
     corpus_markets,
     count_calls,
     group_by,
+    position,
     refine,
     seeded_trinomial_market,
     shaped_tree,
@@ -210,7 +210,7 @@ def test_repeated_shape_trees_keep_every_contract(m):
     pa = backward_eliminate(m)
     assert pa.omega_star == oracle_support(m)
     agg, enlarged = pa.aggregator
-    v = strategy_values(m, agg)[m.T]
+    v = value_process(m, agg)[m.T]
     assert all(x >= 0 for x in v)
     assert {i for i in range(m.n) if v[i] > 0} == m.all_indices - pa.omega_star
     assert check_predictable(agg, enlarged)
@@ -228,7 +228,7 @@ def test_repeated_shape_trees_keep_every_contract(m):
 def test_aggregator_svu(svu):
     pa = backward_eliminate(svu)
     agg, enlarged = universal_aggregator(svu, pa)
-    v = strategy_values(svu, agg)
+    v = value_process(svu, agg)
     assert all(x > 0 for x in v[svu.T])
     atom23 = frozenset({2, 3})
     assert agg.positions[1][atom23] == (F(1),)
@@ -238,7 +238,7 @@ def test_aggregator_svu(svu):
 def test_aggregator_trivial_market(constant):
     pa = backward_eliminate(constant)
     agg, enlarged = universal_aggregator(constant, pa)
-    assert strategy_values(constant, agg)[constant.T] == [F(0), F(0)]
+    assert value_process(constant, agg)[constant.T] == [F(0), F(0)]
     assert enlarged == natural_nodes(constant)
     assert all(v == (F(0),) for pos in agg.positions for v in pos.values())
 
@@ -246,7 +246,7 @@ def test_aggregator_trivial_market(constant):
 def test_aggregator_ex3d(ex3d):
     pa = backward_eliminate(ex3d)
     agg, enlarged = universal_aggregator(ex3d, pa)
-    v = strategy_values(ex3d, agg)
+    v = value_process(ex3d, agg)
     polar = ex3d.all_indices - pa.omega_star
     assert {i for i in range(ex3d.n) if v[ex3d.T][i] > 0} == polar
     assert check_predictable(agg, enlarged)
@@ -263,7 +263,7 @@ def test_aggregator_contract_on_corpus(mini_corpus):
     for m in mini_corpus:
         pa = backward_eliminate(m)
         agg, enlarged = universal_aggregator(m, pa)
-        v = strategy_values(m, agg)
+        v = value_process(m, agg)
         polar = m.all_indices - pa.omega_star
         assert all(x >= 0 for x in v[m.T])
         assert {i for i in range(m.n) if v[m.T][i] > 0} == polar
@@ -304,7 +304,7 @@ def test_enlarged_filtration_is_the_reference_join(m):
     agg, enlarged = pa.aggregator
     values = [None]
     for s in range(1, m.T + 1):
-        held = [agg.vector(s, i, m.d) for i in range(m.n)]
+        held = [position(agg, s, i, m.d) for i in range(m.n)]
         values.append(tuple(map(frozenset, group_by(held, range(m.n)))))
     for t in range(m.T + 1):
         join = tuple(map(frozenset, group_by(pa.nodes[t], range(m.n))))
@@ -324,7 +324,7 @@ def test_single_drifting_scenario():
     assert pa.omega_star == frozenset()
     assert oracle_support(m) == frozenset()
     agg, enlarged = universal_aggregator(m, pa)
-    assert strategy_values(m, agg)[1][0] > 0
+    assert value_process(m, agg)[1][0] > 0
     assert check_predictable(agg, enlarged)
 
 
