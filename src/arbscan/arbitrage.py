@@ -97,18 +97,16 @@ def classify(
     return Verdict(NO_ARBITRAGE, certificate_measure=q, detail=none)
 
 
-def one_step_1p_check(m: Market, pa: PolarAnalysis) -> list[tuple[int, tuple, Vec, Atom]]:
+def one_step_1p_check(m: Market, pa: PolarAnalysis) -> list[tuple[int, int, Vec, Atom]]:
     """All single-period strict-gain opportunities found by backward elimination.
 
-    One entry (t, level key, direction, gaining set) per splitting with at
-    least one block, in the order of ``pa.splittings``; the list is empty
-    exactly when no one-point arbitrage exists at all.
+    One entry (t, node, direction, gaining set) per splitting with at least
+    one block, in the order of ``pa.splittings``: ``node`` is the split level
+    set's id in ``pa.nodes[t-1]``.  The list is empty exactly when no
+    one-point arbitrage exists at all.
     """
-    out = []
-    for (t, key), sp in pa.splittings.items():
-        if sp.beta >= 1:
-            out.append((t, key, sp.separators[0], sp.blocks[0]))
-    return out
+    splits = pa.splittings.values()
+    return [(sp.t, sp.node, sp.separators[0], sp.blocks[0]) for sp in splits if sp.blocks]
 
 
 def defragment(m: Market, h: Strategy) -> tuple[tuple[Atom, ...], Strategy]:
@@ -152,7 +150,11 @@ def lebesgue_decompose(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Deco
 
 
 def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Optional[Strategy]:
-    """A strategy beating the model P, or None when P only charges survivors.
+    """A strategy that gains with positive P-mass, or None if P charges no polar scenario.
+
+    None is no proof of classical no-arbitrage (Dalang, Morton and Willinger
+    1990): with s0: 10 -> 11, s1: 10 -> 9 and P = {s0: 1}, no scenario is
+    polar, so the answer is None, though the price rises P-surely.
 
     The analysis restricted to supp(P) (``pa`` itself when supp(P) is its
     start set) is searched.  The sweep's first event period, the latest

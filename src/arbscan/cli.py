@@ -60,8 +60,8 @@ def _weights_json(m: Market, weights) -> dict[str, str]:
     }
 
 
-def _level_key_str(key) -> str:
-    return " ".join("(" + ",".join(str(x) for x in row) + ")" for row in key)
+def _level_str(rows) -> str:
+    return " ".join("(" + ",".join(str(x) for x in row) + ")" for row in rows)
 
 
 def strategy_json(m: Market, h: Strategy) -> dict:
@@ -92,13 +92,14 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     splittings = []
     # levels a block swallowed whole, per period in report order
     eliminated_levels: dict[str, list] = {}
-    for (t, key), sp in pa.splittings.items():
+    for sp in pa.splittings.values():
         if sp.blocks and not sp.residual:
-            eliminated_levels.setdefault(str(t), []).append(m.ids(sp.members))
+            eliminated_levels.setdefault(str(sp.t), []).append(m.ids(sp.members))
         splittings.append(
             {
-                "t": t,
-                "level": _level_key_str(key),
+                "t": sp.t,
+                # the price rows 0..t-1 that every member shares
+                "level": _level_str(m.scenarios[min(sp.members)].path[: sp.t]),
                 "members": m.ids(sp.members),
                 "beta": sp.beta,
                 "blocks": [
@@ -293,7 +294,7 @@ def _parser() -> argparse.ArgumentParser:
         "--filtration", choices=("natural", "enlarged"), default="enlarged"
     )
 
-    p = sub.add_parser("extract", parents=[common], help="classical arbitrage for a declared model")
+    p = sub.add_parser("extract", parents=[common], help="polar-mass arbitrage for a declared model")
     p.add_argument("--prob", required=True, help="declared probability name")
 
     p = sub.add_parser("measure", parents=[common], help="supporting martingale measure")

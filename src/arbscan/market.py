@@ -167,17 +167,13 @@ class Market:
         path = self.scenarios[i].path
         return tuple(map(sub, path[t], path[t - 1]))
 
-    def history(self, i: int, upto: int) -> tuple[Vec, ...]:
-        """Price rows 0..upto of scenario i (a level-set key)."""
-        return self.scenarios[i].path[: upto + 1]
-
-    def level_sets(self, members, depth: int) -> list[tuple[tuple[Vec, ...], Atom]]:
-        """Group ``members`` by equality of price rows 0..depth, ordered by min index."""
-        groups: dict[tuple[Vec, ...], set[int]] = {}
+    def level_sets(self, members, depth: int) -> list[Atom]:
+        """Group ``members`` by equality of price rows 0..depth, ordered by least member."""
+        groups: dict[tuple[Vec, ...], list[int]] = {}
         # sorted iteration inserts each group at its least member
         for i in sorted(members):
-            groups.setdefault(self.history(i, depth), set()).add(i)
-        return [(k, frozenset(v)) for k, v in groups.items()]
+            groups.setdefault(self.scenarios[i].path[: depth + 1], []).append(i)
+        return [frozenset(g) for g in groups.values()]
 
 
 def node_row(keys: Iterable) -> tuple[int, ...]:
@@ -195,11 +191,8 @@ def natural_nodes(m: Market) -> tuple[tuple[int, ...], ...]:
     each later row interns (node id at t-1, price row at t) per scenario, so
     each row is hashed once rather than once per later period.
     """
-    first = [0] * m.n
-    for k, (_key, atom) in enumerate(m.level_sets(m.all_indices, 0)):
-        for i in atom:
-            first[i] = k
-    rows = [tuple(first)]
+    root = {i: k for k, atom in enumerate(m.level_sets(m.all_indices, 0)) for i in atom}
+    rows = [tuple(root[i] for i in range(m.n))]
     for t in range(1, m.T + 1):
         rows.append(node_row(zip(rows[-1], [s.path[t] for s in m.scenarios])))
     return tuple(rows)
@@ -228,16 +221,28 @@ def check_predictable(h: Strategy, rows: Sequence[Sequence[int]]) -> bool:
     """True iff each period's positions are constant on the nodes of the previous row.
 
     ``rows`` is a filtration as node-id rows, under any numbering; a
-    scenario no atom of ``h`` covers holds the zero position.
+    scenario no atom of ``h`` covers holds the zero position.  Too few rows,
+    or a row too short for an index ``h`` holds, raises ValueError.
     """
+    if len(rows) < len(h.positions):
+        raise ValueError(f"{len(rows)} node rows for a strategy of {len(h.positions)} periods")
     for t, pos in enumerate(h.positions, 1):
+        row = rows[t - 1]
+        _check_indices(pos, frozenset(range(len(row))), f"node row {t - 1}")
         vec_of = {i: v for atom, v in pos.items() if any(v) for i in atom}
         by_node: dict[int, Vec] = {}
-        for i, k in enumerate(rows[t - 1]):
+        for i, k in enumerate(row):
             v = vec_of.get(i, ())  # () stands for every zero vector
             if by_node.setdefault(k, v) != v:
                 return False
     return True
+
+
+def _check_indices(pos: Mapping[Atom, Vec], every: Atom, where: str) -> None:
+    """ValueError unless every atom of ``pos`` lies inside ``every``."""
+    for atom in pos:
+        if not atom <= every:
+            raise ValueError(f"atom {sorted(atom)} is outside the {len(every)} scenarios of {where}")
 
 
 def value_process(m: Market, h: Strategy) -> list[list[Fraction]]:
@@ -245,15 +250,17 @@ def value_process(m: Market, h: Strategy) -> list[list[Fraction]]:
 
     The atoms of ``h`` are taken as they are: any disjoint sets will do,
     nodes of a filtration or not (:func:`check_predictable` is the separate
-    question).  Each period's positions are ``int`` numerators over one
-    common denominator, and its gains too, so the running values are ``int``
-    numerators over the lcm of those denominators until they are returned.
+    question); an index outside ``range(m.n)`` raises ValueError.  Each
+    period's positions are ``int`` numerators over one common denominator, and
+    its gains too, so the running values are ``int`` numerators over the lcm
+    of those denominators until they are returned.
     """
     if len(h.positions) != m.T:
         raise ValueError(f"strategy covers {len(h.positions)} periods, expected {m.T}")
     total, den = [0] * m.n, 1  # V_t's numerators over den
-    out = [[_ZERO] * m.n]
+    out, every = [[_ZERO] * m.n], m.all_indices
     for t, pos in enumerate(h.positions, 1):
+        _check_indices(pos, every, "the market")
         vden = lcm(*(x.denominator for v in pos.values() for x in v))
         gains = {}  # per covered scenario, its gain's numerator over vden
         for atom, v in pos.items():

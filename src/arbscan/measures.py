@@ -37,9 +37,13 @@ _ZERO = Fraction(0)
 
 
 def check_martingale(m: Market, q: DiscreteMeasure, rows: Sequence[Sequence[int]]) -> bool:
-    """Exact per-node zero-expectation check against the filtration ``rows`` (node-id rows)."""
-    for t in range(1, m.T + 1):
-        row = rows[t - 1]
+    """Exact per-node zero-expectation check against the filtration ``rows`` (node-id rows).
+
+    Rows 0..T-1 are read; fewer, or one of other than n ids, raise ValueError.
+    """
+    if len(rows) < m.T or any(len(row) != m.n for row in rows[: m.T]):
+        raise ValueError(f"node row lengths {list(map(len, rows))}, expected T={m.T} of n={m.n}")
+    for t, row in enumerate(rows[: m.T], 1):
         totals: dict[int, list[Fraction]] = {}
         for i, w in q.weights.items():
             total = totals.setdefault(row[i], [_ZERO] * m.d)

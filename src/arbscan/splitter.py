@@ -1,13 +1,13 @@
 """Level-set splitting, backward elimination in one sweep, and the aggregator.
 
-A level set whose increment cone does not contain 0 in its relative interior
-splits into strict-gain blocks plus an efficient residual.  Removing the
-blocks backwards over time, t = T..1, yields the maximal set of scenarios
+A level set at period t is a node of F_{t-1}, and its splitting is keyed by
+(t, node id).  One whose increment cone does not hold 0 in its relative
+interior splits into strict-gain blocks plus an efficient residual.  Removing
+the blocks backwards, t = T..1, yields the maximal set of scenarios
 supportable by martingale measures (``omega_star``) in one sweep: a block
 removed at period t is a union of whole child nodes at time t, so every level
-set of a later period lies inside it or misses it, and a second sweep would
-remove nothing.  The aggregator strategy holds, in each scenario, the
-separator that eliminated it, and is re-checked with ``market``'s
+set of a later period lies inside it or misses it.  The aggregator holds, in
+each scenario, the separator that eliminated it, and is re-checked with
 ``check_predictable`` and ``value_process``, as every emitted strategy is.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
@@ -39,19 +39,19 @@ from .market import (
 )
 from .ratgeom import Vec, maximal_separator
 
-LevelKey = tuple[Vec, ...]
-
 
 @dataclass(frozen=True)
 class Splitting:
     """Decomposition of one level set at one period.
 
-    ``blocks[i]`` gains strictly under ``separators[i]``; ``residual`` admits
-    no one-step gain at all (its increment cone holds 0 in relative interior).
+    The level set is a node of F_{t-1}, ``node`` its id in ``pa.nodes[t-1]``
+    and ``members`` its live scenarios.  ``blocks[i]`` gains strictly under
+    ``separators[i]``; ``residual`` admits no one-step gain at all (its
+    increment cone holds 0 in relative interior).
     """
 
     t: int
-    level_key: LevelKey
+    node: int
     members: Atom
     blocks: tuple[Atom, ...]
     separators: tuple[Vec, ...]
@@ -73,6 +73,7 @@ class PolarAnalysis:
 
     ``omega_star`` is the set of scenarios no period eliminated.
     ``splittings`` holds the decomposition of every level set the sweep met,
+    keyed by ``(t, node)``, the level set's period and its node id at t-1,
     in report order: t ascending, then least member; ``events`` holds those
     with at least one block, in the order they were removed.  Elimination is
     one sweep, so ``rounds`` is always 1; the report prints it.
@@ -96,7 +97,7 @@ class PolarAnalysis:
     """
 
     omega_star: Atom
-    splittings: Mapping[tuple[int, LevelKey], Splitting]
+    splittings: Mapping[tuple[int, int], Splitting]
     events: tuple[Splitting, ...]
     start_set: Atom
     market: Market = field(compare=False, repr=False)
@@ -170,38 +171,22 @@ def move_weights(weights: Sequence, index: Sequence[int]) -> tuple:
 
 
 def split_level_set(
-    m: Market,
-    t: int,
-    gamma: Atom,
-    children: Optional[Sequence[tuple[Vec, Atom]]] = None,
-    memo: Optional[dict] = None,
+    m: Market, t: int, node: int, children: Sequence[tuple[Vec, Atom]], memo: dict
 ) -> Splitting:
     """Iterated maximal separation of one level set's period-t increments.
 
     Peels strict-gain blocks until 0 enters the relative interior of the
     residual's increment cone; at most d rounds are possible because each
-    separator drops the span dimension.  The scenarios of one child node
-    share their increment, so each round's separator LP sees one point per
-    remaining child.
-
-    ``children`` are the level set's child nodes as (shared increment,
-    members) pairs, members drawn from ``gamma`` and covering it, as
-    :func:`backward_eliminate` reads them off the node rows.  Without them
-    the children are the price level sets of ``gamma`` at depth t, in the
-    order of their least members, and a ``gamma`` whose scenarios differ
-    before t is rejected.
-    ``memo`` is the analysis's LP memo.
+    separator drops the span dimension.  The level set is node ``node`` of
+    the row at t-1, and ``children`` are its child nodes at t as (shared
+    increment, members) pairs, as :func:`backward_eliminate` reads them off
+    the node rows; their members make up the level set.  Each round's
+    separator LP sees one point per remaining child.  ``memo`` is the
+    analysis's LP memo.
     """
-    if not gamma:
+    members = frozenset().union(*(c for _p, c in children))
+    if not members:
         raise DomainError("cannot split an empty level set")
-    members = frozenset(gamma)
-    if children is None:
-        levels = m.level_sets(members, t)
-        if len({key[:t] for key, _c in levels}) != 1:
-            raise ValueError("level set mixes different price histories")
-        children = [(m.increment(t, min(c)), c) for _key, c in levels]
-    memo = {} if memo is None else memo
-
     blocks: list[Atom] = []
     separators: list[Vec] = []
     while children:
@@ -214,7 +199,7 @@ def split_level_set(
         children = [c for k, c in enumerate(children) if k not in strict]
     sp = Splitting(
         t=t,
-        level_key=m.history(next(iter(members)), t - 1),
+        node=node,
         members=members,
         blocks=tuple(blocks),
         separators=tuple(separators),
@@ -268,8 +253,7 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
             levels.setdefault(up[least], []).append((increments[t][c], members))
         alive = []
         for k, children in levels.items():
-            gamma = frozenset().union(*(c for _p, c in children))
-            sp = split_level_set(m, t, gamma, children, memo)
+            sp = split_level_set(m, t, k, children, memo)
             split_at[t].append(sp)
             if sp.residual:
                 alive.append((min(sp.residual), k, sp.residual))
@@ -279,7 +263,7 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
 
     return PolarAnalysis(
         omega_star=frozenset().union(*(members for _least, _k, members in alive)),
-        splittings={(sp.t, sp.level_key): sp for level in split_at for sp in level},
+        splittings={(sp.t, sp.node): sp for level in split_at for sp in level},
         events=tuple(events),
         start_set=start,
         market=m,

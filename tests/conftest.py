@@ -1,19 +1,27 @@
 """Shared fixtures: benchmark markets, a random scenario-tree corpus, tree families.
 
 Also the reference groupings the program's node ids are checked against:
-``group_by`` and ``refine``, the join of two partitions atom by atom; and
+``group_by`` and ``refine``, the join of two partitions atom by atom;
+``price_children``, a level set's children regrouped from price rows; and
 ``arbitrage_literal``, the per-set strategy search the oracle is checked
 against, with its own (period, atom, asset) column layout.
+
+Every hypothesis test runs under one profile: examples are derived from the
+test itself (``derandomize``), so two runs of one commit draw the same ones,
+no example database is kept, and hypothesis's caches go to a temporary
+directory removed at exit, so a test run writes nothing into the checkout.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+import tempfile
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, strategies as st
+from hypothesis import assume, settings, strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from arbscan.market import (
     Atom,
@@ -26,6 +34,11 @@ from arbscan.market import (
     load_market,
 )
 from arbscan.ratgeom import GE, INFEASIBLE, OPTIMAL, LinearProgram, lp_solve
+
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="arbscan-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+settings.register_profile("arbscan", database=None, derandomize=True)
+settings.load_profile("arbscan")
 
 SVU_DOC = {
     "d": 1,
@@ -389,6 +402,17 @@ def group_by(key_of, members) -> list[list[int]]:
     for i in members:
         groups.setdefault(key_of[i], []).append(i)
     return list(groups.values())
+
+
+def price_children(m: Market, t: int, gamma) -> list[tuple[tuple, Atom]]:
+    """The children of level set ``gamma`` at period t, regrouped from price rows.
+
+    (shared increment, members) pairs, as ``split_level_set`` takes them,
+    read off ``m.level_sets(gamma, t)`` instead of the node rows, in order of
+    least member.  ``gamma`` must share its price rows 0..t-1.
+    """
+    assert len(m.level_sets(gamma, t - 1)) == 1, "level set mixes different price histories"
+    return [(m.increment(t, min(c)), c) for c in m.level_sets(gamma, t)]
 
 
 def refine(p, q) -> tuple[Atom, ...]:

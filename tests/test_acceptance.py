@@ -127,7 +127,7 @@ def test_criterion_3_ex3d(ex3d):
         polar = frozenset(ex3d.index_of(i) for i in ("irr2", "irr5", "qlo16", "qlo9"))
         residual = frozenset(ex3d.index_of(i) for i in ("qge916", "qge4"))
         assert ex3d.all_indices - pa.omega_star == polar
-        sp = pa.splittings[(1, ex3d.history(0, 0))]
+        sp = pa.splittings[(1, 0)]
         assert sp.residual == residual
         assert 1 <= sp.beta <= ex3d.d
         assert frozenset().union(*sp.blocks) == polar

@@ -74,9 +74,11 @@ def test_one_step_check_countna(countna):
     pa = backward_eliminate(countna)
     entries = one_step_1p_check(countna, pa)
     assert len(entries) == 1
-    t, _key, h, witness = entries[0]
+    t, node, h, witness = entries[0]
     assert t == 1 and h == (F(1),)
     assert set(countna.ids(witness)) == {"r1", "r2"}
+    # the entry names the split level set by its node at t-1, the root
+    assert node == 0 and pa.splittings[(t, node)].blocks[0] == witness
 
 
 def test_one_step_check_constant(constant):
@@ -88,7 +90,7 @@ def test_one_step_check_ex3d(ex3d):
     pa = backward_eliminate(ex3d)
     entries = one_step_1p_check(ex3d, pa)
     assert len(entries) == 1
-    _t, _key, _h, witness = entries[0]
+    _t, _node, _h, witness = entries[0]
     assert witness == ex3d.all_indices - pa.omega_star
 
 

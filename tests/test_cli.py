@@ -2,11 +2,15 @@
 
 import ast
 import copy
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import arbscan
 from arbscan import arbitrage, cli, measures, oracle, splitter
@@ -238,6 +242,27 @@ def test_extract_command(capsys, svu_file):
     assert code == 2
 
 
+def test_extract_answers_the_polar_mass_question(capsys, tmp_path):
+    # no scenario is polar, so extract prints null, although under P = {s0: 1}
+    # the price rises surely: a classical P-arbitrage it does not look for
+    path = tmp_path / "rise.json"
+    path.write_text(json.dumps({
+        "d": 1,
+        "T": 1,
+        "scenarios": [
+            {"id": "s0", "prices": [[10], [11]]},
+            {"id": "s1", "prices": [[10], [9]]},
+        ],
+        "probabilities": {"P": {"s0": "1"}},
+    }), "utf-8")
+    code, out, err = _run(capsys, "extract", str(path), "--prob", "P")
+    assert (code, err) == (0, "")
+    assert out == '{\n  "probability": "P",\n  "singular_mass": "0",\n  "strategy": null\n}\n'
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert "polar-mass arbitrage for a declared model" in capsys.readouterr().out
+
+
 def test_extract_does_not_look_ahead(capsys, tmp_path):
     # s0 and s1 share the time-0 price, so no strategy may tell them apart
     # at period 1; s1 alone gains at period 2, after the price has split
@@ -400,6 +425,86 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and message in err
+
+
+# a value of another JSON type, or an unknown id
+_ODD_VALUES = (None, True, 2.5, float("inf"), "zz", [], {}, ["zz"])
+# numbers: valid ones that reshape the market or a weight, and bad ones
+_NUMBERS = (0, -1, 7, "1/3", "-3/2", "1/2", "1/0", "x", "1e999999")
+
+
+def _paths(node, path=()):
+    """The path of every node below ``node`` in a JSON document, as key tuples."""
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutant(data, base: dict) -> dict:
+    """``base`` with one or two nodes dropped, retyped, renumbered or renamed to an unknown id."""
+    doc = copy.deepcopy(base)
+    for _ in range(data.draw(st.integers(1, 2))):
+        op = data.draw(st.sampled_from(("drop", "retype", "rename", "number")))
+        paths = list(_paths(doc))
+        if op == "number":  # a price or a weight: a leaf that is not an id
+            paths = [
+                p for p in paths if p[-1] != "id" and not isinstance(_at(doc, p), (dict, list))
+            ]
+        path = data.draw(st.sampled_from(paths or [("d",)]))
+        parent, key = _at(doc, path[:-1]), path[-1]
+        if op == "drop":
+            del parent[key]
+        elif op == "rename" and isinstance(parent, dict):
+            parent["zz"] = parent.pop(key)  # a table keyed by an unknown id
+        elif op == "number":
+            parent[key] = data.draw(st.sampled_from(_NUMBERS))
+        else:
+            parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES)))
+        if not doc:
+            doc["d"] = 1
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((SVU_DOC, MULTI_DOC, EX3D_DOC)), st.data())
+def test_mutated_markets_exit_cleanly(tmp_path_factory, base, data):
+    # every command on a mutated document exits 0, 1 or 2, with no traceback;
+    # exit 1 only as an Arbitrage verdict or a measure asked of a polar scenario
+    path = tmp_path_factory.mktemp("mutant") / "market.json"
+    path.write_text(json.dumps(_mutant(data, base)), "utf-8")
+    market = str(path)
+    prob = next(iter(base.get("probabilities", {"U": None})))
+    commands = [
+        ["analyze", market, "--verify"],
+        ["check", market, "--class", "MI", "--filtration", "natural"],
+        ["check", market, "--class", "MI", "--filtration", "enlarged"],
+        ["extract", market, "--prob", prob],
+        ["measure", market, "--support", base["scenarios"][0]["id"]],
+        ["oracle", market],
+    ]
+    for argv in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv[0], code, err.getvalue())
+        if code == 1:
+            if argv[0] == "check":
+                assert json.loads(out.getvalue())["kind"] == "Arbitrage"
+            else:
+                assert argv[0] == "measure" and "is polar" in err.getvalue(), err.getvalue()
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
 
 
 def test_no_bare_asserts_in_the_package():

@@ -151,7 +151,7 @@ def test_natural_filtration_multi(multi):
 def test_natural_filtration_groups_shared_price_rows(mini_corpus, ex3d, countna):
     for m in mini_corpus + [ex3d, countna]:
         assert [atoms_of(row) for row in natural_nodes(m)] == [
-            tuple(a for _k, a in m.level_sets(m.all_indices, t)) for t in range(m.T + 1)
+            tuple(m.level_sets(m.all_indices, t)) for t in range(m.T + 1)
         ]
 
 
@@ -330,6 +330,50 @@ def test_martingale_kills_expected_terminal_value(countna):
     h = Strategy(({frozenset(range(4)): (F(3),)},))
     v = value_process(countna, h)
     assert sum(q[i] * v[countna.T][i] for i in range(countna.n)) == 0
+
+
+def _rise_fall():
+    """The 2-scenario, T=1 market whose price rises in s0 and falls in s1."""
+    return load_market({
+        "d": 1,
+        "T": 1,
+        "scenarios": [{"id": "s0", "prices": [[10], [11]]}, {"id": "s1", "prices": [[10], [9]]}],
+    })
+
+
+@pytest.mark.parametrize("atom", [-1, 5])
+def test_value_process_rejects_an_atom_outside_the_market(atom):
+    # -1 would wrap to the last scenario; 5 would fail a bare list lookup
+    with pytest.raises(ValueError, match="outside the 2 scenarios"):
+        value_process(_rise_fall(), Strategy(({frozenset({atom}): (F(1),)},)))
+
+
+_LONG_SHORT = Strategy(({frozenset({0}): (F(1),), frozenset({1}): (F(-1),)},))
+
+
+@pytest.mark.parametrize(
+    "h, rows",
+    [
+        (_LONG_SHORT, ((0,),)),  # the row leaves scenario 1 out
+        (_LONG_SHORT, ()),  # fewer rows than periods
+        (Strategy(({frozenset({-1}): (F(1),)},)), ((0, 0), (0, 1))),
+    ],
+    ids=["short-row", "no-rows", "negative-index"],
+)
+def test_check_predictable_rejects_rows_that_miss_the_strategy(h, rows):
+    # under the rows it reads, a short row would hide the disagreement
+    assert check_predictable(_LONG_SHORT, natural_nodes(_rise_fall())) is False
+    with pytest.raises(ValueError):
+        check_predictable(h, rows)
+
+
+@pytest.mark.parametrize("rows", [((0,),), (), ((0, 0, 0),)], ids=["short-row", "no-rows", "long-row"])
+def test_check_martingale_rejects_rows_of_the_wrong_shape(rows):
+    m = _rise_fall()
+    q = DiscreteMeasure({0: F(1, 2), 1: F(1, 2)})
+    assert check_martingale(m, q, natural_nodes(m))
+    with pytest.raises(ValueError, match="node row"):
+        check_martingale(m, q, rows)
 
 
 def test_strategy_atoms_must_be_disjoint():

@@ -106,7 +106,7 @@ def several_roots(draw, markets):
     has one node per shift in use."""
     m = draw(markets)
     shift = [0] * m.n
-    for _key, node in m.level_sets(m.all_indices, 1):
+    for node in m.level_sets(m.all_indices, 1):
         k = draw(st.sampled_from((0, 50, 100)))
         for i in node:
             shift[i] = k

@@ -26,6 +26,7 @@ from conftest import (
     count_calls,
     group_by,
     position,
+    price_children,
     refine,
     seeded_trinomial_market,
     shaped_tree,
@@ -35,7 +36,9 @@ from conftest import (
 
 
 def test_split_svu_tail(svu):
-    sp = split_level_set(svu, 2, frozenset({2, 3}))
+    # w3, w4 make up node 1 at t = 1
+    sp = split_level_set(svu, 2, 1, price_children(svu, 2, {2, 3}), {})
+    assert sp == backward_eliminate(svu).splittings[(2, 1)]
     assert sp.beta == 1
     assert sp.blocks == (frozenset({2, 3}),)
     assert sp.residual == frozenset()
@@ -43,13 +46,15 @@ def test_split_svu_tail(svu):
 
 
 def test_split_constant(constant):
-    sp = split_level_set(constant, 1, frozenset({0, 1}))
+    sp = split_level_set(constant, 1, 0, price_children(constant, 1, {0, 1}), {})
+    assert sp == backward_eliminate(constant).splittings[(1, 0)]
     assert sp.beta == 0
     assert sp.residual == frozenset({0, 1})
 
 
 def test_split_ex3d_merges_rounds(ex3d):
-    sp = split_level_set(ex3d, 1, ex3d.all_indices)
+    sp = split_level_set(ex3d, 1, 0, price_children(ex3d, 1, ex3d.all_indices), {})
+    assert sp == backward_eliminate(ex3d).splittings[(1, 0)]
     polar = frozenset(ex3d.index_of(i) for i in ("irr2", "irr5", "qlo16", "qlo9"))
     keep = frozenset(ex3d.index_of(i) for i in ("qge916", "qge4"))
     assert frozenset().union(*sp.blocks) == polar
@@ -59,9 +64,7 @@ def test_split_ex3d_merges_rounds(ex3d):
 
 def test_split_errors(svu):
     with pytest.raises(DomainError):
-        split_level_set(svu, 1, frozenset())
-    with pytest.raises(ValueError, match="histories"):
-        split_level_set(svu, 2, frozenset({0, 2}))
+        split_level_set(svu, 1, 0, [], {})
 
 
 def _check_splitting_contracts(m, sp):
@@ -142,7 +145,7 @@ def test_survivor_chain(mini_corpus):
         assert frozenset(dead) == m.all_indices - pa.omega_star
         # surviving level sets all pass the interior test
         for t in range(1, m.T + 1):
-            for _k, gamma in m.level_sets(pa.omega_star, t - 1):
+            for gamma in m.level_sets(pa.omega_star, t - 1):
                 assert cone_ri_contains_zero([m.increment(t, i) for i in sorted(gamma)])
 
 
@@ -156,8 +159,9 @@ def _second_sweep_blocks(m, pa):
     surviving = set(pa.omega_star)
     blocks = []
     for t in range(m.T, 0, -1):
-        for _key, gamma in m.level_sets(surviving, t - 1):
-            sp = split_level_set(m, t, gamma)
+        for gamma in m.level_sets(surviving, t - 1):
+            node = pa.nodes[t - 1][min(gamma)]
+            sp = split_level_set(m, t, node, price_children(m, t, gamma), {})
             blocks += sp.blocks
             for block in sp.blocks:
                 surviving -= block
@@ -178,7 +182,7 @@ def _assert_one_sweep_is_the_fixpoint(m, within):
     assert _second_sweep_blocks(m, pa) == []
     # every surviving level set holds 0 in the relative interior of its cone
     for t in range(1, m.T + 1):
-        for _key, gamma in m.level_sets(pa.omega_star, t - 1):
+        for gamma in m.level_sets(pa.omega_star, t - 1):
             assert cone_ri_contains_zero([m.increment(t, i) for i in sorted(gamma)])
 
 
@@ -297,7 +301,7 @@ def test_enlarged_filtration_is_the_reference_join(m):
     assert pa.nodes == natural_nodes(m)
     for t, row in enumerate(pa.nodes):
         groups = group_by(row, range(m.n))
-        assert [frozenset(g) for g in groups] == [a for _k, a in m.level_sets(m.all_indices, t)]
+        assert [frozenset(g) for g in groups] == m.level_sets(m.all_indices, t)
         assert [row[g[0]] for g in groups] == list(range(len(groups)))
         assert atoms_of(row) == tuple(map(frozenset, groups))
     # F~_t joins F_t with the aggregator's value partitions of periods 1..min(t+1, T)
@@ -456,7 +460,7 @@ def test_separator_and_support_solve_one_lp_each(monkeypatch, mini_corpus, multi
     assert len(lp_calls) == 1
     for m in mini_corpus[:15] + [multi, svu]:
         for t in range(1, m.T + 1):
-            for _key, gamma in m.level_sets(m.all_indices, t - 1):
+            for gamma in m.level_sets(m.all_indices, t - 1):
                 points = [m.increment(t, i) for i in sorted(gamma)]
                 if all(is_zero(p) for p in points):
                     continue  # answered without an LP
@@ -475,7 +479,7 @@ def _assert_node_level_sets_match(m):
     for members in (m.all_indices, pa.omega_star, every_other):
         for t in range(m.T + 1):
             by_node = [frozenset(g) for g in group_by(pa.nodes[t], sorted(members))]
-            assert by_node == [gamma for _k, gamma in m.level_sets(members, t)]
+            assert by_node == m.level_sets(members, t)
     # each node's members share its increment, and the children read off
     # the rows partition their parent
     assert pa.increments[0] == ()
@@ -489,16 +493,22 @@ def _assert_node_level_sets_match(m):
             assert frozenset().union(*(below[c] for c in kids)) == atom
             assert all({pa.nodes[t - 1][i] for i in below[c]} == {k} for c in kids)
     # splittings come in report order: t ascending, then least member
-    order = [(t, min(sp.members)) for (t, _key), sp in pa.splittings.items()]
+    order = [(t, min(sp.members)) for (t, _node), sp in pa.splittings.items()]
     assert order == sorted(order)
-    for (t, key), sp in pa.splittings.items():
-        assert key == m.history(min(sp.members), t - 1)
+    for key, sp in pa.splittings.items():
+        t = sp.t
+        # each splitting is keyed by the node at t-1 that holds its members
+        assert all(key == (t, pa.nodes[t - 1][i]) for i in sp.members)
+        assert key == (t, sp.node)
         # the node rows and the price rows split a level set alike
         children = [
             (pa.increments[t][pa.nodes[t][g[0]]], frozenset(g))
             for g in group_by(pa.nodes[t], sorted(sp.members))
         ]
-        assert split_level_set(m, t, sp.members, children) == split_level_set(m, t, sp.members)
+        by_prices = price_children(m, t, sp.members)
+        assert split_level_set(m, t, sp.node, children, {}) == split_level_set(
+            m, t, sp.node, by_prices, {}
+        )
 
 
 def test_node_level_sets_match_price_level_sets(mini_corpus, svu, multi, countna):
@@ -522,9 +532,12 @@ def test_level_sets_are_ordered_by_least_member():
         "scenarios": [{"id": f"{k}{i}", "prices": rows[k]} for i, k in enumerate("xyxzy")],
     })
     groups = m.level_sets({4, 3, 2, 1, 0}, 1)
-    assert [gamma for _k, gamma in groups] == [{0, 2}, {1, 4}, {3}]
-    assert [k for k, _gamma in groups] == [m.history(i, 1) for i in (0, 1, 3)]
-    assert [gamma for _k, gamma in m.level_sets({4, 3, 2, 1}, 1)] == [{1, 4}, {2}, {3}]
+    assert groups == [{0, 2}, {1, 4}, {3}]
+    # each group shares its price rows, and no two groups share theirs
+    paths = [{m.scenarios[i].path for i in gamma} for gamma in groups]
+    assert all(len(p) == 1 for p in paths)
+    assert len(set().union(*paths)) == len(groups)
+    assert m.level_sets({4, 3, 2, 1}, 1) == [{1, 4}, {2}, {3}]
 
 
 def _lp_inputs_once_per_analysis(monkeypatch, markets):
