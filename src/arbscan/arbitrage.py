@@ -5,6 +5,9 @@ complement with the aggregator as universal witness.  Under the natural
 filtration that equivalence can fail, so the honest decision procedure is the
 oracle LP search; it finds the whole natural gain set at once, so the natural
 verdict is set logic too, on that set instead of the polar complement.
+
+Each function here that reads the polar complement takes a whole-market
+analysis and raises ValueError on one restricted by ``within``.
 """
 
 from __future__ import annotations
@@ -58,6 +61,13 @@ class Decomposition:
     carrier: Atom
 
 
+def _polar_complement(m: Market, pa: PolarAnalysis) -> Atom:
+    """The polar scenarios; a restricted ``pa`` knows nothing of the rest, so ValueError."""
+    if pa.start_set != m.all_indices:
+        raise ValueError(f"analysis restricted to {len(pa.start_set)} of {m.n} scenarios")
+    return m.all_indices - pa.omega_star
+
+
 def classify(
     m: Market,
     pa: PolarAnalysis,
@@ -69,17 +79,17 @@ def classify(
     Both modes are set logic on a gain set: arbitrage iff some declared set
     lies inside it, the first such set is cited, and otherwise a measure
     charging every declared set certifies the negative.  Enlarged mode: the
-    gain set is the polar complement (every scenario when all are polar) and
-    the aggregator is the witness.  Natural mode: the gain set is the
-    natural-filtration gain set, which the oracle finds in one LP per
-    analysis (``pa.natural_arbitrage``); its strategy witnesses every such set.
+    gain set is the polar complement and the aggregator is the witness.
+    Natural mode: the gain set is the natural-filtration gain set, which the
+    oracle finds in one LP per analysis (``pa.natural_arbitrage``); its
+    strategy witnesses every such set.
     """
+    polar = _polar_complement(m, pa)
     if filtration == "enlarged":
         h = None  # the aggregator, built only for an Arbitrage verdict
-        if pa.omega_star:
-            gain, found = pa.start_set - pa.omega_star, "declared set inside the polar complement"
-        else:
-            gain, found = m.all_indices, "every scenario is polar"
+        gain, found = polar, "declared set inside the polar complement"
+        if not pa.omega_star:
+            found = "every scenario is polar"
         none = "martingale measures exist and no declared set is polar"
     elif filtration == "natural":
         gain, h = pa.natural_arbitrage
@@ -100,13 +110,13 @@ def classify(
 def one_step_1p_check(m: Market, pa: PolarAnalysis) -> list[tuple[int, int, Vec, Atom]]:
     """All single-period strict-gain opportunities found by backward elimination.
 
-    One entry (t, node, direction, gaining set) per splitting with at least
-    one block, in the order of ``pa.splittings``: ``node`` is the split level
-    set's id in ``pa.nodes[t-1]``.  The list is empty exactly when no
-    one-point arbitrage exists at all.
+    One entry (t, node, direction, gaining set) per splitting with a block,
+    in the order of ``pa.splittings``: ``node`` is the split level set's id
+    in ``pa.nodes[t-1]``.  The list is empty exactly when no one-point
+    arbitrage exists at all.
     """
     splits = pa.splittings.values()
-    return [(sp.t, sp.node, sp.separators[0], sp.blocks[0]) for sp in splits if sp.blocks]
+    return [(sp.t, sp.node, sp.separator, sp.block) for sp in splits if sp.block]
 
 
 def defragment(m: Market, h: Strategy) -> tuple[tuple[Atom, ...], Strategy]:
@@ -142,8 +152,7 @@ def defragment(m: Market, h: Strategy) -> tuple[tuple[Atom, ...], Strategy]:
 
 def lebesgue_decompose(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Decomposition:
     """Split P into the polar-supported singular part and the rest."""
-    polar = m.all_indices - pa.omega_star
-    carrier = p.support & polar
+    carrier = p.support & _polar_complement(m, pa)
     singular = {i: w for i, w in p.weights.items() if i in carrier}
     continuous = {i: w for i, w in p.weights.items() if i not in carrier}
     return Decomposition(continuous=continuous, singular=singular, carrier=carrier)
@@ -156,24 +165,24 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     1990): with s0: 10 -> 11, s1: 10 -> 9 and P = {s0: 1}, no scenario is
     polar, so the answer is None, though the price rises P-surely.
 
-    The analysis restricted to supp(P) (``pa`` itself when supp(P) is its
-    start set) is searched.  The sweep's first event period, the latest
-    period with an eliminating event, supplies, per level set, the first
-    separator on that level set (zero elsewhere).  The sweep removes nothing
+    The analysis restricted to supp(P) (``pa`` itself when P charges every
+    scenario) is searched.  The sweep's first event period, the latest
+    period with an eliminating event, supplies, per level set, the separator
+    of that level set (zero elsewhere).  The sweep removes nothing
     before that period, so each such level set is a whole natural node
     intersected with supp(P): the strategy is naturally predictable
-    P-almost surely, V_T >= 0 holds P-almost surely and the first block
-    carries positive P-mass.
+    P-almost surely, V_T >= 0 holds P-almost surely and a block carries
+    positive P-mass.
     """
-    polar_mass = p.mass(m.all_indices - pa.omega_star)
+    polar_mass = p.mass(_polar_complement(m, pa))
     if polar_mass == 0:
         return None
-    sub = pa if p.support == pa.start_set else backward_eliminate(m, within=p.support)
+    sub = pa if p.support == m.all_indices else backward_eliminate(m, within=p.support)
     if not sub.events:
         raise InternalError("positive polar mass but no restricted elimination")
     tau = max(sp.t for sp in sub.events)
     zero = tuple(_ZERO for _ in range(m.d))
-    pieces = {sp.members: sp.separators[0] for sp in sub.events if sp.t == tau}
+    pieces = {sp.members: sp.separator for sp in sub.events if sp.t == tau}
     rest = m.all_indices - frozenset().union(*pieces)
     if rest:
         pieces[rest] = zero
@@ -206,6 +215,7 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     under the enlarged filtration.  The ladder records no-1p => no-class-S =>
     no-model-independent for every declared class.
     """
+    polar = _polar_complement(m, pa)
     n = m.n
     witness = pa.full_support
 
@@ -215,7 +225,7 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     open_like = SignificantClass("open-like", singletons + declared)
 
     facets = {
-        "omega_star_is_everything": pa.omega_star == m.all_indices,
+        "omega_star_is_everything": not polar,
         "uniform_model_has_no_classical_arbitrage": extract_p_arbitrage(m, pa, uniform) is None,
         "full_support_martingale_measure_exists": (
             witness is not None and witness.support == m.all_indices

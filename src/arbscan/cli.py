@@ -93,19 +93,17 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     # levels a block swallowed whole, per period in report order
     eliminated_levels: dict[str, list] = {}
     for sp in pa.splittings.values():
-        if sp.blocks and not sp.residual:
+        if not sp.residual:
             eliminated_levels.setdefault(str(sp.t), []).append(m.ids(sp.members))
+        block = [{"ids": m.ids(sp.block), "separator": _vec_json(sp.separator)}] if sp.block else []
         splittings.append(
             {
                 "t": sp.t,
                 # the price rows 0..t-1 that every member shares
                 "level": _level_str(m.scenarios[min(sp.members)].path[: sp.t]),
                 "members": m.ids(sp.members),
-                "beta": sp.beta,
-                "blocks": [
-                    {"ids": m.ids(b), "separator": _vec_json(h)}
-                    for b, h in zip(sp.blocks, sp.separators)
-                ],
+                "beta": len(block),
+                "blocks": block,
                 "residual": m.ids(sp.residual),
             }
         )

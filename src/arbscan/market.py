@@ -226,9 +226,11 @@ def check_predictable(h: Strategy, rows: Sequence[Sequence[int]]) -> bool:
     """
     if len(rows) < len(h.positions):
         raise ValueError(f"{len(rows)} node rows for a strategy of {len(h.positions)} periods")
+    # the index set of each row length, built once
+    every = {n: frozenset(range(n)) for n in set(map(len, rows[: len(h.positions)]))}
     for t, pos in enumerate(h.positions, 1):
         row = rows[t - 1]
-        _check_indices(pos, frozenset(range(len(row))), f"node row {t - 1}")
+        _check_indices(pos, every[len(row)], f"node row {t - 1}")
         vec_of = {i: v for atom, v in pos.items() if any(v) for i in atom}
         by_node: dict[int, Vec] = {}
         for i, k in enumerate(row):

@@ -643,17 +643,19 @@ def maximal_separator(points: Sequence[Vec]) -> Optional[tuple[Vec, frozenset[in
     Returns None iff 0 lies in the relative interior of the convex cone
     spanned by the points (no one-sided direction gains anywhere).  Otherwise
     returns (H, strict) with H.x >= 0 for every point, max |H_j| = 1, and
-    strict = {i : H.x_i > 0} equal to the union of the strict sets of *all*
-    valid separators.
+    strict = {i : H.x_i > 0} equal to the union of the strict sets of *every*
+    valid separator, so the points outside it carry a strictly positive zero
+    combination (Tucker's strict complementarity, 1956): on them it is None.
 
     One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
     Todd (1985): H is free, each distinct point x_v gets a slack s_v in
     [0, 1] and a row H.x_v - s_v >= 0, and the LP maximizes the sum of the
-    slacks.  Strict sets are closed under sums of separators, so an optimum
-    with s_v = 0 on a point some separator gains on could be improved; hence
-    every point that can be strict is strict at the optimum.  H is not boxed:
-    a box would stop H from being scaled up until every strict point reaches
-    its cap, and one optimum could then miss a strict point.
+    slacks.  The sum of two separators is one, with the union strict set, so
+    an optimum with s_v = 0 on a point some separator gains on could be
+    improved; hence every point that can be strict is strict at the optimum.
+    H is not boxed: a box would stop H from being scaled up until every
+    strict point reaches its cap, and one optimum could then miss a strict
+    point.
     """
     d = _check_dims(points)
     values: list[Vec] = []

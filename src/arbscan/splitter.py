@@ -1,13 +1,14 @@
 """Level-set splitting, backward elimination in one sweep, and the aggregator.
 
 A level set at period t is a node of F_{t-1}, and its splitting is keyed by
-(t, node id).  One whose increment cone does not hold 0 in its relative
-interior splits into strict-gain blocks plus an efficient residual.  Removing
-the blocks backwards, t = T..1, yields the maximal set of scenarios
-supportable by martingale measures (``omega_star``) in one sweep: a block
-removed at period t is a union of whole child nodes at time t, so every level
-set of a later period lies inside it or misses it.  The aggregator holds, in
-each scenario, the separator that eliminated it, and is re-checked with
+(t, node id).  One separator LP splits it: the maximal separator of its
+increments gains strictly on one block, and the efficient residual holds 0
+in the relative interior of its increment cone.  Removing each block
+backwards, t = T..1, yields the maximal set of scenarios supportable by
+martingale measures (``omega_star``) in one sweep: a block removed at period
+t is a union of whole child nodes at time t, so every level set of a later
+period lies inside it or misses it.  The aggregator holds, in each scenario,
+the separator that eliminated it, and is re-checked with
 ``check_predictable`` and ``value_process``, as every emitted strategy is.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
@@ -45,25 +46,22 @@ class Splitting:
     """Decomposition of one level set at one period.
 
     The level set is a node of F_{t-1}, ``node`` its id in ``pa.nodes[t-1]``
-    and ``members`` its live scenarios.  ``blocks[i]`` gains strictly under
-    ``separators[i]``; ``residual`` admits no one-step gain at all (its
-    increment cone holds 0 in relative interior).
+    and ``members`` its live scenarios.  ``block`` gains strictly under
+    ``separator``, and is empty, with ``separator`` None, when nothing gains;
+    ``residual`` admits no one-step gain at all (its increment cone holds 0
+    in relative interior).
     """
 
     t: int
     node: int
     members: Atom
-    blocks: tuple[Atom, ...]
-    separators: tuple[Vec, ...]
+    block: Atom
+    separator: Optional[Vec]
     residual: Atom
 
-    @property
-    def beta(self) -> int:
-        return len(self.blocks)
-
     def __post_init__(self):
-        union = frozenset().union(*self.blocks) if self.blocks else frozenset()
-        if union | self.residual != self.members or len(self.blocks) != len(self.separators):
+        block, rest = self.block, self.residual
+        if block | rest != self.members or block & rest or (self.separator is None) != (not block):
             raise ValueError("inconsistent splitting")
 
 
@@ -75,7 +73,7 @@ class PolarAnalysis:
     ``splittings`` holds the decomposition of every level set the sweep met,
     keyed by ``(t, node)``, the level set's period and its node id at t-1,
     in report order: t ascending, then least member; ``events`` holds those
-    with at least one block, in the order they were removed.  Elimination is
+    with a block, in the order they were removed.  Elimination is
     one sweep, so ``rounds`` is always 1; the report prints it.
 
     The per-analysis context takes no part in ``==`` or ``repr``: ``market``
@@ -171,51 +169,35 @@ def move_weights(weights: Sequence, index: Sequence[int]) -> tuple:
 
 
 def split_level_set(
-    m: Market, t: int, node: int, children: Sequence[tuple[Vec, Atom]], memo: dict
+    t: int, node: int, children: Sequence[tuple[Vec, Atom]], memo: dict
 ) -> Splitting:
-    """Iterated maximal separation of one level set's period-t increments.
+    """One maximal separation of one level set's period-t increments.
 
-    Peels strict-gain blocks until 0 enters the relative interior of the
-    residual's increment cone; at most d rounds are possible because each
-    separator drops the span dimension.  The level set is node ``node`` of
-    the row at t-1, and ``children`` are its child nodes at t as (shared
-    increment, members) pairs, as :func:`backward_eliminate` reads them off
-    the node rows; their members make up the level set.  Each round's
-    separator LP sees one point per remaining child.  ``memo`` is the
-    analysis's LP memo.
+    The level set is node ``node`` of the row at t-1, and ``children`` are
+    its child nodes at t as (shared increment, members) pairs, as
+    :func:`backward_eliminate` reads them off the node rows; their members
+    make up the level set.  One separator LP, in ``memo``, sees one point
+    per child; the block is its strict set, and the residual needs no second
+    LP (see :func:`~arbscan.ratgeom.maximal_separator`).
     """
     members = frozenset().union(*(c for _p, c in children))
     if not members:
         raise DomainError("cannot split an empty level set")
-    blocks: list[Atom] = []
-    separators: list[Vec] = []
-    while children:
-        found = solve_once(memo, maximal_separator, tuple(p for p, _c in children), move_strict)
-        if found is None:
-            break
-        h, strict = found
-        blocks.append(frozenset().union(*(children[k][1] for k in strict)))
-        separators.append(h)
-        children = [c for k, c in enumerate(children) if k not in strict]
-    sp = Splitting(
-        t=t,
-        node=node,
-        members=members,
-        blocks=tuple(blocks),
-        separators=tuple(separators),
-        residual=frozenset().union(*(c for _p, c in children)),
+    found = solve_once(memo, maximal_separator, tuple(p for p, _c in children), move_strict)
+    h, strict = (None, ()) if found is None else found
+    block = frozenset().union(*(children[k][1] for k in strict))
+    return Splitting(
+        t=t, node=node, members=members, block=block, separator=h, residual=members - block
     )
-    if sp.beta > m.d:
-        raise InternalError(f"level set split into {sp.beta} blocks, more than d={m.d}")
-    return sp
 
 
 def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysis:
     """Block elimination over the (optionally restricted) scenario set, in one sweep.
 
-    The sweep walks t = T..1 up the node rows.  At each period it splits the
+    ``within`` restricts the sweep to those scenario indices; one outside
+    ``range(m.n)`` raises ValueError.  The sweep walks t = T..1 up the node rows.  At each period it splits the
     level set of every node at time t-1 that still has survivors: the node's
-    surviving children, with the increments they share.  All blocks are
+    surviving children, with the increments they share.  Every block is
     removed at once, and the residuals are the surviving nodes one period up.
     A block is a union of whole surviving child nodes, so the level sets of
     later periods were final when it was removed, and a second sweep would
@@ -224,6 +206,8 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     measure concentrated on the survivors.
     """
     start = m.all_indices if within is None else frozenset(within)
+    if not start <= m.all_indices:
+        raise ValueError(f"within holds {sorted(start - m.all_indices)}, outside range({m.n})")
     nodes = natural_nodes(m)
     # node ids run in order of least member, so node c first appears at its
     # least member, when c new ids have been seen
@@ -253,11 +237,11 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
             levels.setdefault(up[least], []).append((increments[t][c], members))
         alive = []
         for k, children in levels.items():
-            sp = split_level_set(m, t, k, children, memo)
+            sp = split_level_set(t, k, children, memo)
             split_at[t].append(sp)
             if sp.residual:
                 alive.append((min(sp.residual), k, sp.residual))
-            if sp.blocks:
+            if sp.block:
                 events.append(sp)
         alive.sort()
 
@@ -286,21 +270,20 @@ def universal_aggregator(
     (``pa.nodes``) and their held values over periods 1..min(t+1, T).  The
     filtration is returned as node-id rows, numbered like ``pa.nodes``.
 
-    Each block's separator is interned once: equal separators, common in
-    recombining trees, share one id, so grouping scenarios by id is grouping
-    them by value, and no vector is hashed per scenario and period.  Each
-    scenario's value history and each enlarged atom are interned the same
-    way, as ids in order of least member.  The strategy is re-checked: it is
+    Each event's separator is interned once: a separator that recurs, as is
+    common in recombining trees, keeps one id, so grouping scenarios by id
+    is grouping them by value, and no vector is hashed per scenario and
+    period.  Each scenario's value history and each enlarged atom are
+    interned the same way, as ids in order of least member.  The strategy is re-checked: it is
     predictable for the enlarged rows, V_T >= 0 everywhere and V_T > 0
     exactly on ``start_set - omega_star``, or InternalError is raised.
     """
     id_of: dict[Vec, int] = {(0,) * m.d: 0}  # id 0 is the zero position
     ids = [[0] * m.n for _ in range(m.T + 1)]
     for sp in pa.events:
-        for block, sep in zip(sp.blocks, sp.separators):
-            k = id_of.setdefault(sep, len(id_of))
-            for i in block:
-                ids[sp.t][i] = k
+        k = id_of.setdefault(sp.separator, len(id_of))
+        for i in sp.block:
+            ids[sp.t][i] = k
 
     # history[s][i]: the id of scenario i's held values over periods 1..s
     history = [ids[0]]

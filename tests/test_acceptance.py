@@ -129,8 +129,7 @@ def test_criterion_3_ex3d(ex3d):
         assert ex3d.all_indices - pa.omega_star == polar
         sp = pa.splittings[(1, 0)]
         assert sp.residual == residual
-        assert 1 <= sp.beta <= ex3d.d
-        assert frozenset().union(*sp.blocks) == polar
+        assert sp.block == polar and sp.separator is not None
         # per-point separator oracle confirms the strict set
         points = [ex3d.increment(1, i) for i in range(ex3d.n)]
         for i in range(ex3d.n):

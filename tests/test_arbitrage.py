@@ -78,7 +78,7 @@ def test_one_step_check_countna(countna):
     assert t == 1 and h == (F(1),)
     assert set(countna.ids(witness)) == {"r1", "r2"}
     # the entry names the split level set by its node at t-1, the root
-    assert node == 0 and pa.splittings[(t, node)].blocks[0] == witness
+    assert node == 0 and pa.splittings[(t, node)].block == witness
 
 
 def test_one_step_check_constant(constant):
@@ -227,3 +227,54 @@ def test_extraction_matches_decomposition_on_corpus(mini_corpus):
                 assert sum(p[i] for i in range(m.n) if v[m.T][i] > 0) > 0
                 # no look-ahead: one position per natural atom, P-a.s.
                 assert predictable_on(m, h, pa.nodes, p.support)
+
+
+# a: 10 -> 11, b: 10 -> 9, c: 10 -> 12; on the whole market nothing is polar,
+# but the analysis restricted to {a, c} finds both polar
+_UP_DOWN_UP = {
+    "d": 1,
+    "T": 1,
+    "scenarios": [
+        {"id": "a", "prices": [[10], [11]]},
+        {"id": "b", "prices": [[10], [9]]},
+        {"id": "c", "prices": [[10], [12]]},
+    ],
+}
+
+
+def _restricted_analysis():
+    from arbscan.market import load_market
+
+    m = load_market(_UP_DOWN_UP)
+    assert backward_eliminate(m).omega_star == m.all_indices
+    return m, backward_eliminate(m, within={0, 2})
+
+
+def test_classify_refuses_a_restricted_analysis():
+    # it used to call {b} an enlarged arbitrage, "every scenario is polar",
+    # with a witness that gains nothing on b
+    m, pa = _restricted_analysis()
+    for mode in ("enlarged", "natural"):
+        with pytest.raises(ValueError, match="restricted"):
+            classify(m, pa, SignificantClass("B", (frozenset({1}),)), mode)
+
+
+def test_feasibility_refuses_a_restricted_analysis():
+    # it used to raise InternalError
+    m, pa = _restricted_analysis()
+    with pytest.raises(ValueError, match="restricted"):
+        feasibility(m, pa)
+
+
+def test_lebesgue_decompose_refuses_a_restricted_analysis():
+    # it used to call b singular
+    m, pa = _restricted_analysis()
+    with pytest.raises(ValueError, match="restricted"):
+        lebesgue_decompose(m, pa, DiscreteMeasure({1: F(1)}))
+
+
+def test_extract_refuses_a_restricted_analysis():
+    # it used to raise InternalError on the uniform model
+    m, pa = _restricted_analysis()
+    with pytest.raises(ValueError, match="restricted"):
+        extract_p_arbitrage(m, pa, DiscreteMeasure({i: F(1, 3) for i in range(3)}))

@@ -13,12 +13,21 @@ the bytes on purpose regenerates them with
 The loader keeps integral prices as ``int``s.  The same bytes must come
 from each market rebuilt with every price a ``Fraction``, and from the CLI
 run under ``python -O``, which strips ``assert`` statements.
+
+``golden/digests.json`` pins many more markets by digest only: per seeded
+market, one sha256 over its ``build_report(m, verify=True)`` JSON and its
+natural ``MI`` and ``1p`` verdict JSON.  The markets are 300 random corpus
+markets, 8 one-period Tree(16, 1, 4) markets and 2 trinomial T=4 trees, all
+drawn from one seeded ``Random`` by the tests' generators; the same
+regeneration command rewrites them.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -26,8 +35,10 @@ from pathlib import Path
 
 import pytest
 
-from arbscan.cli import build_report, main
-from arbscan.market import load_market
+from arbscan.arbitrage import classify
+from arbscan.cli import _resolve_class, _verdict_json, build_report, main
+from arbscan.market import Market, load_market
+from arbscan.splitter import backward_eliminate
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import (  # noqa: E402
@@ -37,6 +48,9 @@ from conftest import (  # noqa: E402
     MULTI_DOC,
     SVU_DOC,
     fraction_market,
+    random_market,
+    seeded_tree_market,
+    seeded_trinomial_market,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -115,6 +129,34 @@ def render_command(doc: dict, command: str) -> str:
         return out.read_text("utf-8")
 
 
+def seeded_markets() -> dict[str, Market]:
+    """The digest-pinned markets by name, all drawn from ``Random(931)`` in this order."""
+    rng = random.Random(931)
+    markets = {f"corpus-{k:03d}": random_market(rng) for k in range(300)}
+    markets.update({f"wide-{k}": seeded_tree_market(rng, 16, 1, 4) for k in range(8)})
+    markets.update({f"trinomial-{k}": seeded_trinomial_market(rng, 4, 1 + 2 * k) for k in range(2)})
+    return markets
+
+
+def digest(m: Market) -> str:
+    """sha256 of the verified report and the natural MI and 1p verdicts, as the CLI renders them."""
+    report, _agrees = build_report(m, verify=True)
+    pa = backward_eliminate(m)
+    docs = [report] + [
+        _verdict_json(m, classify(m, pa, _resolve_class(m, name), "natural")) for name in ("MI", "1p")
+    ]
+    text = "".join(json.dumps(doc, indent=2) + "\n" for doc in docs)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_seeded_markets_match_digests():
+    expected = json.loads((GOLDEN / "digests.json").read_text("utf-8"))
+    markets = seeded_markets()
+    assert list(markets) == list(expected)
+    for name, m in markets.items():
+        assert digest(m) == expected[name], f"first market whose outputs changed: {name}"
+
+
 @pytest.mark.parametrize("name", sorted(DOCS))
 def test_report_matches_golden(name):
     expected = (GOLDEN / f"{name}.json").read_text("utf-8")
@@ -157,3 +199,5 @@ if __name__ == "__main__":
         (GOLDEN / f"{name}.json").write_text(render(doc), "utf-8")
         for command in COMMANDS:
             (GOLDEN / f"{name}.{command}.json").write_text(render_command(doc, command), "utf-8")
+    digests = {name: digest(m) for name, m in seeded_markets().items()}
+    (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=1) + "\n", "utf-8")

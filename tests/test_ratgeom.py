@@ -532,6 +532,34 @@ def test_separator_xor_and_maximality(points):
         assert max(abs(c) for c in h) == 1
 
 
+@st.composite
+def _degenerate_points(draw):
+    """Points in Z^d or Q^d, d <= 4, with zeros, duplicates and +-pairs mixed in."""
+    d = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6))
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    points += [(0,) * d] * draw(st.integers(0, 2))
+    points += [tuple(-x for x in p) for p in draw(st.lists(st.sampled_from(points), max_size=2))]
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_points())
+def test_one_maximal_separator_leaves_a_strictly_balanced_residual(points):
+    # the points the maximal separator does not gain on carry a strictly
+    # positive zero combination (Tucker's strict complementarity), so a
+    # second separator LP on them never finds a gain
+    found = maximal_separator(points)
+    strict = frozenset() if found is None else found[1]
+    rest = [p for i, p in enumerate(points) if i not in strict]
+    if rest:
+        assert maximal_separator(rest) is None
+        assert _is_zero_combination(convex_combination_for_zero(rest), rest)
+
+
 def _is_zero_combination(lam, points):
     d = len(points[0])
     return (

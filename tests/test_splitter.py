@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbscan.errors import DomainError
+from arbscan import splitter
+from arbscan.errors import DomainError, InternalError
 from arbscan.market import Strategy, atoms_of, check_predictable, natural_nodes, value_process
 from arbscan.measures import check_martingale, full_support_measure
 from arbscan.oracle import oracle_support
-from arbscan.ratgeom import cone_ri_contains_zero, dot
+from arbscan.ratgeom import cone_ri_contains_zero, dot, maximal_separator
 from arbscan.splitter import (
+    Splitting,
     backward_eliminate,
     move_strict,
     move_weights,
@@ -27,6 +29,7 @@ from conftest import (
     group_by,
     position,
     price_children,
+    random_market,
     refine,
     seeded_trinomial_market,
     shaped_tree,
@@ -37,57 +40,74 @@ from conftest import (
 
 def test_split_svu_tail(svu):
     # w3, w4 make up node 1 at t = 1
-    sp = split_level_set(svu, 2, 1, price_children(svu, 2, {2, 3}), {})
+    sp = split_level_set(2, 1, price_children(svu, 2, {2, 3}), {})
     assert sp == backward_eliminate(svu).splittings[(2, 1)]
-    assert sp.beta == 1
-    assert sp.blocks == (frozenset({2, 3}),)
+    assert sp.block == frozenset({2, 3})
     assert sp.residual == frozenset()
-    assert sp.separators == ((F(1),),)
+    assert sp.separator == (F(1),)
 
 
 def test_split_constant(constant):
-    sp = split_level_set(constant, 1, 0, price_children(constant, 1, {0, 1}), {})
+    sp = split_level_set(1, 0, price_children(constant, 1, {0, 1}), {})
     assert sp == backward_eliminate(constant).splittings[(1, 0)]
-    assert sp.beta == 0
+    assert sp.block == frozenset() and sp.separator is None
     assert sp.residual == frozenset({0, 1})
 
 
 def test_split_ex3d_merges_rounds(ex3d):
-    sp = split_level_set(ex3d, 1, 0, price_children(ex3d, 1, ex3d.all_indices), {})
+    # the irrational and the q-below classes gain under different directions;
+    # the maximal separator gains on both at once
+    sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices), {})
     assert sp == backward_eliminate(ex3d).splittings[(1, 0)]
     polar = frozenset(ex3d.index_of(i) for i in ("irr2", "irr5", "qlo16", "qlo9"))
     keep = frozenset(ex3d.index_of(i) for i in ("qge916", "qge4"))
-    assert frozenset().union(*sp.blocks) == polar
+    assert sp.block == polar
     assert sp.residual == keep
-    assert 1 <= sp.beta <= ex3d.d
+
+
+def test_split_asks_one_separator_lp(ex3d, monkeypatch):
+    calls = count_calls(monkeypatch, "ratgeom", "maximal_separator")
+    sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices), {})
+    assert sp.block and sp.residual
+    assert len(calls) == 1
+
+
+def test_splitting_refuses_an_inconsistent_decomposition():
+    members = frozenset({0, 1, 2})
+    h = (F(1),)
+    Splitting(1, 0, members, frozenset({0}), h, frozenset({1, 2}))
+    Splitting(1, 0, members, frozenset(), None, members)
+    bad = [
+        (frozenset({0}), h, frozenset({1})),  # misses a member
+        (frozenset({0, 1}), h, frozenset({1, 2})),  # block and residual overlap
+        (frozenset({0}), None, frozenset({1, 2})),  # a block without its separator
+        (frozenset(), h, members),  # a separator without a block
+    ]
+    for block, sep, residual in bad:
+        with pytest.raises(ValueError):
+            Splitting(1, 0, members, block, sep, residual)
 
 
 def test_split_errors(svu):
     with pytest.raises(DomainError):
-        split_level_set(svu, 1, 0, [], {})
+        split_level_set(1, 0, [], {})
 
 
 def _check_splitting_contracts(m, sp):
     # disjoint cover
-    parts = list(sp.blocks) + [sp.residual]
-    union = set()
-    for p in parts:
-        assert not (union & p)
-        union |= p
-    assert frozenset(union) == sp.members
-    assert sp.beta <= m.d
+    assert not (sp.block & sp.residual)
+    assert sp.block | sp.residual == sp.members
+    assert (sp.separator is None) == (not sp.block)
     # zero increments never leave the residual
     for i in sp.members:
         if all(x == 0 for x in m.increment(sp.t, i)):
             assert i in sp.residual
-    # separation chain: H^i >= 0 from block i onwards, > 0 on block i
-    for k, (block, sep) in enumerate(zip(sp.blocks, sp.separators)):
-        tail = set().union(*sp.blocks[k:]) | sp.residual
-        for i in tail:
-            gain = dot(sep, m.increment(sp.t, i))
+    # the separator loses nowhere and gains exactly on the block
+    if sp.block:
+        for i in sp.members:
+            gain = dot(sp.separator, m.increment(sp.t, i))
             assert gain >= 0
-            if i in block:
-                assert gain > 0
+            assert (gain > 0) == (i in sp.block)
     # residual admits no one-step gain
     if sp.residual:
         assert cone_ri_contains_zero([m.increment(sp.t, i) for i in sorted(sp.residual)])
@@ -107,12 +127,51 @@ def test_backward_eliminate_svu(svu):
     assert pa.omega_star == frozenset()
     steps = [(sp.t, set(sp.members)) for sp in pa.events]
     assert steps == [(2, {2, 3}), (1, {0, 1})]
-    # both level sets are eliminated whole: blocks and no residual
-    assert all(sp.blocks and not sp.residual for sp in pa.events)
+    # both level sets are eliminated whole: a block and no residual
+    assert all(sp.block and not sp.residual for sp in pa.events)
     # the report derives its eliminated levels from those splittings
     from arbscan.cli import build_report
 
     assert build_report(svu)[0]["eliminated_levels"] == {"1": [["w1", "w2"]], "2": [["w3", "w4"]]}
+
+
+def test_within_outside_the_market_is_refused(svu):
+    # negative indices used to pass as scenarios and large ones to raise IndexError
+    for within in ({-1, 0}, {5}, {0, 4}):
+        with pytest.raises(ValueError, match="outside range"):
+            backward_eliminate(svu, within=within)
+
+
+def _drop_one_strict_point(points):
+    """A valid but not maximal separator: the maximal one minus its last strict point."""
+    found = maximal_separator(points)
+    if found is None or len(found[1]) == 1:
+        return found
+    h, strict = found
+    return h, strict - {max(strict)}
+
+
+def test_a_non_maximal_separator_is_caught_or_harmless(monkeypatch):
+    # one LP vouches for each residual only if its separator is maximal.  A
+    # point the separator gains on but leaves in the residual either makes
+    # the full-support measure's node LP fail, or is removed with its whole
+    # node at an earlier period, which leaves omega_star as it was
+    from arbscan.cli import build_report
+
+    rng = random.Random(931)
+    markets = [random_market(rng) for _ in range(300)]
+    expected = [backward_eliminate(m).omega_star for m in markets]
+    monkeypatch.setattr(splitter, "maximal_separator", _drop_one_strict_point)
+    raised = 0
+    for m, star in zip(markets, expected):
+        try:
+            report, _agrees = build_report(m)
+        except InternalError as exc:
+            assert "has no strictly positive martingale weights" in str(exc)
+            raised += 1
+        else:
+            assert report["omega_star"] == m.ids(star)
+    assert raised > 0
 
 
 def test_backward_eliminate_constant(constant):
@@ -124,9 +183,7 @@ def test_backward_eliminate_constant(constant):
 
 def _eliminated_at(pa, t):
     """The scenarios the elimination events at period t removed."""
-    return frozenset().union(
-        *(block for sp in pa.events if sp.t == t for block in sp.blocks)
-    )
+    return frozenset().union(*(sp.block for sp in pa.events if sp.t == t))
 
 
 def test_backward_eliminate_countna(countna):
@@ -161,10 +218,10 @@ def _second_sweep_blocks(m, pa):
     for t in range(m.T, 0, -1):
         for gamma in m.level_sets(surviving, t - 1):
             node = pa.nodes[t - 1][min(gamma)]
-            sp = split_level_set(m, t, node, price_children(m, t, gamma), {})
-            blocks += sp.blocks
-            for block in sp.blocks:
-                surviving -= block
+            sp = split_level_set(t, node, price_children(m, t, gamma), {})
+            if sp.block:
+                blocks.append(sp.block)
+                surviving -= sp.block
     return blocks
 
 
@@ -506,8 +563,8 @@ def _assert_node_level_sets_match(m):
             for g in group_by(pa.nodes[t], sorted(sp.members))
         ]
         by_prices = price_children(m, t, sp.members)
-        assert split_level_set(m, t, sp.node, children, {}) == split_level_set(
-            m, t, sp.node, by_prices, {}
+        assert split_level_set(t, sp.node, children, {}) == split_level_set(
+            t, sp.node, by_prices, {}
         )
 
 
