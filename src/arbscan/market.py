@@ -143,14 +143,13 @@ class Market:
                 "initial prices differ across scenarios; time-0 information is nontrivial",
                 stacklevel=3,  # past __post_init__ and the generated __init__
             )
+        # every scenario index, built once; a plain attribute, not a field,
+        # so == and repr are unchanged
+        object.__setattr__(self, "all_indices", frozenset(range(self.n)))
 
     @property
     def n(self) -> int:
         return len(self.scenarios)
-
-    @property
-    def all_indices(self) -> Atom:
-        return frozenset(range(self.n))
 
     @cached_property
     def _index_by_id(self) -> dict[str, int]:

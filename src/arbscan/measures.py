@@ -3,11 +3,13 @@
 A measure is a martingale measure iff, for every period and every node of the
 conditioning filtration, the weighted increments sum to zero exactly.  The
 full-support measure comes from one top-down walk of the analysis's node
-rows (``pa.nodes``) restricted to ``omega_star``.  At each node one LP,
-:func:`convex_combination_for_zero`, gives the node's children strictly
+rows (``pa.nodes``) restricted to ``omega_star``.  At each node
+:func:`convex_combination_for_zero` gives the node's children strictly
 positive weights under which the mean increment is zero, with the smallest
-weight as large as possible; that LP has one row per asset plus one, none
-per child, and its weights are re-checked exactly before they are returned.
+weight as large as possible.  Children whose increments sum to zero get the
+equal weights, the unique such answer, without an LP; any other node asks
+one LP with one row per asset plus one, none per child.  Either way the
+weights are re-checked exactly before they are returned.
 A child's mass is its parent's mass times its weight; the masses of one
 level are ``int`` numerators over one common denominator, so no ``Fraction``
 is built until the weights are.  Nodes whose children have the same
@@ -39,14 +41,19 @@ _ZERO = Fraction(0)
 def check_martingale(m: Market, q: DiscreteMeasure, rows: Sequence[Sequence[int]]) -> bool:
     """Exact per-node zero-expectation check against the filtration ``rows`` (node-id rows).
 
+    Node sums run on the weights' ``int`` numerators over their one common
+    denominator, which scales every sum alike and keeps which are zero.
+
     Rows 0..T-1 are read; fewer, or one of other than n ids, raise ValueError.
     """
     if len(rows) < m.T or any(len(row) != m.n for row in rows[: m.T]):
         raise ValueError(f"node row lengths {list(map(len, rows))}, expected T={m.T} of n={m.n}")
+    nums, _den = over_common_denominator(q.weights.values())
+    weights = list(zip(q.weights, nums))
     for t, row in enumerate(rows[: m.T], 1):
-        totals: dict[int, list[Fraction]] = {}
-        for i, w in q.weights.items():
-            total = totals.setdefault(row[i], [_ZERO] * m.d)
+        totals: dict[int, list] = {}
+        for i, w in weights:
+            total = totals.setdefault(row[i], [0] * m.d)
             for j, x in enumerate(m.increment(t, i)):
                 total[j] += w * x
         if any(any(total) for total in totals.values()):

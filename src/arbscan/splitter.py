@@ -1,15 +1,17 @@
 """Level-set splitting, backward elimination in one sweep, and the aggregator.
 
 A level set at period t is a node of F_{t-1}, and its splitting is keyed by
-(t, node id).  One separator LP splits it: the maximal separator of its
-increments gains strictly on one block, and the efficient residual holds 0
-in the relative interior of its increment cone.  Removing each block
-backwards, t = T..1, yields the maximal set of scenarios supportable by
-martingale measures (``omega_star``) in one sweep: a block removed at period
-t is a union of whole child nodes at time t, so every level set of a later
-period lies inside it or misses it.  The aggregator holds, in each scenario,
-the separator that eliminated it, and is re-checked with
-``check_predictable`` and ``value_process``, as every emitted strategy is.
+(t, node id).  At most one separator LP splits it: the maximal separator of
+its increments gains strictly on one block, and the efficient residual holds
+0 in the relative interior of its increment cone.  Increments that sum to
+zero need no LP: nothing gains on them, and the level set is all residual.
+Removing each block backwards, t = T..1, yields the maximal set of
+scenarios supportable by martingale measures (``omega_star``) in one sweep:
+a block removed at period t is a union of whole child nodes at time t, so
+every level set of a later period lies inside it or misses it.  The
+aggregator holds, in each scenario, the separator that eliminated it, and is
+re-checked with ``check_predictable`` and ``value_process``, as every
+emitted strategy is.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
 per-market context of everything downstream: the natural filtration once, as
@@ -176,9 +178,10 @@ def split_level_set(
     The level set is node ``node`` of the row at t-1, and ``children`` are
     its child nodes at t as (shared increment, members) pairs, as
     :func:`backward_eliminate` reads them off the node rows; their members
-    make up the level set.  One separator LP, in ``memo``, sees one point
-    per child; the block is its strict set, and the residual needs no second
-    LP (see :func:`~arbscan.ratgeom.maximal_separator`).
+    make up the level set.  One separator question, in ``memo``, sees one
+    point per child; it takes one LP, or none when the points sum to zero.
+    The block is its strict set, and the residual needs no second question
+    (see :func:`~arbscan.ratgeom.maximal_separator`).
     """
     members = frozenset().union(*(c for _p, c in children))
     if not members:

@@ -21,7 +21,7 @@ from arbscan.market import (
     natural_nodes,
     value_process,
 )
-from arbscan.measures import check_martingale, full_support_measure
+from arbscan.measures import check_martingale, full_support_measure, mix
 from arbscan.splitter import backward_eliminate
 
 from conftest import (
@@ -374,6 +374,49 @@ def test_check_martingale_rejects_rows_of_the_wrong_shape(rows):
     assert check_martingale(m, q, natural_nodes(m))
     with pytest.raises(ValueError, match="node row"):
         check_martingale(m, q, rows)
+
+
+def _check_martingale_reference(m, q, rows):
+    """``check_martingale`` with each node sum a ``Fraction``: weight times increment, added up."""
+    for t, row in enumerate(rows[: m.T], 1):
+        totals = {}
+        for i, w in q.weights.items():
+            total = totals.setdefault(row[i], [F(0)] * m.d)
+            for j, x in enumerate(m.increment(t, i)):
+                total[j] += w * x
+        if any(any(total) for total in totals.values()):
+            return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_markets(), st.sampled_from([None, 1, 3, 4]), st.data())
+def test_check_martingale_matches_the_fraction_sums(m, divisor, data):
+    # int prices as loaded, the same as Fractions, and non-integral Fractions
+    if divisor is None:
+        m = load_market(market_doc(m))
+    else:
+        m = fraction_market(m) if divisor == 1 else _scaled(m, divisor)
+    pa = backward_eliminate(m)
+    rows = data.draw(st.sampled_from([pa.nodes, pa.aggregator[1]]))
+    raw = data.draw(st.lists(st.integers(0, 9), min_size=m.n, max_size=m.n).filter(any))
+    measures = [DiscreteMeasure({i: F(w, sum(raw)) for i, w in enumerate(raw)})]
+    q = pa.full_support
+    if q is not None:
+        # a martingale measure, and the same mixed with a point mass, which
+        # is martingale only when the point mass is
+        point = data.draw(st.integers(0, m.n - 1))
+        measures += [q, mix([q, DiscreteMeasure({point: F(1)})], [F(2, 3), F(1, 3)])]
+        assert check_martingale(m, q, rows)
+    for measure in measures:
+        assert check_martingale(m, measure, rows) == _check_martingale_reference(m, measure, rows)
+
+
+def test_all_indices_is_built_once(svu):
+    assert svu.all_indices is svu.all_indices
+    assert svu.all_indices == frozenset(range(svu.n))
+    assert "all_indices" not in repr(svu)
+    assert svu == load_market(SVU_DOC)
 
 
 def test_strategy_atoms_must_be_disjoint():

@@ -664,17 +664,95 @@ def test_convex_combination_is_one_lp_with_1_plus_d_rows(monkeypatch):
         return real(lp)
 
     monkeypatch.setattr(ratgeom, "lp_solve", spy)
+    # (points, whether they sum to 0)
     cases = [
-        [(F(1),), (F(-1),)],
-        [(F(2),), (F(-1),), (F(0),), (F(0),)],
-        [(F(1), F(0), F(2)), (F(-1), F(0), F(-1)), (F(0), F(1), F(0)), (F(0), F(-1), F(-1))],
-        [(F(3, 2), F(-1)), (F(-1, 2), F(1, 3)), (F(-1, 2), F(1, 3))] * 5,
+        ([(F(1),), (F(-1),)], True),
+        ([(F(2),), (F(-1),), (F(0),), (F(0),)], False),
+        ([(F(1), F(0), F(2)), (F(-1), F(0), F(-1)), (F(0), F(1), F(0)), (F(0), F(-1), F(-1))], True),
+        ([(2, 0, 1), (-1, 0, -1), (-1, 0, 0), (0, 2, 0), (0, -1, 0)], False),
+        ([(F(3, 2), F(-1)), (F(-1, 2), F(1, 3)), (F(-1, 2), F(1, 3))] * 5, False),
     ]
-    for points in cases:
+    for points, balanced in cases:
         solved.clear()
-        convex_combination_for_zero(points)
-        assert len(solved) == 1
-        assert len(expanded_rows(solved[0])) == 1 + len(points[0])
+        lam = convex_combination_for_zero(points)
+        assert _is_zero_combination(lam, points)
+        if balanced:
+            assert not solved
+            assert lam == (F(1, len(points)),) * len(points)
+        else:
+            assert len(solved) == 1
+            assert len(expanded_rows(solved[0])) == 1 + len(points[0])
+
+
+def _separator_by_lp(points):
+    """The capped-slack separator LP of ``maximal_separator``, asked even of balanced points."""
+    values = list(dict.fromkeys(tuple(p) for p in points))
+    if all(not any(v) for v in values):
+        return None
+    nv, d = len(values), len(values[0])
+    constraints = []
+    for v, x in enumerate(values):
+        row = [0] * nv + list(x)
+        row[v] = -1
+        constraints.append((tuple(row), GE, 0))
+    bounds = ((0, 1),) * nv + ((None, None),) * d
+    res = lp_solve(LinearProgram((1,) * nv + (0,) * d, tuple(constraints), bounds))
+    assert res.status == OPTIMAL
+    if res.objective_value == 0:
+        return None
+    h = res.solution[nv:]
+    scale = max(abs(c) for c in h)
+    return tuple(c / scale for c in h), frozenset(
+        i for i, p in enumerate(points) if dot(h, p) > 0
+    )
+
+
+def _weights_by_lp(points):
+    """The substituted max-min LP of ``convex_combination_for_zero``, asked even of balanced points."""
+    n = len(points)
+    coords = list(zip(*points))
+    constraints = [((n,) + (1,) * n, EQ, 1)]
+    for coord in coords:
+        constraints.append(((sum(coord),) + coord, EQ, 0))
+    res = lp_solve(LinearProgram((1,) + (0,) * n, tuple(constraints), ((0, None),) * (n + 1)))
+    if res.status != OPTIMAL or res.objective_value == 0:
+        raise DomainError("zero is not interior to the cone of the given points")
+    s = res.solution[0]
+    return tuple(s + r for r in res.solution[1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_degenerate_points(), st.booleans())
+def test_balanced_points_are_answered_without_an_lp(points, balance):
+    # points summing to 0 have the equal weights as a strictly positive zero
+    # combination, so nothing separates them and the max-min LP's unique
+    # optimum is the equal weights: both predicates answer without an LP,
+    # and answer what the LP would
+    import arbscan.ratgeom as ratgeom
+
+    if balance:
+        points = points + [tuple(-sum(coord) for coord in zip(*points))]
+    balanced = all(sum(coord) == 0 for coord in zip(*points))
+    separator = _separator_by_lp(points)
+    try:
+        weights = _weights_by_lp(points)
+    except DomainError:
+        weights = None
+    if balanced:
+        assert separator is None
+        assert weights == (F(1, len(points)),) * len(points)
+    solved = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ratgeom, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
+        assert maximal_separator(points) == separator
+        assert len(solved) == (0 if balanced else 1)
+        solved.clear()
+        if weights is None:
+            with pytest.raises(DomainError):
+                convex_combination_for_zero(points)
+        else:
+            assert convex_combination_for_zero(points) == weights
+            assert len(solved) == (0 if balanced else 1)
 
 
 # the LP's answer on [2, -1, 0] is s = 1/4, r = (0, 1/4, 0); each broken

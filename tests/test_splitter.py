@@ -33,6 +33,7 @@ from conftest import (
     refine,
     seeded_trinomial_market,
     shaped_tree,
+    tree_market,
     trinomial_tree,
     wide_trees,
 )
@@ -509,8 +510,6 @@ def test_cached_artifacts_repeat_and_do_not_leak(countna):
 
 
 def test_separator_and_support_solve_one_lp_each(monkeypatch, mini_corpus, multi, svu):
-    from arbscan.ratgeom import is_zero, maximal_separator
-
     lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     ties = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(1))]
     assert len(maximal_separator(ties)[1]) == 3
@@ -519,11 +518,11 @@ def test_separator_and_support_solve_one_lp_each(monkeypatch, mini_corpus, multi
         for t in range(1, m.T + 1):
             for gamma in m.level_sets(m.all_indices, t - 1):
                 points = [m.increment(t, i) for i in sorted(gamma)]
-                if all(is_zero(p) for p in points):
-                    continue  # answered without an LP
                 lp_calls.clear()
                 maximal_separator(points)
-                assert len(lp_calls) == 1
+                # points that sum to 0 are answered without an LP
+                balanced = not any(map(sum, zip(*points)))
+                assert len(lp_calls) == (0 if balanced else 1)
         omega_star = backward_eliminate(m).omega_star
         lp_calls.clear()
         assert oracle_support(m) == omega_star
@@ -611,15 +610,21 @@ def _lp_inputs_once_per_analysis(monkeypatch, markets):
         for _fresh in range(2):
             for calls in (*inputs.values(), lp_calls):
                 calls.clear()
-            build_report(m)
+            report, _agrees = build_report(m)
             for name, calls in inputs.items():
                 # the analysis's LP memo answers every repeated question,
                 # also one about the same points in another order
                 point_sets = [tuple(sorted(args[0])) for args in calls]
                 assert len(set(point_sets)) == len(point_sets), name
-            counts.append(len(lp_calls))
-        # a new analysis shares no memo with the last one
-        assert counts[0] == counts[1] > 0
+            counts.append((len(lp_calls), *map(len, inputs.values())))
+        # a new analysis shares no memo with the last one, so it asks every
+        # question again; balanced questions are answered without an LP, so
+        # the questions, not the LPs, are what must be asked: a separator per
+        # report, and node weights whenever a scenario survives
+        assert counts[0] == counts[1]
+        _lps, separators, weights = counts[0]
+        assert separators > 0
+        assert (weights > 0) == bool(report["omega_star"])
         assert vars(m) == before
 
 
@@ -632,6 +637,24 @@ def test_one_build_report_asks_each_lp_question_once(monkeypatch, mini_corpus, s
 def test_one_build_report_asks_each_lp_question_once_n81(m):
     with pytest.MonkeyPatch.context() as monkeypatch:
         _lp_inputs_once_per_analysis(monkeypatch, [m])
+
+
+def test_a_symmetric_binomial_tree_is_analyzed_without_an_lp(monkeypatch):
+    # every node's increments are +1 and -1, which sum to 0: no separator
+    # gains, each node's weights are the equal ones, and the report needs
+    # no LP at all
+    from itertools import product
+
+    from arbscan.cli import build_report
+
+    m = tree_market([
+        [10 + sum(steps[:t]) for t in range(4)] for steps in product((1, -1), repeat=3)
+    ])
+    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
+    report, _agrees = build_report(m)
+    assert not lp_calls
+    assert report["omega_star"] == m.ids(m.all_indices)
+    assert backward_eliminate(m).full_support.weights == {i: F(1, 8) for i in range(8)}
 
 
 # lp_solve calls of one build_report on the tree below when the LP memo was
