@@ -89,32 +89,24 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     agg, enlarged = pa.aggregator
     feas = feasibility(m, pa)
 
-    splittings = []
-    # levels a block swallowed whole, per period in report order
-    eliminated_levels: dict[str, list] = {}
-    for sp in pa.splittings.values():
-        if not sp.residual:
-            eliminated_levels.setdefault(str(sp.t), []).append(m.ids(sp.members))
-        block = [{"ids": m.ids(sp.block), "separator": _vec_json(sp.separator)}] if sp.block else []
-        splittings.append(
-            {
-                "t": sp.t,
-                # the price rows 0..t-1 that every member shares
-                "level": _level_str(m.scenarios[min(sp.members)].path[: sp.t]),
-                "members": m.ids(sp.members),
-                "beta": len(block),
-                "blocks": block,
-                "residual": m.ids(sp.residual),
-            }
-        )
+    splittings = [
+        {
+            "t": sp.t,
+            # the price rows 0..t-1 that every member shares
+            "level": _level_str(m.scenarios[min(sp.members)].path[: sp.t]),
+            "members": m.ids(sp.members),
+            "block": m.ids(sp.block),
+            "separator": None if sp.separator is None else _vec_json(sp.separator),
+            "residual": m.ids(sp.residual),
+        }
+        for sp in pa.splittings.values()
+    ]
 
     report = {
         "market": {"d": m.d, "T": m.T, "scenarios": m.n, "ids": [s.id for s in m.scenarios]},
         "omega_star": m.ids(pa.omega_star),
         "polar_complement": m.ids(m.all_indices - pa.omega_star),
-        "rounds": pa.rounds,
         "splittings": splittings,
-        "eliminated_levels": eliminated_levels,
         "aggregator": strategy_json(m, agg),
         "enlarged_filtration": {
             str(t): [m.ids(a) for a in atoms_of(enlarged[t])] for t in range(m.T + 1)
@@ -123,7 +115,6 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
             "full_support": (
                 None if feas.full_support is None else _weights_json(m, feas.full_support.weights)
             ),
-            "full": feas.facets["full_support_martingale_measure_exists"],
         },
         "classes": {
             name: _verdict_json(m, classify(m, pa, cls, "enlarged"))

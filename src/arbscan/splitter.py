@@ -76,7 +76,9 @@ class PolarAnalysis:
     keyed by ``(t, node)``, the level set's period and its node id at t-1,
     in report order: t ascending, then least member; ``events`` holds those
     with a block, in the order they were removed.  Elimination is
-    one sweep, so ``rounds`` is always 1; the report prints it.
+    one sweep, so ``rounds`` is always 1.  The benchmark's ``splitter.sweeps``
+    counter is its only reader; once the benchmark drops that counter, the
+    attribute goes too.
 
     The per-analysis context takes no part in ``==`` or ``repr``: ``market``
     is the analysed market, ``nodes[t][i]`` the id of scenario i's node at

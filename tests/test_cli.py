@@ -19,7 +19,16 @@ from arbscan.market import load_market, value_process
 from arbscan.ratgeom import EQ, UNBOUNDED, LinearProgram, LpResult, _Tableau, lp_solve
 from arbscan.splitter import backward_eliminate
 
-from conftest import CONSTANT_DOC, EX3D_DOC, MULTI_DOC, SVU_DOC
+from conftest import (
+    CONSTANT_DOC,
+    COUNTNA_DOC,
+    EX1000_DOC,
+    EX3D_DOC,
+    MULTI_DOC,
+    SVU_DOC,
+    corpus_markets,
+    market_doc,
+)
 
 
 @pytest.fixture()
@@ -66,7 +75,7 @@ def test_analyze_constant(capsys, constant_file):
     report = json.loads(out)
     assert report["omega_star"] == ["c1", "c2"]
     assert report["feasibility"]["feasible"] is True
-    assert report["measures"]["full"] is True
+    assert report["feasibility"]["facets"]["full_support_martingale_measure_exists"] is True
 
 
 def test_analyze_ex3d_verify_agrees(capsys, tmp_path):
@@ -77,6 +86,51 @@ def test_analyze_ex3d_verify_agrees(capsys, tmp_path):
     report = json.loads(out)
     assert report["oracle"]["agrees"] is True
     assert report["omega_star"] == ["qge916", "qge4"]
+
+
+REPORT_KEYS = {
+    "market", "omega_star", "polar_complement", "splittings", "aggregator",
+    "enlarged_filtration", "measures", "classes", "feasibility",
+}
+SPLITTING_KEYS = ["t", "level", "members", "block", "separator", "residual"]
+
+
+def _assert_report_schema_2(doc: dict) -> None:
+    """The analyze report of ``doc``, read back as JSON, checked against the prices alone."""
+    paths = {s["id"]: [[F(x) for x in row] for row in s["prices"]] for s in doc["scenarios"]}
+    report, _agrees = cli.build_report(load_market(doc))
+    report = json.loads(json.dumps(report))
+    assert set(report) == REPORT_KEYS
+    assert set(report["measures"]) == {"full_support"}
+    polar = set()
+    for sp in report["splittings"]:
+        assert list(sp) == SPLITTING_KEYS
+        members, block = sp["members"], sp["block"]
+        assert set(block) <= set(members)
+        assert sp["residual"] == [i for i in members if i not in block]
+        assert (sp["separator"] is None) == (not block)
+        if block:
+            h = [F(x) for x in sp["separator"]]
+            t = sp["t"]
+            for i in members:
+                gain = sum(a * (y - x) for a, x, y in zip(h, paths[i][t - 1], paths[i][t]))
+                assert gain > 0 if i in block else gain >= 0
+        polar |= set(block)
+    assert polar == set(report["polar_complement"])
+
+
+@pytest.mark.parametrize(
+    "doc", [SVU_DOC, MULTI_DOC, EX3D_DOC, EX1000_DOC, COUNTNA_DOC, CONSTANT_DOC],
+    ids=["svu", "multi", "ex3d", "ex1000", "countna", "constant"],
+)
+def test_report_schema_2_on_named_markets(doc):
+    _assert_report_schema_2(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus_markets())
+def test_report_schema_2_on_corpus_markets(m):
+    _assert_report_schema_2(market_doc(m))
 
 
 def test_analyze_deterministic(capsys, svu_file):

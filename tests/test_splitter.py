@@ -130,10 +130,15 @@ def test_backward_eliminate_svu(svu):
     assert steps == [(2, {2, 3}), (1, {0, 1})]
     # both level sets are eliminated whole: a block and no residual
     assert all(sp.block and not sp.residual for sp in pa.events)
-    # the report derives its eliminated levels from those splittings
+    # the report prints them so: the block is every member, the residual empty
     from arbscan.cli import build_report
 
-    assert build_report(svu)[0]["eliminated_levels"] == {"1": [["w1", "w2"]], "2": [["w3", "w4"]]}
+    whole = [
+        (sp["t"], sp["members"])
+        for sp in build_report(svu)[0]["splittings"]
+        if sp["block"] == sp["members"] and not sp["residual"]
+    ]
+    assert whole == [(1, ["w1", "w2"]), (2, ["w3", "w4"])]
 
 
 def test_within_outside_the_market_is_refused(svu):
