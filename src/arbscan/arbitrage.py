@@ -23,6 +23,7 @@ from .market import (
     Market,
     SignificantClass,
     Strategy,
+    terminal_values,
     value_process,
 )
 from .measures import class_measure
@@ -188,11 +189,11 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
         pieces[rest] = zero
     h = Strategy(tuple(pieces if t == tau else {m.all_indices: zero} for t in range(1, m.T + 1)))
 
-    v = value_process(m, h)
-    if any(v[m.T][i] < 0 for i in p.support):
+    # P charges exactly its support, so the re-check reads V_T's signs there
+    v, _den = terminal_values(m, h)
+    if any(v[i] < 0 for i in p.support):
         raise InternalError("extracted strategy loses on a charged scenario")
-    gained = sum((p[i] for i in range(m.n) if v[m.T][i] > 0), _ZERO)
-    if gained <= 0:
+    if not any(v[i] > 0 for i in p.support):
         raise InternalError("extracted strategy gains no probability mass")
     return h
 
@@ -219,7 +220,7 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     n = m.n
     witness = pa.full_support
 
-    uniform = DiscreteMeasure({i: Fraction(1, n) for i in range(n)})
+    uniform = DiscreteMeasure(dict.fromkeys(range(n), Fraction(1, n)))
     singletons = tuple(frozenset({i}) for i in range(n))
     declared = tuple(s for cls in m.classes.values() for s in cls.sets)
     open_like = SignificantClass("open-like", singletons + declared)

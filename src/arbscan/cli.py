@@ -30,7 +30,7 @@ from .market import (
     atoms_of,
     load_market,
     load_strategy,
-    value_process,
+    terminal_values,
 )
 from .measures import supporting_measure
 from .oracle import oracle_arbitrage, oracle_support
@@ -45,7 +45,8 @@ _ZERO = Fraction(0)
 
 
 def _atom_key(m: Market, atom) -> str:
-    return ",".join(sorted(m.scenarios[i].id for i in atom))
+    ids = m.scenario_ids
+    return ",".join(sorted([ids[i] for i in atom]))
 
 
 def _vec_json(v) -> list[str]:
@@ -53,11 +54,8 @@ def _vec_json(v) -> list[str]:
 
 
 def _weights_json(m: Market, weights) -> dict[str, str]:
-    return {
-        m.scenarios[i].id: str(w)
-        for i, w in sorted(weights.items())
-        if w != 0
-    }
+    ids = m.scenario_ids
+    return {ids[i]: str(w) for i, w in sorted(weights.items()) if w != 0}
 
 
 def _level_str(rows) -> str:
@@ -103,7 +101,7 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     ]
 
     report = {
-        "market": {"d": m.d, "T": m.T, "scenarios": m.n, "ids": [s.id for s in m.scenarios]},
+        "market": {"d": m.d, "T": m.T, "scenarios": m.n, "ids": list(m.scenario_ids)},
         "omega_star": m.ids(pa.omega_star),
         "polar_complement": m.ids(m.all_indices - pa.omega_star),
         "splittings": splittings,
@@ -209,10 +207,10 @@ def cmd_extract(args) -> int:
         "strategy": None if h is None else strategy_json(m, h),
     }
     if h is not None:
-        v = value_process(m, h)
+        v, den = terminal_values(m, h)
         doc["certificate"] = {
-            "terminal_values": {m.scenarios[i].id: str(v[m.T][i]) for i in range(m.n)},
-            "charged_gain_ids": m.ids([i for i in p.support if v[m.T][i] > 0]),
+            "terminal_values": {sid: str(Fraction(x, den)) for sid, x in zip(m.scenario_ids, v)},
+            "charged_gain_ids": m.ids([i for i in p.support if v[i] > 0]),
         }
     _emit(doc, args.out)
     _summary([f"extract {args.prob}: {'found' if h else 'none'}"], args.summary)

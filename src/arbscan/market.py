@@ -8,6 +8,12 @@ into atoms where a strategy key or a report needs them.  A
 :class:`Strategy` is atom-keyed positions per period, as strategy files
 print them; :func:`check_predictable` checks one against node rows and
 :func:`value_process` values it.  Everything is exact rational arithmetic.
+
+The re-checks that read only signs and masses stay on integers:
+:func:`terminal_values` gives V_T as ``int`` numerators over one
+denominator from the same valuation as :func:`value_process`, and a
+:class:`DiscreteMeasure` keeps its weights' ``int`` numerators over their
+common denominator, which :meth:`DiscreteMeasure.mass` sums.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from functools import cached_property
 from math import lcm
 from operator import mul, sub
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .errors import MarketFormatError
 from .ratgeom import Vec, over_common_denominator, rat
@@ -80,6 +86,11 @@ class DiscreteMeasure:
         nums, den = over_common_denominator(w.values())
         if sum(nums) != den:
             raise MarketFormatError("weights do not sum to 1")
+        # each weight's int numerator over their one common denominator,
+        # which is then their sum; plain attributes, not fields, so == and
+        # repr are unchanged
+        object.__setattr__(self, "numerators", dict(zip(w, nums)))
+        object.__setattr__(self, "denominator", den)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.weights.get(i, _ZERO)
@@ -89,7 +100,9 @@ class DiscreteMeasure:
         return frozenset(self.weights)
 
     def mass(self, indices) -> Fraction:
-        return sum((self.weights.get(i, _ZERO) for i in indices), _ZERO)
+        """The exact mass of ``indices``, summed on the weights' ``int`` numerators."""
+        nums = self.numerators
+        return Fraction(sum([nums.get(i, 0) for i in indices]), self.denominator)
 
 
 @dataclass(frozen=True)
@@ -143,9 +156,10 @@ class Market:
                 "initial prices differ across scenarios; time-0 information is nontrivial",
                 stacklevel=3,  # past __post_init__ and the generated __init__
             )
-        # every scenario index, built once; a plain attribute, not a field,
-        # so == and repr are unchanged
+        # every scenario index and every id in index order, built once;
+        # plain attributes, not fields, so == and repr are unchanged
         object.__setattr__(self, "all_indices", frozenset(range(self.n)))
+        object.__setattr__(self, "scenario_ids", tuple(s.id for s in self.scenarios))
 
     @property
     def n(self) -> int:
@@ -159,7 +173,8 @@ class Market:
         return self._index_by_id[scenario_id]
 
     def ids(self, indices) -> list[str]:
-        return [self.scenarios[i].id for i in sorted(indices)]
+        ids = self.scenario_ids
+        return [ids[i] for i in sorted(indices)]
 
     def increment(self, t: int, i: int) -> Vec:
         """Price increment over (t-1, t] in scenario i."""
@@ -246,20 +261,18 @@ def _check_indices(pos: Mapping[Atom, Vec], every: Atom, where: str) -> None:
             raise ValueError(f"atom {sorted(atom)} is outside the {len(every)} scenarios of {where}")
 
 
-def value_process(m: Market, h: Strategy) -> list[list[Fraction]]:
-    """V[t][i]: the exact gains of ``h`` in scenario i up to time t; V[0] = 0.
+def _value_numerators(m: Market, h: Strategy) -> Iterator[tuple[list[int], int]]:
+    """Per period t = 1..T, V_t's ``int`` numerators over one positive denominator.
 
-    The atoms of ``h`` are taken as they are: any disjoint sets will do,
-    nodes of a filtration or not (:func:`check_predictable` is the separate
-    question); an index outside ``range(m.n)`` raises ValueError.  Each
-    period's positions are ``int`` numerators over one common denominator, and
-    its gains too, so the running values are ``int`` numerators over the lcm
-    of those denominators until they are returned.
+    Each period's positions are ``int`` numerators over one common
+    denominator, and its gains too, so the running values are ``int``
+    numerators over the lcm of those denominators; no ``Fraction`` is built.
+    The list yielded for t is not touched again.
     """
     if len(h.positions) != m.T:
         raise ValueError(f"strategy covers {len(h.positions)} periods, expected {m.T}")
     total, den = [0] * m.n, 1  # V_t's numerators over den
-    out, every = [[_ZERO] * m.n], m.all_indices
+    every = m.all_indices
     for t, pos in enumerate(h.positions, 1):
         _check_indices(pos, every, "the market")
         vden = lcm(*(x.denominator for v in pos.values() for x in v))
@@ -274,8 +287,36 @@ def value_process(m: Market, h: Strategy) -> list[list[Fraction]]:
         total, den = [x * scale for x in total], den * scale
         for i, g in zip(gains, gnums):
             total[i] += g * (den // (vden * gden))
+        yield total, den
+
+
+def value_process(m: Market, h: Strategy) -> list[list[Fraction]]:
+    """V[t][i]: the exact gains of ``h`` in scenario i up to time t; V[0] = 0.
+
+    The atoms of ``h`` are taken as they are: any disjoint sets will do,
+    nodes of a filtration or not (:func:`check_predictable` is the separate
+    question); an index outside ``range(m.n)`` raises ValueError.  The
+    values are summed on ``int`` numerators and become ``Fraction``s only
+    when they are returned.
+    """
+    out = [[_ZERO] * m.n]
+    for total, den in _value_numerators(m, h):
         out.append([Fraction(x, den) if x else _ZERO for x in total])
     return out
+
+
+def terminal_values(m: Market, h: Strategy) -> tuple[list[int], int]:
+    """V_T of ``h`` as ``int`` numerators over one positive denominator.
+
+    ``value_process(m, h)[m.T][i] == Fraction(nums[i], den)`` for
+    ``nums, den = terminal_values(m, h)``, with the same ValueErrors, and no
+    ``Fraction`` is built: the re-checks that read only the signs or sizes
+    of V_T compare the numerators (V_T(i) > 0 iff ``nums[i] > 0``, and
+    V_T(i) >= 1 iff ``nums[i] >= den``).
+    """
+    for total, den in _value_numerators(m, h):
+        pass
+    return total, den
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ measure for the natural and the enlarged filtration whose support is
 exactly ``omega_star``.  It charges every survivor, so it is also the
 measure returned for a single surviving scenario and for a class whose sets
 all meet ``omega_star``.  Callers read it as ``pa.full_support``, which
-builds it once per analysis.
+builds it once per analysis.  A memo hit moves the kept weights to the
+asker's order, which no node re-check sees, so the finished measure is
+re-checked whole with :func:`check_martingale`, on the ``int`` numerators
+of its weights (``DiscreteMeasure.numerators``).
 """
 
 from __future__ import annotations
@@ -42,20 +45,28 @@ def check_martingale(m: Market, q: DiscreteMeasure, rows: Sequence[Sequence[int]
     """Exact per-node zero-expectation check against the filtration ``rows`` (node-id rows).
 
     Node sums run on the weights' ``int`` numerators over their one common
-    denominator, which scales every sum alike and keeps which are zero.
+    denominator (``q.numerators``), which scales every sum alike and keeps
+    which are zero.  Scenarios that share a node and the price rows t-1 and
+    t share their increment over (t-1, t], so their masses are summed first
+    and each distinct increment is multiplied once.
 
     Rows 0..T-1 are read; fewer, or one of other than n ids, raise ValueError.
     """
     if len(rows) < m.T or any(len(row) != m.n for row in rows[: m.T]):
         raise ValueError(f"node row lengths {list(map(len, rows))}, expected T={m.T} of n={m.n}")
-    nums, _den = over_common_denominator(q.weights.values())
-    weights = list(zip(q.weights, nums))
+    weights = q.numerators.items()
+    paths = [s.path for s in m.scenarios]
     for t, row in enumerate(rows[: m.T], 1):
-        totals: dict[int, list] = {}
+        masses: dict = {}
         for i, w in weights:
-            total = totals.setdefault(row[i], [0] * m.d)
-            for j, x in enumerate(m.increment(t, i)):
-                total[j] += w * x
+            path = paths[i]
+            key = (row[i], path[t - 1], path[t])
+            masses[key] = masses.get(key, 0) + w
+        totals: dict[int, list] = {}
+        for (k, before, after), w in masses.items():
+            total = totals.setdefault(k, [0] * m.d)
+            for j, (a, b) in enumerate(zip(after, before)):
+                total[j] += w * (a - b)
         if any(any(total) for total in totals.values()):
             return False
     return True
@@ -115,6 +126,10 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
     q = DiscreteMeasure(weights)
     if q.support != pa.omega_star:
         raise InternalError("full-support measure does not charge exactly omega_star")
+    # memo hits move kept weights to the asker's order unchecked, so the
+    # finished measure is re-checked whole
+    if not check_martingale(m, q, pa.nodes):
+        raise InternalError("full-support measure is not a martingale measure")
     return q
 
 

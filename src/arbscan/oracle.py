@@ -23,7 +23,7 @@ from .market import (
     atoms_of,
     check_predictable,
     natural_nodes,
-    value_process,
+    terminal_values,
 )
 from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, Vec, lp_solve
 
@@ -102,7 +102,8 @@ def oracle_arbitrage(
     ``gain`` (None when ``gain`` is empty).  Variables are one position
     vector per (period t, node of ``rows[t-1]``).  Malformed rows raise
     ValueError before any LP is built, and ``h`` is re-checked with
-    ``check_predictable`` and ``value_process``.
+    ``check_predictable`` and on the ``int`` numerators of its terminal
+    values (``terminal_values``).
 
     One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
     Todd (1985): one slack s_i in [0, 1] per scenario, rows V_T(i) - s_i >= 0,
@@ -158,11 +159,11 @@ def oracle_arbitrage(
 
     if not check_predictable(strategy, rows):
         raise InternalError("oracle strategy is not predictable for its filtration")
-    v = value_process(m, strategy)
-    if any(x < 0 for x in v[m.T]):
+    v, den = terminal_values(m, strategy)  # V_T(i) = v[i] / den
+    if any(x < 0 for x in v):
         raise InternalError("oracle strategy loses on some scenario")
-    if any(v[m.T][i] < 1 for i in gain):
+    if any(v[i] < den for i in gain):
         raise InternalError("oracle strategy gains less than 1 on the gain set")
-    if any(v[m.T][i] > 0 for i in range(n) if i not in gain):
+    if any(v[i] > 0 for i in range(n) if i not in gain):
         raise InternalError("oracle strategy gains outside the maximal gain set")
     return gain, strategy

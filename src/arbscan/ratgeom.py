@@ -643,19 +643,37 @@ def maximal_separator(points: Sequence[Vec]) -> Optional[tuple[Vec, frozenset[in
     valid separator, so the points outside it carry a strictly positive zero
     combination (Tucker's strict complementarity, 1956): on them it is None.
 
-    Points that sum to zero are answered None without an LP, and this covers
-    the all-zero case.  Proof: if H.x_i >= 0 for every i and sum(x_i) = 0,
-    then sum(H.x_i) = 0, so every H.x_i = 0 and no direction gains anywhere.
+    Three shapes are answered without an LP, each exactly as the LP below
+    answers it, so no answer depends on which path gave it:
 
-    One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
-    Todd (1985): H is free, each distinct point x_v gets a slack s_v in
-    [0, 1] and a row H.x_v - s_v >= 0, and the LP maximizes the sum of the
-    slacks.  The sum of two separators is one, with the union strict set, so
-    an optimum with s_v = 0 on a point some separator gains on could be
-    improved; hence every point that can be strict is strict at the optimum.
-    H is not boxed: a box would stop H from being scaled up until every
-    strict point reaches its cap, and one optimum could then miss a strict
-    point.
+    * Points that sum to zero are None, and this covers the all-zero case.
+      Proof: if H.x_i >= 0 for every i and sum(x_i) = 0, then
+      sum(H.x_i) = 0, so every H.x_i = 0 and no direction gains anywhere.
+    * One asset (d = 1): a separator is a nonzero multiple of +1 or -1, so
+      max |H| = 1 leaves only H = +1 and H = -1.  H = +1 is valid iff no
+      point is negative, H = -1 iff none is positive.  Points of both signs
+      get None; otherwise the one valid sign gains on the nonzero points.
+    * One distinct point x, repeated or not: H = sign(x_j) e_j at the least
+      j with x_j != 0, strict everywhere.  Every H with H.x > 0 is a
+      maximal separator here, so which one comes back is the simplex's
+      choice, and this is the one Bland's rule makes.  The LP has one row
+      H.x - s >= 0, its surplus basic at 0.  The slack s, the only column
+      with a positive cost, enters first, and the row stops it at 0, so s
+      becomes basic there.  The columns of H then price at +-x, and the
+      least eligible is H_j's + column if x_j > 0, its - column if x_j < 0.
+      Raising it raises s, which leaves at its cap 1 with |H_j| = 1/|x_j|,
+      and no cost is positive after that.  Scaled to max |H_j| = 1, H is
+      sign(x_j) e_j.
+
+    Any other set asks one capped-slack LP, the maximal-strict-set method
+    of Freund, Roundy and Todd (1985): H is free, each distinct point x_v
+    gets a slack s_v in [0, 1] and a row H.x_v - s_v >= 0, and the LP
+    maximizes the sum of the slacks.  The sum of two separators is one, with
+    the union strict set, so an optimum with s_v = 0 on a point some
+    separator gains on could be improved; hence every point that can be
+    strict is strict at the optimum.  H is not boxed: a box would stop H
+    from being scaled up until every strict point reaches its cap, and one
+    optimum could then miss a strict point.
     """
     d = _check_dims(points)
     if not any(map(sum, zip(*points))):
@@ -669,6 +687,20 @@ def maximal_separator(points: Sequence[Vec]) -> Optional[tuple[Vec, frozenset[in
             index_of[p] = len(values)
             values.append(p)
         val_idx.append(index_of[p])
+
+    if d == 1:
+        signs = {x > 0 for (x,) in values if x}
+        if len(signs) > 1:
+            return None
+        # the points sum to a nonzero, so one sign is left
+        h = (_ONE,) if signs.pop() else (-_ONE,)
+        return h, frozenset(i for i, (x,) in enumerate(points) if x)
+    if len(values) == 1:
+        (x,) = values
+        j = next(j for j, c in enumerate(x) if c)
+        h = [_ZERO] * d
+        h[j] = _ONE if x[j] > 0 else -_ONE
+        return tuple(h), frozenset(range(len(points)))
 
     # columns: the slacks first, then H, as in the oracle's strategy search;
     # on one-period 16-scenario trees backward elimination then takes 1.2 ms

@@ -5,13 +5,15 @@ A level set at period t is a node of F_{t-1}, and its splitting is keyed by
 its increments gains strictly on one block, and the efficient residual holds
 0 in the relative interior of its increment cone.  Increments that sum to
 zero need no LP: nothing gains on them, and the level set is all residual.
+Nor do those of one asset or of one distinct point (a one-child node),
+whose LP answers have closed forms (see ``maximal_separator``).
 Removing each block backwards, t = T..1, yields the maximal set of
 scenarios supportable by martingale measures (``omega_star``) in one sweep:
 a block removed at period t is a union of whole child nodes at time t, so
 every level set of a later period lies inside it or misses it.  The
 aggregator holds, in each scenario, the separator that eliminated it, and is
-re-checked with ``check_predictable`` and ``value_process``, as every
-emitted strategy is.
+re-checked with ``check_predictable`` and on the ``int`` numerators of its
+terminal values (``terminal_values``), as every emitted strategy is.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
 per-market context of everything downstream: the natural filtration once, as
@@ -38,7 +40,7 @@ from .market import (
     check_predictable,
     natural_nodes,
     node_row,
-    value_process,
+    terminal_values,
 )
 from .ratgeom import Vec, maximal_separator
 
@@ -181,7 +183,8 @@ def split_level_set(
     its child nodes at t as (shared increment, members) pairs, as
     :func:`backward_eliminate` reads them off the node rows; their members
     make up the level set.  One separator question, in ``memo``, sees one
-    point per child; it takes one LP, or none when the points sum to zero.
+    point per child; it takes one LP, or none when the points sum to zero,
+    hold one asset or are one distinct point.
     The block is its strict set, and the residual needs no second question
     (see :func:`~arbscan.ratgeom.maximal_separator`).
     """
@@ -308,7 +311,7 @@ def universal_aggregator(
         }
         for t in range(1, m.T + 1)
     ))
-    signs = [x.numerator for x in value_process(m, h)[m.T]]  # int, cheaper to compare
+    signs, _den = terminal_values(m, h)  # V_T's numerators carry its signs
     if not check_predictable(h, enlarged):
         raise InternalError("aggregator not predictable for its enlarged filtration")
     if any(x < 0 for x in signs):

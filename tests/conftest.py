@@ -259,6 +259,80 @@ def corpus_markets():
     return st.integers(0, 2**32 - 1).map(lambda seed: random_market(random.Random(seed)))
 
 
+def _balanced_steps(rng: random.Random, k: int, d: int) -> list[tuple]:
+    """k distinct steps in {-1, 0, 1}^d carrying a strictly positive zero combination.
+
+    One step is flat; two are s and -s; three are s, -s and 0, or, when a
+    draw fits, s, t and u with a*s + b*t + c*u = 0 for weights in {1, 2},
+    whose max-min weights are then seldom all equal.
+    """
+    zero = (0,) * d
+    s = rng.choice([x for x in _STEPS[d] if any(x)])
+    neg = tuple(-x for x in s)
+    if k == 1:
+        return [zero]
+    if k == 2:
+        return [s, neg]
+    t = rng.choice([x for x in _STEPS[d] if any(x)])
+    a, b, c = (rng.randint(1, 2) for _ in range(3))
+    u = [-(a * x + b * y) for x, y in zip(s, t)]
+    if all(v % c == 0 and abs(v // c) <= 1 for v in u):
+        u = tuple(v // c for v in u)
+        if len({s, t, u, zero}) == 4:
+            return [s, t, u]
+    return [s, neg, zero]
+
+
+def split_market(rng: random.Random, max_n: int = 10, max_t: int = 3, max_d: int = 3) -> Market:
+    """A corpus-like market whose ``omega_star`` holds some, but not all, scenarios.
+
+    Grown like :func:`random_market` (n <= 10, T <= 3, d <= 3, up to three
+    children per node, integer prices from [5, 15] moving by -1, 0 or 1), but
+    each node's child steps are either balanced (:func:`_balanced_steps`) or
+    an arbitrage that keeps a flat child: 0 and steps that all rise, or all
+    fall, in one asset.  Nothing gains on a balanced node, and at an
+    arbitrage node that asset gains on every child but the flat one, whose
+    subtree survives whole.  So ``omega_star`` is every scenario under no
+    non-flat child of an arbitrage node, and a draw with no arbitrage node
+    is drawn again.
+    """
+    while True:
+        d = rng.randint(1, max_d)
+        horizon = rng.randint(1, max_t)
+        n = rng.randint(2, max_n)
+        zero = (0,) * d
+        groups = [(list(range(n)), [tuple(rng.randint(5, 15) for _ in range(d))])]
+        arbitrage = False
+        for _t in range(horizon):
+            nxt = []
+            for members, path in groups:
+                if len(members) > 1 and rng.random() < 0.3:
+                    arbitrage = True
+                    j, sign = rng.randrange(d), rng.choice((-1, 1))
+                    rising = [x for x in _STEPS[d] if x[j] == sign]
+                    k = rng.randint(2, min(3, len(members), 1 + len(rising)))
+                    steps = [zero] + rng.sample(rising, k - 1)
+                    rng.shuffle(steps)
+                else:
+                    steps = _balanced_steps(rng, rng.randint(1, min(3, len(members))), d)
+                shuffled = rng.sample(members, len(members))
+                cuts = sorted(rng.sample(range(1, len(members)), len(steps) - 1))
+                for lo, hi, step in zip([0] + cuts, cuts + [len(members)], steps):
+                    row = tuple(int(a + b) for a, b in zip(path[-1], step))
+                    nxt.append((sorted(shuffled[lo:hi]), path + [row]))
+            groups = nxt
+        if arbitrage:
+            break
+    paths = {i: path for members, path in groups for i in members}
+    scenarios = tuple(Scenario(f"s{i}", tuple(paths[i])) for i in range(n))
+    return Market(d=d, T=horizon, scenarios=scenarios)
+
+
+def split_corpus_markets():
+    """Corpus-like markets with a survivor and a polar scenario, one per drawn seed."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: split_market(random.Random(seed)))
+
+
 def seeded_tree_market(rng: random.Random, b: int, horizon: int, d: int) -> Market:
     """Complete Tree(b, horizon, d) with start prices 10, as the benchmark draws it.
 

@@ -28,9 +28,9 @@ from arbscan.splitter import backward_eliminate
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import (  # noqa: E402
     fraction_market,
+    paths_market,
     random_class,
     random_market,
-    tree_market,
     trinomial_tree,
 )
 
@@ -74,7 +74,12 @@ def _natural_checks(m: Market) -> list[dict]:
 
 
 def test_lps_of_an_integral_tree_hold_only_ints(monkeypatch):
-    """No ``Fraction`` reaches an LP that arbscan builds from integral prices."""
+    """No ``Fraction`` reaches an LP that arbscan builds from integral prices.
+
+    The golden tree gets a second, constant asset: the answers do not move,
+    and its separator questions are two-asset ones over two or more distinct
+    points, which still ask an LP (one-asset questions have a closed form).
+    """
     seen: list[tuple[str, ratgeom.LinearProgram]] = []
     real = ratgeom._validate
 
@@ -85,7 +90,7 @@ def test_lps_of_an_integral_tree_hold_only_ints(monkeypatch):
         return real(lp)
 
     monkeypatch.setattr(ratgeom, "_validate", spy)
-    m = tree_market(TREE_PATHS)
+    m = paths_market([[(p, 5) for p in path] for path in TREE_PATHS])
     build_report(m, verify=True)
     _natural_checks(m)
     builders = {name for name, _lp in seen}

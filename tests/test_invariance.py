@@ -17,7 +17,13 @@ from arbscan.market import Market, Scenario, SignificantClass
 from arbscan.measures import check_martingale
 from arbscan.splitter import backward_eliminate
 
-from conftest import corpus_markets, seeded_trinomial_market, shaped_tree, trinomial_tree
+from conftest import (
+    corpus_markets,
+    seeded_trinomial_market,
+    shaped_tree,
+    split_corpus_markets,
+    trinomial_tree,
+)
 
 
 @st.composite
@@ -64,6 +70,15 @@ def test_scenario_order_and_ids_on_corpus_markets(case):
     _assert_invariant(case)
 
 
+# most corpus markets are all-polar; these keep a survivor and a polar
+# scenario, so omega_star, the full-support measure and the aggregator are
+# all non-trivial
+@settings(max_examples=120, deadline=None)
+@given(_relabelled(split_corpus_markets()))
+def test_scenario_order_and_ids_on_split_corpus_markets(case):
+    _assert_invariant(case)
+
+
 @settings(max_examples=40, deadline=None)
 @given(_relabelled(trinomial_tree()))
 def test_scenario_order_and_ids_on_trinomial_trees(case):
@@ -96,6 +111,14 @@ def _assert_restriction_keeps_star(case):
 @settings(max_examples=120, deadline=None)
 @given(_superset_of_star(corpus_markets()))
 def test_restriction_to_a_superset_of_star_on_corpus_markets(case):
+    _assert_restriction_keeps_star(case)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_superset_of_star(split_corpus_markets()))
+def test_restriction_to_a_superset_of_star_on_split_corpus_markets(case):
+    m, star, _within = case
+    assert star and star != m.all_indices
     _assert_restriction_keeps_star(case)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 import warnings
 from fractions import Fraction as F
 
@@ -19,6 +20,7 @@ from arbscan.market import (
     load_market,
     load_strategy,
     natural_nodes,
+    terminal_values,
     value_process,
 )
 from arbscan.measures import check_martingale, full_support_measure, mix
@@ -30,8 +32,11 @@ from conftest import (
     fraction_market,
     market_doc,
     position,
+    random_measure,
     reference_values,
     refine,
+    split_corpus_markets,
+    trinomial_tree,
 )
 
 
@@ -390,7 +395,7 @@ def _check_martingale_reference(m, q, rows):
 
 
 @settings(max_examples=80, deadline=None)
-@given(corpus_markets(), st.sampled_from([None, 1, 3, 4]), st.data())
+@given(corpus_markets() | split_corpus_markets(), st.sampled_from([None, 1, 3, 4]), st.data())
 def test_check_martingale_matches_the_fraction_sums(m, divisor, data):
     # int prices as loaded, the same as Fractions, and non-integral Fractions
     if divisor is None:
@@ -417,6 +422,45 @@ def test_all_indices_is_built_once(svu):
     assert svu.all_indices == frozenset(range(svu.n))
     assert "all_indices" not in repr(svu)
     assert svu == load_market(SVU_DOC)
+
+
+def test_scenario_ids_are_built_once(svu):
+    assert svu.scenario_ids is svu.scenario_ids
+    assert svu.scenario_ids == tuple(s.id for s in svu.scenarios)
+    assert svu.ids({3, 0, 2}) == ["w1", "w3", "w4"]
+    assert "scenario_ids" not in repr(svu)
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_markets() | trinomial_tree(), st.sampled_from([None, 1, 3]), st.data())
+def test_terminal_values_are_value_process_at_T(m, divisor, data):
+    # int prices as loaded, the same as Fractions, and non-integral Fractions
+    if divisor is None:
+        m = load_market(market_doc(m))
+    else:
+        m = fraction_market(m) if divisor == 1 else _scaled(m, divisor)
+    h = data.draw(scattered_strategies(m))
+    nums, den = terminal_values(m, h)
+    assert den > 0 and all(type(x) is int for x in nums)
+    assert [F(x, den) for x in nums] == value_process(m, h)[m.T]
+
+
+@settings(max_examples=80, deadline=None)
+@given(corpus_markets() | trinomial_tree(), st.integers(0, 2**32 - 1), st.data())
+def test_measure_mass_is_the_fraction_sum(m, seed, data):
+    measures = [random_measure(random.Random(seed), m.n)]
+    full_support = backward_eliminate(m).full_support
+    if full_support is not None:
+        measures.append(full_support)
+    indices = data.draw(st.sets(st.integers(0, m.n - 1)))
+    for q in measures:
+        mass = q.mass(indices)
+        assert type(mass) is F
+        assert mass == sum((q[i] for i in indices), F(0))
+        assert q.mass(m.all_indices) == 1
+        # the numerators are plain attributes: == and repr read the weights
+        assert q == DiscreteMeasure(dict(q.weights))
+        assert "numerators" not in repr(q)
 
 
 def test_strategy_atoms_must_be_disjoint():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from arbscan.arbitrage import feasibility
-from arbscan.errors import DomainError
+from arbscan.errors import DomainError, InternalError
 from arbscan.market import DiscreteMeasure, SignificantClass, load_market, natural_nodes
 from arbscan.measures import (
     check_martingale,
@@ -248,3 +248,35 @@ def test_full_support_on_trinomial_trees_n243(m):
     # the zero-combination LP at every node of a T=5 tree, and the one
     # support LP of the oracle over all 243 scenarios
     _assert_full_support_agrees_with_oracle(m)
+
+
+def test_a_memo_hit_with_unmoved_weights_is_caught(monkeypatch, tmp_path, capsys):
+    # both nodes at time 1 have the children +1 and -2, in the other order
+    # under the second; the max-min weights are 2/3 on +1 and 1/3 on -2, so
+    # the second node's memo hit, left in the first asker's order, puts 2/3
+    # on -2, and the finished measure is no martingale measure
+    import json
+
+    from arbscan import cli, measures
+
+    doc = {
+        "d": 1,
+        "T": 2,
+        "scenarios": [
+            {"id": "a", "prices": [[10], [11], [12]]},
+            {"id": "b", "prices": [[10], [11], [9]]},
+            {"id": "c", "prices": [[10], [9], [7]]},
+            {"id": "d", "prices": [[10], [9], [10]]},
+        ],
+    }
+    m = load_market(doc)
+    assert backward_eliminate(m).full_support.weights == {
+        0: F(1, 3), 1: F(1, 6), 2: F(1, 6), 3: F(1, 3)
+    }
+    monkeypatch.setattr(measures, "move_weights", lambda weights, index: tuple(weights))
+    with pytest.raises(InternalError, match="not a martingale measure"):
+        cli.build_report(m)
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path)]) == 4
+    assert "not a martingale measure" in capsys.readouterr().err

@@ -533,13 +533,18 @@ def test_separator_xor_and_maximality(points):
 
 
 @st.composite
-def _degenerate_points(draw):
-    """Points in Z^d or Q^d, d <= 4, with zeros, duplicates and +-pairs mixed in."""
-    d = draw(st.integers(1, 4))
+def _degenerate_points(draw, dims=st.integers(1, 4), min_distinct=1):
+    """Points in Z^d or Q^d, d <= 4, with zeros, duplicates and +-pairs mixed in.
+
+    At least ``min_distinct`` of the points are distinct.
+    """
+    d = draw(dims)
     coord = st.integers(-3, 3)
     if draw(st.booleans()):
         coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
-    points = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6))
+    points = draw(st.lists(
+        st.tuples(*[coord] * d), min_size=min_distinct, max_size=6, unique=min_distinct > 1
+    ))
     points += draw(st.lists(st.sampled_from(points), max_size=3))
     points += [(0,) * d] * draw(st.integers(0, 2))
     points += [tuple(-x for x in p) for p in draw(st.lists(st.sampled_from(points), max_size=2))]
@@ -722,12 +727,14 @@ def _weights_by_lp(points):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_degenerate_points(), st.booleans())
+@given(_degenerate_points(dims=st.integers(2, 4), min_distinct=2), st.booleans())
 def test_balanced_points_are_answered_without_an_lp(points, balance):
     # points summing to 0 have the equal weights as a strictly positive zero
     # combination, so nothing separates them and the max-min LP's unique
     # optimum is the equal weights: both predicates answer without an LP,
-    # and answer what the LP would
+    # and answer what the LP would.  Two or more distinct points of two or
+    # more assets are no closed-form separator shape, so unbalanced ones
+    # still ask exactly one LP each.
     import arbscan.ratgeom as ratgeom
 
     if balance:
@@ -778,3 +785,44 @@ def test_convex_combination_rechecks_its_weights(monkeypatch, broken):
     monkeypatch.setattr(ratgeom, "lp_solve", broken_solve)
     with pytest.raises(InternalError, match="re-check"):
         convex_combination_for_zero([(F(2),), (F(-1),), (F(0),)])
+
+
+@st.composite
+def _closed_form_points(draw):
+    """One-asset points, or one distinct point repeated, in Z^d or Q^d.
+
+    One-asset draws mix in zeros, repeats and both signs.  A repeated point
+    may be all zero, and comes as ``int``s and as the equal ``Fraction``s,
+    which are one point.
+    """
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(coord), min_size=1, max_size=7))
+        points += [(0,)] * draw(st.integers(0, 2))
+        points += draw(st.lists(st.sampled_from(points), max_size=3))
+    else:
+        x = draw(st.tuples(*[coord] * draw(st.integers(1, 4))))
+        points = [x] * draw(st.integers(1, 4)) + [tuple(map(F, x))] * draw(st.integers(0, 2))
+    return draw(st.permutations(points))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_closed_form_points())
+def test_one_asset_and_one_point_separators_are_the_lps_answer_without_an_lp(points):
+    # with one asset the separators are +1 and -1; one distinct point gets
+    # the vertex Bland's rule reaches, sign(x_j) e_j at the least nonzero
+    # x_j: either way the answer, its types included, is the LP's
+    import arbscan.ratgeom as ratgeom
+
+    separator = _separator_by_lp(points)
+    solved = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(ratgeom, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
+        found = maximal_separator(points)
+    assert not solved
+    assert found == separator
+    if found is not None:
+        assert all(type(c) is F for c in found[0])
+        assert [type(c) for c in found[0]] == [type(c) for c in separator[0]]

@@ -27,6 +27,7 @@ from conftest import (
     corpus_markets,
     count_calls,
     group_by,
+    paths_market,
     position,
     price_children,
     random_market,
@@ -519,19 +520,23 @@ def test_separator_and_support_solve_one_lp_each(monkeypatch, mini_corpus, multi
     ties = [(F(1), F(0)), (F(0), F(1)), (F(-1), F(1))]
     assert len(maximal_separator(ties)[1]) == 3
     assert len(lp_calls) == 1
+    asked = 0
     for m in mini_corpus[:15] + [multi, svu]:
         for t in range(1, m.T + 1):
             for gamma in m.level_sets(m.all_indices, t - 1):
                 points = [m.increment(t, i) for i in sorted(gamma)]
                 lp_calls.clear()
                 maximal_separator(points)
-                # points that sum to 0 are answered without an LP
-                balanced = not any(map(sum, zip(*points)))
-                assert len(lp_calls) == (0 if balanced else 1)
+                # points that sum to 0, one-asset points and one distinct
+                # point are answered without an LP; any other set asks one
+                needs_lp = m.d > 1 and len(set(points)) > 1 and any(map(sum, zip(*points)))
+                assert len(lp_calls) == needs_lp
+                asked += needs_lp
         omega_star = backward_eliminate(m).omega_star
         lp_calls.clear()
         assert oracle_support(m) == omega_star
         assert len(lp_calls) == 1
+    assert asked > 0
 
 
 def _assert_node_level_sets_match(m):
@@ -662,15 +667,20 @@ def test_a_symmetric_binomial_tree_is_analyzed_without_an_lp(monkeypatch):
     assert backward_eliminate(m).full_support.weights == {i: F(1, 8) for i in range(8)}
 
 
-# lp_solve calls of one build_report on the tree below when the LP memo was
-# keyed on the points in the askers' order and elimination swept twice
+# lp_solve calls of one build_report on the one-asset tree below when the LP
+# memo was keyed on the points in the askers' order and elimination swept
+# twice; every question then asked an LP
 ORDERED_MEMO_LP_CALLS = 81
 
 
 def test_build_report_on_an_n243_trinomial_tree_solves_a_third_of_the_lps(monkeypatch):
     from arbscan.cli import build_report
 
-    m = seeded_trinomial_market(random.Random(931), horizon=5, n_arb=6)
+    tree = seeded_trinomial_market(random.Random(931), horizon=5, n_arb=6)
+    # a second, constant asset keeps every question's points in the same
+    # order and makes each a two-asset question, so the arbitrage nodes'
+    # separators still ask an LP (a one-asset question has a closed form)
+    m = paths_market([[row + (7,) for row in s.path] for s in tree.scenarios])
     assert m.n == 243
     lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     build_report(m)
@@ -723,13 +733,15 @@ def test_solve_once_reindexes_both_lp_answers_to_the_askers_order(monkeypatch):
 
     lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     memo = {}
-    # the strict set of a separator: every point but the flat one
-    points = ((F(2),), (F(0),), (F(1),))
+    # the strict set of a separator: every point but the flat one; two
+    # assets and two or more distinct points, so each new question asks an LP
+    points = ((F(2), F(1)), (F(0), F(0)), (F(1), F(0)))
     h, strict = solve_once(memo, maximal_separator, points, move_strict)
     assert strict == {0, 2}
     assert solve_once(memo, maximal_separator, points[::-1], move_strict) == (h, {0, 2})
     assert solve_once(memo, maximal_separator, points[1:] + points[:1], move_strict) == (h, {1, 2})
-    assert solve_once(memo, maximal_separator, points[1:], move_strict) == (h, {1})
+    # a new point set, so a new LP
+    assert solve_once(memo, maximal_separator, points[1:], move_strict)[1] == {1}
     assert len(lp_calls) == 2
     # max-min zero-combination weights follow their points
     points = ((F(-1), F(0)), (F(1), F(1)), (F(2), F(-3)), (F(-1), F(1)))
