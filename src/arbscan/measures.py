@@ -12,19 +12,17 @@ one LP with one row per asset plus one, none per child.  Either way the
 weights are re-checked exactly before they are returned.
 A child's mass is its parent's mass times its weight; the masses of one
 level are ``int`` numerators over one common denominator, so no ``Fraction``
-is built until the weights are.  Nodes whose children have the same
-increments (``pa.increments``), in any order, ask the same question, which
-the analysis's LP memo (``pa.lp_memo``) answers once.  Backward elimination
-leaves 0 in the relative interior of every surviving level set's increment
-cone, so those weights exist, and the product is an exact martingale
-measure for the natural and the enlarged filtration whose support is
-exactly ``omega_star``.  It charges every survivor, so it is also the
-measure returned for a single surviving scenario and for a class whose sets
-all meet ``omega_star``.  Callers read it as ``pa.full_support``, which
-builds it once per analysis.  A memo hit moves the kept weights to the
-asker's order, which no node re-check sees, so the finished measure is
-re-checked whole with :func:`check_martingale`, on the ``int`` numerators
-of its weights (``DiscreteMeasure.numerators``).
+is built until the weights are.  Backward elimination leaves 0 in the
+relative interior of every surviving level set's increment cone, so those
+weights exist, and the product is an exact martingale measure for the
+natural and the enlarged filtration whose support is exactly
+``omega_star``.  It charges every survivor, so it is also the measure
+returned for a single surviving scenario and for a class whose sets all
+meet ``omega_star``.  Callers read it as ``pa.full_support``, which builds
+it once per analysis.  The node re-checks do not see how node weights are
+assembled into scenario masses, so the finished measure is re-checked whole
+with :func:`check_martingale`, on the ``int`` numerators of its weights
+(``DiscreteMeasure.numerators``).
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import Optional, Sequence
 from .errors import DomainError, InternalError
 from .market import DiscreteMeasure, Market
 from .ratgeom import convex_combination_for_zero, over_common_denominator
-from .splitter import PolarAnalysis, move_weights, solve_once
+from .splitter import PolarAnalysis
 
 _ZERO = Fraction(0)
 
@@ -50,10 +48,14 @@ def check_martingale(m: Market, q: DiscreteMeasure, rows: Sequence[Sequence[int]
     t share their increment over (t-1, t], so their masses are summed first
     and each distinct increment is multiplied once.
 
-    Rows 0..T-1 are read; fewer, or one of other than n ids, raise ValueError.
+    Rows 0..T-1 are read; fewer, or one of other than n ids, raise
+    ValueError, as does a weight on an index outside ``range(m.n)``.
     """
     if len(rows) < m.T or any(len(row) != m.n for row in rows[: m.T]):
         raise ValueError(f"node row lengths {list(map(len, rows))}, expected T={m.T} of n={m.n}")
+    outside = q.support - m.all_indices
+    if outside:
+        raise ValueError(f"measure charges {sorted(outside)}, outside range({m.n})")
     weights = q.numerators.items()
     paths = [s.path for s in m.scenarios]
     for t, row in enumerate(rows[: m.T], 1):
@@ -99,9 +101,8 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
         splits = []
         for k, mass in frontier:
             kids = sorted(children[k])
-            points = tuple(increments[c] for c in kids)
             try:
-                lam = solve_once(pa.lp_memo, convex_combination_for_zero, points, move_weights)
+                lam = convex_combination_for_zero([increments[c] for c in kids])
             except DomainError as exc:
                 i = next(i for i in star if up[i] == k)
                 raise InternalError(
@@ -126,7 +127,7 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
     q = DiscreteMeasure(weights)
     if q.support != pa.omega_star:
         raise InternalError("full-support measure does not charge exactly omega_star")
-    # memo hits move kept weights to the asker's order unchecked, so the
+    # no node re-check sees how node weights become scenario masses, so the
     # finished measure is re-checked whole
     if not check_martingale(m, q, pa.nodes):
         raise InternalError("full-support measure is not a martingale measure")

@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Collection, Optional, Sequence, Union
 
 from .errors import DomainError, InternalError
@@ -781,15 +782,13 @@ def convex_combination_for_zero(points: Sequence[Vec]) -> tuple[Fraction, ...]:
             )
         s = res.solution[0]
         w = tuple(s + r for r in res.solution[1:])
-    # the exact re-check: w > 0, sum(w) = 1 and sum(w_i x_i) = 0, on ints
+    # the exact re-check: w > 0, sum(w) = 1 and sum(w_i x_i) = 0, on the
+    # weights' int numerators, which scale each sum alike and keep its zero
     nums, den = over_common_denominator(w)
     if not (
         all(a > 0 for a in nums)
         and sum(nums) == den
-        and all(
-            sum(a * b for a, b in zip(nums, over_common_denominator(coord)[0])) == 0
-            for coord in coords
-        )
+        and all(sum(map(mul, nums, coord)) == 0 for coord in coords)
     ):
         raise InternalError("zero-combination weights fail their exact re-check")
     return w

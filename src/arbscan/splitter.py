@@ -17,17 +17,16 @@ terminal values (``terminal_values``), as every emitted strategy is.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
 per-market context of everything downstream: the natural filtration once, as
-node rows with one increment per node, the LP memo that elimination and the
-full-support measure share, and three artifacts built lazily, at most once
-each (see its docstring).  Nothing is cached on the market or at module
-level, so a fresh ``backward_eliminate`` starts from nothing.
+node rows with one increment per node, and three artifacts built lazily, at
+most once each (see its docstring).  Nothing is cached on the market or at
+module level, so a fresh ``backward_eliminate`` starts from nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from . import oracle
 from .errors import DomainError, InternalError
@@ -86,9 +85,7 @@ class PolarAnalysis:
     is the analysed market, ``nodes[t][i]`` the id of scenario i's node at
     time t (:func:`~arbscan.market.natural_nodes`; ids run in order of least
     member), ``increments[t][c]`` the price increment over (t-1, t] that
-    every scenario of node c at time t shares (``increments[0]`` is empty),
-    and ``lp_memo`` the answers of the separator and zero-combination LPs
-    solved so far, one per point set, kept by :func:`solve_once`.
+    every scenario of node c at time t shares (``increments[0]`` is empty).
     ``nodes`` is also the natural filtration wherever one is taken.
     The cached properties ``aggregator``, ``full_support`` and
     ``natural_arbitrage`` are built once, on first read, by
@@ -107,7 +104,6 @@ class PolarAnalysis:
     market: Market = field(compare=False, repr=False)
     nodes: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     increments: tuple[tuple[Vec, ...], ...] = field(compare=False, repr=False)
-    lp_memo: dict = field(compare=False, repr=False)
 
     rounds = 1
 
@@ -129,69 +125,22 @@ class PolarAnalysis:
         return oracle.oracle_arbitrage(self.market, self.nodes)
 
 
-def solve_once(memo: dict, solve: Callable, points: Sequence[Vec], move: Callable):
-    """``solve(points)``, solved at most once per point set per ``memo``.
-
-    The question is keyed on its points in sorted order, so the same points
-    asked in another order are not solved again.  A miss is solved in the
-    asker's own order (the simplex's pivots depend on column order, and a
-    sorted solve was measured slower) and kept against the points' sorted
-    ranks.  ``move(answer, index)`` re-indexes an answer, sending the part of
-    point k to position ``index[k]``; each later asker gets the kept answer
-    moved to its own order.  The answers are exact, and a separator, its
-    strict set and max-min zero-combination weights stay valid under any
-    order of the points, so every answer holds for the point set; it is the
-    first asker's solve.
-
-    One ``setdefault`` with a one-slot holder hashes the key once per call; a
-    solve that raises leaves the holder empty, so the question is asked again.
-    """
-    order = sorted(range(len(points)), key=points.__getitem__)
-    slot = memo.setdefault((solve, tuple(map(points.__getitem__, order))), [])
-    if slot:
-        return move(slot[0], order)
-    answer = solve(points)
-    rank = [0] * len(order)
-    for r, k in enumerate(order):
-        rank[k] = r
-    slot.append(move(answer, rank))
-    return answer
-
-
-def move_strict(found: Optional[tuple[Vec, Iterable[int]]], index: Sequence[int]):
-    """A :func:`~arbscan.ratgeom.maximal_separator` answer with its strict set re-indexed."""
-    if found is None:
-        return None
-    h, strict = found
-    return h, frozenset(index[k] for k in strict)
-
-
-def move_weights(weights: Sequence, index: Sequence[int]) -> tuple:
-    """Per-point ``weights`` with the weight of point k moved to position ``index[k]``."""
-    out = [None] * len(weights)
-    for k, w in enumerate(weights):
-        out[index[k]] = w
-    return tuple(out)
-
-
-def split_level_set(
-    t: int, node: int, children: Sequence[tuple[Vec, Atom]], memo: dict
-) -> Splitting:
+def split_level_set(t: int, node: int, children: Sequence[tuple[Vec, Atom]]) -> Splitting:
     """One maximal separation of one level set's period-t increments.
 
     The level set is node ``node`` of the row at t-1, and ``children`` are
     its child nodes at t as (shared increment, members) pairs, as
     :func:`backward_eliminate` reads them off the node rows; their members
-    make up the level set.  One separator question, in ``memo``, sees one
-    point per child; it takes one LP, or none when the points sum to zero,
-    hold one asset or are one distinct point.
+    make up the level set.  One separator question sees one point per
+    child; it takes one LP, or none when the points sum to zero, hold one
+    asset or are one distinct point.
     The block is its strict set, and the residual needs no second question
     (see :func:`~arbscan.ratgeom.maximal_separator`).
     """
     members = frozenset().union(*(c for _p, c in children))
     if not members:
         raise DomainError("cannot split an empty level set")
-    found = solve_once(memo, maximal_separator, tuple(p for p, _c in children), move_strict)
+    found = maximal_separator([p for p, _c in children])
     h, strict = (None, ()) if found is None else found
     block = frozenset().union(*(children[k][1] for k in strict))
     return Splitting(
@@ -226,7 +175,6 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
             if c == len(incs):
                 incs.append(m.increment(t, i))
         increments.append(tuple(incs))
-    memo: dict = {}
     # per period, the splittings in order of least member
     split_at: list[list[Splitting]] = [[] for _ in range(m.T + 1)]
     events: list[Splitting] = []
@@ -245,7 +193,7 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
             levels.setdefault(up[least], []).append((increments[t][c], members))
         alive = []
         for k, children in levels.items():
-            sp = split_level_set(t, k, children, memo)
+            sp = split_level_set(t, k, children)
             split_at[t].append(sp)
             if sp.residual:
                 alive.append((min(sp.residual), k, sp.residual))
@@ -261,7 +209,6 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
         market=m,
         nodes=nodes,
         increments=tuple(increments),
-        lp_memo=memo,
     )
 
 

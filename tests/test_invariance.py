@@ -2,13 +2,17 @@
 
 Polar sets depend only on the cone of each node's increments, so the
 answers must not move when the scenarios are listed in another order under
-other names, and the elimination restricted to any superset of
-``omega_star`` must find ``omega_star`` again.  Unlike agreement with the
-LP oracle, these reach trees far larger than the oracle solves.
+other names, or when the assets are shifted, negated, sheared or joined by
+a constant asset or an integer combination of the others; a copy of a path
+under a new id must survive exactly when its original does; and the
+elimination restricted to any superset of ``omega_star`` must find
+``omega_star`` again.  Unlike agreement with the LP oracle, these reach
+trees far larger than the oracle solves.
 """
 
 import random
 import time
+from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
@@ -86,11 +90,101 @@ def test_scenario_order_and_ids_on_trinomial_trees(case):
 
 
 # shaped trees ask the same non-symmetric questions about the same points in
-# other orders, so a kept answer moved to the wrong order shows here
+# other orders, so an answer that depends on the order of its points shows here
 @settings(max_examples=40, deadline=None)
 @given(_relabelled(shaped_tree()))
 def test_scenario_order_and_ids_on_shaped_trees(case):
     _assert_invariant(case)
+
+
+@st.composite
+def _asset_transformed(draw, markets):
+    """A market and the same market under an asset transform that keeps every polar set.
+
+    A price shift keeps every increment.  Negation and x0 += k*x1 map the
+    increments by an invertible linear map, and so map separators onto
+    separators.  An appended constant asset never moves, and an appended
+    asset a.x moves as the portfolio a does, so neither opens a new gain.
+    """
+    m = draw(markets)
+    ints = st.integers(-3, 3)
+    kinds = ["shift", "negate", "constant", "combination"]
+    if m.d >= 2:
+        kinds.append("shear")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "shift":
+        c = draw(st.tuples(*[ints] * m.d))
+
+        def move(row):
+            return tuple(map(sum, zip(row, c)))
+    elif kind == "negate":
+
+        def move(row):
+            return tuple(-x for x in row)
+    elif kind == "shear":
+        k = draw(st.sampled_from((-2, -1, 1, 2)))
+
+        def move(row):
+            return (row[0] + k * row[1],) + row[1:]
+    elif kind == "constant":
+        c = draw(ints)
+
+        def move(row):
+            return row + (c,)
+    else:
+        a = draw(st.tuples(*[ints] * m.d))
+
+        def move(row):
+            return row + (sum(map(mul, a, row)),)
+    scenarios = tuple(Scenario(s.id, tuple(map(move, s.path))) for s in m.scenarios)
+    return m, Market(len(scenarios[0].path[0]), m.T, scenarios)
+
+
+def _assert_asset_invariant(case):
+    m, moved = case
+    assert _answers(moved) == _answers(m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_asset_transformed(split_corpus_markets()))
+def test_asset_transforms_on_split_corpus_markets(case):
+    _assert_asset_invariant(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_asset_transformed(trinomial_tree()))
+def test_asset_transforms_on_trinomial_trees(case):
+    _assert_asset_invariant(case)
+
+
+@st.composite
+def _path_copied(draw, markets):
+    """A market, the same market with one path copied in under the id ``copy``, and its id."""
+    m = draw(markets)
+    i = draw(st.integers(0, m.n - 1))
+    at = draw(st.integers(0, m.n))
+    scenarios = m.scenarios[:at] + (Scenario("copy", m.scenarios[i].path),) + m.scenarios[at:]
+    return m, Market(m.d, m.T, scenarios), m.scenarios[i].id
+
+
+def _assert_copy_follows_its_original(case):
+    m, copied, original = case
+    star, kinds, facets = _answers(m)
+    assert "copy" not in m.scenario_ids
+    joined = star | {"copy"} if original in star else star
+    assert _answers(copied) == (joined, kinds, facets)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_path_copied(split_corpus_markets()))
+def test_a_copied_path_follows_its_original_on_split_corpus_markets(case):
+    _assert_copy_follows_its_original(case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_path_copied(trinomial_tree()))
+def test_a_copied_path_follows_its_original_on_trinomial_trees(case):
+    _assert_copy_follows_its_original(case)
 
 
 @st.composite

@@ -381,6 +381,15 @@ def test_check_martingale_rejects_rows_of_the_wrong_shape(rows):
         check_martingale(m, q, rows)
 
 
+@pytest.mark.parametrize("outside", [-1, 2], ids=["negative", "past-n"])
+def test_check_martingale_rejects_indices_outside_the_market(outside):
+    # -1 would read scenario n-1's path and pass as its martingale partner
+    m = _rise_fall()
+    q = DiscreteMeasure({0: F(1, 2), outside: F(1, 2)})
+    with pytest.raises(ValueError, match="outside range"):
+        check_martingale(m, q, natural_nodes(m))
+
+
 def _check_martingale_reference(m, q, rows):
     """``check_martingale`` with each node sum a ``Fraction``: weight times increment, added up."""
     for t, row in enumerate(rows[: m.T], 1):

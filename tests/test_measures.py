@@ -250,11 +250,11 @@ def test_full_support_on_trinomial_trees_n243(m):
     _assert_full_support_agrees_with_oracle(m)
 
 
-def test_a_memo_hit_with_unmoved_weights_is_caught(monkeypatch, tmp_path, capsys):
-    # both nodes at time 1 have the children +1 and -2, in the other order
+def test_node_weights_in_the_wrong_order_are_caught(monkeypatch, tmp_path, capsys):
+    # the nodes at time 1 have the children +1 and -2, in the other order
     # under the second; the max-min weights are 2/3 on +1 and 1/3 on -2, so
-    # the second node's memo hit, left in the first asker's order, puts 2/3
-    # on -2, and the finished measure is no martingale measure
+    # the first node's weights reversed put 2/3 on -2, which no node
+    # re-check sees, and the finished measure is no martingale measure
     import json
 
     from arbscan import cli, measures
@@ -273,7 +273,13 @@ def test_a_memo_hit_with_unmoved_weights_is_caught(monkeypatch, tmp_path, capsys
     assert backward_eliminate(m).full_support.weights == {
         0: F(1, 3), 1: F(1, 6), 2: F(1, 6), 3: F(1, 3)
     }
-    monkeypatch.setattr(measures, "move_weights", lambda weights, index: tuple(weights))
+    weights = measures.convex_combination_for_zero
+
+    def reversed_on_the_first_node(points):
+        w = weights(points)
+        return w[::-1] if list(points) == [(1,), (-2,)] else w
+
+    monkeypatch.setattr(measures, "convex_combination_for_zero", reversed_on_the_first_node)
     with pytest.raises(InternalError, match="not a martingale measure"):
         cli.build_report(m)
     path = tmp_path / "market.json"

@@ -1,4 +1,4 @@
-"""README's Library example runs as written, and every exported name resolves."""
+"""README's Library example runs as written, and every name it exports or reads off an analysis resolves."""
 
 import json
 import re
@@ -25,3 +25,14 @@ def test_every_exported_name_resolves():
     missing = [name for name in arbscan.__all__ if not hasattr(arbscan, name)]
     assert missing == []
     assert len(set(arbscan.__all__)) == len(arbscan.__all__)
+
+
+def test_every_pa_attribute_in_readme_resolves():
+    from arbscan.market import load_market
+    from arbscan.splitter import backward_eliminate
+
+    # pa is the README's name for a PolarAnalysis, in prose and in code
+    named = set(re.findall(r"\bpa\.([A-Za-z_]\w*)", README.read_text("utf-8")))
+    assert {"omega_star", "nodes"} <= named
+    pa = backward_eliminate(load_market(SVU_DOC))
+    assert sorted(name for name in named if not hasattr(pa, name)) == []

@@ -1,4 +1,4 @@
-"""Level-set splitting, one-sweep elimination, the LP memo and the aggregator contracts."""
+"""Level-set splitting, one-sweep elimination, the LP questions and the aggregator contracts."""
 
 import json
 import random
@@ -16,9 +16,6 @@ from arbscan.ratgeom import cone_ri_contains_zero, dot, maximal_separator
 from arbscan.splitter import (
     Splitting,
     backward_eliminate,
-    move_strict,
-    move_weights,
-    solve_once,
     split_level_set,
     universal_aggregator,
 )
@@ -42,7 +39,7 @@ from conftest import (
 
 def test_split_svu_tail(svu):
     # w3, w4 make up node 1 at t = 1
-    sp = split_level_set(2, 1, price_children(svu, 2, {2, 3}), {})
+    sp = split_level_set(2, 1, price_children(svu, 2, {2, 3}))
     assert sp == backward_eliminate(svu).splittings[(2, 1)]
     assert sp.block == frozenset({2, 3})
     assert sp.residual == frozenset()
@@ -50,7 +47,7 @@ def test_split_svu_tail(svu):
 
 
 def test_split_constant(constant):
-    sp = split_level_set(1, 0, price_children(constant, 1, {0, 1}), {})
+    sp = split_level_set(1, 0, price_children(constant, 1, {0, 1}))
     assert sp == backward_eliminate(constant).splittings[(1, 0)]
     assert sp.block == frozenset() and sp.separator is None
     assert sp.residual == frozenset({0, 1})
@@ -59,7 +56,7 @@ def test_split_constant(constant):
 def test_split_ex3d_merges_rounds(ex3d):
     # the irrational and the q-below classes gain under different directions;
     # the maximal separator gains on both at once
-    sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices), {})
+    sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices))
     assert sp == backward_eliminate(ex3d).splittings[(1, 0)]
     polar = frozenset(ex3d.index_of(i) for i in ("irr2", "irr5", "qlo16", "qlo9"))
     keep = frozenset(ex3d.index_of(i) for i in ("qge916", "qge4"))
@@ -69,7 +66,7 @@ def test_split_ex3d_merges_rounds(ex3d):
 
 def test_split_asks_one_separator_lp(ex3d, monkeypatch):
     calls = count_calls(monkeypatch, "ratgeom", "maximal_separator")
-    sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices), {})
+    sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices))
     assert sp.block and sp.residual
     assert len(calls) == 1
 
@@ -92,7 +89,7 @@ def test_splitting_refuses_an_inconsistent_decomposition():
 
 def test_split_errors(svu):
     with pytest.raises(DomainError):
-        split_level_set(1, 0, [], {})
+        split_level_set(1, 0, [])
 
 
 def _check_splitting_contracts(m, sp):
@@ -217,15 +214,15 @@ def _second_sweep_blocks(m, pa):
     """The blocks a second backward sweep over ``pa``'s survivors removes.
 
     A test-only second sweep, as a loop run to the fixpoint would make it:
-    every level set of the survivors is split again from price rows, without
-    the analysis's LP memo, and its blocks are removed before the next period.
+    every level set of the survivors is split again from price rows, and its
+    blocks are removed before the next period.
     """
     surviving = set(pa.omega_star)
     blocks = []
     for t in range(m.T, 0, -1):
         for gamma in m.level_sets(surviving, t - 1):
             node = pa.nodes[t - 1][min(gamma)]
-            sp = split_level_set(t, node, price_children(m, t, gamma), {})
+            sp = split_level_set(t, node, price_children(m, t, gamma))
             if sp.block:
                 blocks.append(sp.block)
                 surviving -= sp.block
@@ -271,8 +268,8 @@ def test_one_sweep_is_the_fixpoint_on_trinomial_trees_n81(case):
 @settings(max_examples=20, deadline=None)
 @given(shaped_tree())
 def test_repeated_shape_trees_keep_every_contract(m):
-    # d = 2, so an answer moved to another order of the points may differ
-    # from a fresh solve in that order; every contract must hold regardless
+    # d = 2, so the LP may answer one question about the same points in two
+    # orders differently; every contract must hold regardless
     from arbscan.cli import build_report
 
     pa = backward_eliminate(m)
@@ -572,9 +569,7 @@ def _assert_node_level_sets_match(m):
             for g in group_by(pa.nodes[t], sorted(sp.members))
         ]
         by_prices = price_children(m, t, sp.members)
-        assert split_level_set(t, sp.node, children, {}) == split_level_set(
-            t, sp.node, by_prices, {}
-        )
+        assert split_level_set(t, sp.node, children) == split_level_set(t, sp.node, by_prices)
 
 
 def test_node_level_sets_match_price_level_sets(mini_corpus, svu, multi, countna):
@@ -613,28 +608,21 @@ def _lp_inputs_once_per_analysis(monkeypatch, markets):
         name: count_calls(monkeypatch, "ratgeom", name)
         for name in ("maximal_separator", "convex_combination_for_zero")
     }
-    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     for m in markets:
         before = dict(vars(m))
-        counts = []
-        for _fresh in range(2):
-            for calls in (*inputs.values(), lp_calls):
-                calls.clear()
-            report, _agrees = build_report(m)
-            for name, calls in inputs.items():
-                # the analysis's LP memo answers every repeated question,
-                # also one about the same points in another order
-                point_sets = [tuple(sorted(args[0])) for args in calls]
-                assert len(set(point_sets)) == len(point_sets), name
-            counts.append((len(lp_calls), *map(len, inputs.values())))
-        # a new analysis shares no memo with the last one, so it asks every
-        # question again; balanced questions are answered without an LP, so
-        # the questions, not the LPs, are what must be asked: a separator per
-        # report, and node weights whenever a scenario survives
-        assert counts[0] == counts[1]
-        _lps, separators, weights = counts[0]
-        assert separators > 0
-        assert (weights > 0) == bool(report["omega_star"])
+        for calls in inputs.values():
+            calls.clear()
+        report, _agrees = build_report(m)
+        asked = {name: len(calls) for name, calls in inputs.items()}
+        pa = backward_eliminate(m)
+        # one separator question per splitting, and one weights question per
+        # surviving node that has children (every surviving node before T);
+        # balanced questions are answered without an LP, so the questions,
+        # not the LPs, are what must be asked
+        assert asked["maximal_separator"] == len(pa.splittings) > 0
+        surviving_nodes = sum(len({row[i] for i in pa.omega_star}) for row in pa.nodes[: m.T])
+        assert asked["convex_combination_for_zero"] == surviving_nodes
+        assert (surviving_nodes > 0) == bool(report["omega_star"])
         assert vars(m) == before
 
 
@@ -667,87 +655,15 @@ def test_a_symmetric_binomial_tree_is_analyzed_without_an_lp(monkeypatch):
     assert backward_eliminate(m).full_support.weights == {i: F(1, 8) for i in range(8)}
 
 
-# lp_solve calls of one build_report on the one-asset tree below when the LP
-# memo was keyed on the points in the askers' order and elimination swept
-# twice; every question then asked an LP
-ORDERED_MEMO_LP_CALLS = 81
-
-
-def test_build_report_on_an_n243_trinomial_tree_solves_a_third_of_the_lps(monkeypatch):
+def test_build_report_on_an_n243_trinomial_tree_solves_one_lp_per_arbitrage_node(monkeypatch):
     from arbscan.cli import build_report
 
     tree = seeded_trinomial_market(random.Random(931), horizon=5, n_arb=6)
-    # a second, constant asset keeps every question's points in the same
-    # order and makes each a two-asset question, so the arbitrage nodes'
-    # separators still ask an LP (a one-asset question has a closed form)
+    # a second, constant asset makes each question a two-asset one, so the
+    # arbitrage nodes' separators still ask an LP (a one-asset question has
+    # a closed form); every other node's increments sum to zero
     m = paths_market([[row + (7,) for row in s.path] for s in tree.scenarios])
     assert m.n == 243
     lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
     build_report(m)
-    assert 0 < 3 * len(lp_calls) <= ORDERED_MEMO_LP_CALLS
-
-
-class _CountedHash:
-    """A sortable point that counts how often it is hashed."""
-
-    def __init__(self, rank):
-        self.rank = rank
-        self.hashes = 0
-
-    def __lt__(self, other):
-        return self.rank < other.rank
-
-    def __hash__(self):
-        self.hashes += 1
-        return 7
-
-
-def test_solve_once_hashes_once_and_caches_no_failure():
-    memo = {}
-    calls = []
-
-    def solve(points):
-        # a weight per point, in the asker's order, by the point's rank
-        calls.append(points)
-        if len(calls) == 1:
-            raise DomainError("first attempt fails")
-        return tuple(F(p.rank, 10) for p in points)
-
-    a, b, c = (_CountedHash(rank) for rank in (3, 1, 2))
-    with pytest.raises(DomainError):
-        solve_once(memo, solve, (a, b, c), move_weights)
-    # the failed solve left no answer: the question is asked again, then kept
-    assert solve_once(memo, solve, (a, b, c), move_weights) == (F(3, 10), F(1, 10), F(2, 10))
-    # the same points in another order are not solved again, and each
-    # point keeps its own weight
-    assert solve_once(memo, solve, (c, a, b), move_weights) == (F(2, 10), F(3, 10), F(1, 10))
-    assert solve_once(memo, solve, (b, c, a), move_weights) == (F(1, 10), F(2, 10), F(3, 10))
-    assert len(calls) == 2
-    # one dict operation per call, on a miss as on a hit
-    assert [p.hashes for p in (a, b, c)] == [4, 4, 4]
-    assert len(memo) == 1
-
-
-def test_solve_once_reindexes_both_lp_answers_to_the_askers_order(monkeypatch):
-    from arbscan.ratgeom import convex_combination_for_zero, maximal_separator
-
-    lp_calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
-    memo = {}
-    # the strict set of a separator: every point but the flat one; two
-    # assets and two or more distinct points, so each new question asks an LP
-    points = ((F(2), F(1)), (F(0), F(0)), (F(1), F(0)))
-    h, strict = solve_once(memo, maximal_separator, points, move_strict)
-    assert strict == {0, 2}
-    assert solve_once(memo, maximal_separator, points[::-1], move_strict) == (h, {0, 2})
-    assert solve_once(memo, maximal_separator, points[1:] + points[:1], move_strict) == (h, {1, 2})
-    # a new point set, so a new LP
-    assert solve_once(memo, maximal_separator, points[1:], move_strict)[1] == {1}
-    assert len(lp_calls) == 2
-    # max-min zero-combination weights follow their points
-    points = ((F(-1), F(0)), (F(1), F(1)), (F(2), F(-3)), (F(-1), F(1)))
-    w = solve_once(memo, convex_combination_for_zero, points, move_weights)
-    for perm in ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1)):
-        moved = solve_once(memo, convex_combination_for_zero, tuple(points[k] for k in perm), move_weights)
-        assert moved == tuple(w[k] for k in perm)
-    assert len(lp_calls) == 3
-    assert w == convex_combination_for_zero(points)
+    assert len(lp_calls) == 6
