@@ -191,9 +191,10 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
 
     # P charges exactly its support, so the re-check reads V_T's signs there
     v, _den = terminal_values(m, h)
-    if any(v[i] < 0 for i in p.support):
+    charged = list(map(v.__getitem__, p.support))
+    if min(charged) < 0:
         raise InternalError("extracted strategy loses on a charged scenario")
-    if not any(v[i] > 0 for i in p.support):
+    if max(charged) <= 0:
         raise InternalError("extracted strategy gains no probability mass")
     return h
 
@@ -221,9 +222,9 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     witness = pa.full_support
 
     uniform = DiscreteMeasure(dict.fromkeys(range(n), Fraction(1, n)))
-    singletons = tuple(frozenset({i}) for i in range(n))
+    one_point = SignificantClass("1p", tuple(map(frozenset, zip(range(n)))))
     declared = tuple(s for cls in m.classes.values() for s in cls.sets)
-    open_like = SignificantClass("open-like", singletons + declared)
+    open_like = SignificantClass("open-like", one_point.sets + declared)
 
     facets = {
         "omega_star_is_everything": not polar,
@@ -234,7 +235,7 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
         "no_open_like_arbitrage_enlarged": not classify(m, pa, open_like, "enlarged").arbitrage,
     }
 
-    no_1p = not classify(m, pa, SignificantClass("1p", singletons), "enlarged").arbitrage
+    no_1p = not classify(m, pa, one_point, "enlarged").arbitrage
     no_mi = not classify(
         m, pa, SignificantClass("MI", (m.all_indices,)), "enlarged"
     ).arbitrage

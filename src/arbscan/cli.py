@@ -27,14 +27,13 @@ from .market import (
     Market,
     SignificantClass,
     Strategy,
-    atoms_of,
     load_market,
     load_strategy,
     terminal_values,
 )
 from .measures import supporting_measure
 from .oracle import oracle_arbitrage, oracle_support
-from .splitter import backward_eliminate
+from .splitter import PolarAnalysis, backward_eliminate
 
 _ZERO = Fraction(0)
 
@@ -45,8 +44,7 @@ _ZERO = Fraction(0)
 
 
 def _atom_key(m: Market, atom) -> str:
-    ids = m.scenario_ids
-    return ",".join(sorted([ids[i] for i in atom]))
+    return ",".join(sorted(map(m.scenario_ids.__getitem__, atom)))
 
 
 def _vec_json(v) -> list[str]:
@@ -54,12 +52,9 @@ def _vec_json(v) -> list[str]:
 
 
 def _weights_json(m: Market, weights) -> dict[str, str]:
+    """A measure's weights by scenario id; a ``DiscreteMeasure`` holds no zero weight."""
     ids = m.scenario_ids
-    return {ids[i]: str(w) for i, w in sorted(weights.items()) if w != 0}
-
-
-def _level_str(rows) -> str:
-    return " ".join("(" + ",".join(str(x) for x in row) + ")" for row in rows)
+    return {ids[i]: str(w) for i, w in sorted(weights.items())}
 
 
 def strategy_json(m: Market, h: Strategy) -> dict:
@@ -81,34 +76,68 @@ def _verdict_json(m: Market, verdict: Verdict) -> dict:
     }
 
 
+def _splittings_json(m: Market, pa: PolarAnalysis) -> list[dict]:
+    """One entry per splitting of ``pa``, in its order.
+
+    A splitting's ``"level"`` prints the price rows 0..t-1 that the members
+    of its node share: its parent's rows 0..t-2, then its own row t-1.
+    Each node's text is built once, from its parent's, and kept.
+    """
+    paths = [s.path for s in m.scenarios]
+    level: dict[tuple[int, int], str] = {}  # (t, node at t-1) -> price rows 0..t-1
+
+    def level_of(t: int, i: int) -> str:
+        key = (t, pa.nodes[t - 1][i])
+        if key not in level:
+            row = "(" + ",".join(map(str, paths[i][t - 1])) + ")"
+            level[key] = row if t == 1 else level_of(t - 1, i) + " " + row
+        return level[key]
+
+    out = []
+    for sp in pa.splittings.values():
+        members = m.ids(sp.members)
+        # with an empty block the residual is the level set itself: one list
+        block, residual = (m.ids(sp.block), m.ids(sp.residual)) if sp.block else ([], members)
+        out.append({
+            "t": sp.t,
+            # any member, here the first iterated, shares its node's rows
+            "level": level_of(sp.t, next(iter(sp.members))),
+            "members": members,
+            "block": block,
+            "separator": None if sp.separator is None else _vec_json(sp.separator),
+            "residual": residual,
+        })
+    return out
+
+
+def _atoms_json(m: Market, row) -> list[list[str]]:
+    """The atoms of a node-id row as id lists, in order of least member.
+
+    ``row`` is numbered as :func:`~arbscan.market.node_row` numbers it, so
+    each new id is the next one and opens the next list.
+    """
+    atoms: list[list[str]] = []
+    for sid, k in zip(m.scenario_ids, row):
+        if k < len(atoms):
+            atoms[k].append(sid)
+        else:
+            atoms.append([sid])
+    return atoms
+
+
 def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
     """The analyze report; the bool is oracle agreement (True without --verify)."""
     pa = backward_eliminate(m)
     agg, enlarged = pa.aggregator
     feas = feasibility(m, pa)
 
-    splittings = [
-        {
-            "t": sp.t,
-            # the price rows 0..t-1 that every member shares
-            "level": _level_str(m.scenarios[min(sp.members)].path[: sp.t]),
-            "members": m.ids(sp.members),
-            "block": m.ids(sp.block),
-            "separator": None if sp.separator is None else _vec_json(sp.separator),
-            "residual": m.ids(sp.residual),
-        }
-        for sp in pa.splittings.values()
-    ]
-
     report = {
         "market": {"d": m.d, "T": m.T, "scenarios": m.n, "ids": list(m.scenario_ids)},
         "omega_star": m.ids(pa.omega_star),
         "polar_complement": m.ids(m.all_indices - pa.omega_star),
-        "splittings": splittings,
+        "splittings": _splittings_json(m, pa),
         "aggregator": strategy_json(m, agg),
-        "enlarged_filtration": {
-            str(t): [m.ids(a) for a in atoms_of(enlarged[t])] for t in range(m.T + 1)
-        },
+        "enlarged_filtration": {str(t): _atoms_json(m, enlarged[t]) for t in range(m.T + 1)},
         "measures": {
             "full_support": (
                 None if feas.full_support is None else _weights_json(m, feas.full_support.weights)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -58,31 +58,41 @@ class SignificantClass:
     sets: tuple[Atom, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
+        object.__setattr__(self, "sets", tuple(map(frozenset, self.sets)))
         if not self.sets:
             raise MarketFormatError(f"class {self.name!r} declares no sets")
-        for s in self.sets:
-            if not s:
-                raise MarketFormatError(f"class {self.name!r} contains an empty set")
+        if not all(self.sets):
+            raise MarketFormatError(f"class {self.name!r} contains an empty set")
 
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
-    """Exact probability vector over scenario indices (zero weights may be omitted)."""
+    """Exact probability vector over scenario indices (zero weights may be omitted).
+
+    Each weight is an ``int`` or a ``Fraction``; any other type, ``bool`` and
+    ``float`` included, raises MarketFormatError naming its index, as does a
+    negative weight, and a total other than 1 raises it too.  Weights are
+    kept as ``Fraction``s, and zero weights are dropped.
+    """
 
     weights: Mapping[int, Fraction]
 
     def __post_init__(self):
         w = {}
         for i, v in self.weights.items():
-            if not isinstance(v, Fraction):
-                v = Fraction(v)
-            if v.numerator:
+            if type(v) is not Fraction:
+                if isinstance(v, bool) or not isinstance(v, (int, Fraction)):
+                    raise MarketFormatError(
+                        f"weight on scenario index {i} is {v!r}; use an int or a Fraction"
+                    )
+                if isinstance(v, int):
+                    v = Fraction(v)
+            num = v.numerator
+            if num:
+                if num < 0:
+                    raise MarketFormatError(f"negative weight on scenario index {i}")
                 w[i] = v
         object.__setattr__(self, "weights", w)
-        for i, v in w.items():
-            if v.numerator < 0:
-                raise MarketFormatError(f"negative weight on scenario index {i}")
         nums, den = over_common_denominator(w.values())
         if sum(nums) != den:
             raise MarketFormatError("weights do not sum to 1")
@@ -95,7 +105,7 @@ class DiscreteMeasure:
     def __getitem__(self, i: int) -> Fraction:
         return self.weights.get(i, _ZERO)
 
-    @property
+    @cached_property
     def support(self) -> Atom:
         return frozenset(self.weights)
 
@@ -173,8 +183,7 @@ class Market:
         return self._index_by_id[scenario_id]
 
     def ids(self, indices) -> list[str]:
-        ids = self.scenario_ids
-        return [ids[i] for i in sorted(indices)]
+        return list(map(self.scenario_ids.__getitem__, sorted(indices)))
 
     def increment(self, t: int, i: int) -> Vec:
         """Price increment over (t-1, t] in scenario i."""
@@ -206,9 +215,10 @@ def natural_nodes(m: Market) -> tuple[tuple[int, ...], ...]:
     each row is hashed once rather than once per later period.
     """
     root = {i: k for k, atom in enumerate(m.level_sets(m.all_indices, 0)) for i in atom}
-    rows = [tuple(root[i] for i in range(m.n))]
+    rows = [tuple(map(root.__getitem__, range(m.n)))]
+    paths = [s.path for s in m.scenarios]
     for t in range(1, m.T + 1):
-        rows.append(node_row(zip(rows[-1], [s.path[t] for s in m.scenarios])))
+        rows.append(node_row(zip(rows[-1], map(itemgetter(t), paths))))
     return tuple(rows)
 
 
@@ -245,12 +255,17 @@ def check_predictable(h: Strategy, rows: Sequence[Sequence[int]]) -> bool:
     for t, pos in enumerate(h.positions, 1):
         row = rows[t - 1]
         _check_indices(pos, every[len(row)], f"node row {t - 1}")
-        vec_of = {i: v for atom, v in pos.items() if any(v) for i in atom}
-        by_node: dict[int, Vec] = {}
-        for i, k in enumerate(row):
-            v = vec_of.get(i, ())  # () stands for every zero vector
-            if by_node.setdefault(k, v) != v:
-                return False
+        # each scenario's position as an id, equal vectors one id and every
+        # zero vector 0; a node holds one position iff it pairs with one id
+        held = [0] * len(row)
+        vec_ids: dict[Vec, int] = {}
+        for atom, v in pos.items():
+            if any(v):
+                k = vec_ids.setdefault(v, len(vec_ids) + 1)
+                for i in atom:
+                    held[i] = k
+        if len(set(zip(row, held))) != len(set(row)):
+            return False
     return True
 
 
@@ -267,24 +282,33 @@ def _value_numerators(m: Market, h: Strategy) -> Iterator[tuple[list[int], int]]
     Each period's positions are ``int`` numerators over one common
     denominator, and its gains too, so the running values are ``int``
     numerators over the lcm of those denominators; no ``Fraction`` is built.
-    The list yielded for t is not touched again.
+    The list yielded for t is not touched again.  A position whose length
+    is not ``m.d`` raises ValueError.
     """
     if len(h.positions) != m.T:
         raise ValueError(f"strategy covers {len(h.positions)} periods, expected {m.T}")
     total, den = [0] * m.n, 1  # V_t's numerators over den
     every = m.all_indices
+    paths = [s.path for s in m.scenarios]
     for t, pos in enumerate(h.positions, 1):
         _check_indices(pos, every, "the market")
-        vden = lcm(*(x.denominator for v in pos.values() for x in v))
-        gains = {}  # per covered scenario, its gain's numerator over vden
+        held = []  # the nonzero positions; a zero one gains nothing
         for atom, v in pos.items():
+            if len(v) != m.d:
+                raise ValueError(f"position at period {t} has length {len(v)}, expected d={m.d}")
             if any(v):
-                vec = [x.numerator * (vden // x.denominator) for x in v]
-                for i in atom:
-                    gains[i] = sum(map(mul, vec, m.increment(t, i)))
+                held.append((atom, v))
+        vden = lcm(*(x.denominator for _atom, v in held for x in v))
+        gains = {}  # per covered scenario, its gain's numerator over vden
+        for atom, v in held:
+            vec = [x.numerator * (vden // x.denominator) for x in v]
+            for i in atom:
+                path = paths[i]
+                gains[i] = sum(map(mul, vec, map(sub, path[t], path[t - 1])))
         gnums, gden = over_common_denominator(gains.values())
         scale = lcm(den, vden * gden) // den
-        total, den = [x * scale for x in total], den * scale
+        total = [x * scale for x in total] if scale != 1 else total.copy()
+        den *= scale
         for i, g in zip(gains, gnums):
             total[i] += g * (den // (vden * gden))
         yield total, den

@@ -27,6 +27,7 @@ with :func:`check_martingale`, on the ``int`` numerators of its weights
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -89,18 +90,21 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
     star = sorted(pa.omega_star)
     if not star:
         return None
-    roots = sorted({pa.nodes[0][i] for i in star})
+    roots = sorted(set(map(pa.nodes[0].__getitem__, star)))
     # (node, its mass's numerator) per surviving node, over one den per level
     frontier = [(k, 1) for k in roots]
     den = len(roots)
     for t in range(1, m.T + 1):
         up, row, increments = pa.nodes[t - 1], pa.nodes[t], pa.increments[t]
-        children: dict[int, set[int]] = {}
-        for i in star:
-            children.setdefault(up[i], set()).add(row[i])
+        # each surviving child node's parent, then each parent's children in
+        # ascending id: one entry per node, not per scenario
+        parent = dict(zip(map(row.__getitem__, star), map(up.__getitem__, star)))
+        children: dict[int, list[int]] = {}
+        for c in sorted(parent):
+            children.setdefault(parent[c], []).append(c)
         splits = []
         for k, mass in frontier:
-            kids = sorted(children[k])
+            kids = children[k]
             try:
                 lam = convex_combination_for_zero([increments[c] for c in kids])
             except DomainError as exc:
@@ -116,15 +120,18 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
             (c, mass * w * (step // lam_den))
             for mass, kids, nums, lam_den in splits for c, w in zip(kids, nums)
         ]
-    leaves: dict[int, list[int]] = {}
-    for i in star:
-        leaves.setdefault(pa.nodes[m.T][i], []).append(i)
-    weights: dict[int, Fraction] = {}
+    # a final node's members share its mass evenly; equal shares, as on
+    # every ordinary node of a trinomial tree, are one Fraction
+    last = pa.nodes[m.T]
+    size = Counter(map(last.__getitem__, star))
+    shares: dict[tuple[int, int], Fraction] = {}
+    each: dict[int, Fraction] = {}
     for c, mass in frontier:
-        each = Fraction(mass, den * len(leaves[c]))
-        for i in leaves[c]:
-            weights[i] = each
-    q = DiscreteMeasure(weights)
+        key = (mass, size[c])
+        if key not in shares:
+            shares[key] = Fraction(mass, den * size[c])
+        each[c] = shares[key]
+    q = DiscreteMeasure({i: each[last[i]] for i in star})
     if q.support != pa.omega_star:
         raise InternalError("full-support measure does not charge exactly omega_star")
     # no node re-check sees how node weights become scenario masses, so the

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import sub
 from typing import Mapping, Optional, Sequence
 
 from . import oracle
@@ -63,8 +64,10 @@ class Splitting:
     residual: Atom
 
     def __post_init__(self):
-        block, rest = self.block, self.residual
-        if block | rest != self.members or block & rest or (self.separator is None) != (not block):
+        block, rest, members = self.block, self.residual, self.members
+        if (self.separator is None) != (not block) or (
+            block | rest != members or block & rest if block else rest != members
+        ):
             raise ValueError("inconsistent splitting")
 
 
@@ -137,15 +140,16 @@ def split_level_set(t: int, node: int, children: Sequence[tuple[Vec, Atom]]) -> 
     The block is its strict set, and the residual needs no second question
     (see :func:`~arbscan.ratgeom.maximal_separator`).
     """
-    members = frozenset().union(*(c for _p, c in children))
+    kids = [c for _p, c in children]
+    members = frozenset().union(*kids)
     if not members:
         raise DomainError("cannot split an empty level set")
     found = maximal_separator([p for p, _c in children])
-    h, strict = (None, ()) if found is None else found
-    block = frozenset().union(*(children[k][1] for k in strict))
-    return Splitting(
-        t=t, node=node, members=members, block=block, separator=h, residual=members - block
-    )
+    if found is None:
+        return Splitting(t, node, members, frozenset(), None, members)
+    h, strict = found
+    block = frozenset().union(*(kids[k] for k in strict))
+    return Splitting(t, node, members, block, h, members - block)
 
 
 def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysis:
@@ -166,15 +170,14 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     if not start <= m.all_indices:
         raise ValueError(f"within holds {sorted(start - m.all_indices)}, outside range({m.n})")
     nodes = natural_nodes(m)
-    # node ids run in order of least member, so node c first appears at its
-    # least member, when c new ids have been seen
+    # node ids run in order of least member, so a dict keyed by node id holds
+    # them in id order; every member of a node, here its last, shares the
+    # node's price path up to t
+    paths = [s.path for s in m.scenarios]
     increments: list[tuple[Vec, ...]] = [()]
     for t in range(1, m.T + 1):
-        incs: list[Vec] = []
-        for i, c in enumerate(nodes[t]):
-            if c == len(incs):
-                incs.append(m.increment(t, i))
-        increments.append(tuple(incs))
+        member = dict(zip(nodes[t], paths))
+        increments.append(tuple([tuple(map(sub, p[t], p[t - 1])) for p in member.values()]))
     # per period, the splittings in order of least member
     split_at: list[list[Splitting]] = [[] for _ in range(m.T + 1)]
     events: list[Splitting] = []
@@ -183,22 +186,28 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     # survivors, in order of least surviving member; a node's least survivor
     # is its first child's, so its level set and its children keep that order
     leaves: dict[int, list[int]] = {}
+    last = nodes[m.T]
     for i in sorted(start):
-        leaves.setdefault(nodes[m.T][i], []).append(i)
+        leaves.setdefault(last[i], []).append(i)
     alive = [(members[0], c, frozenset(members)) for c, members in leaves.items()]
     for t in range(m.T, 0, -1):
         up = nodes[t - 1]
         levels: dict[int, list[tuple[Vec, Atom]]] = {}
+        least_of: dict[int, int] = {}  # a level set's least survivor: its first child's
         for least, c, members in alive:
-            levels.setdefault(up[least], []).append((increments[t][c], members))
+            k = up[least]
+            least_of.setdefault(k, least)
+            levels.setdefault(k, []).append((increments[t][c], members))
         alive = []
         for k, children in levels.items():
             sp = split_level_set(t, k, children)
             split_at[t].append(sp)
+            if not sp.block:
+                alive.append((least_of[k], k, sp.residual))
+                continue
             if sp.residual:
                 alive.append((min(sp.residual), k, sp.residual))
-            if sp.block:
-                events.append(sp)
+            events.append(sp)
         alive.sort()
 
     return PolarAnalysis(
@@ -210,6 +219,15 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
         nodes=nodes,
         increments=tuple(increments),
     )
+
+
+def _refine(row: Sequence[int], keys: Sequence[int]) -> Sequence[int]:
+    """The node-id row grouping scenario i by ``(row[i], keys[i])``.
+
+    ``row`` is numbered as :func:`~arbscan.market.node_row` numbers it, so
+    refining it by all-zero keys leaves it as it is, and no row is built.
+    """
+    return node_row(zip(row, keys)) if any(keys) else row
 
 
 def universal_aggregator(
@@ -229,9 +247,11 @@ def universal_aggregator(
     common in recombining trees, keeps one id, so grouping scenarios by id
     is grouping them by value, and no vector is hashed per scenario and
     period.  Each scenario's value history and each enlarged atom are
-    interned the same way, as ids in order of least member.  The strategy is re-checked: it is
-    predictable for the enlarged rows, V_T >= 0 everywhere and V_T > 0
-    exactly on ``start_set - omega_star``, or InternalError is raised.
+    interned the same way, as ids in order of least member; a period in which
+    nothing is held refines no row (``_refine``).  The strategy is
+    re-checked: it is predictable for the enlarged rows, V_T >= 0 everywhere
+    and V_T > 0 exactly on ``start_set - omega_star``, or InternalError is
+    raised.
     """
     id_of: dict[Vec, int] = {(0,) * m.d: 0}  # id 0 is the zero position
     ids = [[0] * m.n for _ in range(m.T + 1)]
@@ -243,20 +263,16 @@ def universal_aggregator(
     # history[s][i]: the id of scenario i's held values over periods 1..s
     history = [ids[0]]
     for s in range(1, m.T + 1):
-        history.append(node_row(zip(history[-1], ids[s])))
-    enlarged = tuple(
-        node_row(zip(pa.nodes[t], history[min(t + 1, m.T)])) for t in range(m.T + 1)
-    )
+        history.append(_refine(history[-1], ids[s]))
+    enlarged = tuple(_refine(pa.nodes[t], history[min(t + 1, m.T)]) for t in range(m.T + 1))
 
     values = list(id_of)
     # keyed by (enlarged node, held value), so a node holding two values
-    # splits in two and fails the predictability check
+    # splits in two and fails the predictability check; every member of an
+    # atom holds its value, so it is read at the first one iterated
     h = Strategy(tuple(
-        {
-            atom: values[ids[t][min(atom)]]
-            for atom in atoms_of(node_row(zip(enlarged[t - 1], ids[t])))
-        }
-        for t in range(1, m.T + 1)
+        {atom: values[held[next(iter(atom))]] for atom in atoms_of(_refine(enlarged[t - 1], held))}
+        for t, held in enumerate(ids[1:], 1)
     ))
     signs, _den = terminal_values(m, h)  # V_T's numerators carry its signs
     if not check_predictable(h, enlarged):

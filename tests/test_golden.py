@@ -19,7 +19,10 @@ market, one sha256 over its ``build_report(m, verify=True)`` JSON and its
 natural ``MI`` and ``1p`` verdict JSON.  The markets are 300 random corpus
 markets, 8 one-period Tree(16, 1, 4) markets and 2 trinomial T=4 trees, all
 drawn from one seeded ``Random`` by the tests' generators; the same
-regeneration command rewrites them.
+regeneration command rewrites them.  ``golden/shape_digests.json`` pins, the
+same way, the ``build_report(m)`` JSON (no oracle) of the benchmark's
+``deep`` shape, a trinomial T=5 tree with 6 arbitrage nodes, and of a
+Tree(3, 3, 2) whose events fall at every period.
 """
 
 from __future__ import annotations
@@ -149,6 +152,34 @@ def digest(m: Market) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def shape_markets() -> dict[str, Market]:
+    """The shape-pinned markets by name, each drawn from its own seeded ``Random``."""
+    return {
+        "trinomial-T5": seeded_trinomial_market(random.Random(931), 5, 6),
+        "tree-332-nested": seeded_tree_market(random.Random(63), 3, 3, 2),
+    }
+
+
+def report_digest(m: Market) -> str:
+    """sha256 of the report without the oracle, as the CLI renders it."""
+    report, _agrees = build_report(m)
+    return hashlib.sha256((json.dumps(report, indent=2) + "\n").encode("utf-8")).hexdigest()
+
+
+def test_benchmark_shapes_match_digests():
+    expected = json.loads((GOLDEN / "shape_digests.json").read_text("utf-8"))
+    markets = shape_markets()
+    assert list(markets) == list(expected)
+    # the deep shape: n = 243 and one event per arbitrage node, all at T
+    tri = markets["trinomial-T5"]
+    assert tri.n == 243 and [sp.t for sp in backward_eliminate(tri).events] == [5] * 6
+    # the tree nests eliminations: an event at every period, and survivors
+    pa = backward_eliminate(markets["tree-332-nested"])
+    assert {sp.t for sp in pa.events} == {1, 2, 3} and pa.omega_star
+    for name, m in markets.items():
+        assert report_digest(m) == expected[name], f"first market whose report changed: {name}"
+
+
 def test_seeded_markets_match_digests():
     expected = json.loads((GOLDEN / "digests.json").read_text("utf-8"))
     markets = seeded_markets()
@@ -201,3 +232,5 @@ if __name__ == "__main__":
             (GOLDEN / f"{name}.{command}.json").write_text(render_command(doc, command), "utf-8")
     digests = {name: digest(m) for name, m in seeded_markets().items()}
     (GOLDEN / "digests.json").write_text(json.dumps(digests, indent=1) + "\n", "utf-8")
+    shapes = {name: report_digest(m) for name, m in shape_markets().items()}
+    (GOLDEN / "shape_digests.json").write_text(json.dumps(shapes, indent=1) + "\n", "utf-8")

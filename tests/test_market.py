@@ -353,6 +353,33 @@ def test_value_process_rejects_an_atom_outside_the_market(atom):
         value_process(_rise_fall(), Strategy(({frozenset({atom}): (F(1),)},)))
 
 
+_TWO_ASSETS = {
+    "d": 2,
+    "T": 1,
+    "scenarios": [
+        {"id": "s0", "prices": [[10, 10], [11, 9]]},
+        {"id": "s1", "prices": [[10, 10], [9, 12]]},
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "doc, vec",
+    [(None, (1, 7)), (None, ()), (_TWO_ASSETS, (1,)), (_TWO_ASSETS, (0, 0, 1))],
+    ids=["d1-long", "d1-empty", "d2-short", "d2-long"],
+)
+def test_values_reject_a_position_of_the_wrong_length(doc, vec):
+    # zip() stopped at the shorter vector: (1, 7) valued as (1,) on d = 1,
+    # and (1,) ignored asset 1 on d = 2
+    m = _rise_fall() if doc is None else load_market(doc)
+    h = Strategy(({frozenset({0}): vec},))
+    message = f"position at period 1 has length {len(vec)}, expected d={m.d}"
+    with pytest.raises(ValueError, match=message):
+        value_process(m, h)
+    with pytest.raises(ValueError, match=message):
+        terminal_values(m, h)
+
+
 _LONG_SHORT = Strategy(({frozenset({0}): (F(1),), frozenset({1}): (F(-1),)},))
 
 
@@ -516,6 +543,24 @@ def test_measure_accepts_ints_and_near_misses_fail():
     with pytest.raises(MarketFormatError, match="sum to 1"):
         DiscreteMeasure({0: F(1, 3), 1: F(2, 3) - tiny})
     assert DiscreteMeasure({0: F(1, 3) + tiny, 1: F(2, 3) - tiny}).support == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "weights, index",
+    [
+        ({0: 0.5, 1: 0.5}, 0),
+        ({0: 0.1, 1: 0.9}, 0),
+        ({0: F(1, 2), 1: True}, 1),
+        ({0: True}, 0),
+        ({0: F(1, 2), 1: "1/2"}, 1),
+        ({0: 1, 1: None}, 1),
+    ],
+    ids=["halves", "tenths", "bool", "bool-one", "string", "none"],
+)
+def test_measure_rejects_weights_that_are_not_int_or_fraction(weights, index):
+    # floats used to build, or fail as "weights do not sum to 1"; True as 1
+    with pytest.raises(MarketFormatError, match=f"weight on scenario index {index} is "):
+        DiscreteMeasure(weights)
 
 
 def test_probability_negative_weight_error():
