@@ -111,13 +111,12 @@ def classify(
 def one_step_1p_check(m: Market, pa: PolarAnalysis) -> list[tuple[int, int, Vec, Atom]]:
     """All single-period strict-gain opportunities found by backward elimination.
 
-    One entry (t, node, direction, gaining set) per splitting with a block,
-    in the order of ``pa.splittings``: ``node`` is the split level set's id
-    in ``pa.nodes[t-1]``.  The list is empty exactly when no one-point
-    arbitrage exists at all.
+    One entry (t, node, direction, gaining set) per elimination event, in
+    the order of ``pa.events`` (t ascending, then least member): ``node`` is
+    the split level set's id in ``pa.nodes[t-1]``.  The list is empty
+    exactly when no one-point arbitrage exists at all.
     """
-    splits = pa.splittings.values()
-    return [(sp.t, sp.node, sp.separator, sp.block) for sp in splits if sp.block]
+    return [(sp.t, sp.node, sp.separator, sp.block) for sp in pa.events]
 
 
 def defragment(m: Market, h: Strategy) -> tuple[tuple[Atom, ...], Strategy]:

@@ -76,36 +76,20 @@ def _verdict_json(m: Market, verdict: Verdict) -> dict:
     }
 
 
-def _splittings_json(m: Market, pa: PolarAnalysis) -> list[dict]:
-    """One entry per splitting of ``pa``, in its order.
+def _events_json(m: Market, pa: PolarAnalysis) -> list[dict]:
+    """One entry per elimination event of ``pa``, in its order.
 
-    A splitting's ``"level"`` prints the price rows 0..t-1 that the members
-    of its node share: its parent's rows 0..t-2, then its own row t-1.
-    Each node's text is built once, from its parent's, and kept.
+    An event's ``"level"`` prints the price rows 0..t-1 that the members of
+    its level set share, read off any one member, here the first iterated.
     """
-    paths = [s.path for s in m.scenarios]
-    level: dict[tuple[int, int], str] = {}  # (t, node at t-1) -> price rows 0..t-1
-
-    def level_of(t: int, i: int) -> str:
-        key = (t, pa.nodes[t - 1][i])
-        if key not in level:
-            row = "(" + ",".join(map(str, paths[i][t - 1])) + ")"
-            level[key] = row if t == 1 else level_of(t - 1, i) + " " + row
-        return level[key]
-
     out = []
-    for sp in pa.splittings.values():
-        members = m.ids(sp.members)
-        # with an empty block the residual is the level set itself: one list
-        block, residual = (m.ids(sp.block), m.ids(sp.residual)) if sp.block else ([], members)
+    for sp in pa.events:
+        rows = m.scenarios[next(iter(sp.members))].path[: sp.t]
         out.append({
             "t": sp.t,
-            # any member, here the first iterated, shares its node's rows
-            "level": level_of(sp.t, next(iter(sp.members))),
-            "members": members,
-            "block": block,
-            "separator": None if sp.separator is None else _vec_json(sp.separator),
-            "residual": residual,
+            "level": " ".join("(" + ",".join(map(str, row)) + ")" for row in rows),
+            "block": m.ids(sp.block),
+            "separator": _vec_json(sp.separator),
         })
     return out
 
@@ -135,7 +119,7 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
         "market": {"d": m.d, "T": m.T, "scenarios": m.n, "ids": list(m.scenario_ids)},
         "omega_star": m.ids(pa.omega_star),
         "polar_complement": m.ids(m.all_indices - pa.omega_star),
-        "splittings": _splittings_json(m, pa),
+        "events": _events_json(m, pa),
         "aggregator": strategy_json(m, agg),
         "enlarged_filtration": {str(t): _atoms_json(m, enlarged[t]) for t in range(m.T + 1)},
         "measures": {

@@ -421,6 +421,9 @@ def load_market(source: Union[str, Path, dict]) -> Market:
         sid = entry.get("id")
         if not isinstance(sid, str):
             raise MarketFormatError("every scenario needs a string id")
+        if "," in sid:
+            # strategy atom keys join ids with commas, so one would be ambiguous
+            raise MarketFormatError(f"scenario id {sid!r} contains a comma")
         rows = entry.get("prices")
         if not isinstance(rows, list):
             raise MarketFormatError(f"scenario {sid!r} has no price rows")

@@ -1,10 +1,11 @@
 """Level-set splitting, backward elimination in one sweep, and the aggregator.
 
-A level set at period t is a node of F_{t-1}, and its splitting is keyed by
+A level set at period t is a node of F_{t-1}, and its splitting names it by
 (t, node id).  At most one separator LP splits it: the maximal separator of
-its increments gains strictly on one block, and the efficient residual holds
-0 in the relative interior of its increment cone.  Increments that sum to
-zero need no LP: nothing gains on them, and the level set is all residual.
+its increments gains strictly on one block, and the members it leaves hold
+0 in the relative interior of their increment cone.  Increments that sum to
+zero need no LP: nothing gains on them, and the level set keeps all its
+members.
 Nor do those of one asset or of one distinct point (a one-child node),
 whose LP answers have closed forms (see ``maximal_separator``).
 Removing each block backwards, t = T..1, yields the maximal set of
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import sub
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import oracle
 from .errors import DomainError, InternalError
@@ -47,27 +48,23 @@ from .ratgeom import Vec, maximal_separator
 
 @dataclass(frozen=True)
 class Splitting:
-    """Decomposition of one level set at one period.
+    """One elimination event: the block one level set loses at one period.
 
     The level set is a node of F_{t-1}, ``node`` its id in ``pa.nodes[t-1]``
     and ``members`` its live scenarios.  ``block`` gains strictly under
-    ``separator``, and is empty, with ``separator`` None, when nothing gains;
-    ``residual`` admits no one-step gain at all (its increment cone holds 0
-    in relative interior).
+    ``separator``; the members it leaves admit no one-step gain at all
+    (their increment cone holds 0 in relative interior).  A level set on
+    which nothing gains keeps all its members and has no splitting.
     """
 
     t: int
     node: int
     members: Atom
     block: Atom
-    separator: Optional[Vec]
-    residual: Atom
+    separator: Vec
 
     def __post_init__(self):
-        block, rest, members = self.block, self.residual, self.members
-        if (self.separator is None) != (not block) or (
-            block | rest != members or block & rest if block else rest != members
-        ):
+        if self.separator is None or not self.block or not self.block <= self.members:
             raise ValueError("inconsistent splitting")
 
 
@@ -76,10 +73,8 @@ class PolarAnalysis:
     """Full output of :func:`backward_eliminate`.
 
     ``omega_star`` is the set of scenarios no period eliminated.
-    ``splittings`` holds the decomposition of every level set the sweep met,
-    keyed by ``(t, node)``, the level set's period and its node id at t-1,
-    in report order: t ascending, then least member; ``events`` holds those
-    with a block, in the order they were removed.  Elimination is
+    ``events`` holds the splitting of every level set that lost a block, in
+    report order: t ascending, then least member.  Elimination is
     one sweep, so ``rounds`` is always 1.  The benchmark's ``splitter.sweeps``
     counter is its only reader; once the benchmark drops that counter, the
     attribute goes too.
@@ -101,7 +96,6 @@ class PolarAnalysis:
     """
 
     omega_star: Atom
-    splittings: Mapping[tuple[int, int], Splitting]
     events: tuple[Splitting, ...]
     start_set: Atom
     market: Market = field(compare=False, repr=False)
@@ -128,7 +122,9 @@ class PolarAnalysis:
         return oracle.oracle_arbitrage(self.market, self.nodes)
 
 
-def split_level_set(t: int, node: int, children: Sequence[tuple[Vec, Atom]]) -> Splitting:
+def split_level_set(
+    t: int, node: int, children: Sequence[tuple[Vec, Atom]]
+) -> Optional[Splitting]:
     """One maximal separation of one level set's period-t increments.
 
     The level set is node ``node`` of the row at t-1, and ``children`` are
@@ -137,19 +133,19 @@ def split_level_set(t: int, node: int, children: Sequence[tuple[Vec, Atom]]) -> 
     make up the level set.  One separator question sees one point per
     child; it takes one LP, or none when the points sum to zero, hold one
     asset or are one distinct point.
-    The block is its strict set, and the residual needs no second question
-    (see :func:`~arbscan.ratgeom.maximal_separator`).
+    The block is its strict set, and the members it leaves need no second
+    question (see :func:`~arbscan.ratgeom.maximal_separator`).  None means
+    nothing gains: the level set keeps all its members.
     """
-    kids = [c for _p, c in children]
-    members = frozenset().union(*kids)
-    if not members:
+    if not children:
         raise DomainError("cannot split an empty level set")
     found = maximal_separator([p for p, _c in children])
     if found is None:
-        return Splitting(t, node, members, frozenset(), None, members)
+        return None
     h, strict = found
+    kids = [c for _p, c in children]
     block = frozenset().union(*(kids[k] for k in strict))
-    return Splitting(t, node, members, block, h, members - block)
+    return Splitting(t, node, frozenset().union(*kids), block, h)
 
 
 def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysis:
@@ -159,7 +155,8 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     ``range(m.n)`` raises ValueError.  The sweep walks t = T..1 up the node rows.  At each period it splits the
     level set of every node at time t-1 that still has survivors: the node's
     surviving children, with the increments they share.  Every block is
-    removed at once, and the residuals are the surviving nodes one period up.
+    removed at once, and what each level set keeps is a surviving node one
+    period up.
     A block is a union of whole surviving child nodes, so the level sets of
     later periods were final when it was removed, and a second sweep would
     remove nothing.  On exit every surviving level set passes
@@ -178,8 +175,6 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     for t in range(1, m.T + 1):
         member = dict(zip(nodes[t], paths))
         increments.append(tuple([tuple(map(sub, p[t], p[t - 1])) for p in member.values()]))
-    # per period, the splittings in order of least member
-    split_at: list[list[Splitting]] = [[] for _ in range(m.T + 1)]
     events: list[Splitting] = []
 
     # (least member, node id, members) of each node at time t that has
@@ -199,20 +194,22 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
             least_of.setdefault(k, least)
             levels.setdefault(k, []).append((increments[t][c], members))
         alive = []
+        split = []
         for k, children in levels.items():
             sp = split_level_set(t, k, children)
-            split_at[t].append(sp)
-            if not sp.block:
-                alive.append((least_of[k], k, sp.residual))
+            if sp is None:
+                alive.append((least_of[k], k, frozenset().union(*(c for _p, c in children))))
                 continue
-            if sp.residual:
-                alive.append((min(sp.residual), k, sp.residual))
-            events.append(sp)
+            kept = sp.members - sp.block
+            if kept:
+                alive.append((min(kept), k, kept))
+            split.append(sp)
         alive.sort()
+        # the sweep runs t = T..1, so a period's events go before the later ones
+        events[:0] = split
 
     return PolarAnalysis(
         omega_star=frozenset().union(*(members for _least, _k, members in alive)),
-        splittings={(sp.t, sp.node): sp for level in split_at for sp in level},
         events=tuple(events),
         start_set=start,
         market=m,

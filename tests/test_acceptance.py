@@ -127,8 +127,10 @@ def test_criterion_3_ex3d(ex3d):
         polar = frozenset(ex3d.index_of(i) for i in ("irr2", "irr5", "qlo16", "qlo9"))
         residual = frozenset(ex3d.index_of(i) for i in ("qge916", "qge4"))
         assert ex3d.all_indices - pa.omega_star == polar
-        sp = pa.splittings[(1, 0)]
-        assert sp.residual == residual
+        # one event at the root removes the polar classes; the rest survives
+        (sp,) = pa.events
+        assert (sp.t, sp.node) == (1, 0)
+        assert pa.omega_star == residual
         assert sp.block == polar and sp.separator is not None
         # per-point separator oracle confirms the strict set
         points = [ex3d.increment(1, i) for i in range(ex3d.n)]

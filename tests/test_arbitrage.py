@@ -78,7 +78,8 @@ def test_one_step_check_countna(countna):
     assert t == 1 and h == (F(1),)
     assert set(countna.ids(witness)) == {"r1", "r2"}
     # the entry names the split level set by its node at t-1, the root
-    assert node == 0 and pa.splittings[(t, node)].block == witness
+    assert node == 0
+    assert [(sp.t, sp.node, sp.separator, sp.block) for sp in pa.events] == entries
 
 
 def test_one_step_check_constant(constant):

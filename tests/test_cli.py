@@ -89,33 +89,45 @@ def test_analyze_ex3d_verify_agrees(capsys, tmp_path):
 
 
 REPORT_KEYS = {
-    "market", "omega_star", "polar_complement", "splittings", "aggregator",
+    "market", "omega_star", "polar_complement", "events", "aggregator",
     "enlarged_filtration", "measures", "classes", "feasibility",
 }
-SPLITTING_KEYS = ["t", "level", "members", "block", "separator", "residual"]
+EVENT_KEYS = ["t", "level", "block", "separator"]
 
 
-def _assert_report_schema_2(doc: dict) -> None:
+def _assert_report_schema_3(doc: dict) -> None:
     """The analyze report of ``doc``, read back as JSON, checked against the prices alone."""
     paths = {s["id"]: [[F(x) for x in row] for row in s["prices"]] for s in doc["scenarios"]}
     report, _agrees = cli.build_report(load_market(doc))
     report = json.loads(json.dumps(report))
     assert set(report) == REPORT_KEYS
     assert set(report["measures"]) == {"full_support"}
-    polar = set()
-    for sp in report["splittings"]:
-        assert list(sp) == SPLITTING_KEYS
-        members, block = sp["members"], sp["block"]
-        assert set(block) <= set(members)
-        assert sp["residual"] == [i for i in members if i not in block]
-        assert (sp["separator"] is None) == (not block)
-        if block:
-            h = [F(x) for x in sp["separator"]]
-            t = sp["t"]
-            for i in members:
-                gain = sum(a * (y - x) for a, x, y in zip(h, paths[i][t - 1], paths[i][t]))
-                assert gain > 0 if i in block else gain >= 0
+    ids = report["market"]["ids"]
+    events = report["events"]
+    levels = [(ev["t"], ev["level"]) for ev in events]
+    assert len(set(levels)) == len(levels)
+    order, polar = [], set()
+    for ev in events:
+        assert list(ev) == EVENT_KEYS
+        t, block = ev["t"], ev["block"]
+        assert block
+        # the level's survivors at t: the scenarios whose rows 0..t-1 print
+        # as its level, minus the blocks of later events
+        later = set().union(*(e["block"] for e in events if e["t"] > t))
+        level = [
+            i for i in ids
+            if i not in later
+            and " ".join("(" + ",".join(map(str, row)) + ")" for row in paths[i][:t]) == ev["level"]
+        ]
+        assert set(block) <= set(level)
+        h = [F(x) for x in ev["separator"]]
+        for i in level:
+            gain = sum(a * (y - x) for a, x, y in zip(h, paths[i][t - 1], paths[i][t]))
+            assert gain > 0 if i in block else gain >= 0
+        # report order: t ascending, then the level's least member
+        order.append((t, ids.index(level[0])))
         polar |= set(block)
+    assert order == sorted(order)
     assert polar == set(report["polar_complement"])
 
 
@@ -123,14 +135,14 @@ def _assert_report_schema_2(doc: dict) -> None:
     "doc", [SVU_DOC, MULTI_DOC, EX3D_DOC, EX1000_DOC, COUNTNA_DOC, CONSTANT_DOC],
     ids=["svu", "multi", "ex3d", "ex1000", "countna", "constant"],
 )
-def test_report_schema_2_on_named_markets(doc):
-    _assert_report_schema_2(doc)
+def test_report_schema_3_on_named_markets(doc):
+    _assert_report_schema_3(doc)
 
 
 @settings(max_examples=150, deadline=None)
 @given(corpus_markets())
-def test_report_schema_2_on_corpus_markets(m):
-    _assert_report_schema_2(market_doc(m))
+def test_report_schema_3_on_corpus_markets(m):
+    _assert_report_schema_3(market_doc(m))
 
 
 def test_analyze_deterministic(capsys, svu_file):
@@ -452,6 +464,19 @@ _MALFORMED = {
     "scenario-entry-not-object": (_scenario_not_object(), None, "scenario entry 1 must be a JSON object"),
     "class-set-as-string": (_svu_with(classes={"c": "a"}), None, "class 'c' must be a JSON array"),
     "price-exponent-too-large": (_svu_with_price("1e1000000"), None, "decimal exponent beyond"),
+    # atom keys join ids with commas: "a,b" clashed with the atom {a, b},
+    # and printed the aggregator's one atom as "a,b,c"
+    **{
+        f"scenario-id-with-comma-{name}": (
+            {"d": 1, "T": 1, "scenarios": [{"id": sid, "prices": [[10], [p]]} for sid, p in rows]},
+            None,
+            "scenario id 'a,b' contains a comma",
+        )
+        for name, rows in (
+            ("clash", (("a", 11), ("b", 12), ("a,b", 9))),
+            ("unreadable", (("a,b", 11), ("c", 11))),
+        )
+    },
     # the message names the scenario by its id, as every other loader message does
     "probability-negative-weight": (
         _svu_with(probabilities={"P": {"w1": "3/2", "w2": "-1/2"}}),

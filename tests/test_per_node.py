@@ -1,7 +1,7 @@
 """Per-node report pieces against the per-scenario computations they replace.
 
-The report builds each splitting's ``"level"`` once per node from its
-parent's, groups the enlarged filtration into id lists in one pass per row,
+The report builds each event's ``"level"`` off one member of its level
+set, groups the enlarged filtration into id lists in one pass per row,
 and the aggregator refines no row at a period where nothing is held and
 reads each atom's value at any one member.  The references below are those
 computations as they stood per scenario and period: the price rows sliced
@@ -55,20 +55,18 @@ def reference_aggregator(m: Market, pa: PolarAnalysis):
 
 
 def reference_report_pieces(m: Market, pa: PolarAnalysis, enlarged) -> tuple[list, dict]:
-    """The report's splittings and enlarged filtration, built per scenario."""
-    splittings = [
+    """The report's events and enlarged filtration, built per scenario."""
+    events = [
         {
             "t": sp.t,
             "level": _level_str(m.scenarios[min(sp.members)].path[: sp.t]),
-            "members": m.ids(sp.members),
             "block": m.ids(sp.block),
-            "separator": None if sp.separator is None else [str(x) for x in sp.separator],
-            "residual": m.ids(sp.residual),
+            "separator": [str(x) for x in sp.separator],
         }
-        for sp in pa.splittings.values()
+        for sp in pa.events
     ]
     filtration = {str(t): [m.ids(a) for a in atoms_of(enlarged[t])] for t in range(m.T + 1)}
-    return splittings, filtration
+    return events, filtration
 
 
 def _agrees_with_the_references(m: Market) -> None:
@@ -80,8 +78,8 @@ def _agrees_with_the_references(m: Market) -> None:
     assert [list(pos) for pos in h.positions] == [list(pos) for pos in positions]
 
     report, _agrees = build_report(m)
-    splittings, filtration = reference_report_pieces(m, pa, ref_enlarged)
-    assert report["splittings"] == splittings
+    events, filtration = reference_report_pieces(m, pa, ref_enlarged)
+    assert report["events"] == events
     assert report["enlarged_filtration"] == filtration
 
 

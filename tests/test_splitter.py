@@ -40,51 +40,50 @@ from conftest import (
 def test_split_svu_tail(svu):
     # w3, w4 make up node 1 at t = 1
     sp = split_level_set(2, 1, price_children(svu, 2, {2, 3}))
-    assert sp == backward_eliminate(svu).splittings[(2, 1)]
-    assert sp.block == frozenset({2, 3})
-    assert sp.residual == frozenset()
+    assert sp in backward_eliminate(svu).events
+    assert (sp.t, sp.node) == (2, 1)
+    assert sp.block == sp.members == frozenset({2, 3})
     assert sp.separator == (F(1),)
 
 
 def test_split_constant(constant):
-    sp = split_level_set(1, 0, price_children(constant, 1, {0, 1}))
-    assert sp == backward_eliminate(constant).splittings[(1, 0)]
-    assert sp.block == frozenset() and sp.separator is None
-    assert sp.residual == frozenset({0, 1})
+    # nothing gains, so the level set keeps all its members and has no event
+    assert split_level_set(1, 0, price_children(constant, 1, {0, 1})) is None
+    assert backward_eliminate(constant).events == ()
 
 
 def test_split_ex3d_merges_rounds(ex3d):
     # the irrational and the q-below classes gain under different directions;
     # the maximal separator gains on both at once
     sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices))
-    assert sp == backward_eliminate(ex3d).splittings[(1, 0)]
+    pa = backward_eliminate(ex3d)
+    assert pa.events == (sp,)
     polar = frozenset(ex3d.index_of(i) for i in ("irr2", "irr5", "qlo16", "qlo9"))
     keep = frozenset(ex3d.index_of(i) for i in ("qge916", "qge4"))
     assert sp.block == polar
-    assert sp.residual == keep
+    assert sp.members - sp.block == keep == pa.omega_star
 
 
 def test_split_asks_one_separator_lp(ex3d, monkeypatch):
     calls = count_calls(monkeypatch, "ratgeom", "maximal_separator")
     sp = split_level_set(1, 0, price_children(ex3d, 1, ex3d.all_indices))
-    assert sp.block and sp.residual
+    assert sp.block and sp.members - sp.block
     assert len(calls) == 1
 
 
 def test_splitting_refuses_an_inconsistent_decomposition():
     members = frozenset({0, 1, 2})
     h = (F(1),)
-    Splitting(1, 0, members, frozenset({0}), h, frozenset({1, 2}))
-    Splitting(1, 0, members, frozenset(), None, members)
+    Splitting(1, 0, members, frozenset({0}), h)
+    Splitting(1, 0, members, members, h)
     bad = [
-        (frozenset({0}), h, frozenset({1})),  # misses a member
-        (frozenset({0, 1}), h, frozenset({1, 2})),  # block and residual overlap
-        (frozenset({0}), None, frozenset({1, 2})),  # a block without its separator
-        (frozenset(), h, members),  # a separator without a block
+        (frozenset({0, 3}), h),  # a block outside the level set
+        (frozenset(), h),  # a separator without a block
+        (frozenset({0}), None),  # a block without its separator
     ]
-    for block, sep, residual in bad:
+    for block, sep in bad:
         with pytest.raises(ValueError):
-            Splitting(1, 0, members, block, sep, residual)
+            Splitting(1, 0, members, block, sep)
 
 
 def test_split_errors(svu):
@@ -92,51 +91,58 @@ def test_split_errors(svu):
         split_level_set(1, 0, [])
 
 
-def _check_splitting_contracts(m, sp):
-    # disjoint cover
-    assert not (sp.block & sp.residual)
-    assert sp.block | sp.residual == sp.members
-    assert (sp.separator is None) == (not sp.block)
-    # zero increments never leave the residual
-    for i in sp.members:
-        if all(x == 0 for x in m.increment(sp.t, i)):
-            assert i in sp.residual
-    # the separator loses nowhere and gains exactly on the block
-    if sp.block:
-        for i in sp.members:
-            gain = dot(sp.separator, m.increment(sp.t, i))
-            assert gain >= 0
-            assert (gain > 0) == (i in sp.block)
-    # residual admits no one-step gain
-    if sp.residual:
-        assert cone_ri_contains_zero([m.increment(sp.t, i) for i in sorted(sp.residual)])
+def _survivors_at(pa, t):
+    """The scenarios the sweep meets at period t: the start set minus the blocks of later periods."""
+    return pa.start_set - frozenset().union(*(sp.block for sp in pa.events if sp.t > t))
+
+
+def _check_sweep_contracts(m, pa):
+    """Every level set the sweep meets, checked period by period from the price rows."""
+    events = {(sp.t, sp.node): sp for sp in pa.events}
+    met = 0
+    for t in range(1, m.T + 1):
+        for gamma in m.level_sets(_survivors_at(pa, t), t - 1):
+            sp = events.get((t, pa.nodes[t - 1][min(gamma)]))
+            kept = gamma
+            if sp is not None:
+                met += 1
+                assert sp.members == gamma and sp.block
+                kept = gamma - sp.block
+                # the separator loses nowhere and gains exactly on the block
+                for i in gamma:
+                    gain = dot(sp.separator, m.increment(t, i))
+                    assert gain >= 0
+                    assert (gain > 0) == (i in sp.block)
+            # zero increments are never eliminated
+            for i in gamma:
+                if all(x == 0 for x in m.increment(t, i)):
+                    assert i in kept
+            # what a level set keeps admits no one-step gain
+            if kept:
+                assert cone_ri_contains_zero([m.increment(t, i) for i in sorted(kept)])
+    # every event splits a level set the sweep met, and only the events eliminate
+    assert met == len(events) == len(pa.events)
+    assert _survivors_at(pa, 0) == pa.omega_star
 
 
 def test_splitting_invariants_on_corpus(mini_corpus):
     for m in mini_corpus:
-        pa = backward_eliminate(m)
-        for sp in pa.splittings.values():
-            _check_splitting_contracts(m, sp)
-        for sp in pa.events:
-            _check_splitting_contracts(m, sp)
+        _check_sweep_contracts(m, backward_eliminate(m))
 
 
 def test_backward_eliminate_svu(svu):
     pa = backward_eliminate(svu)
     assert pa.omega_star == frozenset()
+    # events come in report order: t ascending, then least member
     steps = [(sp.t, set(sp.members)) for sp in pa.events]
-    assert steps == [(2, {2, 3}), (1, {0, 1})]
-    # both level sets are eliminated whole: a block and no residual
-    assert all(sp.block and not sp.residual for sp in pa.events)
-    # the report prints them so: the block is every member, the residual empty
+    assert steps == [(1, {0, 1}), (2, {2, 3})]
+    # both level sets are eliminated whole: the block is every member
+    assert all(sp.block == sp.members for sp in pa.events)
+    # the report prints them so, in the same order
     from arbscan.cli import build_report
 
-    whole = [
-        (sp["t"], sp["members"])
-        for sp in build_report(svu)[0]["splittings"]
-        if sp["block"] == sp["members"] and not sp["residual"]
-    ]
-    assert whole == [(1, ["w1", "w2"]), (2, ["w3", "w4"])]
+    printed = [(ev["t"], ev["block"]) for ev in build_report(svu)[0]["events"]]
+    assert printed == [(1, ["w1", "w2"]), (2, ["w3", "w4"])]
 
 
 def test_within_outside_the_market_is_refused(svu):
@@ -223,7 +229,7 @@ def _second_sweep_blocks(m, pa):
         for gamma in m.level_sets(surviving, t - 1):
             node = pa.nodes[t - 1][min(gamma)]
             sp = split_level_set(t, node, price_children(m, t, gamma))
-            if sp.block:
+            if sp is not None:
                 blocks.append(sp.block)
                 surviving -= sp.block
     return blocks
@@ -379,6 +385,23 @@ def test_enlarged_filtration_is_the_reference_join(m):
         groups = group_by(enlarged[t], range(m.n))
         assert tuple(map(frozenset, groups)) == join
         assert [enlarged[t][g[0]] for g in groups] == list(range(len(groups)))
+
+
+def test_a_restricted_analysis_refines_the_last_natural_row():
+    # F~_T is F_T on a whole-market analysis, but not on a restricted one:
+    # a holds the separator and b, outside ``within``, holds nothing, so the
+    # held values split the final node {a, b}
+    from arbscan.market import load_market
+
+    m = load_market({"d": 1, "T": 1, "scenarios": [
+        {"id": sid, "prices": [[10], [p]]} for sid, p in (("a", 11), ("b", 11), ("c", 12))
+    ]})
+    pa = backward_eliminate(m, within={0, 2})
+    _h, enlarged = universal_aggregator(m, pa)
+    assert pa.nodes[m.T] == (0, 0, 1)
+    assert enlarged[m.T] == (0, 1, 2)
+    whole = backward_eliminate(m)
+    assert whole.aggregator[1][m.T] == whole.nodes[m.T]
 
 
 def test_single_drifting_scenario():
@@ -555,14 +578,13 @@ def _assert_node_level_sets_match(m):
             kids = {pa.nodes[t][i] for i in atom}
             assert frozenset().union(*(below[c] for c in kids)) == atom
             assert all({pa.nodes[t - 1][i] for i in below[c]} == {k} for c in kids)
-    # splittings come in report order: t ascending, then least member
-    order = [(t, min(sp.members)) for (t, _node), sp in pa.splittings.items()]
-    assert order == sorted(order)
-    for key, sp in pa.splittings.items():
+    # events come in report order: t ascending, then least member
+    order = [(sp.t, min(sp.members)) for sp in pa.events]
+    assert order == sorted(set(order))
+    for sp in pa.events:
         t = sp.t
-        # each splitting is keyed by the node at t-1 that holds its members
-        assert all(key == (t, pa.nodes[t - 1][i]) for i in sp.members)
-        assert key == (t, sp.node)
+        # each event names the node at t-1 that holds its members
+        assert all(sp.node == pa.nodes[t - 1][i] for i in sp.members)
         # the node rows and the price rows split a level set alike
         children = [
             (pa.increments[t][pa.nodes[t][g[0]]], frozenset(g))
@@ -615,11 +637,14 @@ def _lp_inputs_once_per_analysis(monkeypatch, markets):
         report, _agrees = build_report(m)
         asked = {name: len(calls) for name, calls in inputs.items()}
         pa = backward_eliminate(m)
-        # one separator question per splitting, and one weights question per
-        # surviving node that has children (every surviving node before T);
-        # balanced questions are answered without an LP, so the questions,
-        # not the LPs, are what must be asked
-        assert asked["maximal_separator"] == len(pa.splittings) > 0
+        # one separator question per level set the sweep meets, and one
+        # weights question per surviving node that has children (every
+        # surviving node before T); balanced questions are answered without
+        # an LP, so the questions, not the LPs, are what must be asked
+        level_sets = sum(
+            len({pa.nodes[t - 1][i] for i in _survivors_at(pa, t)}) for t in range(1, m.T + 1)
+        )
+        assert asked["maximal_separator"] == level_sets > 0
         surviving_nodes = sum(len({row[i] for i in pa.omega_star}) for row in pa.nodes[: m.T])
         assert asked["convex_combination_for_zero"] == surviving_nodes
         assert (surviving_nodes > 0) == bool(report["omega_star"])
