@@ -484,7 +484,9 @@ def load_strategy(m: Market, source: Union[str, Path, dict]) -> Strategy:
 
     ``positions`` maps each period "1".."T" to a table from comma-joined
     scenario ids to a d-vector of rationals; periods left out hold zero, and
-    any other key is a format error.
+    any other key is a format error.  So is a key that names a scenario
+    twice, or two keys of one period that name the same scenarios, which a
+    table from scenario sets would silently merge.
     """
     doc = _read_document(source, "strategy document")
     table = _expect(doc.get("positions", {}), dict, "strategy positions")
@@ -496,21 +498,31 @@ def load_strategy(m: Market, source: Union[str, Path, dict]) -> Strategy:
     for t in range(1, m.T + 1):
         where = f"strategy period {t}"
         pos = {}
+        key_of = {}
         for key, vec_ in _expect(table.get(str(t), {}), dict, where).items():
             atom = set()
             for sid in _expect(key, str, f"{where} atom").split(","):
                 try:
-                    atom.add(m.index_of(sid))
+                    i = m.index_of(sid)
                 except KeyError:
                     raise MarketFormatError(
                         f"{where} references unknown scenario {sid!r}"
                     ) from None
+                if i in atom:
+                    raise MarketFormatError(f"{where} atom {key!r} names {sid!r} twice")
+                atom.add(i)
+            atom = frozenset(atom)
+            if atom in key_of:
+                raise MarketFormatError(
+                    f"{where} atoms {key_of[atom]!r} and {key!r} name the same scenarios"
+                )
+            key_of[atom] = key
             vec_ = _expect(vec_, list, f"{where} position of {key!r}")
             if len(vec_) != m.d:
                 raise MarketFormatError(
                     f"{where} position of {key!r} has length {len(vec_)}, expected d={m.d}"
                 )
-            pos[frozenset(atom)] = tuple(_parse_rat(x, where) for x in vec_)
+            pos[atom] = tuple(_parse_rat(x, where) for x in vec_)
         positions.append(pos)
     try:
         return Strategy(tuple(positions))

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 from .errors import DomainError, InternalError
 from .market import DiscreteMeasure, Market
-from .ratgeom import convex_combination_for_zero, over_common_denominator
+from .ratgeom import convex_combination_for_zero
 from .splitter import PolarAnalysis
 
 _ZERO = Fraction(0)
@@ -106,14 +106,14 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
         for k, mass in frontier:
             kids = children[k]
             try:
-                lam = convex_combination_for_zero([increments[c] for c in kids])
+                nums, lam_den = convex_combination_for_zero([increments[c] for c in kids])
             except DomainError as exc:
                 i = next(i for i in star if up[i] == k)
                 raise InternalError(
                     f"surviving node of {m.scenarios[i].id!r} at time {t - 1} "
                     f"has no strictly positive martingale weights"
                 ) from exc
-            splits.append((mass, kids, *over_common_denominator(lam)))
+            splits.append((mass, kids, nums, lam_den))
         step = lcm(*(split[-1] for split in splits))
         den *= step
         frontier = [

@@ -9,20 +9,21 @@ ties broken by lowest leaving column index), which makes every result both
 terminating and bit-reproducible.
 
 The solver takes exactly the programs arbscan builds: rows ``=`` or ``>=``
-over variables that are free, nonnegative or capped in [0, u].  It is a
-bounded-variable simplex (Dantzig 1955): a capped variable is a column with
-no row, held at either bound while nonbasic, so a capped slack costs no
-tableau row.  The tableau is fraction-free: each row keeps integer
-numerators over one positive row denominator, reduced by their gcd, so it
-holds the same rationals as a ``Fraction`` tableau would, and ``Fraction``s
-appear only where results are read off.  Infeasible programs come back with
-a Farkas certificate over the constraints and one row -x_j >= -u_j per cap,
+over variables that are free, nonnegative or capped in [0, 1], the one cap
+of the maximal-strict-set slacks.  It is a bounded-variable simplex
+(Dantzig 1955): a capped variable is a column with no row, held at either
+bound while nonbasic, so a capped slack costs no tableau row.  The tableau
+is fraction-free: each row keeps integer numerators over one positive row
+denominator, reduced by their gcd, so it holds the same rationals as a
+``Fraction`` tableau would, and ``Fraction``s appear only where results are
+read off.  Infeasible programs come back with
+a Farkas certificate over the constraints and one row -x_j >= -1 per cap,
 that callers can re-verify with :func:`verify_farkas_certificate`.
 
 An ``int`` is as exact as the equal ``Fraction`` and far cheaper to add,
 compare and hash, so the LPs built here and in ``oracle`` hold ``int``s
 wherever a number is integral: the structural 0, +-1, counts, right-hand
-sides and bounds, and the increments of integral prices.  The tableau
+sides and caps, and the increments of integral prices.  The tableau
 scales each row by the lcm of its denominators, which is 1 for ``3`` and
 for ``Fraction(3)`` alike, so both give the same integer tableau, the same
 pivots and bit-identical results.
@@ -110,11 +111,12 @@ class LinearProgram:
 
     Each row's relation is ``EQ`` or ``GE``.  ``bounds`` holds one (lower,
     upper) pair per variable, of one of three kinds: free ``(None, None)``,
-    nonnegative ``(0, None)`` or capped ``(0, u)`` with u >= 0; ``None``
-    stands for every variable free.  A capped variable adds no constraint
-    row, and the Farkas certificate of an infeasible program covers each cap
-    as a row -x_j >= -u_j (see :func:`expanded_rows`).  :func:`lp_solve`
-    rejects any other relation or bound with ``ValueError``.
+    nonnegative ``(0, None)`` or capped ``(0, 1)``; ``None`` stands for
+    every variable free.  A capped variable adds no constraint row, and the
+    Farkas certificate of an infeasible program covers each cap as a row
+    -x_j >= -1 (see :func:`expanded_rows`).  :func:`lp_solve` rejects any
+    other relation or bound, a cap other than 1 included, with
+    ``ValueError``.
     """
 
     objective: Vec
@@ -169,17 +171,16 @@ def _validate(lp: LinearProgram) -> None:
     for j, pair in enumerate(lp.bounds):
         _check_exact((b for b in pair if b is not None), f"bounds of variable {j}")
         lo, hi = pair
-        if not (lo is None and hi is None or lo == 0 and (hi is None or hi >= 0)):
+        if not (lo is None and hi is None or lo == 0 and (hi is None or hi == 1)):
             raise ValueError(
-                f"bounds of variable {j} are {pair!r}; "
-                "use (None, None), (0, None) or (0, u) with u >= 0"
+                f"bounds of variable {j} are {pair!r}; use (None, None), (0, None) or (0, 1)"
             )
 
 
 def expanded_rows(lp: LinearProgram) -> list[tuple[Vec, str, Fraction]]:
     """The constraint system of the Farkas verifier.
 
-    The constraints in order, then one row -x_j >= -u_j per capped variable,
+    The constraints in order, then one row -x_j >= -1 per capped variable,
     in variable order.  Nonnegativity is the variable's domain, not a row.
     The solver keeps no cap row; it builds this system only to check the
     certificate of an infeasible program.
@@ -188,7 +189,7 @@ def expanded_rows(lp: LinearProgram) -> list[tuple[Vec, str, Fraction]]:
     rows = list(lp.constraints)
     for j, (_lo, hi) in enumerate(lp.bounds):
         if hi is not None:
-            rows.append((tuple(-1 if i == j else 0 for i in range(n)), GE, -hi))
+            rows.append((tuple(-1 if i == j else 0 for i in range(n)), GE, -1))
     return rows
 
 
@@ -240,13 +241,12 @@ class _Tableau:
     holds exactly the rationals of a ``Fraction`` tableau at every step.  The
     objective row ``obj`` over ``obj_den`` is kept the same way.
 
-    A capped variable's column carries its cap u, ``cap[c]`` as (numerator,
-    denominator), in place of a row.  A column at its cap is held as the
-    substitution x = u - x': its entries are negated and u times them moves
-    to the right-hand sides, so every nonbasic column sits at 0 and the
+    A capped variable's column is marked in ``cap`` in place of a row.  A
+    column at its cap 1 is held as the substitution x = 1 - x': its entries
+    are negated and subtracted from the right-hand sides, in place and with
+    no change to any row's gcd.  So every nonbasic column sits at 0 and the
     right-hand sides stay the basic values.  ``flipped[c]`` records which
-    columns stand for u - x.  A flip multiplies a row by u's denominator, so
-    the rows stay integer.
+    columns stand for 1 - x.
     """
 
     def __init__(self, lp: LinearProgram, live: list[int]):
@@ -295,10 +295,9 @@ class _Tableau:
         self.ncols = c
         self.art_set = frozenset(art_col.values())
 
-        self.cap: list[Optional[tuple[int, int]]] = [None] * c
-        for (_lo, u), (plus, _minus) in zip(lp.bounds, col_of_var):
-            if u is not None:
-                self.cap[plus] = (u.numerator, u.denominator)
+        self.cap = [False] * c
+        for (_lo, hi), (plus, _minus) in zip(lp.bounds, col_of_var):
+            self.cap[plus] = hi is not None
         self.flipped = [False] * c
 
         body = []
@@ -363,36 +362,26 @@ class _Tableau:
         self.basis[r] = pc
 
     def _flip(self, c: int) -> None:
-        """Move nonbasic column ``c`` to its other bound: a flip, no pivot."""
-        p, q = self.cap[c]
-        body, dens = self.body, self.den
-        for i, row in enumerate(body):
-            if row[c]:
-                body[i], dens[i] = _substitute(row, dens[i], c, p, q)
-        if self.obj[c]:
-            self.obj, self.obj_den = _substitute(self.obj, self.obj_den, c, p, q)
+        """Move nonbasic column ``c`` to its other bound, in place: a flip, no pivot."""
+        for row in self.body + [self.obj]:
+            a = row[c]
+            if a:
+                row[-1] -= a
+                row[c] = -a
         self.flipped[c] = not self.flipped[c]
 
     def _flip_basic(self, r: int) -> None:
-        """Re-express row ``r``'s basic variable x as u - x' before it leaves at u.
+        """Re-express row ``r``'s basic variable x as 1 - x' before it leaves at 1.
 
         Other rows and the objective have 0 in a basic column, so only row
-        ``r`` changes: den x + a.y = b becomes den x' - a.y = den u - b.
+        ``r`` changes: den x + a.y = b becomes den x' - a.y = den - b, over
+        the same denominator and gcd.
         """
         c = self.basis[r]
-        p, q = self.cap[c]
-        row, den = self.body[r], self.den[r]
-        b = row[-1]
-        row = [-q * v for v in row]
-        row[c] = den * q
-        row[-1] = den * p - q * b
-        den *= q
-        if q != 1:
-            g = gcd(den, *row)
-            if g != 1:
-                row = [v // g for v in row]
-                den //= g
-        self.body[r], self.den[r] = row, den
+        den = self.den[r]
+        row = self.body[r] = [-v for v in self.body[r]]
+        row[c] = den
+        row[-1] += den
         self.flipped[c] = not self.flipped[c]
 
     def _simplex(self, ncand: int) -> str:
@@ -416,20 +405,19 @@ class _Tableau:
             # each step length is num/den with den > 0; row denominators
             # cancel, so steps compare crosswise.  best_r is -1 for none yet
             # and -2 for the entering column's own flip.
-            u = cap[pc]
-            if u is None:
+            if cap[pc]:
+                best_r, best_n, best_d, best_key = -2, 1, 1, pc
+            else:
                 best_r = -1
                 best_n = best_d = best_key = 0
-            else:
-                best_r, (best_n, best_d), best_key = -2, u, pc
             best_up = False
             for r, row in enumerate(body):
                 a = row[pc]
                 if a > 0:
                     num, den, up = row[-1], a, False
-                elif a and (u := cap[basis[r]]) is not None:
-                    # the basic variable rises to its cap u = p/q
-                    num, den, up = u[0] * dens[r] - u[1] * row[-1], -a * u[1], True
+                elif a and cap[basis[r]]:
+                    # the basic variable rises to its cap 1
+                    num, den, up = dens[r] - row[-1], -a, True
                 else:
                     continue
                 if best_r != -1:
@@ -488,7 +476,7 @@ class _Tableau:
                 c_unit = -1 if unit in self.art_set else 0
                 y[idx] = self.sigma[k] * (c_unit - Fraction(obj[unit], den))
             # a column at its cap has reduced cost d = -obj >= 0 there; -d on
-            # its row -x_j >= -u_j makes its entry of the combined row exactly 0
+            # its row -x_j >= -1 makes its entry of the combined row exactly 0
             for (_lo, hi), (c, _minus) in zip(self.lp.bounds, self.col_of_var):
                 if hi is not None:
                     y.append(Fraction(obj[c], den) if self.flipped[c] else _ZERO)
@@ -535,10 +523,10 @@ class _Tableau:
         for b, row, den in zip(self.basis, self.body, self.den):
             value_of[b] = Fraction(row[-1], den)
         out = []
-        for (_lo, hi), (plus, minus) in zip(self.lp.bounds, self.col_of_var):
+        for plus, minus in self.col_of_var:
             x = value_of.get(plus, _ZERO)
             if self.flipped[plus]:
-                x = hi - x
+                x = _ONE - x
             if minus is not None:
                 x -= value_of.get(minus, _ZERO)
             out.append(x)
@@ -564,28 +552,6 @@ def _eliminate(row, den, prow, pd, pc, nz):
         if g != 1:
             row = [v // g for v in row]
             den //= g
-    return row, den
-
-
-def _substitute(row, den, c, p, q):
-    """Substitute x_c = p/q - x'_c in ``row``/``den``.
-
-    Column ``c`` changes sign and a_c * p/q leaves the right-hand side.  With
-    q == 1 only those two entries change, in place, and the gcd stays 1.
-    """
-    a = row[c]
-    if q == 1:
-        row[-1] -= a * p
-        row[c] = -a
-        return row, den
-    row = [q * v for v in row]
-    row[-1] -= a * p
-    row[c] = -a * q
-    den *= q
-    g = gcd(den, *row)
-    if g != 1:
-        row = [v // g for v in row]
-        den //= g
     return row, den
 
 
@@ -736,8 +702,12 @@ def cone_ri_contains_zero(points: Sequence[Vec]) -> bool:
     return maximal_separator(points) is None
 
 
-def convex_combination_for_zero(points: Sequence[Vec]) -> tuple[Fraction, ...]:
+def convex_combination_for_zero(points: Sequence[Vec]) -> tuple[list[int], int]:
     """Strictly positive weights summing to 1 with sum(w_i x_i) = 0, min weight maximal.
+
+    The weights come as w_i = nums[i] / den: ``int`` numerators over one
+    positive denominator, in lowest terms, as :func:`over_common_denominator`
+    makes them.
 
     The max-min LP over the weights w and a floor s is: maximize s subject
     to sum(w) = 1, sum(w_i x_i) = 0 and w_i >= s >= 0.  A strictly positive
@@ -756,16 +726,15 @@ def convex_combination_for_zero(points: Sequence[Vec]) -> tuple[Fraction, ...]:
     Points that sum to zero get the equal weights 1/n without an LP, and
     they are the LP's unique optimum.  Proof: they are feasible with floor
     1/n, and weights summing to 1 have min w <= 1/n, with equality only when
-    every w_i = 1/n.  Either way the weights are re-checked exactly before
-    they are returned, on ``int`` numerators over one denominator: 1 over n
-    for the equal weights, so no ``Fraction`` is read back for them.
+    every w_i = 1/n.  Either way the weights are re-checked exactly on the
+    numerators they are returned as: 1 over n for the equal weights, so no
+    ``Fraction`` is read back for them.
     """
     _check_dims(points)
     n = len(points)
     coords = list(zip(*points))  # coords[k] holds x_ik for every point i
     sums = [sum(coord) for coord in coords]
     if not any(sums):
-        w = (Fraction(1, n),) * n
         nums, den = [1] * n, n
     else:
         # columns: s first, then r; on one-period 16-scenario trees this LP
@@ -784,14 +753,13 @@ def convex_combination_for_zero(points: Sequence[Vec]) -> tuple[Fraction, ...]:
                 certificate=None if sep is None else sep[0],
             )
         s = res.solution[0]
-        w = tuple(s + r for r in res.solution[1:])
-        nums, den = over_common_denominator(w)
+        nums, den = over_common_denominator([s + r for r in res.solution[1:]])
     # the exact re-check: w > 0, sum(w) = 1 and sum(w_i x_i) = 0, on the
-    # weights' int numerators, which scale each sum alike and keep its zero
+    # int numerators, which scale each sum alike and keep its zero
     if not (
         min(nums) > 0
         and sum(nums) == den
         and all(sum(map(mul, nums, coord)) == 0 for coord in coords)
     ):
         raise InternalError("zero-combination weights fail their exact re-check")
-    return w
+    return nums, den

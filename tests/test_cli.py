@@ -439,6 +439,15 @@ _MALFORMED = {
     "strategy-unknown-scenario": (SVU_DOC, '{"positions": {"1": {"w1,zz": ["1"]}}}', "unknown scenario 'zz'"),
     "strategy-float-position": (SVU_DOC, '{"positions": {"1": {"w1": [0.5]}}}', "not a rational"),
     "strategy-invalid-json": (SVU_DOC, '{"positions": ', "not valid JSON"),
+    # a table from scenario sets would keep only the last of these positions
+    "strategy-same-atom-twice": (
+        SVU_DOC,
+        '{"positions": {"1": {"w1,w2": ["1"], "w2,w1": ["-1"]}}}',
+        "atoms 'w1,w2' and 'w2,w1' name the same scenarios",
+    ),
+    "strategy-scenario-twice-in-atom": (
+        SVU_DOC, '{"positions": {"1": {"w1,w1": ["1"]}}}', "atom 'w1,w1' names 'w1' twice"
+    ),
     # SVU has T = 2, so only "1" and "2" are periods
     **{
         f"strategy-period-{key}": (

@@ -1,10 +1,14 @@
-"""Every name a module of ``src/arbscan`` imports is used in that module.
+"""Every name a module of ``src/arbscan`` imports is used in that module,
+and every private function or class it defines is read somewhere in the
+package.
 
 A name counts as used when the module reads it (an ``ast.Name`` anywhere,
 annotations included) or lists it in ``__all__``.  ``from __future__``
 imports are directives, not names, and are skipped.  An import left behind
 when the code that read it moves away, such as ``atoms_of`` in a module that
-no longer groups atoms, fails here.
+no longer groups atoms, fails here.  So does a helper left behind when its
+last caller goes, such as a row-rewriting ``_substitute`` in a solver that
+no longer needs it.
 """
 
 from __future__ import annotations
@@ -52,3 +56,63 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text("utf-8")) == []
+
+
+def unread_private_definitions(sources: dict[str, str]) -> list[str]:
+    """The module-level private functions and classes no module reads, as "module.name".
+
+    ``sources`` maps module names to their text.  A definition is read when
+    its own module reads the name, another module imports it by name from
+    that module, or any module reads an attribute of that name.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    names: dict[str, set[str]] = {module: set() for module in trees}
+    imported: set[tuple[str, str]] = set()
+    attributes: set[str] = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names[module].add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                source = node.module.rpartition(".")[2]
+                imported.update((source, a.name) for a in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            if name in names[module] or (module, name) in imported or name in attributes:
+                continue
+            unread.append(f"{module}.{name}")
+    return unread
+
+
+def test_the_check_finds_an_unread_private_definition():
+    sources = {
+        "ratgeom": (
+            "def _pivot(row): return row\n"
+            "def _substitute(row): return row\n"
+            "class _Tableau:\n"
+            "    def flip(self, row): return _pivot(row)\n"
+            "def _farkas_holds(lp): return lp\n"
+            "def _eliminate(row): return row\n"
+            "def __getattr__(name): raise AttributeError(name)\n"
+        ),
+        "oracle": (
+            "from .ratgeom import _farkas_holds\n"
+            "from . import ratgeom\n"
+            "def _unused(): return _farkas_holds(ratgeom._eliminate(1))\n"
+            "def public(): return ratgeom._Tableau\n"
+        ),
+    }
+    assert unread_private_definitions(sources) == ["ratgeom._substitute", "oracle._unused"]
+
+
+def test_every_private_definition_is_read():
+    sources = {path.stem: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_definitions(sources) == []

@@ -276,8 +276,8 @@ def test_node_weights_in_the_wrong_order_are_caught(monkeypatch, tmp_path, capsy
     weights = measures.convex_combination_for_zero
 
     def reversed_on_the_first_node(points):
-        w = weights(points)
-        return w[::-1] if list(points) == [(1,), (-2,)] else w
+        nums, den = weights(points)
+        return (nums[::-1], den) if list(points) == [(1,), (-2,)] else (nums, den)
 
     monkeypatch.setattr(measures, "convex_combination_for_zero", reversed_on_the_first_node)
     with pytest.raises(InternalError, match="not a martingale measure"):

@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -58,8 +59,8 @@ def test_single_constraint_optimum():
 
 
 def test_contradictory_bounds_infeasible():
-    # x >= 1 against the cap x <= 0; the certificate covers the cap as -x >= 0
-    lp = LinearProgram((F(1),), (((F(1),), GE, F(1)),), ((F(0), F(0)),))
+    # x >= 2 against the cap x <= 1; the certificate covers the cap as -x >= -1
+    lp = LinearProgram((F(1),), (((F(1),), GE, F(2)),), ((F(0), F(1)),))
     res = lp_solve(lp)
     assert res.status == INFEASIBLE
     assert res.certificate == (F(-1), F(-1))
@@ -75,7 +76,7 @@ def test_contradictory_bounds_infeasible():
 def test_zero_row_certificate(rel, rhs, sign):
     # a row with no coefficient is infeasible on its own; the certificate
     # charges it alone, and the cap row after it takes 0
-    lp = LinearProgram((F(1),), (((F(1),), GE, F(0)), ((F(0),), rel, rhs)), ((F(0), F(2)),))
+    lp = LinearProgram((F(1),), (((F(1),), GE, F(0)), ((F(0),), rel, rhs)), ((F(0), F(1)),))
     res = lp_solve(lp)
     assert res.status == INFEASIBLE
     assert res.certificate == (F(0), F(sign), F(0))
@@ -96,7 +97,7 @@ def test_arity_mismatch_is_structural():
 @pytest.mark.parametrize("bad", [0.1, 1.0, True, False, Decimal("1")])
 @pytest.mark.parametrize("where", ["objective", "coefficient", "rhs", "lower", "upper"])
 def test_inexact_numbers_rejected(where, bad):
-    objective, coeffs, rhs, lower, upper = (F(1),), (F(1),), F(1), F(0), F(3)
+    objective, coeffs, rhs, lower, upper = (F(1),), (F(1),), F(1), F(0), F(1)
     if where == "objective":
         objective = (bad,)
     elif where == "coefficient":
@@ -122,10 +123,13 @@ def test_inexact_numbers_rejected(where, bad):
         (GE, (None, 5)),
         (GE, (0, -1)),
         (GE, (-1, None)),
+        (GE, (0, 0)),
+        (GE, (0, 2)),
+        (GE, (0, F(1, 2))),
     ],
 )
 def test_outside_the_contract_rejected(relation, bound):
-    # rows are = or >=; each variable is free, nonnegative or capped in [0, u]
+    # rows are = or >=; each variable is free, nonnegative or capped in [0, 1]
     lp = LinearProgram((F(1),), (((F(1),), relation, F(0)),), (bound,))
     with pytest.raises(ValueError):
         lp_solve(lp)
@@ -197,8 +201,9 @@ def test_determinism_bit_identical():
             ((F(-1), F(-1), F(-1)), GE, F(-4)),
             ((F(1), F(-1), F(0)), GE, F(-2)),
             ((F(0), F(1), F(2)), EQ, F(1)),
+            ((F(0), F(0), F(-1)), GE, F(-3)),
         ),
-        bounds=((F(0), None), (None, None), (F(0), F(3))),
+        bounds=((F(0), None), (None, None), (F(0), None)),
     )
     first = lp_solve(lp)
     for _ in range(3):
@@ -258,11 +263,8 @@ def _rat_coeff():
     return st.builds(F, st.integers(min_value=-9, max_value=9), st.integers(1, 9))
 
 
-def _bounds(cap):
-    """Free, nonnegative and capped [0, u] variables, u drawn by ``cap``."""
-    return st.one_of(
-        st.just((None, None)), st.just((F(0), None)), st.tuples(st.just(F(0)), cap)
-    )
+# every cap is 1, as in the maximal-strict-set slacks arbscan builds
+_bounds = st.sampled_from([(None, None), (F(0), None), (F(0), F(1))])
 
 
 @st.composite
@@ -276,8 +278,7 @@ def _random_lp(draw):
         rhs = draw(_rat_coeff())
         constraints.append((coeffs, rel, rhs))
     objective = tuple(draw(_rat_coeff()) for _ in range(n))
-    cap = st.builds(F, st.integers(0, 45), st.integers(1, 9))
-    bounds = tuple(draw(_bounds(cap)) for _ in range(n))
+    bounds = tuple(draw(_bounds) for _ in range(n))
     return LinearProgram(objective, tuple(constraints), bounds)
 
 
@@ -347,19 +348,18 @@ def test_random_lps_match_scipy(lp):
 
 
 # ---------------------------------------------------------------------------
-# Native caps: variables in [0, u] take no row
+# Native caps: variables in [0, 1] take no row
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def _capped_lp(draw):
-    """Mostly variables in [0, u], u fractional and sometimes 0, and a few
-    nonnegative or free; GE rows with positive right-hand sides beyond the
-    caps make part of the programs infeasible."""
+    """Mostly variables in [0, 1], and a few nonnegative or free; GE rows
+    with positive right-hand sides beyond the caps make part of the programs
+    infeasible."""
     n = draw(st.integers(1, 5))
-    cap = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 9), st.integers(1, 4)))
-    capped = st.tuples(st.just(F(0)), cap)
-    bounds = [draw(st.one_of(capped, capped, _bounds(cap))) for _ in range(n)]
+    capped = st.just((F(0), F(1)))
+    bounds = [draw(st.one_of(capped, capped, _bounds)) for _ in range(n)]
     constraints = []
     for _ in range(draw(st.integers(1, 4))):
         coeffs = tuple(draw(_rat_coeff()) for _ in range(n))
@@ -369,7 +369,7 @@ def _capped_lp(draw):
 
 
 def _caps_as_rows(lp):
-    """The same program with every cap as an explicit row -x_j >= -u_j."""
+    """The same program with every cap as an explicit row -x_j >= -1."""
     n = len(lp.objective)
     rows = list(lp.constraints)
     bounds = []
@@ -444,18 +444,27 @@ def test_int_and_fraction_lps_agree(lp):
     assert by_int == by_fraction
 
 
-def test_native_caps_reach_both_answers():
-    # a cap the objective pushes against, and caps too small for a row
-    lp = LinearProgram((F(1), F(1)), (((F(-1), F(-2)), GE, F(-3)),), ((F(0), F(1, 2)), (F(0), F(5, 3))))
+def test_native_caps_reach_both_answers(monkeypatch):
+    # maximize x1 + x2 with x1/3 + 2 x2 >= 1: x1 enters and stops at its own
+    # cap 1 (a flip), x2 enters at 1/3, and in phase 2 the surplus raises
+    # the basic x2 until it leaves at its cap 1
+    flips = []
+    for name in ("_flip", "_flip_basic"):
+        real = getattr(_Tableau, name)
+        spy = lambda self, k, name=name, real=real: flips.append(name) or real(self, k)
+        monkeypatch.setattr(_Tableau, name, spy)
+    lp = LinearProgram((F(1), F(1)), (((F(1, 3), F(2)), GE, F(1)),), ((F(0), F(1)),) * 2)
     res = lp_solve(lp)
+    assert flips == ["_flip", "_flip_basic"]
     assert res.status == OPTIMAL
-    assert res.solution == (F(1, 2), F(5, 4))
-    assert res.objective_value == F(7, 4)
-    lp = LinearProgram((F(0), F(0)), (((F(1), F(1)), GE, F(2)),), ((F(0), F(1, 2)), (F(0), F(1))))
+    assert res.solution == (F(1), F(1))
+    assert res.objective_value == 2
+    # caps too small for a row: x1/2 + x2 <= 3/2 < 2
+    lp = LinearProgram((F(0), F(0)), (((F(1, 2), F(1)), GE, F(2)),), ((F(0), F(1)),) * 2)
     res = lp_solve(lp)
     assert res.status == INFEASIBLE
-    # over expanded_rows: the GE row, then the two cap rows -x_j >= -u_j
-    assert res.certificate == (F(-1), F(-1), F(-1))
+    # over expanded_rows: the GE row, then the two cap rows -x_j >= -1
+    assert res.certificate == (F(-1), F(-1, 2), F(-1))
     assert verify_farkas_certificate(lp, res.certificate)
 
 
@@ -562,7 +571,15 @@ def test_one_maximal_separator_leaves_a_strictly_balanced_residual(points):
     rest = [p for i, p in enumerate(points) if i not in strict]
     if rest:
         assert maximal_separator(rest) is None
-        assert _is_zero_combination(convex_combination_for_zero(rest), rest)
+        assert _is_zero_combination(_weights(rest), rest)
+
+
+def _weights(points):
+    """``convex_combination_for_zero(points)`` as ``Fraction``s, its pair checked in lowest terms."""
+    nums, den = convex_combination_for_zero(points)
+    assert all(type(v) is int for v in nums) and type(den) is int
+    assert den > 0 and gcd(den, *nums) == 1
+    return tuple(F(v, den) for v in nums)
 
 
 def _is_zero_combination(lam, points):
@@ -584,9 +601,9 @@ def test_convex_combination_examples():
         [(F(3, 2), F(-1)), (F(-1, 2), F(1, 3)), (F(-1, 2), F(1, 3))],
     ]
     for points in cases:
-        assert _is_zero_combination(convex_combination_for_zero(points), points)
+        assert _is_zero_combination(_weights(points), points)
     # the smallest weight is as large as possible: 2w1 = w2, w3 >= w1
-    assert convex_combination_for_zero(cases[2]) == (F(1, 4), F(1, 2), F(1, 4))
+    assert convex_combination_for_zero(cases[2]) == ([1, 2, 1], 4)
 
 
 def test_convex_combination_precondition_error():
@@ -611,7 +628,7 @@ def test_convex_combination_exactness(points):
         with pytest.raises(DomainError):
             convex_combination_for_zero(points)
         return
-    assert _is_zero_combination(convex_combination_for_zero(points), points)
+    assert _is_zero_combination(_weights(points), points)
 
 
 def _max_min_literal(points):
@@ -652,7 +669,7 @@ def test_convex_combination_matches_max_min_literal(points):
         with pytest.raises(DomainError):
             convex_combination_for_zero(points)
         return
-    lam = convex_combination_for_zero(points)
+    lam = _weights(points)
     assert _is_zero_combination(lam, points)
     # the optimal vertex may differ; the largest minimum weight may not
     assert min(lam) == min(literal)
@@ -679,7 +696,7 @@ def test_convex_combination_is_one_lp_with_1_plus_d_rows(monkeypatch):
     ]
     for points, balanced in cases:
         solved.clear()
-        lam = convex_combination_for_zero(points)
+        lam = _weights(points)
         assert _is_zero_combination(lam, points)
         if balanced:
             assert not solved
@@ -758,7 +775,7 @@ def test_balanced_points_are_answered_without_an_lp(points, balance):
             with pytest.raises(DomainError):
                 convex_combination_for_zero(points)
         else:
-            assert convex_combination_for_zero(points) == weights
+            assert _weights(points) == weights
             assert len(solved) == (0 if balanced else 1)
 
 
