@@ -220,7 +220,7 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     n = m.n
     witness = pa.full_support
 
-    uniform = DiscreteMeasure(dict.fromkeys(range(n), Fraction(1, n)))
+    uniform = DiscreteMeasure.from_numerators(dict.fromkeys(range(n), 1), n)
     one_point = SignificantClass("1p", tuple(map(frozenset, zip(range(n)))))
     declared = tuple(s for cls in m.classes.values() for s in cls.sets)
     open_like = SignificantClass("open-like", one_point.sets + declared)

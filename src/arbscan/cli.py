@@ -24,6 +24,7 @@ from .arbitrage import (
 )
 from .errors import DomainError, InternalError, MarketFormatError
 from .market import (
+    DiscreteMeasure,
     Market,
     SignificantClass,
     Strategy,
@@ -51,10 +52,21 @@ def _vec_json(v) -> list[str]:
     return [str(x) for x in v]
 
 
-def _weights_json(m: Market, weights) -> dict[str, str]:
-    """A measure's weights by scenario id; a ``DiscreteMeasure`` holds no zero weight."""
-    ids = m.scenario_ids
-    return {ids[i]: str(w) for i, w in sorted(weights.items())}
+def _weights_json(m: Market, q: DiscreteMeasure) -> dict[str, str]:
+    """A measure's weights by scenario id; a ``DiscreteMeasure`` holds no zero weight.
+
+    Equal weights have equal ``int`` numerators over ``q.denominator``, so
+    each distinct numerator's weight is formatted once.
+    """
+    ids, weights = m.scenario_ids, q.weights
+    text: dict[int, str] = {}
+    out = {}
+    for i, k in sorted(q.numerators.items()):
+        s = text.get(k)
+        if s is None:
+            s = text[k] = str(weights[i])
+        out[ids[i]] = s
+    return out
 
 
 def strategy_json(m: Market, h: Strategy) -> dict:
@@ -67,7 +79,7 @@ def strategy_json(m: Market, h: Strategy) -> dict:
 def _verdict_json(m: Market, verdict: Verdict) -> dict:
     cert: dict = {"note": verdict.detail}
     if verdict.certificate_measure is not None:
-        cert["measure"] = _weights_json(m, verdict.certificate_measure.weights)
+        cert["measure"] = _weights_json(m, verdict.certificate_measure)
     return {
         "kind": verdict.kind,
         "class": m.ids(verdict.witness_class) if verdict.witness_class is not None else None,
@@ -124,7 +136,7 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
         "enlarged_filtration": {str(t): _atoms_json(m, enlarged[t]) for t in range(m.T + 1)},
         "measures": {
             "full_support": (
-                None if feas.full_support is None else _weights_json(m, feas.full_support.weights)
+                None if feas.full_support is None else _weights_json(m, feas.full_support)
             ),
         },
         "classes": {
@@ -239,7 +251,7 @@ def cmd_measure(args) -> int:
         return 2
     pa = backward_eliminate(m)
     q = supporting_measure(m, pa, idx)
-    _emit({"scenario": args.support, "weights": _weights_json(m, q.weights)}, args.out)
+    _emit({"scenario": args.support, "weights": _weights_json(m, q)}, args.out)
     _summary([f"supporting measure for {args.support}"], args.summary)
     return 0
 

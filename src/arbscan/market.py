@@ -13,7 +13,9 @@ The re-checks that read only signs and masses stay on integers:
 :func:`terminal_values` gives V_T as ``int`` numerators over one
 denominator from the same valuation as :func:`value_process`, and a
 :class:`DiscreteMeasure` keeps its weights' ``int`` numerators over their
-common denominator, which :meth:`DiscreteMeasure.mass` sums.
+common denominator, which :meth:`DiscreteMeasure.mass` sums.  A measure
+whose weights are born as ``int`` numerators is built on them
+(:meth:`DiscreteMeasure.from_numerators`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul, sub
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, Union
@@ -101,6 +103,47 @@ class DiscreteMeasure:
         # repr are unchanged
         object.__setattr__(self, "numerators", dict(zip(w, nums)))
         object.__setattr__(self, "denominator", den)
+
+    @classmethod
+    def from_numerators(cls, nums: Mapping[int, int], den: int) -> DiscreteMeasure:
+        """The measure with weight ``nums[i] / den`` on scenario index i.
+
+        ``den`` must be a positive ``int`` and each numerator a nonnegative
+        ``int`` (not a ``bool``), summing to ``den``; anything else raises
+        MarketFormatError.  Zero numerators are dropped and the rest reduced
+        by their gcd with ``den``, so ``numerators`` and ``denominator`` are
+        the ones ``DiscreteMeasure(weights)`` would compute, and so are
+        ``==`` and ``repr``; only one ``Fraction`` is built per distinct
+        numerator.
+        """
+        if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
+            raise MarketFormatError(f"measure denominator {den!r} is not a positive int")
+        kept = {}
+        for i, k in nums.items():
+            if type(k) is not int and (isinstance(k, bool) or not isinstance(k, int)):
+                raise MarketFormatError(f"numerator on scenario index {i} is {k!r}; use an int")
+            if k:
+                if k < 0:
+                    raise MarketFormatError(f"negative weight on scenario index {i}")
+                kept[i] = k
+        if sum(kept.values()) != den:
+            raise MarketFormatError("weights do not sum to 1")
+        g = gcd(den, *kept.values())
+        if g != 1:
+            den //= g
+            kept = {i: k // g for i, k in kept.items()}
+        one: dict[int, Fraction] = {}  # the weight of each distinct numerator
+        weights = {}
+        for i, k in kept.items():
+            w = one.get(k)
+            if w is None:
+                w = one[k] = Fraction(k, den)
+            weights[i] = w
+        q = cls.__new__(cls)
+        object.__setattr__(q, "weights", weights)
+        object.__setattr__(q, "numerators", kept)
+        object.__setattr__(q, "denominator", den)
+        return q
 
     def __getitem__(self, i: int) -> Fraction:
         return self.weights.get(i, _ZERO)
@@ -373,11 +416,28 @@ def _expect(value, kind: type, where: str):
     return value
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object's key-value pairs as a dict; a repeated key raises MarketFormatError.
+
+    Plain ``json.loads`` keeps the last of two equal keys, which would drop
+    an entry before any later check could see it.
+    """
+    doc = dict(pairs)
+    if len(doc) != len(pairs):
+        seen = set()
+        for key, _value in pairs:
+            if key in seen:
+                raise MarketFormatError(f"key {key!r} appears twice in one JSON object")
+            seen.add(key)
+    return doc
+
+
 def _read_document(source: Union[str, Path, dict], what: str) -> dict:
     """The JSON object in ``source``: a dict, JSON text starting with "{", or a file path.
 
     A file that cannot be opened raises ``OSError``; content that is not a
-    JSON object raises MarketFormatError naming ``what``.
+    JSON object, or that repeats a key within one object, raises
+    MarketFormatError naming ``what``.
     """
     if isinstance(source, dict):
         doc = source
@@ -390,7 +450,9 @@ def _read_document(source: Union[str, Path, dict], what: str) -> dict:
             except UnicodeDecodeError as exc:
                 raise MarketFormatError(f"{what} is not UTF-8 text: {exc}") from exc
         try:
-            doc = json.loads(text)
+            doc = json.loads(text, object_pairs_hook=_unique_keys)
+        except MarketFormatError as exc:
+            raise MarketFormatError(f"{what}: {exc}") from None
         except (ValueError, RecursionError) as exc:
             raise MarketFormatError(f"{what} is not valid JSON: {exc}") from exc
     return _expect(doc, dict, what)

@@ -3,26 +3,30 @@
 A measure is a martingale measure iff, for every period and every node of the
 conditioning filtration, the weighted increments sum to zero exactly.  The
 full-support measure comes from one top-down walk of the analysis's node
-rows (``pa.nodes``) restricted to ``omega_star``.  At each node
-:func:`convex_combination_for_zero` gives the node's children strictly
-positive weights under which the mean increment is zero, with the smallest
-weight as large as possible.  Children whose increments sum to zero get the
-equal weights, the unique such answer, without an LP; any other node asks
-one LP with one row per asset plus one, none per child.  Either way the
-weights are re-checked exactly before they are returned.
+tree (``pa.parents`` and ``pa.increments``) over the surviving nodes only:
+the final nodes that hold a scenario of ``omega_star``, and their ancestors.
+At each node :func:`convex_combination_for_zero` gives the node's children
+strictly positive weights under which the mean increment is zero, with the
+smallest weight as large as possible.  Children whose increments sum to
+zero get the equal weights, the unique such answer, without an LP; any
+other node asks one LP with one row per asset plus one, none per child.
+Either way the weights are re-checked exactly before they are returned.
 A child's mass is its parent's mass times its weight; the masses of one
-level are ``int`` numerators over one common denominator, so no ``Fraction``
-is built until the weights are.  Backward elimination leaves 0 in the
-relative interior of every surviving level set's increment cone, so those
-weights exist, and the product is an exact martingale measure for the
-natural and the enlarged filtration whose support is exactly
-``omega_star``.  It charges every survivor, so it is also the measure
-returned for a single surviving scenario and for a class whose sets all
-meet ``omega_star``.  Callers read it as ``pa.full_support``, which builds
-it once per analysis.  The node re-checks do not see how node weights are
-assembled into scenario masses, so the finished measure is re-checked whole
-with :func:`check_martingale`, on the ``int`` numerators of its weights
-(``DiscreteMeasure.numerators``).
+level are ``int`` numerators over one common denominator, and the measure is
+built on its scenarios' numerators (``DiscreteMeasure.from_numerators``),
+so only one ``Fraction`` is built per distinct weight.  Backward elimination
+leaves 0 in the relative interior of every surviving level set's increment
+cone, so those weights exist, and the product is an exact martingale
+measure for the natural and the enlarged filtration whose support is
+exactly ``omega_star``.  It charges every survivor, so it is also the
+measure returned for a single surviving scenario and for a class whose sets
+all meet ``omega_star``.  Callers read it as ``pa.full_support``, which
+builds it once per analysis.  The node re-checks do not see how node
+weights are assembled into scenario masses, so the finished measure is
+re-checked whole on the node tree: its ``int`` numerators are summed per
+final node and rolled up through ``pa.parents``, one sum per node and
+period.  :func:`check_martingale` is the same check against any node rows,
+for any caller's measure.
 """
 
 from __future__ import annotations
@@ -75,6 +79,38 @@ def check_martingale(m: Market, q: DiscreteMeasure, rows: Sequence[Sequence[int]
     return True
 
 
+def _martingale_on_tree(pa: PolarAnalysis, q: DiscreteMeasure) -> bool:
+    """``check_martingale(pa.market, q, pa.nodes)``, read off the node tree.
+
+    ``q``'s ``int`` numerators are summed per final node in one pass; each
+    period's node masses are then rolled up to their parents
+    (``pa.parents``), and every parent's children must give
+    sum_c mass_c * ``pa.increments[t][c]`` = 0.  Scenarios of one natural
+    node share its increment, so this is the per-scenario check, summed per
+    node first.
+    """
+    m = pa.market
+    last = pa.nodes[m.T]
+    mass: dict[int, int] = {}
+    for i, w in q.numerators.items():
+        c = last[i]
+        mass[c] = mass.get(c, 0) + w
+    for t in range(m.T, 0, -1):
+        up, increments = pa.parents[t], pa.increments[t]
+        above: dict[int, int] = {}
+        totals: dict[int, list[int]] = {}
+        for c, w in mass.items():
+            k = up[c]
+            above[k] = above.get(k, 0) + w
+            total = totals.setdefault(k, [0] * m.d)
+            for j, x in enumerate(increments[c]):
+                total[j] += w * x
+        if any(any(total) for total in totals.values()):
+            return False
+        mass = above
+    return True
+
+
 def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasure]:
     """A martingale measure whose support is exactly ``omega_star`` (None if empty).
 
@@ -82,32 +118,43 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
     surviving node passes its mass to its surviving children in the
     proportions of :func:`convex_combination_for_zero` on their increments
     (``pa.increments``); a final group of identical paths splits its mass
-    evenly.  Nodes are the node ids of ``pa.nodes``, and a node survives when
-    it holds a scenario of ``omega_star``: per period, the rows of
-    ``omega_star`` group the surviving children by parent id, and each parent
-    passes its children to the LP in ascending node id.
+    evenly.  Nodes are the node ids of ``pa.nodes``.  One pass over
+    ``omega_star`` finds the surviving final nodes and their sizes; each
+    earlier period's surviving nodes are the parents (``pa.parents``) of the
+    later ones, grouped by parent from those node sets, and each parent
+    passes its children to the LP in ascending node id.  The measure is
+    built on ``int`` numerators over ``den * lcm(final node sizes)``, and
+    re-checked whole on the node tree.
     """
     star = sorted(pa.omega_star)
     if not star:
         return None
-    roots = sorted(set(map(pa.nodes[0].__getitem__, star)))
-    # (node, its mass's numerator) per surviving node, over one den per level
-    frontier = [(k, 1) for k in roots]
-    den = len(roots)
-    for t in range(1, m.T + 1):
-        up, row, increments = pa.nodes[t - 1], pa.nodes[t], pa.increments[t]
-        # each surviving child node's parent, then each parent's children in
-        # ascending id: one entry per node, not per scenario
-        parent = dict(zip(map(row.__getitem__, star), map(up.__getitem__, star)))
+    last = pa.nodes[m.T]
+    size = Counter(map(last.__getitem__, star))
+    # bottom-up: per period t = T..1, each surviving parent's surviving
+    # children in ascending id, from the node sets alone
+    level = sorted(size)
+    families: list[dict[int, list[int]]] = []
+    for t in range(m.T, 0, -1):
+        up = pa.parents[t]
         children: dict[int, list[int]] = {}
-        for c in sorted(parent):
-            children.setdefault(parent[c], []).append(c)
+        for c in level:
+            children.setdefault(up[c], []).append(c)
+        families.append(children)
+        level = sorted(children)
+    # top-down: (node, its mass's numerator) per surviving node, over one
+    # den per level
+    frontier = [(k, 1) for k in level]
+    den = len(level)
+    for t in range(1, m.T + 1):
+        children, increments = families[m.T - t], pa.increments[t]
         splits = []
         for k, mass in frontier:
             kids = children[k]
             try:
                 nums, lam_den = convex_combination_for_zero([increments[c] for c in kids])
             except DomainError as exc:
+                up = pa.nodes[t - 1]
                 i = next(i for i in star if up[i] == k)
                 raise InternalError(
                     f"surviving node of {m.scenarios[i].id!r} at time {t - 1} "
@@ -120,23 +167,16 @@ def full_support_measure(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasu
             (c, mass * w * (step // lam_den))
             for mass, kids, nums, lam_den in splits for c, w in zip(kids, nums)
         ]
-    # a final node's members share its mass evenly; equal shares, as on
-    # every ordinary node of a trinomial tree, are one Fraction
-    last = pa.nodes[m.T]
-    size = Counter(map(last.__getitem__, star))
-    shares: dict[tuple[int, int], Fraction] = {}
-    each: dict[int, Fraction] = {}
-    for c, mass in frontier:
-        key = (mass, size[c])
-        if key not in shares:
-            shares[key] = Fraction(mass, den * size[c])
-        each[c] = shares[key]
-    q = DiscreteMeasure({i: each[last[i]] for i in star})
+    # a final node's members share its mass evenly: over den * lcm(sizes),
+    # each member of node c holds mass_c * (lcm // size_c)
+    common = lcm(*size.values())
+    share = {c: mass * (common // size[c]) for c, mass in frontier}
+    q = DiscreteMeasure.from_numerators({i: share[last[i]] for i in star}, den * common)
     if q.support != pa.omega_star:
         raise InternalError("full-support measure does not charge exactly omega_star")
     # no node re-check sees how node weights become scenario masses, so the
     # finished measure is re-checked whole
-    if not check_martingale(m, q, pa.nodes):
+    if not _martingale_on_tree(pa, q):
         raise InternalError("full-support measure is not a martingale measure")
     return q
 

@@ -83,7 +83,10 @@ class PolarAnalysis:
     is the analysed market, ``nodes[t][i]`` the id of scenario i's node at
     time t (:func:`~arbscan.market.natural_nodes`; ids run in order of least
     member), ``increments[t][c]`` the price increment over (t-1, t] that
-    every scenario of node c at time t shares (``increments[0]`` is empty).
+    every scenario of node c at time t shares (``increments[0]`` is empty),
+    and ``parents[t][c]`` the id in ``nodes[t-1]`` of node c's parent
+    (``parents[0]`` is empty).  ``parents`` and ``increments`` are the node
+    tree: a walk over surviving nodes reads them, not the scenario rows.
     ``nodes`` is also the natural filtration wherever one is taken.
     The cached properties ``aggregator``, ``full_support`` and
     ``natural_arbitrage`` are built once, on first read, by
@@ -101,6 +104,7 @@ class PolarAnalysis:
     market: Market = field(compare=False, repr=False)
     nodes: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     increments: tuple[tuple[Vec, ...], ...] = field(compare=False, repr=False)
+    parents: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     rounds = 1
 
@@ -169,12 +173,14 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
     nodes = natural_nodes(m)
     # node ids run in order of least member, so a dict keyed by node id holds
     # them in id order; every member of a node, here its last, shares the
-    # node's price path up to t
+    # node's price path up to t and its parent node
     paths = [s.path for s in m.scenarios]
     increments: list[tuple[Vec, ...]] = [()]
+    parents: list[tuple[int, ...]] = [()]
     for t in range(1, m.T + 1):
         member = dict(zip(nodes[t], paths))
         increments.append(tuple([tuple(map(sub, p[t], p[t - 1])) for p in member.values()]))
+        parents.append(tuple(dict(zip(nodes[t], nodes[t - 1])).values()))
     events: list[Splitting] = []
 
     # (least member, node id, members) of each node at time t that has
@@ -215,6 +221,7 @@ def backward_eliminate(m: Market, within: Optional[Atom] = None) -> PolarAnalysi
         market=m,
         nodes=nodes,
         increments=tuple(increments),
+        parents=tuple(parents),
     )
 
 

@@ -333,6 +333,29 @@ def split_corpus_markets():
     return st.integers(0, 2**32 - 1).map(lambda seed: split_market(random.Random(seed)))
 
 
+def nested_trees():
+    """Tree(3, 3, 2) markets, one per drawn seed; their eliminations often fall at several periods."""
+    return st.integers(0, 2**32 - 1).map(
+        lambda seed: seeded_tree_market(random.Random(seed), 3, 3, 2)
+    )
+
+
+@st.composite
+def copied_paths(draw, markets):
+    """A market drawn from ``markets`` with one to four scenario copies appended under new ids.
+
+    A scenario drawn twice is copied twice, so final nodes of 2 or 3 (or
+    more) identical paths occur, and the full-support measure splits node
+    masses over the lcm of their sizes.
+    """
+    m = draw(markets)
+    copies = draw(st.lists(st.integers(0, m.n - 1), min_size=1, max_size=4))
+    extra = tuple(
+        Scenario(f"{m.scenarios[i].id}.{k}", m.scenarios[i].path) for k, i in enumerate(copies)
+    )
+    return Market(m.d, m.T, m.scenarios + extra)
+
+
 def seeded_tree_market(rng: random.Random, b: int, horizon: int, d: int) -> Market:
     """Complete Tree(b, horizon, d) with start prices 10, as the benchmark draws it.
 

@@ -434,6 +434,20 @@ def _scenario_not_object() -> dict:
     return doc
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that ``json.dumps`` writes with ``pairs`` as given, a repeated key too.
+
+    A file can repeat a key within one object, which no ``dict`` can hold.
+    """
+
+    def __init__(self, pairs):
+        super().__init__(pairs)
+        self.pairs = list(pairs)
+
+    def items(self):
+        return iter(self.pairs)
+
+
 # (market document or "dir", strategy document text or None, expected message)
 _MALFORMED = {
     "strategy-unknown-scenario": (SVU_DOC, '{"positions": {"1": {"w1,zz": ["1"]}}}', "unknown scenario 'zz'"),
@@ -457,6 +471,29 @@ _MALFORMED = {
         )
         for key in ("0", "7", "x")
     },
+    # plain json.loads keeps the last of two equal keys, dropping the first
+    "strategy-repeated-atom-key": (
+        SVU_DOC,
+        '{"positions": {"1": {"w1": ["1"], "w1": ["-1"]}}}',
+        "strategy document: key 'w1' appears twice in one JSON object",
+    ),
+    "strategy-repeated-period-key": (
+        SVU_DOC,
+        '{"positions": {"1": {"w1": ["1"]}, "1": {"w2": ["1"]}}}',
+        "key '1' appears twice",
+    ),
+    "probability-repeated-scenario-key": (
+        _svu_with(probabilities={"P": _RepeatedKeys([("w1", "1"), ("w1", "0"), ("w2", "1")])}),
+        None,
+        "market document: key 'w1' appears twice in one JSON object",
+    ),
+    "scenarios-key-twice": (
+        _RepeatedKeys(
+            [("d", 1), ("T", 2), ("scenarios", SVU_DOC["scenarios"][:2]), ("scenarios", SVU_DOC["scenarios"])]
+        ),
+        None,
+        "key 'scenarios' appears twice",
+    ),
     "market-path-is-directory": ("dir", None, "error"),
     "probabilities-as-list": (_svu_with(probabilities=["w1"]), None, "probabilities must be a JSON object"),
     # only a missing key, null or an object is a table; falsy look-alikes are not

@@ -21,8 +21,10 @@ markets, 8 one-period Tree(16, 1, 4) markets and 2 trinomial T=4 trees, all
 drawn from one seeded ``Random`` by the tests' generators; the same
 regeneration command rewrites them.  ``golden/shape_digests.json`` pins, the
 same way, the ``build_report(m)`` JSON (no oracle) of the benchmark's
-``deep`` shape, a trinomial T=5 tree with 6 arbitrage nodes, and of a
-Tree(3, 3, 2) whose events fall at every period.
+``deep`` shape, a trinomial T=5 tree with 6 arbitrage nodes, of that tree
+with a few scenarios copied under new ids, so that some final nodes hold 2
+or 3 identical paths, and of a Tree(3, 3, 2) whose events fall at every
+period.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from conftest import (  # noqa: E402
     MULTI_DOC,
     SVU_DOC,
     fraction_market,
+    paths_market,
     random_market,
     seeded_tree_market,
     seeded_trinomial_market,
@@ -152,10 +155,19 @@ def digest(m: Market) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+# scenarios of the T=5 shape copied under new ids: w0 twice and w120, w58 and
+# w242 once, so final nodes hold 3 and 2 identical paths (w58's is polar) and
+# the full-support measure splits node masses over lcm(2, 3)
+_COPIED = (0, 0, 120, 58, 242)
+
+
 def shape_markets() -> dict[str, Market]:
     """The shape-pinned markets by name, each drawn from its own seeded ``Random``."""
+    tri = seeded_trinomial_market(random.Random(931), 5, 6)
+    paths = [s.path for s in tri.scenarios]
     return {
-        "trinomial-T5": seeded_trinomial_market(random.Random(931), 5, 6),
+        "trinomial-T5": tri,
+        "trinomial-T5-copied": paths_market(paths + [paths[i] for i in _COPIED]),
         "tree-332-nested": seeded_tree_market(random.Random(63), 3, 3, 2),
     }
 

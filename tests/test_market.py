@@ -536,6 +536,43 @@ def test_measure_sum_is_exact(weights, data):
         assert all(q.weights[i] is raw[i] for i in q.weights)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=12), st.integers(1, 6))
+def test_measure_from_numerators_equals_the_fraction_weights(raw, factor):
+    # scaled by a common factor, so the gcd reduction is exercised too
+    nums = {i: k * factor for i, k in enumerate(raw)}
+    den = sum(nums.values())
+    if den == 0:
+        return
+    q = DiscreteMeasure.from_numerators(nums, den)
+    ref = DiscreteMeasure({i: F(k, den) for i, k in nums.items()})
+    assert q == ref and repr(q) == repr(ref)
+    assert (q.numerators, q.denominator) == (ref.numerators, ref.denominator)
+    assert all(F(k, q.denominator) == q.weights[i] for i, k in q.numerators.items())
+    assert q.support == ref.support and q.mass(range(len(raw))) == 1
+
+
+@pytest.mark.parametrize(
+    "nums, den",
+    [
+        ({0: True}, 1),  # a bool numerator
+        ({0: 1.0}, 1),  # a float numerator
+        ({0: F(1)}, 1),  # a Fraction numerator
+        ({0: 2, 1: -1}, 1),  # a negative numerator
+        ({0: 1}, 0),  # den not positive
+        ({0: -1}, -1),
+        ({0: 1}, True),  # den not an int
+        ({0: 2}, 2.0),
+        ({0: 1}, F(1)),
+        ({0: 1, 1: 1}, 3),  # a sum other than den
+        ({}, 1),
+    ],
+)
+def test_measure_from_numerators_rejects(nums, den):
+    with pytest.raises(MarketFormatError):
+        DiscreteMeasure.from_numerators(nums, den)
+
+
 def test_measure_accepts_ints_and_near_misses_fail():
     q = DiscreteMeasure({0: 1, 1: 0})
     assert q.weights == {0: F(1)} and type(q.weights[0]) is F

@@ -10,19 +10,42 @@ pair, and the value at ``min(atom)``.  The per-node versions must give the
 same values, keys and order.  Tree(3, 3, 2) markets with eliminations at two
 or more periods hold a position at more than one period, where the shortcut
 for unheld periods does not apply.
+
+The full-support measure walks only the surviving nodes, through
+``pa.parents``, builds the measure on ``int`` numerators and re-checks it on
+the node tree; the reference is the construction as it stood, grouping
+children by parent from every survivor's rows at every period, and the
+re-check's reference is ``check_martingale`` on ``pa.nodes``.  Copied
+scenarios make final nodes of 2 or 3 identical paths, where node masses
+are split over the lcm of the node sizes.
 """
 
 from __future__ import annotations
 
 import random
 
-from hypothesis import assume, given, settings, strategies as st
+from collections import Counter
+from fractions import Fraction
+from math import lcm
+from typing import Optional
 
-from arbscan.cli import build_report
-from arbscan.market import Market, atoms_of, node_row
+from hypothesis import assume, example, given, settings, strategies as st
+
+from arbscan.cli import _weights_json, build_report
+from arbscan.market import DiscreteMeasure, Market, atoms_of, node_row
+from arbscan.measures import _martingale_on_tree, check_martingale, full_support_measure
+from arbscan.ratgeom import convex_combination_for_zero
 from arbscan.splitter import PolarAnalysis, backward_eliminate, universal_aggregator
 
-from conftest import corpus_markets, seeded_tree_market, trinomial_tree
+from conftest import (
+    copied_paths,
+    corpus_markets,
+    nested_trees,
+    seeded_tree_market,
+    split_corpus_markets,
+    trinomial_tree,
+)
+from test_golden import shape_markets
 
 
 def _level_str(rows) -> str:
@@ -95,3 +118,101 @@ def test_per_node_pieces_match_per_scenario_on_nested_trees(seed):
     m = seeded_tree_market(random.Random(seed), 3, 3, 2)
     assume(len({sp.t for sp in backward_eliminate(m).events}) >= 2)
     _agrees_with_the_references(m)
+
+
+def reference_full_support(m: Market, pa: PolarAnalysis) -> Optional[DiscreteMeasure]:
+    """The full-support measure built per scenario: children grouped from every survivor's rows."""
+    star = sorted(pa.omega_star)
+    if not star:
+        return None
+    roots = sorted(set(map(pa.nodes[0].__getitem__, star)))
+    frontier = [(k, 1) for k in roots]
+    den = len(roots)
+    for t in range(1, m.T + 1):
+        up, row, increments = pa.nodes[t - 1], pa.nodes[t], pa.increments[t]
+        parent = dict(zip(map(row.__getitem__, star), map(up.__getitem__, star)))
+        children: dict[int, list[int]] = {}
+        for c in sorted(parent):
+            children.setdefault(parent[c], []).append(c)
+        splits = []
+        for k, mass in frontier:
+            kids = children[k]
+            nums, lam_den = convex_combination_for_zero([increments[c] for c in kids])
+            splits.append((mass, kids, nums, lam_den))
+        step = lcm(*(split[-1] for split in splits))
+        den *= step
+        frontier = [
+            (c, mass * w * (step // lam_den))
+            for mass, kids, nums, lam_den in splits for c, w in zip(kids, nums)
+        ]
+    last = pa.nodes[m.T]
+    size = Counter(map(last.__getitem__, star))
+    each = {c: Fraction(mass, den * size[c]) for c, mass in frontier}
+    return DiscreteMeasure({i: each[last[i]] for i in star})
+
+
+def _measure_markets():
+    markets = corpus_markets() | split_corpus_markets() | trinomial_tree() | nested_trees()
+    return markets | copied_paths(markets)
+
+
+# the benchmark's T=5 shape with w0 copied twice (as w243 and w244) and
+# w120, w58 (polar) and w242 once: final nodes of 3 and 2 identical paths
+_T5_COPIED = shape_markets()["trinomial-T5-copied"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_measure_markets())
+@example(_T5_COPIED)
+def test_full_support_measure_matches_the_per_scenario_construction(m):
+    pa = backward_eliminate(m)
+    q, ref = full_support_measure(m, pa), reference_full_support(m, pa)
+    assert q == ref and repr(q) == repr(ref)
+    if q is not None:
+        assert (q.numerators, q.denominator) == (ref.numerators, ref.denominator)
+        ids = m.scenario_ids
+        assert _weights_json(m, q) == {ids[i]: str(w) for i, w in sorted(ref.weights.items())}
+
+
+def _half_moved(q: DiscreteMeasure, i: int, j: int) -> DiscreteMeasure:
+    """``q`` with half of scenario i's weight moved onto scenario j."""
+    moved = dict(q.weights)
+    moved[j] += moved[i] / 2
+    moved[i] /= 2
+    return DiscreteMeasure(moved)
+
+
+def test_tree_recheck_on_copied_paths():
+    # w243 and w244 copy w0, and w245 copies w120; w0 and w120 part at t=1
+    m = _T5_COPIED
+    pa = backward_eliminate(m)
+    q = pa.full_support
+    for i, j, equal in ((0, 243, True), (244, 243, True), (120, 245, True), (0, 120, False)):
+        planted = _half_moved(q, i, j)
+        assert _martingale_on_tree(pa, planted) == equal
+        assert check_martingale(m, planted, pa.nodes) == equal
+
+
+@settings(max_examples=200, deadline=None)
+@given(_measure_markets(), st.data())
+def test_tree_recheck_agrees_with_check_martingale(m, data):
+    pa = backward_eliminate(m)
+    q = pa.full_support
+    if q is None:
+        return
+    assert _martingale_on_tree(pa, q) and check_martingale(m, q, pa.nodes)
+    # half a weight moved between two survivors leaves a martingale measure
+    # exactly when their paths are equal; survivors with a twin draw it half
+    # the time, so both outcomes are drawn
+    star = sorted(pa.omega_star)
+    if len(star) < 2:
+        return
+    paths = [s.path for s in m.scenarios]
+    i = data.draw(st.sampled_from(star))
+    twins = [j for j in star if j != i and paths[j] == paths[i]]
+    pool = twins if twins and data.draw(st.booleans()) else [j for j in star if j != i]
+    j = data.draw(st.sampled_from(pool))
+    planted = _half_moved(q, i, j)
+    equal = paths[i] == paths[j]
+    assert _martingale_on_tree(pa, planted) == equal
+    assert check_martingale(m, planted, pa.nodes) == equal

@@ -24,6 +24,7 @@ from conftest import (
     corpus_markets,
     count_calls,
     group_by,
+    nested_trees,
     paths_market,
     position,
     price_children,
@@ -597,6 +598,17 @@ def _assert_node_level_sets_match(m):
 def test_node_level_sets_match_price_level_sets(mini_corpus, svu, multi, countna):
     for m in mini_corpus + [svu, multi, countna]:
         _assert_node_level_sets_match(m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(corpus_markets() | trinomial_tree() | nested_trees())
+def test_parents_name_each_node_s_parent(m):
+    pa = backward_eliminate(m)
+    assert pa.parents[0] == ()
+    for t in range(1, m.T + 1):
+        assert len(pa.parents[t]) == len(pa.increments[t])
+        for i, c in enumerate(pa.nodes[t]):
+            assert pa.parents[t][c] == pa.nodes[t - 1][i]
 
 
 @settings(max_examples=10, deadline=None)
