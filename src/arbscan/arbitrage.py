@@ -30,8 +30,6 @@ from .measures import class_measure
 from .ratgeom import Vec
 from .splitter import PolarAnalysis, backward_eliminate
 
-_ZERO = Fraction(0)
-
 NO_ARBITRAGE = "NoArbitrage"
 ARBITRAGE = "Arbitrage"
 
@@ -123,8 +121,9 @@ def defragment(m: Market, h: Strategy) -> tuple[tuple[Atom, ...], Strategy]:
     """Split a nonnegative-terminal strategy into per-period strict-gain pieces.
 
     U_t collects the scenarios whose running value first turns positive at t;
-    the masked strategy zeroes every position from the first gain onwards and
-    still gains strictly on each nonempty U_t.
+    the masked strategy drops each scenario from its atoms from its first
+    gain onwards, so it holds zero there, and still gains strictly on each
+    nonempty U_t.
     """
     v = value_process(m, h)
     for i in range(m.n):
@@ -138,11 +137,9 @@ def defragment(m: Market, h: Strategy) -> tuple[tuple[Atom, ...], Strategy]:
     for t, pos in enumerate(h.positions, 1):
         masked: dict[Atom, Vec] = {}
         for atom, vec_ in pos.items():
-            inside, outside = atom - gained, atom & gained
+            inside = atom - gained
             if inside:
                 masked[inside] = vec_
-            if outside:
-                masked[outside] = tuple(_ZERO for _ in range(m.d))
         masked_positions.append(masked)
         now = frozenset(i for i in range(m.n) if v[t][i] > 0)
         u.append(now - gained)
@@ -168,7 +165,7 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     The analysis restricted to supp(P) (``pa`` itself when P charges every
     scenario) is searched.  The sweep's first event period, the latest
     period with an eliminating event, supplies, per level set, the separator
-    of that level set (zero elsewhere).  The sweep removes nothing
+    of that level set, and nothing else is held.  The sweep removes nothing
     before that period, so each such level set is a whole natural node
     intersected with supp(P): the strategy is naturally predictable
     P-almost surely, V_T >= 0 holds P-almost surely and a block carries
@@ -181,12 +178,8 @@ def extract_p_arbitrage(m: Market, pa: PolarAnalysis, p: DiscreteMeasure) -> Opt
     if not sub.events:
         raise InternalError("positive polar mass but no restricted elimination")
     tau = max(sp.t for sp in sub.events)
-    zero = tuple(_ZERO for _ in range(m.d))
     pieces = {sp.members: sp.separator for sp in sub.events if sp.t == tau}
-    rest = m.all_indices - frozenset().union(*pieces)
-    if rest:
-        pieces[rest] = zero
-    h = Strategy(tuple(pieces if t == tau else {m.all_indices: zero} for t in range(1, m.T + 1)))
+    h = Strategy(tuple(pieces if t == tau else {} for t in range(1, m.T + 1)))
 
     # P charges exactly its support, so the re-check reads V_T's signs there
     v, _den = terminal_values(m, h)

@@ -70,8 +70,13 @@ def _weights_json(m: Market, q: DiscreteMeasure) -> dict[str, str]:
 
 
 def strategy_json(m: Market, h: Strategy) -> dict:
+    """``h``'s nonzero positions per period; an atom left out holds zero, as on loading."""
     return {"positions": {
-        str(t): {_atom_key(m, atom): _vec_json(pos[atom]) for atom in sorted(pos, key=min)}
+        str(t): {
+            _atom_key(m, atom): _vec_json(pos[atom])
+            for atom in sorted(pos, key=min)
+            if any(pos[atom])
+        }
         for t, pos in enumerate(h.positions, 1)
     }}
 

@@ -89,20 +89,10 @@ class DiscreteMeasure:
                     )
                 if isinstance(v, int):
                     v = Fraction(v)
-            num = v.numerator
-            if num:
-                if num < 0:
-                    raise MarketFormatError(f"negative weight on scenario index {i}")
-                w[i] = v
-        object.__setattr__(self, "weights", w)
+            w[i] = v
         nums, den = over_common_denominator(w.values())
-        if sum(nums) != den:
-            raise MarketFormatError("weights do not sum to 1")
-        # each weight's int numerator over their one common denominator,
-        # which is then their sum; plain attributes, not fields, so == and
-        # repr are unchanged
-        object.__setattr__(self, "numerators", dict(zip(w, nums)))
-        object.__setattr__(self, "denominator", den)
+        self._set_numerators(dict(zip(w, nums)), den)
+        object.__setattr__(self, "weights", {i: w[i] for i in self.numerators})
 
     @classmethod
     def from_numerators(cls, nums: Mapping[int, int], den: int) -> DiscreteMeasure:
@@ -118,10 +108,25 @@ class DiscreteMeasure:
         """
         if isinstance(den, bool) or not isinstance(den, int) or den <= 0:
             raise MarketFormatError(f"measure denominator {den!r} is not a positive int")
-        kept = {}
         for i, k in nums.items():
             if type(k) is not int and (isinstance(k, bool) or not isinstance(k, int)):
                 raise MarketFormatError(f"numerator on scenario index {i} is {k!r}; use an int")
+        q = cls.__new__(cls)
+        q._set_numerators(nums, den)
+        one = {k: Fraction(k, q.denominator) for k in set(q.numerators.values())}
+        object.__setattr__(q, "weights", {i: one[k] for i, k in q.numerators.items()})
+        return q
+
+    def _set_numerators(self, nums: Mapping[int, int], den: int) -> None:
+        """Set ``numerators`` and ``denominator``: the weights ``nums[i] / den``, reduced.
+
+        Zero numerators are dropped; a negative one, or a sum other than
+        ``den``, raises MarketFormatError.  The rest are divided by their gcd
+        with ``den``.  Both are plain attributes, not fields, so ``==`` and
+        ``repr`` read only the weights.
+        """
+        kept = {}
+        for i, k in nums.items():
             if k:
                 if k < 0:
                     raise MarketFormatError(f"negative weight on scenario index {i}")
@@ -132,18 +137,8 @@ class DiscreteMeasure:
         if g != 1:
             den //= g
             kept = {i: k // g for i, k in kept.items()}
-        one: dict[int, Fraction] = {}  # the weight of each distinct numerator
-        weights = {}
-        for i, k in kept.items():
-            w = one.get(k)
-            if w is None:
-                w = one[k] = Fraction(k, den)
-            weights[i] = w
-        q = cls.__new__(cls)
-        object.__setattr__(q, "weights", weights)
-        object.__setattr__(q, "numerators", kept)
-        object.__setattr__(q, "denominator", den)
-        return q
+        object.__setattr__(self, "numerators", kept)
+        object.__setattr__(self, "denominator", den)
 
     def __getitem__(self, i: int) -> Fraction:
         return self.weights.get(i, _ZERO)

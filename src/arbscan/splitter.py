@@ -12,9 +12,10 @@ Removing each block backwards, t = T..1, yields the maximal set of
 scenarios supportable by martingale measures (``omega_star``) in one sweep:
 a block removed at period t is a union of whole child nodes at time t, so
 every level set of a later period lies inside it or misses it.  The
-aggregator holds, in each scenario, the separator that eliminated it, and is
-re-checked with ``check_predictable`` and on the ``int`` numerators of its
-terminal values (``terminal_values``), as every emitted strategy is.
+aggregator is the events themselves: each block holds the separator that
+eliminated it, and nothing else is held.  It is re-checked with
+``check_predictable`` and on the ``int`` numerators of its terminal values
+(``terminal_values``), as every emitted strategy is.
 
 The :class:`PolarAnalysis` that :func:`backward_eliminate` returns is the
 per-market context of everything downstream: the natural filtration once, as
@@ -37,7 +38,6 @@ from .market import (
     DiscreteMeasure,
     Market,
     Strategy,
-    atoms_of,
     check_predictable,
     natural_nodes,
     node_row,
@@ -239,9 +239,10 @@ def universal_aggregator(
 ) -> tuple[Strategy, tuple[tuple[int, ...], ...]]:
     """The aggregator strategy and the enlarged filtration it is predictable for.
 
-    The strategy holds, at each scenario's elimination period, the separator
-    of the block that removed it (zero otherwise); its strict-gain set is
-    exactly the complement of ``omega_star``.  The filtration joins the
+    The strategy is the elimination events: at period t each event's
+    ``block`` holds its ``separator``, and no other position is held (a
+    scenario no atom covers holds zero).  Its strict-gain set is exactly the
+    complement of ``omega_star``.  The filtration joins the
     natural one with the value partitions of the aggregator one step ahead
     (no look-ahead term at T): F~_t groups scenarios by their node id at t
     (``pa.nodes``) and their held values over periods 1..min(t+1, T).  The
@@ -252,14 +253,18 @@ def universal_aggregator(
     is grouping them by value, and no vector is hashed per scenario and
     period.  Each scenario's value history and each enlarged atom are
     interned the same way, as ids in order of least member; a period in which
-    nothing is held refines no row (``_refine``).  The strategy is
-    re-checked: it is predictable for the enlarged rows, V_T >= 0 everywhere
-    and V_T > 0 exactly on ``start_set - omega_star``, or InternalError is
-    raised.
+    nothing is held refines no row (``_refine``).  Each block is a whole
+    atom of F~_{t-1}: its members share their node at t-1 and the history
+    (0, ..., 0, k), and no other event splits their level set.  The strategy
+    is re-checked all the same: it is predictable for the enlarged rows,
+    V_T >= 0 everywhere and V_T > 0 exactly on ``start_set - omega_star``,
+    or InternalError is raised.
     """
     id_of: dict[Vec, int] = {(0,) * m.d: 0}  # id 0 is the zero position
     ids = [[0] * m.n for _ in range(m.T + 1)]
+    positions: list[dict[Atom, Vec]] = [{} for _ in range(m.T)]
     for sp in pa.events:
+        positions[sp.t - 1][sp.block] = sp.separator
         k = id_of.setdefault(sp.separator, len(id_of))
         for i in sp.block:
             ids[sp.t][i] = k
@@ -270,14 +275,7 @@ def universal_aggregator(
         history.append(_refine(history[-1], ids[s]))
     enlarged = tuple(_refine(pa.nodes[t], history[min(t + 1, m.T)]) for t in range(m.T + 1))
 
-    values = list(id_of)
-    # keyed by (enlarged node, held value), so a node holding two values
-    # splits in two and fails the predictability check; every member of an
-    # atom holds its value, so it is read at the first one iterated
-    h = Strategy(tuple(
-        {atom: values[held[next(iter(atom))]] for atom in atoms_of(_refine(enlarged[t - 1], held))}
-        for t, held in enumerate(ids[1:], 1)
-    ))
+    h = Strategy(tuple(positions))
     signs, _den = terminal_values(m, h)  # V_T's numerators carry its signs
     if not check_predictable(h, enlarged):
         raise InternalError("aggregator not predictable for its enlarged filtration")

@@ -28,6 +28,8 @@ from conftest import (
     SVU_DOC,
     corpus_markets,
     market_doc,
+    split_corpus_markets,
+    trinomial_tree,
 )
 
 
@@ -129,6 +131,11 @@ def _assert_report_schema_3(doc: dict) -> None:
         polar |= set(block)
     assert order == sorted(order)
     assert polar == set(report["polar_complement"])
+    # schema 4: the aggregator is the events, each block holding its separator
+    held: dict = {str(t): {} for t in range(1, doc["T"] + 1)}
+    for ev in events:
+        held[str(ev["t"])][",".join(sorted(ev["block"]))] = ev["separator"]
+    assert report["aggregator"]["positions"] == held
 
 
 @pytest.mark.parametrize(
@@ -345,9 +352,9 @@ def test_extract_does_not_look_ahead(capsys, tmp_path):
     code, out, _ = _run(capsys, "extract", str(path), "--prob", "U")
     assert code == 0
     doc = json.loads(out)
-    assert doc["strategy"] == {
-        "positions": {"1": {"s0,s1": ["0"]}, "2": {"s0": ["0"], "s1": ["1"]}}
-    }
+    # nothing is held at period 1, and at period 2 only on s1's node: a
+    # printed strategy omits its zero positions
+    assert doc["strategy"] == {"positions": {"1": {}, "2": {"s1": ["1"]}}}
     assert doc["certificate"] == {
         "terminal_values": {"s0": "0", "s1": "1"},
         "charged_gain_ids": ["s1"],
@@ -371,7 +378,8 @@ def test_defrag_command(capsys, tmp_path, multi_file):
 
 def test_defrag_round_trips_a_strategy_with_scattered_gaps(capsys, tmp_path, multi_file):
     # period 1 leaves A2 and A3 out, period 2 leaves A3 and A4 out: the gaps
-    # lie in different nodes, and neither is printed as a zero group
+    # lie in different nodes, and neither is printed as a zero group; nor is
+    # A1, which gains at period 1 and so is dropped from period 2
     strategy = {"positions": {"1": {"A1,A4": ["-1", "1"]}, "2": {"A1,A2": ["1", "0"]}}}
     spath = tmp_path / "h.json"
     spath.write_text(json.dumps(strategy), "utf-8")
@@ -383,7 +391,7 @@ def test_defrag_round_trips_a_strategy_with_scattered_gaps(capsys, tmp_path, mul
         "masked": {
             "positions": {
                 "1": {"A1,A4": ["-1", "1"]},
-                "2": {"A1": ["0", "0"], "A2": ["1", "0"]},
+                "2": {"A2": ["1", "0"]},
             }
         },
     }
@@ -400,6 +408,64 @@ def test_aggregator_table_round_trips_as_strategy(capsys, svu_file):
     h = cli.load_strategy(m, {"positions": report["aggregator"]["positions"]})
     v = value_process(m, h)
     assert [str(x) for x in v[m.T]] == ["1", "1", "2", "1"]
+
+
+def _printed_strategies(m, doc: dict, tmp: Path) -> list[tuple[dict, object]]:
+    """Every strategy the commands print for ``doc``, each with its in-memory strategy.
+
+    ``analyze`` prints the aggregator and the class witness, ``check`` a
+    witness per class and filtration, ``extract`` its strategy and
+    ``defrag`` the masked aggregator and natural witness.
+    """
+    market = tmp / "market.json"
+    market.write_text(json.dumps(doc), "utf-8")
+
+    def printed(*argv) -> dict:
+        out = tmp / "out.json"
+        out.unlink(missing_ok=True)
+        # 1 is an Arbitrage verdict of check
+        assert cli.main([argv[0], str(market), "--out", str(out), *argv[1:]]) in (0, 1)
+        return json.loads(out.read_text("utf-8"))
+
+    pa = backward_eliminate(m)
+    report = printed("analyze")
+    found = [(report["aggregator"], pa.aggregator[0])]
+    verdict = arbitrage.classify(m, pa, m.classes["c"], "enlarged")
+    if verdict.witness is not None:
+        found.append((report["classes"]["c"]["witness"], verdict.witness))
+    for name in ("c", "MI", "1p"):
+        for filtration in ("natural", "enlarged"):
+            verdict = arbitrage.classify(m, pa, cli._resolve_class(m, name), filtration)
+            if verdict.witness is not None:
+                witness = printed("check", "--class", name, "--filtration", filtration)["witness"]
+                found.append((witness, verdict.witness))
+    h = arbitrage.extract_p_arbitrage(m, pa, m.probabilities["P"])
+    if h is not None:
+        found.append((printed("extract", "--prob", "P")["strategy"], h))
+    for doc_h, h in found[:]:
+        strategy = tmp / "h.json"
+        strategy.write_text(json.dumps(doc_h), "utf-8")
+        masked = printed("defrag", "--strategy", str(strategy))["masked"]
+        found.append((masked, arbitrage.defragment(m, h)[1]))
+    return found
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpus_markets() | split_corpus_markets() | trinomial_tree(), st.data())
+def test_printed_strategies_hold_no_zero_and_load_back(tmp_path_factory, m, data):
+    ids = list(m.scenario_ids)
+    charged = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+    doc = dict(
+        market_doc(m),
+        classes={"c": [data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))]},
+        probabilities={"P": {sid: f"1/{len(charged)}" for sid in charged}},
+    )
+    m = load_market(doc)
+    for printed, h in _printed_strategies(m, doc, tmp_path_factory.mktemp("cli")):
+        for pos in printed["positions"].values():
+            assert all(any(F(x) for x in v) for v in pos.values())
+        loaded = cli.load_strategy(m, printed)
+        assert value_process(m, loaded)[m.T] == value_process(m, h)[m.T]
 
 
 def test_oracle_command(capsys, svu_file):
@@ -523,6 +589,19 @@ _MALFORMED = {
             ("unreadable", (("a,b", 11), ("c", 11))),
         )
     },
+    # Python's Fraction parser reads "1_0", a typo of "1.0", as 10, and
+    # Arabic-Indic digits as ASCII ones
+    "price-with-underscore": (_svu_with_price("1_0"), None, "scenario 'w1': not a rational: '1_0'"),
+    "probability-with-underscore": (
+        _svu_with(probabilities={"P": {"w1": "1/4", "w2": "1/4", "w3": "1/4", "w4": "0.2_5"}}),
+        None,
+        "probability 'P': not a rational: '0.2_5'",
+    ),
+    "strategy-non-ascii-digit": (
+        SVU_DOC,
+        '{"positions": {"1": {"w1": ["\u0661"]}}}',
+        "strategy period 1: not a rational: '\u0661'",
+    ),
     # the message names the scenario by its id, as every other loader message does
     "probability-negative-weight": (
         _svu_with(probabilities={"P": {"w1": "3/2", "w2": "-1/2"}}),

@@ -1,6 +1,6 @@
 """Every name a module of ``src/arbscan`` imports is used in that module,
-and every private function or class it defines is read somewhere in the
-package.
+and every private function, class or constant it defines at module level is
+read somewhere in the package.
 
 A name counts as used when the module reads it (an ``ast.Name`` anywhere,
 annotations included) or lists it in ``__all__``.  ``from __future__``
@@ -8,7 +8,8 @@ imports are directives, not names, and are skipped.  An import left behind
 when the code that read it moves away, such as ``atoms_of`` in a module that
 no longer groups atoms, fails here.  So does a helper left behind when its
 last caller goes, such as a row-rewriting ``_substitute`` in a solver that
-no longer needs it.
+no longer needs it, or a constant such as ``_ZERO = Fraction(0)`` in a module
+that no longer builds a zero vector.
 """
 
 from __future__ import annotations
@@ -58,11 +59,22 @@ def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text("utf-8")) == []
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function, a class or assigned names."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def unread_private_definitions(sources: dict[str, str]) -> list[str]:
-    """The module-level private functions and classes no module reads, as "module.name".
+    """The module-level private functions, classes and constants no module reads, as "module.name".
 
     ``sources`` maps module names to their text.  A definition is read when
-    its own module reads the name, another module imports it by name from
+    its own module reads the name (assigning it is no read), another module imports it by name from
     that module, or any module reads an attribute of that name.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
@@ -72,7 +84,9 @@ def unread_private_definitions(sources: dict[str, str]) -> list[str]:
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                names[module].add(node.id)
+                # an assignment stores the name and does not read it
+                if not isinstance(node.ctx, ast.Store):
+                    names[module].add(node.id)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom) and node.module:
@@ -81,21 +95,23 @@ def unread_private_definitions(sources: dict[str, str]) -> list[str]:
     unread = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            name = node.name
-            if not name.startswith("_") or name.startswith("__"):
-                continue
-            if name in names[module] or (module, name) in imported or name in attributes:
-                continue
-            unread.append(f"{module}.{name}")
+            for name in _defined_names(node):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if name in names[module] or (module, name) in imported or name in attributes:
+                    continue
+                unread.append(f"{module}.{name}")
     return unread
 
 
 def test_the_check_finds_an_unread_private_definition():
     sources = {
         "ratgeom": (
-            "def _pivot(row): return row\n"
+            "_ZERO = 0\n"
+            "_ONE: int = 1\n"
+            "_MAX_EXPONENT = 4300\n"
+            "__all__ = ['public']\n"
+            "def _pivot(row): return row if row else _ONE\n"
             "def _substitute(row): return row\n"
             "class _Tableau:\n"
             "    def flip(self, row): return _pivot(row)\n"
@@ -107,10 +123,14 @@ def test_the_check_finds_an_unread_private_definition():
             "from .ratgeom import _farkas_holds\n"
             "from . import ratgeom\n"
             "def _unused(): return _farkas_holds(ratgeom._eliminate(1))\n"
-            "def public(): return ratgeom._Tableau\n"
+            "def public(): return ratgeom._Tableau, ratgeom._MAX_EXPONENT\n"
         ),
     }
-    assert unread_private_definitions(sources) == ["ratgeom._substitute", "oracle._unused"]
+    assert unread_private_definitions(sources) == [
+        "ratgeom._ZERO",
+        "ratgeom._substitute",
+        "oracle._unused",
+    ]
 
 
 def test_every_private_definition_is_read():

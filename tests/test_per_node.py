@@ -3,12 +3,14 @@
 The report builds each event's ``"level"`` off one member of its level
 set, groups the enlarged filtration into id lists in one pass per row,
 and the aggregator refines no row at a period where nothing is held and
-reads each atom's value at any one member.  The references below are those
-computations as they stood per scenario and period: the price rows sliced
-off the least member, ``atoms_of`` then ``m.ids``, ``node_row`` over every
-pair, and the value at ``min(atom)``.  The per-node versions must give the
-same values, keys and order.  Tree(3, 3, 2) markets with eliminations at two
-or more periods hold a position at more than one period, where the shortcut
+holds each event's separator on its block and nothing else.  The
+references below are those computations as they stood per scenario and
+period: the price rows sliced off the least member, ``atoms_of`` then
+``m.ids``, ``node_row`` over every pair, and a position on every atom of
+the refined enlarged row, read at ``min(atom)``.  The per-node versions
+must give the same values, keys and order, once the reference's zero
+positions are dropped.  Tree(3, 3, 2) markets with eliminations at two or
+more periods hold a position at more than one period, where the shortcut
 for unheld periods does not apply.
 
 The full-support measure walks only the surviving nodes, through
@@ -31,7 +33,7 @@ from typing import Optional
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from arbscan.cli import _weights_json, build_report
+from arbscan.cli import _atom_key, _weights_json, build_report
 from arbscan.market import DiscreteMeasure, Market, atoms_of, node_row
 from arbscan.measures import _martingale_on_tree, check_martingale, full_support_measure
 from arbscan.ratgeom import convex_combination_for_zero
@@ -53,7 +55,10 @@ def _level_str(rows) -> str:
 
 
 def reference_aggregator(m: Market, pa: PolarAnalysis):
-    """The aggregator's positions and enlarged rows, every row built per scenario."""
+    """The aggregator's positions and enlarged rows, every row built per scenario.
+
+    Every atom of the refined enlarged row holds a position, zero or not.
+    """
     id_of = {(0,) * m.d: 0}
     ids = [[0] * m.n for _ in range(m.T + 1)]
     for sp in pa.events:
@@ -97,13 +102,16 @@ def _agrees_with_the_references(m: Market) -> None:
     h, enlarged = universal_aggregator(m, pa)
     positions, ref_enlarged = reference_aggregator(m, pa)
     assert enlarged == ref_enlarged
-    assert h.positions == positions
-    assert [list(pos) for pos in h.positions] == [list(pos) for pos in positions]
+    assert h.positions == tuple({a: v for a, v in pos.items() if any(v)} for pos in positions)
 
     report, _agrees = build_report(m)
     events, filtration = reference_report_pieces(m, pa, ref_enlarged)
     assert report["events"] == events
     assert report["enlarged_filtration"] == filtration
+    # the printed positions keep the reference's order: by least member
+    assert [list(pos) for pos in report["aggregator"]["positions"].values()] == [
+        [_atom_key(m, a) for a, v in pos.items() if any(v)] for pos in positions
+    ]
 
 
 @settings(max_examples=150, deadline=None)

@@ -50,6 +50,19 @@ def test_rat_bounds_decimal_exponents():
             rat(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "0.2_5", "1_000/3", "1e1_0", "\u0661\u0660", "\uff11\uff10", "1/\u0663", "\u00a010"],
+    ids=["underscore", "decimal-underscore", "fraction-underscore", "exponent-underscore",
+         "arabic-indic", "fullwidth", "arabic-indic-denominator", "nbsp"],
+)
+def test_rat_rejects_what_only_python_reads(text):
+    # Python's own parser reads each of these ("1_0" as 10, a typo of "1.0")
+    assert F(text) > 0
+    with pytest.raises(ValueError, match="not a rational"):
+        rat(text)
+
+
 def test_single_constraint_optimum():
     lp = LinearProgram((F(1),), (((F(-1),), GE, F(-3, 2)),), bounds=((F(0), None),))
     res = lp_solve(lp)
