@@ -33,7 +33,6 @@ from .measures import (
     supporting_measure,
 )
 from .oracle import (
-    MartingalePolytope,
     build_polytope,
     oracle_arbitrage,
     oracle_support,
@@ -67,7 +66,6 @@ __all__ = [
     "LpResult",
     "Market",
     "MarketFormatError",
-    "MartingalePolytope",
     "PolarAnalysis",
     "Scenario",
     "SignificantClass",

@@ -206,8 +206,9 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     Facets: (1) no scenario is polar; (2) a canonical full-support model
     admits no classical arbitrage; (3) a full-support martingale measure
     exists; (4) no class arbitrage for the singletons-plus-declared family
-    under the enlarged filtration.  The ladder records no-1p => no-class-S =>
-    no-model-independent for every declared class.
+    under the enlarged filtration.  Each facet is computed by its own route,
+    and facets that differ raise InternalError.  The ladder records no-1p =>
+    no-class-S => no-model-independent for every declared class.
     """
     polar = _polar_complement(m, pa)
     n = m.n
@@ -226,6 +227,8 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
         ),
         "no_open_like_arbitrage_enlarged": not classify(m, pa, open_like, "enlarged").arbitrage,
     }
+    if len(set(facets.values())) != 1:
+        raise InternalError(f"the feasibility facets disagree: {facets}")
 
     no_1p = not classify(m, pa, one_point, "enlarged").arbitrage
     no_mi = not classify(

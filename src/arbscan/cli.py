@@ -165,22 +165,20 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each maps the loaded market and the parsed arguments to its JSON
+# document, its --summary lines and its exit code; only main loads, writes
+# and turns errors into exit codes.
 # ---------------------------------------------------------------------------
 
-
-def _emit(doc: dict, out: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text, "utf-8")
-    else:
-        sys.stdout.write(text)
+_Outcome = tuple[dict, list[str], int]
 
 
-def _summary(lines: list[str], enabled: bool) -> None:
-    if enabled:
-        for line in lines:
-            print(line, file=sys.stderr)
+def _lookup(get, name: str, what: str):
+    """``get(name)``; a ``KeyError`` becomes the exit-2 error naming the unknown ``what``."""
+    try:
+        return get(name)
+    except KeyError:
+        raise MarketFormatError(f"unknown {what} {name!r}") from None
 
 
 def _resolve_class(m: Market, name: str) -> SignificantClass:
@@ -190,44 +188,28 @@ def _resolve_class(m: Market, name: str) -> SignificantClass:
         return SignificantClass("MI", (m.all_indices,))
     if name == "1p":
         return SignificantClass("1p", tuple(frozenset({i}) for i in range(m.n)))
-    raise KeyError(name)
+    raise MarketFormatError(f"unknown class {name!r}")
 
 
-def cmd_analyze(args) -> int:
-    m = load_market(Path(args.market))
+def cmd_analyze(m: Market, args) -> _Outcome:
     report, agrees = build_report(m, verify=args.verify)
-    _emit(report, args.out)
-    _summary(
-        [
-            f"scenarios: {report['market']['scenarios']}  d={m.d} T={m.T}",
-            f"omega_star: {report['omega_star']}",
-            f"feasible: {report['feasibility']['feasible']}",
-        ],
-        args.summary,
-    )
-    return 0 if agrees else 3
+    summary = [
+        f"scenarios: {m.n}  d={m.d} T={m.T}",
+        f"omega_star: {report['omega_star']}",
+        f"feasible: {report['feasibility']['feasible']}",
+    ]
+    return report, summary, 0 if agrees else 3
 
 
-def cmd_check(args) -> int:
-    m = load_market(Path(args.market))
-    try:
-        cls = _resolve_class(m, args.cls)
-    except KeyError:
-        print(f"error: unknown class {args.cls!r}", file=sys.stderr)
-        return 2
-    pa = backward_eliminate(m)
-    verdict = classify(m, pa, cls, args.filtration)
-    _emit(_verdict_json(m, verdict), args.out)
-    _summary([f"{cls.name}: {verdict.kind} ({args.filtration})"], args.summary)
-    return 1 if verdict.arbitrage else 0
+def cmd_check(m: Market, args) -> _Outcome:
+    cls = _resolve_class(m, args.cls)
+    verdict = classify(m, backward_eliminate(m), cls, args.filtration)
+    summary = [f"{cls.name}: {verdict.kind} ({args.filtration})"]
+    return _verdict_json(m, verdict), summary, 1 if verdict.arbitrage else 0
 
 
-def cmd_extract(args) -> int:
-    m = load_market(Path(args.market))
-    if args.prob not in m.probabilities:
-        print(f"error: unknown probability {args.prob!r}", file=sys.stderr)
-        return 2
-    p = m.probabilities[args.prob]
+def cmd_extract(m: Market, args) -> _Outcome:
+    p = _lookup(m.probabilities.__getitem__, args.prob, "probability")
     pa = backward_eliminate(m)
     h = extract_p_arbitrage(m, pa, p)
     dec = lebesgue_decompose(m, pa, p)
@@ -242,40 +224,26 @@ def cmd_extract(args) -> int:
             "terminal_values": {sid: str(Fraction(x, den)) for sid, x in zip(m.scenario_ids, v)},
             "charged_gain_ids": m.ids([i for i in p.support if v[i] > 0]),
         }
-    _emit(doc, args.out)
-    _summary([f"extract {args.prob}: {'found' if h else 'none'}"], args.summary)
-    return 0
+    return doc, [f"extract {args.prob}: {'found' if h else 'none'}"], 0
 
 
-def cmd_measure(args) -> int:
-    m = load_market(Path(args.market))
-    try:
-        idx = m.index_of(args.support)
-    except KeyError:
-        print(f"error: unknown scenario {args.support!r}", file=sys.stderr)
-        return 2
-    pa = backward_eliminate(m)
-    q = supporting_measure(m, pa, idx)
-    _emit({"scenario": args.support, "weights": _weights_json(m, q)}, args.out)
-    _summary([f"supporting measure for {args.support}"], args.summary)
-    return 0
+def cmd_measure(m: Market, args) -> _Outcome:
+    idx = _lookup(m.index_of, args.support, "scenario")
+    q = supporting_measure(m, backward_eliminate(m), idx)
+    doc = {"scenario": args.support, "weights": _weights_json(m, q)}
+    return doc, [f"supporting measure for {args.support}"], 0
 
 
-def cmd_defrag(args) -> int:
-    m = load_market(Path(args.market))
-    h = load_strategy(m, args.strategy)
-    u, masked = defragment(m, h)
+def cmd_defrag(m: Market, args) -> _Outcome:
+    u, masked = defragment(m, load_strategy(m, args.strategy))
     doc = {
         "U": {str(t + 1): m.ids(u_t) for t, u_t in enumerate(u)},
         "masked": strategy_json(m, masked),
     }
-    _emit(doc, args.out)
-    _summary([f"defrag: U sizes {[len(x) for x in u]}"], args.summary)
-    return 0
+    return doc, [f"defrag: U sizes {[len(x) for x in u]}"], 0
 
 
-def cmd_oracle(args) -> int:
-    m = load_market(Path(args.market))
+def cmd_oracle(m: Market, args) -> _Outcome:
     support = oracle_support(m)
     classes = {}
     if m.classes:
@@ -288,9 +256,8 @@ def cmd_oracle(args) -> int:
                 "natural": any(c <= natural_gain for c in cls.sets),
                 "enlarged": any(c <= enlarged_gain for c in cls.sets),
             }
-    _emit({"support": m.ids(support), "classes": classes}, args.out)
-    _summary([f"oracle support: {m.ids(support)}"], args.summary)
-    return 0
+    doc = {"support": m.ids(support), "classes": classes}
+    return doc, [f"oracle support: {m.ids(support)}"], 0
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -337,19 +304,22 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except MarketFormatError as exc:
+        doc, summary, code = _COMMANDS[args.command](load_market(Path(args.market)), args)
+        text = json.dumps(doc, indent=2) + "\n"
+        if args.out:
+            Path(args.out).write_text(text, "utf-8")
+        else:
+            sys.stdout.write(text)
+    except (MarketFormatError, OSError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, DomainError) else 2
     except InternalError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    if args.summary:
+        for line in summary:
+            print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

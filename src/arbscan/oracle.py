@@ -11,9 +11,7 @@ silently resolved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import InternalError
 from .market import (
@@ -25,29 +23,18 @@ from .market import (
     natural_nodes,
     terminal_values,
 )
-from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, Vec, lp_solve
+from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, lp_solve
 
 
-@dataclass(frozen=True)
-class MartingalePolytope:
-    """Linear description of all martingale measures as weight vectors.
+def build_polytope(m: Market) -> LinearProgram:
+    """All martingale measures as weight vectors: a zero objective over weights >= 0.
 
-    Row 0 normalizes the weights to sum 1; the remaining rows are the
+    Constraint 0 normalizes the weights to sum 1; the rest are the
     per-(period, atom, asset) zero-expectation equalities, ordered by period
     ascending, atom by smallest index (its node id), then asset index.
-    Nonnegativity is a variable bound, not a row.  Structural numbers are ``int``s, and so are
-    the increments of integral prices.
+    Nonnegativity is a variable bound, not a row.  Structural numbers are
+    ``int``s, and so are the increments of integral prices.
     """
-
-    n: int
-    rows: tuple[tuple[Vec, str, Union[int, Fraction]], ...]
-
-    def lp(self, objective: Optional[Sequence[Fraction]] = None) -> LinearProgram:
-        obj = tuple(objective) if objective is not None else (0,) * self.n
-        return LinearProgram(objective=obj, constraints=self.rows, bounds=((0, None),) * self.n)
-
-
-def build_polytope(m: Market) -> MartingalePolytope:
     rows = [((1,) * m.n, EQ, 1)]
     nodes = natural_nodes(m)
     for t in range(1, m.T + 1):
@@ -58,7 +45,7 @@ def build_polytope(m: Market) -> MartingalePolytope:
             for j, x in enumerate(m.increment(t, i)):
                 coeffs[k * m.d + j][i] = x
         rows.extend((tuple(c), EQ, 0) for c in coeffs)
-    return MartingalePolytope(n=m.n, rows=tuple(rows))
+    return LinearProgram((0,) * m.n, tuple(rows), ((0, None),) * m.n)
 
 
 def oracle_support(m: Market) -> Atom:
@@ -74,7 +61,7 @@ def oracle_support(m: Market) -> Atom:
     An empty polytope leaves only q = 0, so it yields the empty set.
     """
     n = m.n
-    rows = build_polytope(m).rows[1:]
+    rows = build_polytope(m).constraints[1:]
     # columns: the n remainders first, then the n slacks, which are native
     # caps with no row.  Against slacks first, that order took 1.7 ms in
     # place of 3.5 ms on one-period 16-scenario trees (15 pivots and 12 cap
@@ -100,7 +87,8 @@ def oracle_arbitrage(
     :func:`~arbscan.market.natural_nodes` numbers them) with V_T >= 0
     everywhere, and ``h`` is one such strategy with V_T >= 1 on all of
     ``gain`` (None when ``gain`` is empty).  Variables are one position
-    vector per (period t, node of ``rows[t-1]``).  Malformed rows raise
+    vector per (period t, node of ``rows[t-1]``), and ``h`` holds only the
+    nonzero ones: a node left out holds zero.  Malformed rows raise
     ValueError before any LP is built, and ``h`` is re-checked with
     ``check_predictable`` and on the ``int`` numerators of its terminal
     values (``terminal_values``).
@@ -149,13 +137,15 @@ def oracle_arbitrage(
         return gain, None
     scale = min(sol[i] for i in gain)
 
-    strategy = Strategy(tuple(
-        {
-            atom: tuple(x / scale for x in sol[col + k * d : col + (k + 1) * d])
-            for k, atom in enumerate(atoms[t - 1])
-        }
-        for t, col in enumerate(first, 1)
-    ))
+    positions = []
+    for t, col in enumerate(first, 1):
+        pos = {}
+        for k, atom in enumerate(atoms[t - 1]):
+            vec = sol[col + k * d : col + (k + 1) * d]
+            if any(vec):
+                pos[atom] = tuple(x / scale for x in vec)
+        positions.append(pos)
+    strategy = Strategy(tuple(positions))
 
     if not check_predictable(strategy, rows):
         raise InternalError("oracle strategy is not predictable for its filtration")

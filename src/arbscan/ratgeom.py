@@ -66,17 +66,20 @@ def rat(value) -> Fraction:
 
     Floats are rejected: binary floats have no canonical exact meaning here.
     So are decimal exponents beyond +-4300, which would build huge integers.
-    So are strings holding ``_`` or a non-ASCII character, which Python's
-    ``Fraction`` parser would read: ``"1_0"`` as 10, a typo of ``"1.0"``,
-    and other scripts' digits, such as ``"١٠"``, as 10 too.
+    So are strings holding ``_`` or a non-ASCII character, or with
+    whitespace around the number, which Python's ``Fraction`` parser would
+    read: ``"1_0"`` as 10, a typo of ``"1.0"``, other scripts' digits, such
+    as ``"١٠"``, as 10 too, and ``" 1/2"`` as 1/2.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     if isinstance(value, str):
-        if "_" in value or not value.isascii():
-            raise ValueError(f"not a rational: {value!r} (use ASCII digits, no '_')")
+        if "_" in value or not value.isascii() or value != value.strip():
+            raise ValueError(
+                f"not a rational: {value!r} (use ASCII digits, no '_' or surrounding whitespace)"
+            )
         _mantissa, e, exponent = value.upper().partition("E")
         try:
             if not (e and abs(int(exponent)) > _MAX_EXPONENT):

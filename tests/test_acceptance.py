@@ -72,7 +72,7 @@ def test_criterion_1_svu(svu):
         start = time.time()
         pa = backward_eliminate(svu)
         assert pa.omega_star == frozenset()
-        assert lp_solve(build_polytope(svu).lp()).status == INFEASIBLE
+        assert lp_solve(build_polytope(svu)).status == INFEASIBLE
         assert not feasibility(svu, pa).feasible
         verdict = classify(svu, pa, SignificantClass("MI", (svu.all_indices,)), "enlarged")
         assert verdict.kind == "Arbitrage"
@@ -154,7 +154,7 @@ def test_criterion_4_ex1000_countna(ex1000, countna):
         assert pa.omega_star == zero_class
         entries = one_step_1p_check(countna, pa)
         assert entries and entries[0][0] == 1
-        assert lp_solve(build_polytope(countna).lp()).status == OPTIMAL
+        assert lp_solve(build_polytope(countna)).status == OPTIMAL
         for i in sorted(zero_class):
             assert supporting_measure(countna, pa, i)[i] > 0
         assert time.time() - start < 1.0

@@ -220,6 +220,16 @@ def test_no_arbitrage_without_a_class_measure_exits_4(capsys, constant_file, mon
     assert "internal error" in err and "no class measure" in err
 
 
+def test_feasibility_facets_that_disagree_exit_4(capsys, svu_file, monkeypatch):
+    # every SVU scenario is polar, so an extraction that finds nothing on the
+    # uniform model contradicts the other three facets
+    monkeypatch.setattr(arbitrage, "extract_p_arbitrage", lambda m, pa, p: None)
+    code, out, err = _run(capsys, "analyze", svu_file)
+    assert code == 4
+    assert out == ""
+    assert "internal error" in err and "facets disagree" in err
+
+
 def test_check_exit_codes(capsys, svu_file, constant_file):
     code, out, _ = _run(capsys, "check", svu_file, "--class", "MI", "--filtration", "enlarged")
     assert code == 1
@@ -601,6 +611,13 @@ _MALFORMED = {
         SVU_DOC,
         '{"positions": {"1": {"w1": ["\u0661"]}}}',
         "strategy period 1: not a rational: '\u0661'",
+    ),
+    # and it strips whitespace around a number, which the file format does not admit either
+    "price-with-surrounding-whitespace": (_svu_with_price(" 8"), None, "scenario 'w1': not a rational: ' 8'"),
+    "strategy-position-with-surrounding-whitespace": (
+        SVU_DOC,
+        '{"positions": {"1": {"w1": ["1\\n"]}}}',
+        "strategy period 1: not a rational: '1\\n'",
     ),
     # the message names the scenario by its id, as every other loader message does
     "probability-negative-weight": (

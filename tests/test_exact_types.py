@@ -100,7 +100,7 @@ def test_lps_of_an_integral_tree_hold_only_ints(monkeypatch):
         "oracle_support",
         "oracle_arbitrage",
     }
-    lps = [lp for _name, lp in seen] + [build_polytope(m).lp()]
+    lps = [lp for _name, lp in seen] + [build_polytope(m)]
     for lp in lps:
         numbers = list(lp.objective)
         for coeffs, _rel, rhs in lp.constraints:

@@ -136,3 +136,47 @@ def test_the_check_finds_an_unread_private_definition():
 def test_every_private_definition_is_read():
     sources = {path.stem: path.read_text("utf-8") for path in sorted(SRC.glob("*.py"))}
     assert unread_private_definitions(sources) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The ``arbscan`` modules ``source`` imports from, relatively or by the package name."""
+    found: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            parts = [a.name.split(".") for a in node.names]
+            found.update(p[1] for p in parts if p[0] == "arbscan" and len(p) > 1)
+            continue
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if not node.level:
+            if parts[0] != "arbscan":
+                continue
+            parts = parts[1:]
+        # "from . import x" and "from arbscan import x" name the modules themselves
+        found.update([parts[0]] if parts and parts[0] else [a.name for a in node.names])
+    return found
+
+
+def test_the_check_finds_every_package_import():
+    source = (
+        "import json\n"
+        "import arbscan.splitter\n"
+        "from fractions import Fraction\n"
+        "from .errors import InternalError\n"
+        "from . import measures\n"
+        "from .ratgeom import lp_solve\n"
+        "from arbscan import arbitrage\n"
+        "from arbscan.cli import main\n"
+        "def f():\n"
+        "    from .market import Market\n"
+    )
+    assert package_imports(source) == {
+        "splitter", "errors", "measures", "ratgeom", "arbitrage", "cli", "market"
+    }
+
+
+def test_oracle_imports_only_errors_market_and_ratgeom():
+    # the oracle is the ground truth the geometric path (splitter, measures,
+    # arbitrage) is checked against, so it may not reuse any of that path
+    assert package_imports((SRC / "oracle.py").read_text("utf-8")) <= {"errors", "market", "ratgeom"}

@@ -1,6 +1,7 @@
 """Martingale polytope and measure constructions."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -26,28 +27,29 @@ from conftest import tree_market, trinomial_tree
 def test_polytope_svu_infeasible(svu):
     poly = build_polytope(svu)
     objective = tuple(F(1) if i == 0 else F(0) for i in range(svu.n))
-    assert lp_solve(poly.lp(objective)).status == INFEASIBLE
-    assert lp_solve(poly.lp()).status == INFEASIBLE
+    assert lp_solve(replace(poly, objective=objective)).status == INFEASIBLE
+    assert lp_solve(poly).status == INFEASIBLE
 
 
 def test_polytope_single_scenario_constant():
     m = load_market({"d": 1, "T": 1, "scenarios": [{"id": "a", "prices": [[3], [3]]}]})
-    res = lp_solve(build_polytope(m).lp((F(1),)))
+    res = lp_solve(replace(build_polytope(m), objective=(F(1),)))
     assert res.status == OPTIMAL
     assert res.solution == (F(1),)
 
 
 def test_polytope_multi_infeasible(multi):
-    assert lp_solve(build_polytope(multi).lp()).status == INFEASIBLE
+    assert lp_solve(build_polytope(multi)).status == INFEASIBLE
 
 
 def test_polytope_row_order(svu):
     poly = build_polytope(svu)
-    assert poly.rows[0] == ((F(1),) * 4, "=", F(1))
+    assert poly.objective == (0,) * 4 and poly.bounds == ((0, None),) * 4
+    assert poly.constraints[0] == ((F(1),) * 4, "=", F(1))
     # t=1 over the single F_0 atom, then t=2 over the two F_1 atoms
-    assert poly.rows[1][0] == (F(1), F(1), F(-4), F(-4))
-    assert poly.rows[2][0] == (F(1), F(-2), F(0), F(0))
-    assert poly.rows[3][0] == (F(0), F(0), F(2), F(1))
+    assert poly.constraints[1][0] == (F(1), F(1), F(-4), F(-4))
+    assert poly.constraints[2][0] == (F(1), F(-2), F(0), F(0))
+    assert poly.constraints[3][0] == (F(0), F(0), F(2), F(1))
 
 
 def test_supporting_measure_countna(countna):

@@ -2,6 +2,7 @@
 
 import random
 import warnings
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -34,7 +35,7 @@ def _support_literal(m):
     out = set()
     for i in range(m.n):
         objective = tuple(F(1) if j == i else F(0) for j in range(m.n))
-        res = lp_solve(poly.lp(objective))
+        res = lp_solve(replace(poly, objective=objective))
         if res.status == INFEASIBLE:
             return frozenset()
         assert res.status == OPTIMAL
@@ -127,6 +128,20 @@ def test_oracle_arbitrage_matches_literal_search_with_several_time_0_nodes(m):
         _assert_witness(m, rows, gain, h)
         for c in [frozenset({i}) for i in range(m.n)] + [m.all_indices]:
             assert (c <= gain) == arbitrage_literal(m, rows, c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(corpus_markets(), trinomial_tree(horizon=3)))
+def test_oracle_witness_holds_no_zero_position(m):
+    # a node the LP leaves at zero is left out of the witness, which still
+    # passes the same checks: predictable, V_T >= 0, V_T >= 1 on the gain set
+    # and V_T > 0 only there
+    pa = backward_eliminate(m)
+    for rows in (pa.nodes, pa.aggregator[1]):
+        gain, h = oracle_arbitrage(m, rows)
+        _assert_witness(m, rows, gain, h)
+        if h is not None:
+            assert all(any(vec) for pos in h.positions for vec in pos.values())
 
 
 def test_oracle_arbitrage_svu_model_independent(svu):

@@ -52,9 +52,11 @@ def test_rat_bounds_decimal_exponents():
 
 @pytest.mark.parametrize(
     "text",
-    ["1_0", "0.2_5", "1_000/3", "1e1_0", "\u0661\u0660", "\uff11\uff10", "1/\u0663", "\u00a010"],
+    ["1_0", "0.2_5", "1_000/3", "1e1_0", "\u0661\u0660", "\uff11\uff10", "1/\u0663", "\u00a010",
+     " 1/2", "1/2\n", "\t3", "0.5 "],
     ids=["underscore", "decimal-underscore", "fraction-underscore", "exponent-underscore",
-         "arabic-indic", "fullwidth", "arabic-indic-denominator", "nbsp"],
+         "arabic-indic", "fullwidth", "arabic-indic-denominator", "nbsp",
+         "leading-space", "trailing-newline", "leading-tab", "trailing-space"],
 )
 def test_rat_rejects_what_only_python_reads(text):
     # Python's own parser reads each of these ("1_0" as 10, a typo of "1.0")
