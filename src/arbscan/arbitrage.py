@@ -196,8 +196,13 @@ class FeasibilityReport:
     feasible: bool
     facets: Mapping[str, bool]
     ladder: Mapping[str, bool]
-    class_ladder: Mapping[str, bool]
+    verdicts: Mapping[str, Verdict]
     full_support: Optional[DiscreteMeasure]
+
+    @property
+    def class_ladder(self) -> dict[str, bool]:
+        """Per declared class, whether it admits no enlarged-filtration arbitrage."""
+        return {name: not v.arbitrage for name, v in self.verdicts.items()}
 
 
 def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
@@ -208,16 +213,20 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     exists; (4) no class arbitrage for the singletons-plus-declared family
     under the enlarged filtration.  Each facet is computed by its own route,
     and facets that differ raise InternalError.  The ladder records no-1p =>
-    no-class-S => no-model-independent for every declared class.
+    no-class-S => no-model-independent: under the enlarged filtration a
+    singleton is an arbitrage iff some scenario is polar, and the whole
+    market iff every one is, so the ladder's two ends are read off
+    ``omega_star``.  ``verdicts`` holds each declared class's enlarged
+    verdict, the one the report prints.
     """
     polar = _polar_complement(m, pa)
     n = m.n
     witness = pa.full_support
 
     uniform = DiscreteMeasure.from_numerators(dict.fromkeys(range(n), 1), n)
-    one_point = SignificantClass("1p", tuple(map(frozenset, zip(range(n)))))
+    singletons = tuple(map(frozenset, zip(range(n))))
     declared = tuple(s for cls in m.classes.values() for s in cls.sets)
-    open_like = SignificantClass("open-like", one_point.sets + declared)
+    open_like = SignificantClass("open-like", singletons + declared)
 
     facets = {
         "omega_star_is_everything": not polar,
@@ -230,20 +239,10 @@ def feasibility(m: Market, pa: PolarAnalysis) -> FeasibilityReport:
     if len(set(facets.values())) != 1:
         raise InternalError(f"the feasibility facets disagree: {facets}")
 
-    no_1p = not classify(m, pa, one_point, "enlarged").arbitrage
-    no_mi = not classify(
-        m, pa, SignificantClass("MI", (m.all_indices,)), "enlarged"
-    ).arbitrage
-    ladder = {"no_1p": no_1p, "no_model_independent": no_mi}
-    class_ladder = {
-        name: not classify(m, pa, cls, "enlarged").arbitrage
-        for name, cls in m.classes.items()
-    }
-
     return FeasibilityReport(
-        feasible=facets["omega_star_is_everything"],
+        feasible=not polar,
         facets=facets,
-        ladder=ladder,
-        class_ladder=class_ladder,
+        ladder={"no_1p": not polar, "no_model_independent": bool(pa.omega_star)},
+        verdicts={name: classify(m, pa, cls, "enlarged") for name, cls in m.classes.items()},
         full_support=witness,
     )

@@ -144,15 +144,12 @@ def build_report(m: Market, verify: bool = False) -> tuple[dict, bool]:
                 None if feas.full_support is None else _weights_json(m, feas.full_support)
             ),
         },
-        "classes": {
-            name: _verdict_json(m, classify(m, pa, cls, "enlarged"))
-            for name, cls in m.classes.items()
-        },
+        "classes": {name: _verdict_json(m, v) for name, v in feas.verdicts.items()},
         "feasibility": {
             "feasible": feas.feasible,
             "facets": dict(feas.facets),
             "ladder": dict(feas.ladder),
-            "class_ladder": dict(feas.class_ladder),
+            "class_ladder": feas.class_ladder,
         },
     }
 

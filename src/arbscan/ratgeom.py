@@ -164,16 +164,25 @@ def _check_exact(values, where: str) -> None:
             raise ValueError(f"{where} holds {v!r}; use an int or a Fraction")
 
 
+_EXACT_TYPES = frozenset({int, Fraction})
+
+
 def _validate(lp: LinearProgram) -> None:
+    # one C-level screen per row; _check_exact runs only when it fails, to
+    # pass subclasses and to name the offender
+    exact = _EXACT_TYPES.issuperset
     n = len(lp.objective)
-    _check_exact(lp.objective, "objective")
+    if not exact(map(type, lp.objective)):
+        _check_exact(lp.objective, "objective")
     for k, (coeffs, rel, rhs) in enumerate(lp.constraints):
         if len(coeffs) != n:
             raise ValueError(f"constraint {k} has arity {len(coeffs)}, expected {n}")
         if rel not in RELATIONS:
             raise ValueError(f"constraint {k} has unknown relation {rel!r}")
-        _check_exact(coeffs, f"constraint {k}")
-        _check_exact((rhs,), f"constraint {k} right-hand side")
+        if not exact(map(type, coeffs)):
+            _check_exact(coeffs, f"constraint {k}")
+        if type(rhs) not in _EXACT_TYPES:
+            _check_exact((rhs,), f"constraint {k} right-hand side")
     if len(lp.bounds) != n:
         raise ValueError(f"bounds cover {len(lp.bounds)} variables, expected {n}")
     for j, pair in enumerate(lp.bounds):

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arbscan.arbitrage import (
     ARBITRAGE,
@@ -18,6 +19,7 @@ from arbscan.arbitrage import (
 from arbscan.errors import DomainError
 from arbscan.market import (
     DiscreteMeasure,
+    Market,
     SignificantClass,
     Strategy,
     atoms_of,
@@ -26,7 +28,14 @@ from arbscan.market import (
 )
 from arbscan.splitter import backward_eliminate
 
-from conftest import position, predictable_on, random_measure
+from conftest import (
+    corpus_markets,
+    position,
+    predictable_on,
+    random_class,
+    random_measure,
+    split_corpus_markets,
+)
 
 
 def _singletons(m):
@@ -206,6 +215,45 @@ def test_feasibility_cases(constant, countna, svu):
     feas = feasibility(svu, backward_eliminate(svu))
     assert not feas.feasible
     assert not feas.ladder["no_model_independent"]
+
+
+def _ladders_by_classify(m, pa):
+    """The ladder and the class ladder, each rung its own enlarged ``classify``."""
+    one_point = SignificantClass("1p", tuple(map(frozenset, zip(range(m.n)))))
+    ladder = {
+        "no_1p": not classify(m, pa, one_point, "enlarged").arbitrage,
+        "no_model_independent": not classify(
+            m, pa, SignificantClass("MI", (m.all_indices,)), "enlarged"
+        ).arbitrage,
+    }
+    class_ladder = {
+        name: not classify(m, pa, cls, "enlarged").arbitrage for name, cls in m.classes.items()
+    }
+    return ladder, class_ladder
+
+
+@st.composite
+def _with_classes(draw, markets):
+    """A drawn market with zero to two random declared classes."""
+    m = draw(markets)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    names = [f"c{k}" for k in range(draw(st.integers(0, 2)))]
+    return Market(m.d, m.T, m.scenarios, {name: random_class(rng, m.n, name) for name in names})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_with_classes(st.one_of(corpus_markets(), split_corpus_markets())))
+def test_feasibility_ladders_match_a_classify_per_rung(m):
+    # the ladder is read off omega_star and the class ladder off the verdicts
+    # the report prints; both equal one enlarged classify per rung
+    pa = backward_eliminate(m)
+    feas = feasibility(m, pa)
+    ladder, class_ladder = _ladders_by_classify(m, pa)
+    assert feas.ladder == ladder
+    assert feas.class_ladder == class_ladder
+    assert feas.verdicts == {
+        name: classify(m, pa, cls, "enlarged") for name, cls in m.classes.items()
+    }
 
 
 def test_extraction_matches_decomposition_on_corpus(mini_corpus):

@@ -4,6 +4,7 @@ import ast
 import copy
 import io
 import json
+import random
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as F
@@ -28,6 +29,9 @@ from conftest import (
     SVU_DOC,
     corpus_markets,
     market_doc,
+    random_class,
+    random_market,
+    random_measure,
     split_corpus_markets,
     trinomial_tree,
 )
@@ -652,17 +656,41 @@ def test_malformed_input_exits_2(capsys, tmp_path, case):
 _ODD_VALUES = (None, True, 2.5, float("inf"), "zz", [], {}, ["zz"])
 # numbers: valid ones that reshape the market or a weight, and bad ones
 _NUMBERS = (0, -1, 7, "1/3", "-3/2", "1/2", "1/0", "x", "1e999999")
+# declared classes that are malformed, or that name an unknown scenario
+_BAD_CLASSES = ([], [[]], [["zz"]], "x", [None], [[1]], {"a": []}, [["w1"], []])
 
 
-def _paths(node, path=()):
-    """The path of every node below ``node`` in a JSON document, as key tuples."""
-    if isinstance(node, dict):
-        items = node.items()
-    else:
-        items = enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield path + (key,)
-        yield from _paths(child, path + (key,))
+def _corpus_doc(seed: int) -> dict:
+    """A ``random_market`` document with one declared class and one probability."""
+    rng = random.Random(seed)
+    m = random_market(rng)
+    doc = market_doc(m)
+    doc["classes"] = {"c": [m.ids(s) for s in random_class(rng, m.n, "c").sets]}
+    p = random_measure(rng, m.n)
+    doc["probabilities"] = {"P": {m.scenario_ids[i]: str(w) for i, w in p.weights.items()}}
+    return doc
+
+
+_BASES = st.one_of(
+    st.sampled_from((SVU_DOC, MULTI_DOC, EX3D_DOC, EX1000_DOC, COUNTNA_DOC, CONSTANT_DOC)),
+    st.integers(0, 2**32 - 1).map(_corpus_doc),
+)
+
+
+def _draw_path(data, doc, leaf: bool) -> tuple:
+    """A node of ``doc`` as a key tuple, drawn one key at a time from the root.
+
+    The walk stops at a leaf or an empty container and, unless ``leaf``, on
+    each drawn coin, so the keys near the root (``d``, ``T``, the tables)
+    are drawn often, not once among every price.
+    """
+    node, path = doc, ()
+    while isinstance(node, (dict, list)) and node:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+        if not leaf and data.draw(st.booleans()):
+            break
+    return path
 
 
 def _at(doc, path):
@@ -671,17 +699,36 @@ def _at(doc, path):
     return doc
 
 
-def _mutant(data, base: dict) -> dict:
-    """``base`` with one or two nodes dropped, retyped, renumbered or renamed to an unknown id."""
+def _nudges(value, ids) -> list:
+    """The values ``value`` may be nudged to.
+
+    An integer moves by one, an id becomes another id or a new one, and a
+    number string gains a digit or a sign.
+    """
+    if isinstance(value, int) and not isinstance(value, bool):
+        return [value - 1, value + 1]
+    if value in ids:
+        return [sid for sid in ids if sid != value] + [value + "x"]
+    if isinstance(value, str):
+        return [value + "1", "-" + value]
+    return [value]
+
+
+def _mutant(data, base: dict, ids, ops) -> dict:
+    """``base`` with one or two of ``ops`` applied, each at a drawn node.
+
+    A node is dropped, retyped, renamed to an unknown id, renumbered,
+    nudged or duplicated, or a malformed class is declared.
+    """
     doc = copy.deepcopy(base)
     for _ in range(data.draw(st.integers(1, 2))):
-        op = data.draw(st.sampled_from(("drop", "retype", "rename", "number")))
-        paths = list(_paths(doc))
-        if op == "number":  # a price or a weight: a leaf that is not an id
-            paths = [
-                p for p in paths if p[-1] != "id" and not isinstance(_at(doc, p), (dict, list))
-            ]
-        path = data.draw(st.sampled_from(paths or [("d",)]))
+        op = data.draw(st.sampled_from(ops))
+        if op == "class":
+            classes = doc.get("classes")
+            doc["classes"] = dict(classes) if isinstance(classes, dict) else {}
+            doc["classes"]["bad"] = copy.deepcopy(data.draw(st.sampled_from(_BAD_CLASSES)))
+            continue
+        path = _draw_path(data, doc, leaf=op in ("number", "nudge"))
         parent, key = _at(doc, path[:-1]), path[-1]
         if op == "drop":
             del parent[key]
@@ -689,6 +736,10 @@ def _mutant(data, base: dict) -> dict:
             parent["zz"] = parent.pop(key)  # a table keyed by an unknown id
         elif op == "number":
             parent[key] = data.draw(st.sampled_from(_NUMBERS))
+        elif op == "nudge":
+            parent[key] = data.draw(st.sampled_from(_nudges(parent[key], ids)))
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))  # else a retype
         else:
             parent[key] = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES)))
         if not doc:
@@ -696,36 +747,61 @@ def _mutant(data, base: dict) -> dict:
     return doc
 
 
+_MARKET_OPS = ("drop", "retype", "rename", "number", "nudge", "duplicate", "class")
+_STRATEGY_OPS = ("drop", "retype", "rename", "number", "nudge", "duplicate")
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from((SVU_DOC, MULTI_DOC, EX3D_DOC)), st.data())
+@given(_BASES, st.data())
 def test_mutated_markets_exit_cleanly(tmp_path_factory, base, data):
-    # every command on a mutated document exits 0, 1 or 2, with no traceback;
-    # exit 1 only as an Arbitrage verdict or a measure asked of a polar scenario
-    path = tmp_path_factory.mktemp("mutant") / "market.json"
-    path.write_text(json.dumps(_mutant(data, base)), "utf-8")
-    market = str(path)
+    # every command on a mutated market or strategy document exits 0, 1 or
+    # 2, never 4, and no exception escapes; exit 1 only as an Arbitrage
+    # verdict, a measure asked of a polar scenario or a losing strategy, and
+    # exit 2 with one "error:" line and nothing on stdout
+    ids = [s["id"] for s in base["scenarios"]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m = load_market(base)
+    strategy_doc = cli.strategy_json(m, backward_eliminate(m).aggregator[0])
+    target = data.draw(st.sampled_from(("market", "strategy", "both")))
+    doc = _mutant(data, base, ids, _MARKET_OPS) if target != "strategy" else base
+    if target != "market":
+        strategy_doc = _mutant(data, strategy_doc, ids, _STRATEGY_OPS)
+    folder = tmp_path_factory.mktemp("mutant")
+    market, strategy = folder / "market.json", folder / "strategy.json"
+    market.write_text(json.dumps(doc), "utf-8")
+    strategy.write_text(json.dumps(strategy_doc), "utf-8")
+    market, strategy = str(market), str(strategy)
+    cls = data.draw(st.sampled_from(["MI", "1p", *base.get("classes", {})]))
     prob = next(iter(base.get("probabilities", {"U": None})))
     commands = [
+        ["analyze", market],
         ["analyze", market, "--verify"],
-        ["check", market, "--class", "MI", "--filtration", "natural"],
-        ["check", market, "--class", "MI", "--filtration", "enlarged"],
+        ["check", market, "--class", cls, "--filtration", "natural"],
+        ["check", market, "--class", cls, "--filtration", "enlarged"],
         ["extract", market, "--prob", prob],
-        ["measure", market, "--support", base["scenarios"][0]["id"]],
+        ["measure", market, "--support", ids[0]],
+        ["defrag", market, "--strategy", strategy],
         ["oracle", market],
     ]
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            code = cli.main(argv)
-        assert code in (0, 1, 2), (argv[0], code, err.getvalue())
-        if code == 1:
+            code = cli.main(argv + ["--summary"])
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), (argv[0], code, err)
+        if code == 0:
+            json.loads(out)
+        elif code == 1:
             if argv[0] == "check":
-                assert json.loads(out.getvalue())["kind"] == "Arbitrage"
+                assert json.loads(out)["kind"] == "Arbitrage"
+            elif argv[0] == "measure":
+                assert "is polar" in err, err
             else:
-                assert argv[0] == "measure" and "is polar" in err.getvalue(), err.getvalue()
-        if code == 2:
-            assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+                assert argv[0] == "defrag" and "terminal value is negative" in err, err
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_no_bare_asserts_in_the_package():

@@ -8,9 +8,18 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbscan.market import check_predictable, load_market, natural_nodes, value_process
+from arbscan import oracle
+from arbscan.market import atoms_of, check_predictable, load_market, natural_nodes, value_process
 from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
-from arbscan.ratgeom import INFEASIBLE, OPTIMAL, _Tableau, lp_solve, maximal_separator
+from arbscan.ratgeom import (
+    GE,
+    INFEASIBLE,
+    OPTIMAL,
+    LinearProgram,
+    _Tableau,
+    lp_solve,
+    maximal_separator,
+)
 from arbscan.splitter import backward_eliminate, universal_aggregator
 
 from conftest import (
@@ -18,6 +27,7 @@ from conftest import (
     corpus_markets,
     count_calls,
     paths_market,
+    split_corpus_markets,
     trinomial_tree,
     wide_trees,
 )
@@ -76,6 +86,89 @@ def test_capped_slack_lps_have_no_cap_rows(monkeypatch):
     shapes.clear()
     maximal_separator(points + points[:5])
     assert shapes == [16]  # H.x_v - s_v >= 0 per distinct point
+
+
+# six scenarios on three price paths: a and b rise twice, c rises once and
+# stays, d, e and f fall once and stay; the node after the rise gains on a
+# and b, so they are polar and gained on, and c, d, e and f survive
+_REPEATED_PATHS = {
+    "d": 1,
+    "T": 2,
+    "scenarios": [
+        {"id": sid, "prices": path}
+        for sid, path in (
+            ("a", [[10], [11], [12]]),
+            ("b", [[10], [11], [12]]),
+            ("c", [[10], [11], [11]]),
+            ("d", [[10], [9], [9]]),
+            ("e", [[10], [9], [9]]),
+            ("f", [[10], [9], [9]]),
+        )
+    ],
+}
+
+
+def test_oracle_lps_take_one_slack_per_distinct_path(monkeypatch):
+    m = load_market(_REPEATED_PATHS)
+    lps = []
+
+    def spy(lp):
+        lps.append(lp)
+        return lp_solve(lp)
+
+    monkeypatch.setattr(oracle, "lp_solve", spy)
+    assert m.ids(oracle_support(m)) == ["c", "d", "e", "f"]
+    (lp,) = lps
+    # a remainder and a capped slack per path, against 2 * 6 per scenario
+    assert len(lp.objective) == 2 * 3
+    assert [hi for _lo, hi in lp.bounds].count(1) == 3
+    pa = backward_eliminate(m)
+    for rows in (pa.nodes, pa.aggregator[1]):
+        lps.clear()
+        gain, h = oracle_arbitrage(m, rows)
+        assert m.ids(gain) == ["a", "b"]
+        _assert_witness(m, rows, gain, h)
+        (lp,) = lps
+        # one V_T - s >= 0 row and one capped slack per path, against 6
+        assert len(lp.constraints) == 3
+        assert [hi for _lo, hi in lp.bounds].count(1) == 3
+
+
+def _gain_per_scenario(m, rows):
+    """The gain set of the strategy search with one row and one capped slack per scenario.
+
+    The oracle's LP before it merged scenarios on one path: rows V_T(i) - s_i
+    >= 0 over the slacks, then one position vector per (period, node).
+    """
+    first, nv = [], m.n
+    for row in rows[: m.T]:
+        first.append(nv)
+        nv += len(atoms_of(row)) * m.d
+    constraints = []
+    for i in range(m.n):
+        coeffs = [0] * nv
+        coeffs[i] = -1
+        for t, col in enumerate(first, 1):
+            k = col + rows[t - 1][i] * m.d
+            coeffs[k : k + m.d] = m.increment(t, i)
+        constraints.append((tuple(coeffs), GE, 0))
+    objective = (1,) * m.n + (0,) * (nv - m.n)
+    bounds = ((0, 1),) * m.n + ((None, None),) * (nv - m.n)
+    res = lp_solve(LinearProgram(objective, tuple(constraints), bounds))
+    assert res.status == OPTIMAL
+    return frozenset(i for i, s in enumerate(res.solution[: m.n]) if s > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(corpus_markets(), split_corpus_markets()))
+def test_oracle_lps_over_distinct_paths_match_the_per_scenario_lps(m):
+    # both families often send several scenarios down one path
+    assert oracle_support(m) == _support_literal(m)
+    pa = backward_eliminate(m)
+    for rows in (pa.nodes, pa.aggregator[1]):
+        gain, h = oracle_arbitrage(m, rows)
+        assert gain == _gain_per_scenario(m, rows)
+        _assert_witness(m, rows, gain, h)
 
 
 def _assert_witness(m, filtration, gain, h):

@@ -1,5 +1,6 @@
 """Exact LP solver and convex-geometry predicates."""
 
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 from math import gcd
@@ -124,10 +125,39 @@ def test_inexact_numbers_rejected(where, bad):
     else:
         upper = bad
     lp = LinearProgram(objective, ((coeffs, GE, rhs),), ((lower, upper),))
-    with pytest.raises(ValueError):
+    # the message names where the number sits and the number itself
+    named = {
+        "objective": "objective",
+        "coefficient": "constraint 0",
+        "rhs": "constraint 0 right-hand side",
+        "lower": "bounds of variable 0",
+        "upper": "bounds of variable 0",
+    }[where]
+    message = re.escape(f"{named} holds {bad!r}; use an int or a Fraction")
+    with pytest.raises(ValueError, match=message):
         lp_solve(lp)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         verify_farkas_certificate(lp, (F(1), F(0)))
+
+
+class _Int(int):
+    pass
+
+
+class _Frac(F):
+    pass
+
+
+def test_exact_subclasses_pass_validation():
+    # a subclass of int or Fraction fails the exact-type screen and is then
+    # accepted by the per-entry check, with the same optimum as the base types
+    plain = LinearProgram((1, F(1, 2)), (((1, 1), GE, F(-3)), ((-1, -1), GE, -2)), ((0, None), (0, 1)))
+    sub = LinearProgram(
+        (_Int(1), _Frac(1, 2)),
+        (((_Int(1), _Frac(1)), GE, _Frac(-3)), ((-1, -1), GE, _Int(-2))),
+        ((_Int(0), None), (0, _Int(1))),
+    )
+    assert lp_solve(sub) == lp_solve(plain)
 
 
 @pytest.mark.parametrize(
