@@ -401,6 +401,8 @@ def _parse_price(value, where: str) -> Union[int, Fraction]:
     return q.numerator if q.denominator == 1 else q
 
 
+_INT_TYPES = frozenset({int})
+
 _JSON_KINDS = {list: "a JSON array", dict: "a JSON object", str: "a string"}
 
 
@@ -474,7 +476,8 @@ def load_market(source: Union[str, Path, dict]) -> Market:
 
     scenarios = []
     for k, entry in enumerate(_expect(doc["scenarios"], list, "scenarios")):
-        entry = _expect(entry, dict, f"scenario entry {k}")
+        if type(entry) is not dict:
+            entry = _expect(entry, dict, f"scenario entry {k}")
         sid = entry.get("id")
         if not isinstance(sid, str):
             raise MarketFormatError("every scenario needs a string id")
@@ -484,12 +487,17 @@ def load_market(source: Union[str, Path, dict]) -> Market:
         rows = entry.get("prices")
         if not isinstance(rows, list):
             raise MarketFormatError(f"scenario {sid!r} has no price rows")
-        where = f"scenario {sid!r}"
-        path = tuple(
-            tuple(_parse_price(x, where) for x in _expect(row, list, f"{where} price row"))
-            for row in rows
-        )
-        scenarios.append(Scenario(sid, path))
+        path = []
+        for row in rows:
+            # a row of JSON integers passes one C-level type screen as it is;
+            # any other row, bool entries included, is parsed entry by entry
+            if type(row) is list and _INT_TYPES.issuperset(map(type, row)):
+                path.append(tuple(row))
+            else:
+                where = f"scenario {sid!r}"
+                row = _expect(row, list, f"{where} price row")
+                path.append(tuple(_parse_price(x, where) for x in row))
+        scenarios.append(Scenario(sid, tuple(path)))
 
     # Market validates only its scenarios, so it is built once, first, and
     # the class and probability tables it holds are filled in afterwards

@@ -85,9 +85,10 @@ def oracle_support(m: Market) -> Atom:
     # columns: the k remainders first, then the k slacks, which are native
     # caps with no row.  Against slacks first, that order took 1.7 ms in
     # place of 3.5 ms on one-period 16-scenario trees (15 pivots and 12 cap
-    # flips in place of 47 pivots), 0.38 s in place of 0.67 s on trinomial
-    # trees of 243 scenarios, and 0.36 ms in place of 0.46 ms on small
-    # random markets.
+    # flips in place of 47 pivots), 0.13-0.18 s in place of 0.26-0.36 s on
+    # trinomial trees of 243 scenarios (seeds big901 and big902 of
+    # bench/gen.py's trinomial_market), and 0.36 ms in place of 0.46 ms on
+    # small random markets.
     constraints = tuple(
         (coeffs + coeffs, rel, rhs)
         for coeffs, rel, rhs in _martingale_rows(m, nodes, list(least.values()))

