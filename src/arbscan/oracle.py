@@ -1,19 +1,24 @@
 """Brute-force LP ground truth, independent of the geometric path.
 
-The module builds its own martingale polytope and imports only ``errors``,
-``market`` and ``ratgeom``.  ``oracle_support`` finds the exact support of
-the martingale polytope, and ``oracle_arbitrage`` the largest set on which a
-predictable strategy that never loses gains strictly, each in one
-capped-slack LP.  Scenarios on one price path get the same coefficients in
-every row of either LP, so each LP takes one slack per distinct path, not
-per scenario.
+The module imports only ``errors``, ``market`` and ``ratgeom``.  Both of
+its LPs read one matrix, the martingale table A of a filtration: one row
+per (period, node, asset) and one column per scenario, built by
+:func:`_martingale_columns`.  The martingale measures are the q >= 0 with
+A q = 0, and the strategies that never lose are the H with H.A >= 0 in
+every column, the two sides of the first fundamental theorem.
+``oracle_support`` finds the exact support of the martingale polytope, and
+``oracle_arbitrage`` the largest set on which a predictable strategy that
+never loses gains strictly, each in one capped-slack LP.  Scenarios on one
+price path have equal columns, so each LP takes one slack per distinct
+path, not per scenario.
 Disagreement with the geometric modules is a hard test failure, never
 silently resolved.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from itertools import accumulate
+from typing import Iterable, Optional, Sequence
 
 from .errors import InternalError
 from .market import (
@@ -25,40 +30,44 @@ from .market import (
     natural_nodes,
     terminal_values,
 )
-from .ratgeom import EQ, GE, OPTIMAL, LinearProgram, Vec, lp_solve
+from .ratgeom import EQ, OPTIMAL, LinearProgram, Vec, lp_solve, strict_set_lp
 
 
 def build_polytope(m: Market) -> LinearProgram:
     """All martingale measures as weight vectors: a zero objective over weights >= 0.
 
-    Constraint 0 normalizes the weights to sum 1; the rest are the
-    per-(period, atom, asset) zero-expectation equalities, ordered by period
-    ascending, atom by smallest index (its node id), then asset index.
-    Nonnegativity is a variable bound, not a row.  Structural numbers are
-    ``int``s, and so are the increments of integral prices.
+    Constraint 0 normalizes the weights to sum 1; the rest are the rows of
+    the natural filtration's martingale table, zero-expectation equalities
+    ordered by period ascending, atom by smallest index (its node id), then
+    asset index.  Nonnegativity is a variable bound, not a row.  Structural
+    numbers are ``int``s, and so are the increments of integral prices.
     """
-    rows = [((1,) * m.n, EQ, 1)] + _martingale_rows(m, natural_nodes(m), range(m.n))
+    columns = _martingale_columns(m, natural_nodes(m), range(m.n))
+    rows = [((1,) * m.n, EQ, 1)] + [(row, EQ, 0) for row in zip(*columns)]
     return LinearProgram((0,) * m.n, tuple(rows), ((0, None),) * m.n)
 
 
-def _martingale_rows(
-    m: Market, nodes: Sequence[Sequence[int]], columns: Sequence[int]
-) -> list[tuple[Vec, str, int]]:
-    """The martingale rows of :func:`build_polytope`, one column per scenario in ``columns``.
+def _martingale_columns(
+    m: Market, rows: Sequence[Sequence[int]], scenarios: Iterable[int]
+) -> list[Vec]:
+    """Each scenario's column of the martingale table of the filtration ``rows``.
 
-    ``nodes`` is ``natural_nodes(m)``; row k * d + j of period t holds asset
-    j's increments on node k at time t-1.  Every node must hold a scenario
-    of ``columns``.
+    ``rows`` are node-id rows numbered as :func:`~arbscan.market.atoms_of`
+    expects, and each period's block of entries follows the last: entry
+    first[t-1] + k * d + j of scenario i's column holds asset j's increment
+    over (t-1, t] if i lies in node k of ``rows[t-1]``, and 0 otherwise.
     """
-    rows = []
-    for t in range(1, m.T + 1):
-        up = nodes[t - 1]
-        coeffs = [[0] * len(columns) for _ in range((max(up) + 1) * m.d)]
-        for v, i in enumerate(columns):
-            for j, x in enumerate(m.increment(t, i)):
-                coeffs[up[i] * m.d + j][v] = x
-        rows.extend((tuple(c), EQ, 0) for c in coeffs)
-    return rows
+    d = m.d
+    first = list(accumulate(((max(row) + 1) * d for row in rows[: m.T]), initial=0))
+    size = first.pop()
+    columns = []
+    for i in scenarios:
+        col = [0] * size
+        for t, lo in enumerate(first, 1):
+            k = lo + rows[t - 1][i] * d
+            col[k : k + d] = m.increment(t, i)
+        columns.append(tuple(col))
+    return columns
 
 
 def oracle_support(m: Market) -> Atom:
@@ -66,8 +75,8 @@ def oracle_support(m: Market) -> Atom:
 
     One capped-slack LP in substituted form, the maximal-strict-set method of
     Freund, Roundy and Todd (1985).  Scenarios on one price path share every
-    node and increment, so their columns agree in every martingale row; the
-    LP takes one column pair per distinct path, a final natural node.  Per
+    node and increment, so their columns of the martingale table are equal;
+    the LP takes one column pair per distinct path, a final natural node.  Per
     node v a remainder r_v >= 0 and a slack s_v in [0, 1] make its
     unnormalized mass q_v = r_v + s_v, the rows are the polytope's martingale
     rows without the normalization row, applied to r + s, and the LP
@@ -89,10 +98,8 @@ def oracle_support(m: Market) -> Atom:
     # trinomial trees of 243 scenarios (seeds big901 and big902 of
     # bench/gen.py's trinomial_market), and 0.36 ms in place of 0.46 ms on
     # small random markets.
-    constraints = tuple(
-        (coeffs + coeffs, rel, rhs)
-        for coeffs, rel, rhs in _martingale_rows(m, nodes, list(least.values()))
-    )
+    columns = _martingale_columns(m, nodes, least.values())
+    constraints = tuple((row + row, EQ, 0) for row in zip(*columns))
     objective = (0,) * k + (1,) * k
     bounds = ((0, None),) * k + ((0, 1),) * k
     res = lp_solve(LinearProgram(objective, constraints, bounds))
@@ -118,69 +125,34 @@ def oracle_arbitrage(
     ``check_predictable`` and on the ``int`` numerators of its terminal
     values (``terminal_values``).
 
-    One capped-slack LP, the maximal-strict-set method of Freund, Roundy and
-    Todd (1985).  Scenarios whose position coefficients agree, as scenarios
-    on one price path do, have the same V_T under every strategy, so the LP
-    takes one row and one slack per distinct coefficient row v: s_v in
-    [0, 1], V_T(v) - s_v >= 0, and it maximizes the sum of the slacks.  Gain
-    sets are closed under sums of strategies, so an optimum with s_v = 0 on
-    a row some strategy gains on could be improved; hence ``gain`` is every
-    scenario whose row has s_v > 0, and dividing by the least such s_v lifts
-    the gain to >= 1 there.
+    One strict-set LP (:func:`~arbscan.ratgeom.strict_set_lp`) over the
+    distinct columns of the martingale table of ``rows``: the positions
+    form one vector H, and H times scenario i's column is V_T(i).
+    Scenarios with equal columns, as on one price path, have the same V_T
+    under every strategy, so the LP takes one row and one slack per
+    distinct column.  ``gain`` is every scenario whose column has
+    a positive slack, and dividing H by the least such slack lifts the gain
+    to >= 1 there.
     """
     n, d = m.n, m.d
     if len(rows) < m.T or any(len(row) != n for row in rows):
         raise ValueError(f"a filtration needs a row of {n} node ids per time 0..{m.T - 1}")
     atoms = [atoms_of(row) for row in rows[: m.T]]
-    # Asset j of node k in period t is position first[t-1] + k*d + j.
-    first = []
-    npos = 0
-    for period in atoms:
-        first.append(npos)
-        npos += len(period) * d
-    index_of: dict[Vec, int] = {}  # each distinct coefficient row's slack
-    slack_of = []  # per scenario
-    for i in range(n):
-        coeffs = [0] * npos
-        for t, col in enumerate(first, 1):
-            k = col + rows[t - 1][i] * d
-            coeffs[k : k + d] = m.increment(t, i)
-        slack_of.append(index_of.setdefault(tuple(coeffs), len(index_of)))
-    nk = len(index_of)
-
-    # columns: the nk slacks first, then the positions.  Bland's rule then
-    # makes each s_v basic on its own row before any position enters: on
-    # one-period 16-scenario trees that is 17 pivots in place of 29 with the
-    # positions first, and 1.0 ms in place of 3.0 ms; 3.0 ms in place of
-    # 5.9 ms on trinomial trees of 27 scenarios.  Only small random markets
-    # favour the positions (0.56 ms against 0.82 ms).
-    constraints = []
-    for v, coeffs in enumerate(index_of):
-        slack = [0] * nk
-        slack[v] = -1
-        constraints.append((tuple(slack) + coeffs, GE, 0))
-    objective = (1,) * nk + (0,) * npos
-    bounds = ((0, 1),) * nk + ((None, None),) * npos
-
-    res = lp_solve(LinearProgram(objective, tuple(constraints), bounds))
-    if res.status != OPTIMAL:
-        raise InternalError(f"strategy search LP ended {res.status}")
-    sol = res.solution
-    gain = frozenset(i for i, v in enumerate(slack_of) if sol[v] > 0)
+    index_of: dict[Vec, int] = {}  # each distinct column's slack
+    slack_of = [  # per scenario
+        index_of.setdefault(col, len(index_of)) for col in _martingale_columns(m, rows, range(n))
+    ]
+    slacks, h = strict_set_lp(list(index_of))
+    gain = frozenset(i for i, v in enumerate(slack_of) if slacks[v] > 0)
     if not gain:
         return gain, None
-    scale = min(s for s in sol[:nk] if s > 0)
+    scale = min(s for s in slacks if s > 0)
 
-    positions = []
-    for t, col in enumerate(first, 1):
-        pos = {}
-        for k, atom in enumerate(atoms[t - 1]):
-            lo = nk + col + k * d
-            vec = sol[lo : lo + d]
-            if any(vec):
-                pos[atom] = tuple(x / scale for x in vec)
-        positions.append(pos)
-    strategy = Strategy(tuple(positions))
+    vecs = (h[k : k + d] for k in range(0, len(h), d))  # one per (period, node)
+    strategy = Strategy(tuple(
+        {atom: tuple(x / scale for x in vec) for atom, vec in zip(period, vecs) if any(vec)}
+        for period in atoms
+    ))
 
     if not check_predictable(strategy, rows):
         raise InternalError("oracle strategy is not predictable for its filtration")

@@ -481,6 +481,22 @@ def paths_market(paths) -> Market:
     )
 
 
+def strict_set_lp_by_hand(vectors) -> LinearProgram:
+    """The capped-slack LP over ``vectors``: one slack per vector, then H, one row each.
+
+    Row v is H.x_v - s_v >= 0, each slack s_v is capped in [0, 1], H is
+    free, and the objective is the sum of the slacks.
+    """
+    nv, d = len(vectors), len(vectors[0])
+    constraints = []
+    for v, x in enumerate(vectors):
+        row = [0] * nv + list(x)
+        row[v] = -1
+        constraints.append((tuple(row), GE, 0))
+    bounds = ((0, 1),) * nv + ((None, None),) * d
+    return LinearProgram((1,) * nv + (0,) * d, tuple(constraints), bounds)
+
+
 def market_doc(m: Market) -> dict:
     """The market document of ``m``'s scenarios, prices as strings."""
     return {

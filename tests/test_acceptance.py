@@ -181,11 +181,12 @@ def test_criterion_6_class_ftap(corpus, analyses):
             _agg, enlarged = universal_aggregator(m, pa)
             polar = m.all_indices - pa.omega_star
             # the universal aggregator theorem through the oracle: the
-            # enlarged gain set is exactly the polar complement, and the
-            # coarser natural filtration gains on no more
+            # enlarged gain set is exactly the polar complement, and so is
+            # the natural one: it is the complement of the martingale
+            # support (Tucker's strict complementarity), which is omega_star
             gain, _h = oracle_arbitrage(m, enlarged)
             assert gain == polar, f"market {i}"
-            assert oracle_arbitrage(m, pa.nodes)[0] <= gain, f"market {i}"
+            assert oracle_arbitrage(m, pa.nodes)[0] == gain, f"market {i}"
             for k in range(5):
                 cls = random_class(rng, m.n, f"c{k}")
                 verdict = classify(m, pa, cls, "enlarged")

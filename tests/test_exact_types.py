@@ -27,6 +27,7 @@ from arbscan.splitter import backward_eliminate
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import (  # noqa: E402
+    count_calls,
     fraction_market,
     paths_market,
     random_class,
@@ -79,28 +80,39 @@ def test_lps_of_an_integral_tree_hold_only_ints(monkeypatch):
     The golden tree gets a second, constant asset: the answers do not move,
     and its separator questions are two-asset ones over two or more distinct
     points, which still ask an LP (one-asset questions have a closed form).
+    Every LP handed to ``lp_solve`` is checked, and each of the four
+    functions that build one asks at least one here.
     """
-    seen: list[tuple[str, ratgeom.LinearProgram]] = []
-    real = ratgeom._validate
+    calls = count_calls(monkeypatch, "ratgeom", "lp_solve")
+    asked = set()
+    for module_name, name in (
+        ("ratgeom", "maximal_separator"),
+        ("ratgeom", "convex_combination_for_zero"),
+        ("oracle", "oracle_support"),
+        ("oracle", "oracle_arbitrage"),
+    ):
+        fn = getattr(sys.modules[f"arbscan.{module_name}"], name)
 
-    def spy(lp):
-        # lp_solve validates every LP it is given first; two frames up is
-        # the function that built the LP
-        seen.append((sys._getframe(2).f_code.co_name, lp))
-        return real(lp)
+        def watched(*args, _fn=fn, _name=name):
+            before = len(calls)
+            result = _fn(*args)
+            if len(calls) > before:
+                asked.add(_name)
+            return result
 
-    monkeypatch.setattr(ratgeom, "_validate", spy)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("arbscan") and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, watched)
     m = paths_market([[(p, 5) for p in path] for path in TREE_PATHS])
     build_report(m, verify=True)
     _natural_checks(m)
-    builders = {name for name, _lp in seen}
-    assert builders == {
+    assert asked == {
         "maximal_separator",
         "convex_combination_for_zero",
         "oracle_support",
         "oracle_arbitrage",
     }
-    lps = [lp for _name, lp in seen] + [build_polytope(m)]
+    lps = [lp for (lp,) in calls] + [build_polytope(m)]
     for lp in lps:
         numbers = list(lp.objective)
         for coeffs, _rel, rhs in lp.constraints:

@@ -8,11 +8,10 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arbscan import oracle
 from arbscan.market import atoms_of, check_predictable, load_market, natural_nodes, value_process
 from arbscan.oracle import build_polytope, oracle_arbitrage, oracle_support
 from arbscan.ratgeom import (
-    GE,
+    EQ,
     INFEASIBLE,
     OPTIMAL,
     LinearProgram,
@@ -29,6 +28,7 @@ from conftest import (
     paths_market,
     seeded_trinomial_market,
     split_corpus_markets,
+    strict_set_lp_by_hand,
     trinomial_tree,
     wide_trees,
 )
@@ -123,15 +123,9 @@ _REPEATED_PATHS = {
 
 def test_oracle_lps_take_one_slack_per_distinct_path(monkeypatch):
     m = load_market(_REPEATED_PATHS)
-    lps = []
-
-    def spy(lp):
-        lps.append(lp)
-        return lp_solve(lp)
-
-    monkeypatch.setattr(oracle, "lp_solve", spy)
+    lps = count_calls(monkeypatch, "ratgeom", "lp_solve")
     assert m.ids(oracle_support(m)) == ["c", "d", "e", "f"]
-    (lp,) = lps
+    ((lp,),) = lps
     # a remainder and a capped slack per path, against 2 * 6 per scenario
     assert len(lp.objective) == 2 * 3
     assert [hi for _lo, hi in lp.bounds].count(1) == 3
@@ -141,10 +135,30 @@ def test_oracle_lps_take_one_slack_per_distinct_path(monkeypatch):
         gain, h = oracle_arbitrage(m, rows)
         assert m.ids(gain) == ["a", "b"]
         _assert_witness(m, rows, gain, h)
-        (lp,) = lps
+        ((lp,),) = lps
         # one V_T - s >= 0 row and one capped slack per path, against 6
         assert len(lp.constraints) == 3
         assert [hi for _lo, hi in lp.bounds].count(1) == 3
+
+
+def _position_coefficients(m, rows):
+    """Each scenario's V_T as coefficients of one position vector per (period, node).
+
+    Asset j on node k of period t is entry first[t-1] + k * d + j, and each
+    period's block follows the last.
+    """
+    first, npos = [], 0
+    for row in rows[: m.T]:
+        first.append(npos)
+        npos += len(atoms_of(row)) * m.d
+    out = []
+    for i in range(m.n):
+        coeffs = [0] * npos
+        for t, col in enumerate(first, 1):
+            k = col + rows[t - 1][i] * m.d
+            coeffs[k : k + m.d] = m.increment(t, i)
+        out.append(tuple(coeffs))
+    return out
 
 
 def _gain_per_scenario(m, rows):
@@ -153,21 +167,7 @@ def _gain_per_scenario(m, rows):
     The oracle's LP before it merged scenarios on one path: rows V_T(i) - s_i
     >= 0 over the slacks, then one position vector per (period, node).
     """
-    first, nv = [], m.n
-    for row in rows[: m.T]:
-        first.append(nv)
-        nv += len(atoms_of(row)) * m.d
-    constraints = []
-    for i in range(m.n):
-        coeffs = [0] * nv
-        coeffs[i] = -1
-        for t, col in enumerate(first, 1):
-            k = col + rows[t - 1][i] * m.d
-            coeffs[k : k + m.d] = m.increment(t, i)
-        constraints.append((tuple(coeffs), GE, 0))
-    objective = (1,) * m.n + (0,) * (nv - m.n)
-    bounds = ((0, 1),) * m.n + ((None, None),) * (nv - m.n)
-    res = lp_solve(LinearProgram(objective, tuple(constraints), bounds))
+    res = lp_solve(strict_set_lp_by_hand(_position_coefficients(m, rows)))
     assert res.status == OPTIMAL
     return frozenset(i for i, s in enumerate(res.solution[: m.n]) if s > 0)
 
@@ -182,6 +182,78 @@ def test_oracle_lps_over_distinct_paths_match_the_per_scenario_lps(m):
         gain, h = oracle_arbitrage(m, rows)
         assert gain == _gain_per_scenario(m, rows)
         _assert_witness(m, rows, gain, h)
+
+
+def _martingale_rows_by_hand(m, nodes, columns):
+    """The martingale rows over the scenarios ``columns``, built row by row.
+
+    Row k * d + j of period t holds asset j's increments on node k of
+    ``nodes[t-1]``, and each period's rows follow the last.
+    """
+    rows = []
+    for t in range(1, m.T + 1):
+        up = nodes[t - 1]
+        coeffs = [[0] * len(columns) for _ in range((max(up) + 1) * m.d)]
+        for v, i in enumerate(columns):
+            for j, x in enumerate(m.increment(t, i)):
+                coeffs[up[i] * m.d + j][v] = x
+        rows.extend((tuple(c), EQ, 0) for c in coeffs)
+    return rows
+
+
+def _polytope_by_hand(m):
+    rows = [((1,) * m.n, EQ, 1)] + _martingale_rows_by_hand(m, natural_nodes(m), range(m.n))
+    return LinearProgram((0,) * m.n, tuple(rows), ((0, None),) * m.n)
+
+
+def _support_lp_by_hand(m):
+    """Remainders, then slacks, one pair per final node, over its least member's column."""
+    nodes = natural_nodes(m)
+    least = {}
+    for i, v in enumerate(nodes[m.T]):
+        least.setdefault(v, i)
+    k = len(least)
+    constraints = tuple(
+        (coeffs + coeffs, rel, rhs)
+        for coeffs, rel, rhs in _martingale_rows_by_hand(m, nodes, list(least.values()))
+    )
+    return LinearProgram((0,) * k + (1,) * k, constraints, ((0, None),) * k + ((0, 1),) * k)
+
+
+def _strategy_lp_by_hand(m, rows):
+    """One row V_T - s_v >= 0 and one slack per distinct coefficient row."""
+    return strict_set_lp_by_hand(list(dict.fromkeys(_position_coefficients(m, rows))))
+
+
+_ORACLE_MARKETS = st.one_of(corpus_markets(), split_corpus_markets(), trinomial_tree())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ORACLE_MARKETS)
+def test_oracle_lps_are_the_hand_built_lps(m):
+    # one table builder and one strict-set LP lay out the same LPs as
+    # building the rows, the columns and the slack rows by hand, so every
+    # pivot and every answer is the same
+    assert build_polytope(m) == _polytope_by_hand(m)
+    pa = backward_eliminate(m)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        lps = count_calls(monkeypatch, "ratgeom", "lp_solve")
+        oracle_support(m)
+        assert lps == [(_support_lp_by_hand(m),)]
+        for rows in (pa.nodes, pa.aggregator[1]):
+            lps.clear()
+            oracle_arbitrage(m, rows)
+            assert lps == [(_strategy_lp_by_hand(m, rows),)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ORACLE_MARKETS)
+def test_oracle_support_is_the_complement_of_the_natural_gain_set(m):
+    # both LPs read the natural martingale table A: the support of
+    # {q >= 0 : A q = 0} and the strict set of {H : H.A >= 0} split the
+    # scenarios (Tucker's strict complementarity), so the two oracles must
+    # agree scenario by scenario
+    assert oracle_support(m) == m.all_indices - oracle_arbitrage(m, natural_nodes(m))[0]
 
 
 def _assert_witness(m, filtration, gain, h):

@@ -24,10 +24,12 @@ from arbscan.ratgeom import (
     lp_solve,
     maximal_separator,
     rat,
+    strict_set_lp,
     verify_farkas_certificate,
 )
 
 import reference_simplex
+from conftest import strict_set_lp_by_hand
 
 
 def test_rat_parsing():
@@ -704,6 +706,39 @@ def test_separator_xor_and_maximality(points):
 
 
 @st.composite
+def _distinct_points(draw):
+    """One to six distinct points in Z^d or Q^d, d <= 3, zero allowed."""
+    coord = st.integers(-3, 3)
+    if draw(st.booleans()):
+        coord = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
+    d = draw(st.integers(1, 3))
+    return draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=6, unique=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_distinct_points())
+def test_strict_set_lp_slacks_mark_exactly_the_strict_vectors(values):
+    slacks, h = strict_set_lp(values)
+    assert len(slacks) == len(values) and len(h) == len(values[0])
+    assert all(0 <= s <= 1 and dot(h, x) >= s for s, x in zip(slacks, values))
+    assert [s > 0 for s in slacks] == [dot(h, x) > 0 for x in values]
+    # maximal: a vector some H is strict on has a positive slack
+    assert {v for v, s in enumerate(slacks) if s > 0} == {
+        v for v in range(len(values)) if _point_strict_feasible(values, v)
+    }
+    assert (sum(slacks) == 0) == (maximal_separator(values) is None)
+
+
+@pytest.mark.parametrize("status", [INFEASIBLE, UNBOUNDED])
+def test_strict_set_lp_raises_on_a_non_optimal_status(monkeypatch, status):
+    import arbscan.ratgeom as ratgeom
+
+    monkeypatch.setattr(ratgeom, "lp_solve", lambda lp: ratgeom.LpResult(status, None, None))
+    with pytest.raises(InternalError, match=f"strict-set LP came back {status}"):
+        strict_set_lp([(1, 0), (0, 1)])
+
+
+@st.composite
 def _degenerate_points(draw, dims=st.integers(1, 4), min_distinct=1):
     """Points in Z^d or Q^d, d <= 4, with zeros, duplicates and +-pairs mixed in.
 
@@ -873,14 +908,8 @@ def _separator_by_lp(points):
     values = list(dict.fromkeys(tuple(p) for p in points))
     if all(not any(v) for v in values):
         return None
-    nv, d = len(values), len(values[0])
-    constraints = []
-    for v, x in enumerate(values):
-        row = [0] * nv + list(x)
-        row[v] = -1
-        constraints.append((tuple(row), GE, 0))
-    bounds = ((0, 1),) * nv + ((None, None),) * d
-    res = lp_solve(LinearProgram((1,) * nv + (0,) * d, tuple(constraints), bounds))
+    nv = len(values)
+    res = lp_solve(strict_set_lp_by_hand(values))
     assert res.status == OPTIMAL
     if res.objective_value == 0:
         return None
@@ -931,7 +960,9 @@ def test_balanced_points_are_answered_without_an_lp(points, balance):
     with pytest.MonkeyPatch.context() as monkeypatch:
         monkeypatch.setattr(ratgeom, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp))
         assert maximal_separator(points) == separator
-        assert len(solved) == (0 if balanced else 1)
+        # the one LP is laid out as the hand-built one, so it takes the same pivots
+        values = list(dict.fromkeys(map(tuple, points)))
+        assert solved == ([] if balanced else [strict_set_lp_by_hand(values)])
         solved.clear()
         if weights is None:
             with pytest.raises(DomainError):
